@@ -361,14 +361,3 @@ def series_rows(v: SeriesField3D):
                 rows.append((k, c, i, j, val.numerator, val.denominator))
     return rows
 
-
-def grid_rows(u: SeriesField3D, xs, ys, zs):
-    """Rows (x, y, z, ux, uy, uz) on the tensor grid."""
-    rows = []
-    for x in xs:
-        for y in ys:
-            for z in zs:
-                ux, uy, uz = u.evaluate(x, y, z)
-                rows.append((float(x), float(y), float(z),
-                             float(ux), float(uy), float(uz)))
-    return rows

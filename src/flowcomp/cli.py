@@ -31,7 +31,6 @@ from .machine import (
 )
 from .robust import resource_estimate, sample_perturbation
 from .simulate import (
-    HaltingSetSpec,
     IntegratorConfig,
     event_rows,
     format_verdict,
@@ -121,7 +120,6 @@ class RunManifest:
     machine_name: str
     machine_digest: str
     constants: dict = dc_field(default_factory=dict)
-    tolerances: dict = dc_field(default_factory=dict)
     seeds: dict = dc_field(default_factory=dict)
     budgets: dict = dc_field(default_factory=dict)
     artifacts: list = dc_field(default_factory=list)
@@ -133,8 +131,8 @@ class RunManifest:
             ("machine.name", self.machine_name),
             ("machine.digest", self.machine_digest),
         ]
-        for group, d in (("constant", self.constants), ("tolerance", self.tolerances),
-                         ("seed", self.seeds), ("budget", self.budgets)):
+        for group, d in (("constant", self.constants), ("seed", self.seeds),
+                         ("budget", self.budgets)):
             rows.extend((f"{group}.{k}", v) for k, v in sorted(d.items()))
         rows.extend(("artifact", a) for a in self.artifacts)
         return [f"{k} = {_fmt(v)}" for k, v in rows]
@@ -149,6 +147,15 @@ def _fmt(v):
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+def _decimal_digits(n: int) -> int:
+    """Decimal digits of |n|, counted without int-to-str conversion, which
+    Python refuses above 4300 digits."""
+    n = abs(n)
+    d = max(1, math.ceil(n.bit_length() * math.log10(2.0)))
+    # 2^(bits-1) <= n < 2^bits leaves only d - 1 or d digits
+    return d - (d > 1 and n < 10 ** (d - 1))
 
 
 def _digest(path: str) -> str:
@@ -172,7 +179,6 @@ def base_manifest(sub: str, settings: dict) -> RunManifest:
             "eps0": settings["eps0"],
             "C": settings["C"],
         },
-        tolerances={"rtol": 1e-10, "atol": 1e-12, "crossing_tol": 1e-10},
         seeds={"base": settings["seed"]},
         budgets={
             "inputs": settings["inputs"],
@@ -417,8 +423,8 @@ def cmd_estimate(settings, outdir, man):
         f"inner_exponent = {est.inner:.12g}",
         f"lnln_norm_bound = {est.lnln_h1():.12g}",
         f"ln_threshold_offset = {est.ln_eps.off:.12g}",
-        f"ln_threshold_fixed_digits = {len(str(abs(est.ln_eps.fix)))}",
-        f"ln_norm_bound_fixed_digits = {len(str(est.ln_h1.fix))}",
+        f"ln_threshold_fixed_digits = {_decimal_digits(est.ln_eps.fix)}",
+        f"ln_norm_bound_fixed_digits = {_decimal_digits(est.ln_h1.fix)}",
     ]
     text = "\n".join(lines)
     path = outdir / "estimate.txt"

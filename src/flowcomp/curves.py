@@ -254,10 +254,6 @@ class BandChart:
             u = un
         return u
 
-    @property
-    def profile_eps(self):
-        return self.curve.profile.eps
-
 
 def curve_records(curve: CurveFamily, ds: float = 0.01):
     """Rows (s, x, y, kappa) along the curve for dumps and plots."""

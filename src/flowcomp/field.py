@@ -28,13 +28,11 @@ from .curves import (
     bump_profile,
     interval_bound_log,
 )
-from .logmag import LogMagnitude, lm_min
+from .logmag import LN2, LogMagnitude, lm_min
 from .machine import MachineSpec
 
 LAMBDA0 = 1.0 / (320.0 * math.log(15.0) + 32.0 * math.log(2.0))
 GAMMA0 = 4.0 * LAMBDA0 / 31.0
-
-LN2 = math.log(2.0)
 LN8 = 3.0 * LN2
 
 

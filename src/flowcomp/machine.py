@@ -121,16 +121,12 @@ class EncodedPoint:
     q: int
     r: int
     s: int
-    halting_variant: bool = False
 
     def value(self) -> Fraction:
         self._check_exact()
-        base = Fraction(1, 2**self.q * 3**self.r * 5**self.s)
-        return 1 - base if self.halting_variant else base
+        return Fraction(1, 2**self.q * 3**self.r * 5**self.s)
 
     def ln_value(self) -> LogMagnitude:
-        if self.halting_variant:
-            raise ValueError("halting-variant points are near 1, use value()")
         return LogMagnitude.from_prime_exponents(self.q, self.r, self.s)
 
     def ln_half_width(self) -> LogMagnitude:
@@ -139,8 +135,6 @@ class EncodedPoint:
 
     def interval(self) -> tuple[Fraction, Fraction]:
         a = self.value()
-        if self.halting_variant:
-            raise ValueError("intervals are defined for the standard encoding")
         return (a - a / 32, a + a / 32)
 
     def _check_exact(self):
@@ -260,8 +254,8 @@ def enumerate_inputs(
     return out
 
 
-def encode(c: Configuration, q: int | None = None, *, halting_variant: bool = False) -> EncodedPoint:
-    return EncodedPoint(c.q if q is None else q, c.r, c.s, halting_variant)
+def encode(c: Configuration, q: int | None = None) -> EncodedPoint:
+    return EncodedPoint(c.q if q is None else q, c.r, c.s)
 
 
 def interval_of(p: EncodedPoint, band: int) -> tuple[Fraction, Fraction]:

@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .curves import CurveFamily, interval_bound_log
 from .field import ErrorSchedule, FieldSpec, contraction_speed_limit  # noqa: F401
 from .logmag import FIX, LN2_FIX, LogMagnitude, signed_log_add
 from .machine import MachineSpec
+from .simulate import crossing_times
 
 # Gauss-Legendre order for arc length over short stretches of the curve
 _GL_ORDER = 8
@@ -84,7 +84,7 @@ class PerturbationSpec:
     the x-factor of the shape is at least e^(-1/3).
     """
 
-    def __init__(self, schedule: ErrorSchedule, seed: int, zero: bool = False):
+    def __init__(self, schedule: ErrorSchedule, seed: int):
         self.schedule = schedule
         self.seed = seed
         rng = np.random.default_rng(seed)
@@ -94,8 +94,6 @@ class PerturbationSpec:
             u = float(rng.uniform(1e-3, 1.0))
             sign = 1 if rng.uniform() < 0.5 else -1
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            if zero:
-                sign = 0
             self.bumps[(i, l)] = _BoxBump(
                 i, l, sign, cap + math.log(u), (math.cos(theta), math.sin(theta))
             )
@@ -108,7 +106,7 @@ class PerturbationSpec:
             return None
         l = int(math.floor(y))
         bump = self.bumps.get((i, l))
-        if bump is None or bump.sign == 0:
+        if bump is None:
             return None
         shape = float(_bump01(fx + 0.25) * _bump01(2.0 * (fy - 0.25)))
         if shape <= 0.0:
@@ -160,7 +158,7 @@ class PerturbationSpec:
         f_sign, f_w = 0, LogMagnitude.zero()
         for l in range(max(0, math.ceil(u0 - 0.75)), math.floor(u1 - 0.25) + 1):
             bump = self.bumps.get((band, l))
-            if bump is None or bump.sign == 0 or u0 >= l + 0.75:
+            if bump is None or u0 >= l + 0.75:
                 continue
             u_top = l + 0.75
             if u_top > u1 + 1e-9:
@@ -215,54 +213,36 @@ def sample_perturbation(schedule: ErrorSchedule, seed: int) -> PerturbationSpec:
     return PerturbationSpec(schedule, seed)
 
 
-def zero_perturbation(schedule: ErrorSchedule) -> PerturbationSpec:
-    return PerturbationSpec(schedule, 0, zero=True)
-
-
 # ---------------------------------------------------------------------------
 # contraction certificate
 
 
 def contraction_check(machine: MachineSpec, lam: float, band: int, height: int,
-                      j: int, n_probes: int = 11, eps: float = 0.01,
-                      profile=None) -> dict:
+                      j: int, n_probes: int = 11, eps: float = 0.01) -> dict:
     """Certify one step of the interval contraction under the chart flow.
 
     Starts at arc length s^i_l with ln|rho(0)| = ln A_{i,l} - j ln2 and
-    integrates ds/dt = lam/(1 - kappa(s) rho(t)) with the exact decay
-    rho(t) = rho(0) e^{-t}.  At every probe time with |s - s^i_{l+1}| < eps
-    the claim ln|rho(t)| < ln A_{i,l+1} - (j+1) ln2 is checked in exact log
-    arithmetic.  Returns a report with the worst margin (positive = pass).
+    flows ds/dt = lam/(1 - kappa(s) rho(t)) with the exact decay
+    rho(t) = rho(0) e^{-t}; the probe times, where |s - s^i_{l+1}| < eps,
+    come from `crossing_times` with the slowness integral (b - a)/lam.  At
+    each probe the claim ln|rho(t)| < ln A_{i,l+1} - (j+1) ln2 is checked in
+    exact log arithmetic.  Returns a report with the worst margin
+    (positive = pass).
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    curve = CurveFamily(machine, band, height + 1, profile)
+    curve = CurveFamily(machine, band, height + 1)
     m = machine.m
     w0 = interval_bound_log(m, band, height) - LogMagnitude(j * LN2_FIX, 0.0)
     bound = interval_bound_log(m, band, height + 1) - LogMagnitude((j + 1) * LN2_FIX, 0.0)
     s_lo = float(curve.arc_heights[height])
     s_hi = float(curve.arc_heights[height + 1])
     targets = s_hi + np.linspace(-0.9 * eps, 0.9 * eps, n_probes)
-    ln_rho0 = w0.ln()  # astronomically negative; numerically rho = 0
-
-    def rhs(t, y):
-        kappa = float(curve.kappa_at_arclength(y[0]))
-        ln_r = ln_rho0 - t
-        r = math.exp(ln_r) if ln_r > -200.0 else 0.0
-        return [lam / (1.0 - kappa * r)]
-
+    times = crossing_times(curve, lambda a, b: (b - a) / lam, s_lo,
+                           math.exp(w0.ln()), targets)
     probes = []
     worst = math.inf
-    t, s = 0.0, s_lo
-    for s_target in targets:
-        ev = lambda tt, y: y[0] - s_target
-        ev.terminal, ev.direction = True, 1.0
-        sol = solve_ivp(rhs, (t, t + (s_target - s) * 2.5 / lam + 10.0), [s],
-                        events=ev, rtol=1e-10, atol=1e-12, max_step=0.05 / lam)
-        if not sol.t_events[0].size:
-            raise RuntimeError("probe target not reached")
-        t = float(sol.t_events[0][0])
-        s = float(s_target)
+    for s, t in zip(targets.tolist(), times.tolist()):
         margin = bound.diff_ln(w0 - t)  # positive iff strictly inside
         worst = min(worst, margin)
         probes.append((s, t, margin))
@@ -305,8 +285,9 @@ _MAX_NESTED = 13.0  # e^{C s_b} beyond this needs >10^5-digit fixed points
 
 def _exp_fix(x: float) -> int:
     """e^x * 10^30 as an exact-enough integer, x possibly in the millions."""
-    getcontext().prec = int(x / math.log(10.0)) + 50
-    return int(Decimal(x).exp() * FIX)
+    with localcontext() as ctx:
+        ctx.prec = int(x / math.log(10.0)) + 50
+        return int(Decimal(x).exp() * FIX)
 
 
 @dataclass(frozen=True)

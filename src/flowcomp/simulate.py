@@ -3,11 +3,11 @@
 Integration happens in chart coordinates.  The normal coordinate rho decays
 exactly like rho(0)e^{-t} plus a perturbation-forced part, and both live at
 scales that underflow doubles, so rho is carried as a sign plus LogMagnitude.
-The tangential coordinate s is integrated numerically only while rho is
-visible at double precision; after that its crossing times are closed-form
-integrals of the per-level slowness.  At each arc-length anchor the crossing
-is classified against the encoded interval of the corresponding machine
-configuration, entirely in log space.
+The flow time to any arc length s is closed-form (`crossing_times`): the
+integral of the per-level slowness, corrected by an exponentially weighted
+integral of the curvature while rho is visible at double precision.  At each
+arc-length anchor the crossing is classified against the encoded interval of
+the corresponding machine configuration, entirely in log space.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .curves import CHART_HALF_WIDTH
 from .field import FieldSpec
@@ -31,6 +30,8 @@ CLASSIFY_GUARD = 1e-9
 _RHO_FLOAT_FLOOR = -200.0
 # arc-length spacing of the trajectory sample rows
 _SAMPLE_DS = 0.05
+# flow-time step of the curvature quadrature in `crossing_times`
+_QUAD_DT = 0.01
 
 
 class ConfinementError(RuntimeError):
@@ -39,16 +40,10 @@ class ConfinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    max_step: float | None = None  # default keeps each step under 0.05 in s
-    crossing_tol: float = 1e-10
     l_max: int = 20
     window: float | None = None
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0 or self.crossing_tol <= 0:
-            raise ValueError("tolerances must be positive")
         if self.l_max < 1:
             raise ValueError("height budget must be >= 1")
 
@@ -140,58 +135,72 @@ class _RhoState:
             return cls(0, LogMagnitude.zero())
         return cls(1 if rho > 0 else -1, LogMagnitude.from_ln(math.log(abs(rho))))
 
-    def as_float(self, extra_decay: float = 0.0) -> float:
-        if self.sign == 0:
-            return 0.0
-        ln = self.w.ln() - extra_decay
-        if ln < _RHO_FLOAT_FLOOR:
-            return 0.0
-        return self.sign * math.exp(min(ln, 0.0))
+
+def _exp_weights(h):
+    """Weights (left, right) of the exact integral of a linear function times
+    e^{-tau} over [0, h]: the integral of e^{-tau} minus, and plus, that of
+    (tau/h) e^{-tau}, the latter by its series below h = 1e-4."""
+    decay = -np.expm1(-h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        right = np.where(h > 1e-4, (decay - h * np.exp(-h)) / h,
+                         h / 2.0 - h * h / 3.0 + h**3 / 8.0)
+    return decay - right, right
+
+
+def crossing_times(curve, time_of, s0: float, rho0: float, s) -> np.ndarray:
+    """Flow times from s0 to each arc length of the ascending array s.
+
+    Along the chart flow rho(t) = rho0 e^{-t} exactly.  With T(s) =
+    time_of(s0, s), the integral of the slowness 1/lambda, the s-equation
+    ds/dt = lambda/(1 - kappa rho) reads dt/dT = 1 - kappa rho0 e^{-t},
+    which is linear in W = e^t, so
+
+        t(s) = T(s) + ln(1 - rho0 I(s)),  I(s) = int_0^T(s) kappa e^{-T'} dT'.
+
+    I takes kappa piecewise linear in T between nodes about `_QUAD_DT` apart
+    and integrates each piece against e^{-T'} exactly (exponential time
+    differencing).  It is cut off where ln|rho| falls below
+    `_RHO_FLOAT_FLOOR`; past that, rho does not reach the s-equation at
+    double precision and t - T stays constant.
+    """
+    T = time_of(s0, s)
+    t_cut = math.log(abs(rho0)) - _RHO_FLOAT_FLOOR if rho0 != 0.0 else 0.0
+    if t_cut <= 0.0:
+        return T
+    # nodes run from s0 to where T reaches t_cut (or to the last s), and
+    # include every requested s before that
+    lo, hi = s0, float(s[-1])
+    if T[-1] > t_cut:
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if time_of(s0, mid) > t_cut else (mid, hi)
+    n = math.ceil(min(t_cut, T[-1]) / _QUAD_DT)
+    nodes = np.union1d(np.linspace(s0, hi, n + 1), s[s < hi])
+    t_nodes = time_of(s0, nodes)
+    kappa = curve.kappa_at_arclength(nodes)
+    left, right = _exp_weights(np.diff(t_nodes))
+    pieces = np.exp(-t_nodes[:-1]) * (left * kappa[:-1] + right * kappa[1:])
+    I = np.concatenate([[0.0], np.cumsum(pieces)])
+    I_at_s = I[np.minimum(np.searchsorted(nodes, s), len(nodes) - 1)]
+    return T + np.log1p(-rho0 * I_at_s)
 
 
 def integrate_segment(fs: FieldSpec, band: int, s0: float, s_target: float,
-                      t0: float, rho: _RhoState, perturbation, cfg: IntegratorConfig):
+                      t0: float, rho: _RhoState, perturbation):
     """Advance from s0 to the anchor s_target; returns (t1, rho at t1, sample rows).
 
-    While |rho| is above double resolution the s-equation
-    ds/dt = lambda_i(s)/(1 - kappa(s) rho(t)) is integrated numerically;
-    once it is below (ln|rho| < -200, at most ~200 time units in) the
-    equation is ds/dt = lambda_i(s) exactly and the rest of the crossing time
-    is the closed-form integral of the slowness.  The decay of rho by the
-    elapsed time is carried in the fixed-point part of its magnitude, and
-    the perturbation's forcing is added by its exact exponential integral.
+    The crossing time and the times of the sample rows, one every
+    `_SAMPLE_DS` of arc, come from `crossing_times` with the band's
+    closed-form slowness integral.  The decay of rho by the elapsed time is
+    carried in the fixed-point part of its magnitude, and the perturbation's
+    forcing is added by its exact exponential integral.
     """
-    curve = fs.curve(band)
-    speed = fs.speed(band)
-    rows = []
-    s, dur = s0, 0.0
-    visible = rho.w.ln() - _RHO_FLOAT_FLOOR if rho.sign != 0 else 0.0
-    if visible > 0.0:
-        def rhs(t, y):
-            kappa = float(curve.kappa_at_arclength(y[0]))
-            return [float(speed(y[0])) / (1.0 - kappa * rho.as_float(t - t0))]
-
-        def crossing(t, y):
-            return y[0] - s_target
-
-        crossing.terminal = True
-        crossing.direction = 1.0
-        max_step = cfg.max_step if cfg.max_step is not None else 0.05 / float(speed(s0))
-        sol = solve_ivp(rhs, (t0, t0 + visible), [s0], events=crossing, rtol=cfg.rtol,
-                        atol=cfg.atol, max_step=max_step)
-        # the last solver point is the event, or where the closed form starts
-        rows = [(float(t), float(y)) for t, y in zip(sol.t[:-1], sol.y[0][:-1])]
-        if sol.t_events[0].size:
-            dur, s = float(sol.t_events[0][0]) - t0, s_target
-        else:
-            dur, s = float(sol.t[-1]) - t0, float(sol.y[0][-1])
-    if s < s_target:
-        grid = np.arange(s, s_target, _SAMPLE_DS)
-        times = t0 + dur + speed.time(s, grid)
-        rows.extend(zip(times.tolist(), grid.tolist()))
-        dur += float(speed.time(s, s_target))
+    grid = np.append(np.arange(s0, s_target, _SAMPLE_DS), s_target)
+    ln0 = rho.w.ln()
+    times = crossing_times(fs.curve(band), fs.speed(band).time, s0,
+                           rho.sign * math.exp(ln0), grid)
+    dur = float(times[-1])
     t1 = t0 + dur
-    rows.append((t1, s_target))
 
     new_sign, new_w = rho.sign, rho.w - LogMagnitude.fixed(dur)
     if perturbation is not None:
@@ -203,8 +212,8 @@ def integrate_segment(fs: FieldSpec, band: int, s0: float, s_target: float,
         raise ConfinementError(
             f"|rho| reached the chart boundary on band {band} near s = {s_target}"
         )
-    ln0 = rho.w.ln()
-    return t1, out, [(t, s_, rho.sign, ln0 - (t - t0)) for t, s_ in rows]
+    return t1, out, [(t, s_, rho.sign, ln0 - (t - t0))
+                     for t, s_ in zip((t0 + times).tolist(), grid.tolist())]
 
 
 def classify_crossing(fs: FieldSpec, band: int, height: int, rho: _RhoState):
@@ -242,8 +251,7 @@ def integrate_chart(fs: FieldSpec, band: int, start=(0.0, 0.0), perturbation=Non
         s_target = float(heights[l])
         if s_target <= s:
             continue
-        t, rho, rows = integrate_segment(fs, band, s, s_target, t, rho,
-                                         perturbation, cfg)
+        t, rho, rows = integrate_segment(fs, band, s, s_target, t, rho, perturbation)
         s = s_target
         traj.samples.extend(rows)
         ev = EventRecord(band, l, t, s, rho.sign, rho.w,
@@ -335,26 +343,6 @@ def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
     if outcome is None:
         outcome = SimulationVerdict("UNRESOLVED", budget=cfg.l_max)
     return outcome
-
-
-def ns_time_budget(lam: float, nu: float, t_max: float):
-    """Smallest integer speed factor covering [0, t_max] after the time warp.
-
-    Returns (M, warp) with warp(t) = M(1 - e^{-nu lam^2 t})/(nu lam^2), an
-    increasing bijection of [0, inf) onto [0, M/(nu lam^2)) with the image
-    interval strictly containing [0, t_max].
-    """
-    if lam <= 0 or nu <= 0 or t_max <= 0:
-        raise ValueError("all arguments must be positive")
-    denom = nu * lam * lam
-    m = math.floor(denom * t_max) + 1
-    if m / denom <= t_max:  # guard exact-equality edge
-        m += 1
-
-    def warp(t):
-        return m * -np.expm1(-denom * np.asarray(t, dtype=float)) / denom
-
-    return m, warp
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ visits — and with them the verdicts — match the continuous flow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,27 +169,3 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     orbit = DiscreteOrbit(delta, times, s_vals, visited, gaps)
     return verdict, hit, orbit
 
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def orbit_rows(curve, orbit: DiscreteOrbit, stride: int = 1):
-    """Rows (n, t, x3, y3, z3) of the iterates on the sphere."""
-    rows = []
-    for n in range(0, len(orbit.times), stride):
-        u = float(curve.param_of_arclength(float(orbit.s_values[n])))
-        x, y = curve.point(u)
-        p = stereographic(float(x), float(y))
-        rows.append((n, float(orbit.times[n]), float(p[0]), float(p[1]), float(p[2])))
-    return rows
-
-
-def shadow_rows(curve, orbit: DiscreteOrbit, stride: int = 1):
-    """Rows (n, x, y) of the planar pre-images of the iterates."""
-    rows = []
-    for n in range(0, len(orbit.times), stride):
-        u = float(curve.param_of_arclength(float(orbit.s_values[n])))
-        x, y = curve.point(u)
-        rows.append((n, float(x), float(y)))
-    return rows

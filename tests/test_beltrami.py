@@ -10,7 +10,6 @@ from flowcomp.beltrami import (
     cauchy_data,
     extend_series,
     fit_window_polynomial,
-    grid_rows,
     residuals,
     series_rows,
 )
@@ -155,13 +154,6 @@ def test_series_rows_roundtrip_values():
     assert (0, 0, 0, 0, 1, 1) in rows
     assert (2, 0, 0, 0, -1, 2) in rows
     assert all(len(r) == 6 for r in rows)
-
-
-def test_grid_rows():
-    _, u = beltrami_from_potential(X, 1, K=16)
-    rows = grid_rows(u, [0.0], [0.0], [0.0, 0.5])
-    assert rows[0][3] == pytest.approx(1.0)
-    assert rows[1][3] == pytest.approx(np.cos(0.5), abs=1e-9)
 
 
 # -- windowed fitting -------------------------------------------------------

@@ -70,6 +70,36 @@ def test_estimate_echo(tmp_path, capsys):
     assert (out / "estimate.txt").read_text().strip() in text
 
 
+ESTIMATE_SB5 = """space_bound = 5.0
+C = 1.0
+inner_exponent = 148.413159103
+lnln_norm_bound = 148.413159103
+ln_threshold_offset = 0
+ln_threshold_fixed_digits = 95
+ln_norm_bound_fixed_digits = 95
+"""
+
+
+def test_estimate_digit_counts(tmp_path, capsys, monkeypatch):
+    from flowcomp import cli
+
+    assert run("estimate", "--sb", "5", "--C", "1", "--out", str(tmp_path / "a")) == 0
+    assert (tmp_path / "a" / "estimate.txt").read_text() == ESTIMATE_SB5
+    # e^(e^10) has about 9,600 digits, past the int-to-str limit; keep the
+    # estimate the run computes, which takes seconds
+    seen, estimate = [], cli.resource_estimate
+    monkeypatch.setattr(cli, "resource_estimate",
+                        lambda *a: seen.append(estimate(*a)) or seen[0])
+    assert run("estimate", "--sb", "10", "--C", "1", "--out", str(tmp_path / "b")) == 0
+    report = dict(line.split(" = ") for line in
+                  (tmp_path / "b" / "estimate.txt").read_text().splitlines())
+    fix = seen[0].ln_h1.fix
+    for key in ("ln_threshold_fixed_digits", "ln_norm_bound_fixed_digits"):
+        d = int(report[key])
+        assert 10 ** (d - 1) <= fix < 10**d
+    capsys.readouterr()
+
+
 def test_deterministic_artifacts(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -137,11 +137,6 @@ def test_encode_general():
     assert p.value() == Fraction(1, 8 * 9 * 5)
 
 
-def test_halting_variant():
-    p = encode(Configuration(2, 0, 0), halting_variant=True)
-    assert p.value() == Fraction(3, 4)
-
-
 def test_interval_translation():
     p = encode(Configuration(1, 0, 0))
     a, b = interval_of(p, 2)

@@ -15,7 +15,6 @@ from flowcomp.robust import (
     resource_estimate,
     sample_perturbation,
     space_bound_of_norm,
-    zero_perturbation,
 )
 from flowcomp.simulate import (
     HaltingSetSpec,
@@ -75,12 +74,6 @@ def test_support_restricted(schedule):
     # the support covers [0, 1/2], where every encoded value of band 0 lies
     assert not p.magnitude(0.0, 1.5).is_zero
     assert not p.magnitude(0.5, 1.5).is_zero
-
-
-def test_zero_perturbation(schedule):
-    z = zero_perturbation(schedule)
-    sign, mag = z.normal_component(0.5, 0.5, -1.0, 0.0)
-    assert sign == 0 and mag.is_zero
 
 
 def test_seeds_differ(schedule):
@@ -183,8 +176,7 @@ def test_forcing_matches_mpmath_at_level_5(fs, schedule):
     p = sample_perturbation(schedule, seed=3)
     heights = fs.curve(0).arc_heights
     _, rho, _ = integrate_segment(fs, 0, float(heights[5]), float(heights[6]), 0.0,
-                                  _RhoState(0, LogMagnitude.zero()), p,
-                                  IntegratorConfig())
+                                  _RhoState(0, LogMagnitude.zero()), p)
     sign, ln_rho = _mp_forced_rho(fs, 0, 5, p.bumps[(0, 5)])
     assert rho.sign == sign
     assert rho.w.ln() == pytest.approx(ln_rho, abs=0.01)
@@ -276,6 +268,14 @@ def test_resource_domain():
         resource_estimate(0.5, 1.0)
     with pytest.raises(OverflowError):
         resource_estimate(20.0, 1.0)
+
+
+def test_resource_estimate_keeps_decimal_precision():
+    import decimal
+
+    prec = decimal.getcontext().prec
+    resource_estimate(5.0)
+    assert decimal.getcontext().prec == prec
 
 
 def test_resource_huge_but_exact():

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from flowcomp import simulate
 from flowcomp.field import FieldSpec
 from flowcomp.machine import (
     LOOP,
@@ -25,10 +27,10 @@ from flowcomp.simulate import (
     SimulationVerdict,
     _RhoState,
     classify_crossing,
+    crossing_times,
     event_rows,
     format_verdict,
     integrate_chart,
-    ns_time_budget,
     simulate_bounded,
     simulate_input,
     trajectory_rows,
@@ -192,19 +194,6 @@ def test_halting_set_spec():
     assert hs.matches(Configuration(2, 901, 3))
 
 
-def test_ns_time_budget():
-    m, warp = ns_time_budget(1.0, 1.0, 10.0)
-    assert m == 11
-    assert warp(0.0) == 0.0
-    t = np.linspace(0.0, 30.0, 200)
-    w = warp(t)
-    assert np.all(np.diff(w) > 0.0)  # strictly increasing until double saturation
-    assert float(warp(1e6)) == pytest.approx(11.0)
-    assert float(warp(1e6)) < 11.0 + 1e-9
-    with pytest.raises(ValueError):
-        ns_time_budget(0.0, 1.0, 1.0)
-
-
 def test_format_verdict():
     assert format_verdict(SimulationVerdict("LOOP")) == "LOOP"
     assert format_verdict(SimulationVerdict("UNRESOLVED", budget=7)) == "UNRESOLVED 7"
@@ -219,3 +208,54 @@ def test_export_rows(fs):
     rows = trajectory_rows(traj)
     assert all(len(r) == 6 for r in rows)
     assert rows[0][4] == 0 and rows[0][5] == 1
+
+
+# -- closed-form crossing times ---------------------------------------------
+
+
+def _solver_times(curve, speed, s0, rho0, targets):
+    """Reference flow times T(s) + c(s) by solve_ivp on the s-equation.
+
+    With T the slowness integral, the time correction c = t - T obeys
+    dc/ds = -kappa rho0 e^{-T-c}/lambda; integrating c rather than t keeps
+    the solver's relative tolerance on the small quantity it has to get right.
+    """
+    from scipy.integrate import solve_ivp
+
+    def rhs(s, c):
+        t = float(speed.time(s0, s)) + c[0]
+        return [-float(curve.kappa_at_arclength(s)) * rho0 * math.exp(-t) / float(speed(s))]
+
+    sol = solve_ivp(rhs, (s0, targets[-1]), [0.0], method="DOP853", t_eval=targets,
+                    rtol=1e-13, atol=1e-14)
+    return speed.time(s0, targets) + sol.y[0]
+
+
+@pytest.mark.parametrize("machine", ["incrementer", "right_filler"])
+def test_crossing_times_match_solver(request, monkeypatch, machine):
+    fs = FieldSpec(request.getfixturevalue(machine), n_bands=2, l_max=2)
+    for band, rho0 in itertools.product((0, 1), (0.03, -0.03)):
+        curve, speed = fs.curve(band), fs.speed(band)
+        s0 = float(curve.arclength_of_param(0.25))  # mid-ramp, near the largest |kappa|
+        # through the float-visible transient of rho, past it, and the anchor
+        transient = s0 + float(speed(s0)) * np.array([0.5, 2.0, 8.0, 30.0, 120.0])
+        targets = np.append(transient, curve.arc_heights[1])
+        got = crossing_times(curve, speed.time, s0, rho0, targets)
+        assert np.all(np.abs(got - speed.time(s0, targets)) > 1e-3)
+        assert np.all(np.abs(got - _solver_times(curve, speed, s0, rho0, targets)) < 1e-9)
+        monkeypatch.setattr(simulate, "_QUAD_DT", simulate._QUAD_DT / 2.0)
+        finer = crossing_times(curve, speed.time, s0, rho0, targets)
+        monkeypatch.undo()
+        # the quadrature error is O(step^2), about 2e-12 time units at the
+        # default step: below 1e-12 relative from a few time units on
+        assert np.all(np.abs(finer - got)[2:] < 1e-12 * got[2:])
+        assert np.all(np.abs(finer - got) < 1e-11)
+
+
+def test_crossing_times_without_rho_are_the_slowness_integral(fs):
+    curve, speed = fs.curve(0), fs.speed(0)
+    s = np.linspace(0.1, 2.5, 7)
+    want = speed.time(0.05, s)
+    assert np.array_equal(crossing_times(curve, speed.time, 0.05, 0.0, s), want)
+    # rho below the float floor no longer reaches the s-equation
+    assert np.array_equal(crossing_times(curve, speed.time, 0.05, 1e-90, s), want)

@@ -13,8 +13,6 @@ from flowcomp.sphere import (
     delta_threshold,
     discrete_orbit_verdict,
     inverse_stereographic,
-    orbit_rows,
-    shadow_rows,
     stereographic,
     stereographic_push,
 )
@@ -141,16 +139,3 @@ def test_orbit_iterates_monotone(fs):
     assert np.all(np.diff(orbit.s_values) >= 0.0)
     assert orbit.times[1] - orbit.times[0] == pytest.approx(d0 / 2.0)
 
-
-def test_export_rows(fs):
-    d0 = delta_threshold(fs.eps, fs.lam)
-    _, _, orbit = discrete_orbit_verdict(fs, 0, None, d0 / 2.0,
-                                         IntegratorConfig(l_max=2))
-    curve = fs.curve(0)
-    rows = orbit_rows(curve, orbit, stride=1000)
-    assert all(len(r) == 5 for r in rows)
-    x0, y0 = (float(v) for v in curve.point(0.0))
-    assert np.allclose(rows[0][2:], stereographic(x0, y0), atol=1e-12)
-    srows = shadow_rows(curve, orbit, stride=1000)
-    assert srows[0][1:] == (pytest.approx(x0, abs=1e-12),
-                            pytest.approx(y0, abs=1e-12))
