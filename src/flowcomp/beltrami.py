@@ -280,13 +280,14 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
     """Least-squares polynomial fit of the Cartesian potential on a window.
 
     `window` is (x0, x1, y0, y1).  Sample points are taken where the cutoff
-    is identically 1 (|rho| <= rho0/2); the report compares the achieved sup
+    is identically 1 (|rho| <= RHO0/2); the report compares the achieved sup
     errors of value and gradient against the smallest scheduled perturbation
     threshold intersecting the window.  An error above the threshold is
     reported as insufficient degree, not raised.  Synthetic potentials (for
     tests) can be supplied via potential_fn/gradient_fn, in which case the
     full rectangular grid is sampled.
     """
+    from .curves import RHO0
     from .field import error_schedule, field_eval_plane, potential_plane, _locate
 
     if degree < 1:
@@ -301,7 +302,7 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
                 fvals.append(potential_fn(x, y))
             else:
                 hit = _locate(fs, x, y)
-                if hit is None or abs(hit[3]) > fs.rho0 / 2:
+                if hit is None or abs(hit[3]) > RHO0 / 2:
                     continue
                 fvals.append(potential_plane(fs, x, y))
             xs.append(x)

@@ -20,7 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .beltrami import beltrami_from_potential, fit_window_polynomial, residuals, series_rows
-from .field import FieldSpec, error_schedule
+from .curves import RAMP_EPS, RHO0
+from .field import LAMBDA0, FieldSpec, error_schedule
 from .machine import (
     UNRESOLVED,
     Halted,
@@ -44,9 +45,7 @@ ENV_PREFIX = "FLOWCOMP_"
 DEFAULTS = {
     "inputs": 3,
     "lmax": 8,
-    "window": None,
     "seed": 0,
-    "eps0": 0.1,
     "lambda_frac": 0.5,
     "out": "out",
     "trials": 5,
@@ -78,17 +77,30 @@ def _coerce(key: str, value):
     if value is None or key not in DEFAULTS:
         return value
     template = DEFAULTS[key]
-    if key == "window" and str(value).lower() in ("", "none"):
-        return None
     if isinstance(template, int) and not isinstance(template, bool):
         return int(value)
-    if isinstance(template, float) or key == "window":
+    if isinstance(template, float):
         return float(value)
     return str(value)
 
 
+def _check_ranges(settings: dict):
+    """Reject out-of-range values as usage errors, before any work starts."""
+    if settings["lmax"] < 1:
+        raise ValueError("--lmax must be at least 1")
+    if not 0.0 < settings["lambda_frac"] < 1.0:
+        raise ValueError("--lambda-frac must be in (0, 1)")
+    if settings["degree"] < 1:
+        raise ValueError("--degree must be at least 1")
+    if not settings["sb"] >= 1.0:
+        raise ValueError("--sb must be at least 1")
+    if not settings["C"] > 0.0:
+        raise ValueError("--C must be positive")
+
+
 def resolve(args: argparse.Namespace) -> dict:
-    """Merge flag/env/config/default values into one settings dict."""
+    """Merge flag/env/config/default values into one settings dict, with
+    every value in range."""
     config = read_config(args.config) if getattr(args, "config", None) else {}
     settings = {}
     for key, default in DEFAULTS.items():
@@ -100,6 +112,7 @@ def resolve(args: argparse.Namespace) -> dict:
         if value is None:
             value = default
         settings[key] = _coerce(key, value)
+    _check_ranges(settings)
     settings["machine"] = (
         getattr(args, "machine", None)
         or os.environ.get(ENV_PREFIX + "MACHINE")
@@ -164,7 +177,6 @@ def _digest(path: str) -> str:
 
 def base_manifest(sub: str, settings: dict) -> RunManifest:
     fs_lam = settings["lambda_frac"]
-    from .field import LAMBDA0
 
     man = RunManifest(
         sub,
@@ -174,16 +186,14 @@ def base_manifest(sub: str, settings: dict) -> RunManifest:
             # the top speed: the sphere time step; every level runs below it
             "lambda": fs_lam * LAMBDA0,
             "lambda_frac": fs_lam,
-            "eps": 0.01,
-            "rho0": 1.0 / 32.0,
-            "eps0": settings["eps0"],
+            "eps": RAMP_EPS,
+            "rho0": RHO0,
             "C": settings["C"],
         },
         seeds={"base": settings["seed"]},
         budgets={
             "inputs": settings["inputs"],
             "l_max": settings["lmax"],
-            "window": settings["window"] if settings["window"] is not None else "none",
             "trials": settings["trials"],
             "degree": settings["degree"],
             "series_order": 20,
@@ -258,7 +268,7 @@ def _build(settings: dict):
     fs = FieldSpec(machine, n_bands=max(settings["inputs"], 1),
                    l_max=settings["lmax"] + 1,
                    lambda_frac=settings["lambda_frac"])
-    cfg = IntegratorConfig(l_max=settings["lmax"], window=settings["window"])
+    cfg = IntegratorConfig(l_max=settings["lmax"])
     return machine, fs, cfg
 
 
@@ -397,7 +407,7 @@ def cmd_extend3d(settings, outdir, man):
 
 def cmd_sphere(settings, outdir, man):
     _, fs, cfg = _build(settings)
-    delta = delta_threshold(fs.eps, fs.lam) / 2.0
+    delta = delta_threshold(fs.lam) / 2.0
     rows = []
     ok = True
     for idx in range(settings["inputs"]):
@@ -469,9 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value settings file")
         p.add_argument("--inputs", type=int, help="number of enumerated inputs")
         p.add_argument("--lmax", type=int, help="height budget")
-        p.add_argument("--window", type=float, help="escape window radius")
         p.add_argument("--seed", type=int, help="base random seed")
-        p.add_argument("--eps0", type=float, help="perturbation schedule scale")
         p.add_argument("--lambda-frac", dest="lambda_frac", type=float,
                        help="flow speed as a fraction of each level's "
                             "contraction speed limit")

@@ -15,46 +15,54 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import cumulative_simpson, quad
 from scipy.interpolate import CubicSpline
 
 from .logmag import LN2_FIX, LN15_FIX, LogMagnitude
 from .machine import MachineSpec, encode, enumerate_inputs, trajectory
 
 CHART_HALF_WIDTH = 1.0 / 16.0
+# width, in the height parameter, of the ramp just before each anchor and of
+# the step between two level speeds
+RAMP_EPS = 0.01
+# radius of the cutoff around each curve: the plane field is the chart field
+# for |rho| <= RHO0/2 and zero for |rho| >= RHO0
+RHO0 = 1.0 / 32.0
+# arc-length grid cells per unit height; every anchor is a grid node
+_ARC_CELLS = 256
 
 
 class ChartError(ValueError):
     """Point outside the tubular chart."""
 
 
-def _bump_integrand(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = (t > 0.0) & (t < 1.0)
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / ti - 1.0 / (1.0 - ti))
+def flat(x):
+    """e^(-1/x) for x > 0 and 0 otherwise; array friendly.
+
+    The one bump every smooth piece is made of: the ramp integrand
+    flat(t(1 - t)), the cutoff pieces and the perturbation bumps.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    out[pos] = np.exp(-1.0 / x[pos])
     return out
 
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """Normalized antiderivative of exp(-1/t)exp(-1/(1-t)) on [eps, 1-eps]."""
+    """Normalized antiderivative of flat(t(1 - t)) on [RAMP_EPS, 1 - RAMP_EPS]."""
 
-    eps: float
-    Z: float  # integral over [eps, 1-eps]
+    Z: float  # integral over [RAMP_EPS, 1 - RAMP_EPS]
     full_integral: float  # integral over (0, 1)
-    sup_expression: float  # sup of g(t)|1/t^2 - 1/(1-t)^2|
+    sup_expression: float  # sup of flat(t(1 - t))|1/t^2 - 1/(1-t)^2|
     quad_error: float
     _beta: CubicSpline
 
     def beta(self, sigma):
-        """Ramp value in [0, 1]; clamped outside [eps, 1-eps]."""
-        sigma = np.clip(sigma, self.eps, 1.0 - self.eps)
+        """Ramp value in [0, 1]; clamped outside [RAMP_EPS, 1 - RAMP_EPS]."""
+        sigma = np.clip(sigma, RAMP_EPS, 1.0 - RAMP_EPS)
         return np.clip(self._beta(sigma), 0.0, 1.0)
-
-    def g(self, sigma):
-        return _bump_integrand(sigma)
 
     @cached_property
     def _beta_antiderivative(self):
@@ -62,31 +70,36 @@ class BumpProfile:
 
     def beta_integral(self, sigma):
         """Integral of beta from 0 to sigma (0 for sigma <= 0); array friendly."""
-        lo, hi = self.eps, 1.0 - self.eps
+        lo, hi = RAMP_EPS, 1.0 - RAMP_EPS
         F = self._beta_antiderivative
         return (F(np.clip(sigma, lo, hi)) - F(lo)) + np.maximum(np.asarray(sigma) - hi, 0.0)
 
 
-def bump_profile(eps: float = 0.01, tol: float = 1e-10) -> BumpProfile:
-    if not 0.0 < eps < 0.25:
-        raise ValueError("eps must be in (0, 1/4)")
-    Z, z_err = quad(lambda t: math.exp(-1.0 / t - 1.0 / (1.0 - t)), eps, 1.0 - eps,
-                    epsabs=tol / 10, limit=200)
-    full, f_err = quad(lambda t: math.exp(-1.0 / t - 1.0 / (1.0 - t)), 0.0, 1.0,
-                       epsabs=tol / 10, limit=200)
+_PROFILE: BumpProfile | None = None
+
+
+def bump_profile() -> BumpProfile:
+    """The ramp profile: computed on first use, then shared by the process."""
+    global _PROFILE
+    if _PROFILE is not None:
+        return _PROFILE
+    tol = 1e-10
+
+    def g(t):
+        return float(flat(t * (1.0 - t)))
+
+    Z, z_err = quad(g, RAMP_EPS, 1.0 - RAMP_EPS, epsabs=tol / 10, limit=200)
+    full, f_err = quad(g, 0.0, 1.0, epsabs=tol / 10, limit=200)
     if z_err > tol or f_err > tol:
         raise RuntimeError("bump quadrature did not reach the requested tolerance")
     # cumulative on a symmetric fine grid; Simpson keeps beta(1/2) = 1/2
-    n = 4000
-    grid = np.linspace(eps, 1.0 - eps, n + 1)
-    vals = _bump_integrand(grid)
-    from scipy.integrate import cumulative_simpson
-
-    cum = np.concatenate([[0.0], cumulative_simpson(vals, x=grid)])
+    grid = np.linspace(RAMP_EPS, 1.0 - RAMP_EPS, 4001)
+    cum = np.concatenate([[0.0], cumulative_simpson(flat(grid * (1.0 - grid)), x=grid)])
     beta_spline = CubicSpline(grid, cum / cum[-1])
     t = np.linspace(1e-4, 1.0 - 1e-4, 20001)
-    sup = float(np.max(_bump_integrand(t) * np.abs(1.0 / t**2 - 1.0 / (1.0 - t) ** 2)))
-    return BumpProfile(eps, Z, full, sup, max(z_err, f_err, abs(cum[-1] - Z)), beta_spline)
+    sup = float(np.max(flat(t * (1.0 - t)) * np.abs(1.0 / t**2 - 1.0 / (1.0 - t) ** 2)))
+    _PROFILE = BumpProfile(Z, full, sup, max(z_err, f_err, abs(cum[-1] - Z)), beta_spline)
+    return _PROFILE
 
 
 class CurveFamily:
@@ -97,12 +110,10 @@ class CurveFamily:
     s = 0 at u = 0.
     """
 
-    def __init__(self, machine: MachineSpec, band: int, l_max: int,
-                 profile: BumpProfile | None = None):
+    def __init__(self, machine: MachineSpec, band: int, l_max: int):
         self.machine = machine
         self.band = band
         self.l_max = l_max
-        self.profile = profile if profile is not None else bump_profile()
         c0 = enumerate_inputs(machine, band + 1)[band][1]
         # one extra anchor so the ramp into height l_max is defined
         self.configs = trajectory(machine, c0, l_max + 1)
@@ -122,20 +133,20 @@ class CurveFamily:
         u = np.atleast_1d(u)
         l = np.clip(np.floor(u).astype(int), 0, self.l_max)
         sigma = u - l
-        eps = self.profile.eps
         xl = self.x[l]
         xr = self.x[l + 1]
         dx = xr - xl
-        val = np.where(sigma >= 1.0 - eps, xr, xl).astype(float)
+        val = np.where(sigma >= 1.0 - RAMP_EPS, xr, xl).astype(float)
         d1 = np.zeros_like(val)
         d2 = np.zeros_like(val)
-        mid = (sigma > eps) & (sigma < 1.0 - eps)
+        mid = (sigma > RAMP_EPS) & (sigma < 1.0 - RAMP_EPS)
         if np.any(mid):
+            profile = bump_profile()
             sm = sigma[mid]
-            g = self.profile.g(sm)
-            val[mid] = xl[mid] + self.profile.beta(sm) * dx[mid]
-            d1[mid] = g / self.profile.Z * dx[mid]
-            d2[mid] = g * (1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2) / self.profile.Z * dx[mid]
+            g = flat(sm * (1.0 - sm)) / profile.Z * dx[mid]
+            val[mid] = xl[mid] + profile.beta(sm) * dx[mid]
+            d1[mid] = g
+            d2[mid] = g * (1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2)
         if scalar:
             return float(val[0]), float(d1[0]), float(d2[0])
         return val, d1, d2
@@ -165,33 +176,29 @@ class CurveFamily:
 
     @cached_property
     def arc_heights(self) -> np.ndarray:
-        """s^i_l: arc length from p^i_0 to p^i_l along the curve."""
-        gaps = [
-            quad(lambda t: float(self._speed(t)), l, l + 1, epsabs=1e-10, limit=200)[0]
-            for l in range(self.l_max + 1)
-        ]
-        return np.concatenate([[0.0], np.cumsum(gaps)])
+        """s^i_l: arc length from p^i_0 to p^i_l along the curve, read off
+        the arc-length grid, on which every anchor is a node."""
+        return self._arc_maps[2][_ARC_CELLS::_ARC_CELLS]
 
     @cached_property
     def _arc_maps(self):
-        from scipy.integrate import cumulative_simpson
+        """(s(u) spline, u(s) spline, s on the grid) on u in [-1, l_max + 1].
 
-        # cells of width 1/16 so u = 0 and every anchor height sit on the grid
-        # 256 cells per unit height; spline on the full fine grid so the
-        # derivative of s(u) is good to ~1e-9 (needed by the gradient check)
-        n_cells = 256 * (self.l_max + 2)
+        `_ARC_CELLS` cells per unit height, so u = 0 and every anchor sit on
+        the grid; the splines use the full fine grid so the derivative of
+        s(u) is good to ~1e-9 (needed by the gradient check).
+        """
+        n_cells = _ARC_CELLS * (self.l_max + 2)
         u_grid = np.linspace(-1.0, self.l_max + 1, n_cells + 1)
         s_arr = np.concatenate([[0.0], cumulative_simpson(self._speed(u_grid), x=u_grid)])
-        s_arr -= s_arr[256]  # anchor s(0) = 0 exactly
-        fwd = CubicSpline(u_grid, s_arr)
-        inv = CubicSpline(s_arr, u_grid)
-        return fwd, inv
+        s_arr -= s_arr[_ARC_CELLS]  # anchor s(0) = 0 exactly
+        return CubicSpline(u_grid, s_arr), CubicSpline(s_arr, u_grid), s_arr
 
     def arclength_of_param(self, u):
         return self._arc_maps[0](u)
 
     def param_of_arclength(self, s):
-        fwd, inv = self._arc_maps
+        fwd, inv, _ = self._arc_maps
         u = np.asarray(inv(s), dtype=float)
         hi = self.l_max + 1.0
         # polish the spline guess against the forward map
@@ -215,11 +222,8 @@ def interval_bound_log(m: int, i: int, l: int) -> LogMagnitude:
 class BandChart:
     """Tubular (s, rho) coordinates of half-width 1/16 around a curve."""
 
-    def __init__(self, curve: CurveFamily, rho0: float = 1.0 / 32.0):
-        if not 0.0 < rho0 < CHART_HALF_WIDTH:
-            raise ValueError("rho0 must lie in (0, 1/16)")
+    def __init__(self, curve: CurveFamily):
         self.curve = curve
-        self.rho0 = rho0
 
     def chart_to_plane(self, s: float, rho: float) -> tuple[float, float]:
         if abs(rho) >= CHART_HALF_WIDTH:

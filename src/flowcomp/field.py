@@ -21,11 +21,13 @@ from scipy.interpolate import CubicSpline
 
 from .curves import (
     CHART_HALF_WIDTH,
+    RAMP_EPS,
+    RHO0,
     BandChart,
-    BumpProfile,
     ChartError,
     CurveFamily,
     bump_profile,
+    flat,
     interval_bound_log,
 )
 from .logmag import LN2, LogMagnitude, lm_min
@@ -34,34 +36,29 @@ from .machine import MachineSpec
 LAMBDA0 = 1.0 / (320.0 * math.log(15.0) + 32.0 * math.log(2.0))
 GAMMA0 = 4.0 * LAMBDA0 / 31.0
 LN8 = 3.0 * LN2
-
-
-def _cutoff_piece(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0.0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
+# scale of the perturbation amplitude caps below the schedule's thresholds
+EPS0 = 0.1
 
 
 def cutoff(t):
     """Smooth transition: 1 for t <= 1/2, 0 for t >= 1."""
     t = np.asarray(t, dtype=float)
-    a = _cutoff_piece(1.0 - t)
-    b = _cutoff_piece(2.0 * (t - 0.5))
+    a = flat(1.0 - t)
+    b = flat(2.0 * (t - 0.5))
     return a / (a + b + 1e-300)
 
 
-def contraction_speed_limit(m: int, band: int, height: int, eps: float = 0.01) -> float:
+def contraction_speed_limit(m: int, band: int, height: int) -> float:
     """Largest flow speed for which the one-step contraction can certify.
 
     The slowest admissible crossing takes time (gap - eps)/(16 lam) >=
-    (1 - eps)/(16 lam); the required log drop is the interval-bound gap plus
-    one halving.  Level gaps grow like 9*10^(i+l+1) ln15, so the admissible
-    speed shrinks double-exponentially with i + l.
+    (1 - eps)/(16 lam), eps = RAMP_EPS; the required log drop is the
+    interval-bound gap plus one halving.  Level gaps grow like
+    9*10^(i+l+1) ln15, so the admissible speed shrinks double-exponentially
+    with i + l.
     """
     drop = 9 * 10 ** (band + height + 1) * math.log(15.0) + LN2
-    return (1.0 - eps) / (16.0 * drop)
+    return (1.0 - RAMP_EPS) / (16.0 * drop)
 
 
 class FieldSpec:
@@ -75,8 +72,7 @@ class FieldSpec:
     """
 
     def __init__(self, machine: MachineSpec, n_bands: int, l_max: int,
-                 lambda_frac: float = 0.5, eps: float = 0.01,
-                 rho0: float = 1.0 / 32.0, profile: BumpProfile | None = None):
+                 lambda_frac: float = 0.5):
         if not 0.0 < lambda_frac < 1.0:
             raise ValueError("lambda_frac must be in (0, 1): the flow speed "
                              "must stay below the contraction ceiling")
@@ -87,17 +83,12 @@ class FieldSpec:
         self.l_max = l_max
         self.lambda_frac = lambda_frac
         self.lam = lambda_frac * LAMBDA0
-        self.eps = eps
-        self.rho0 = rho0
-        self.profile = profile if profile is not None else bump_profile(eps)
         self._charts: dict[int, BandChart] = {}
         self._speeds: dict[int, LevelSpeed] = {}
-        self.c0_measured: float | None = None
 
     def level_speed(self, band: int, height: int) -> float:
         """Flow speed on band `band` from height `height` to the next."""
-        return self.lambda_frac * contraction_speed_limit(self.machine.m, band, height,
-                                                          self.eps)
+        return self.lambda_frac * contraction_speed_limit(self.machine.m, band, height)
 
     def speed(self, band: int) -> "LevelSpeed":
         if band not in self._speeds:
@@ -115,8 +106,7 @@ class FieldSpec:
         if not 0 <= band < self.n_bands:
             raise ValueError(f"band {band} outside 0..{self.n_bands - 1}")
         if band not in self._charts:
-            cf = CurveFamily(self.machine, band, self.l_max, self.profile)
-            self._charts[band] = BandChart(cf, self.rho0)
+            self._charts[band] = BandChart(CurveFamily(self.machine, band, self.l_max))
         return self._charts[band]
 
 
@@ -124,7 +114,7 @@ class LevelSpeed:
     """The flow speed lambda_i(s) along the curve of one band.
 
     From anchor l to anchor l + 1 the speed is `FieldSpec.level_speed(i, l)`.
-    Over the last eps of arc before anchor l + 1, inside the vertical piece,
+    Over the last RAMP_EPS of arc before anchor l + 1, inside the vertical piece,
     the slowness 1/lambda steps from level l to level l + 1 along the bump
     ramp beta, so the time to cross any stretch has a closed form.  Below
     s = 0 the speed is that of level 0, past the last anchor that of the last
@@ -135,14 +125,12 @@ class LevelSpeed:
 
     def __init__(self, fs: FieldSpec, band: int):
         self.anchors = np.asarray(fs.curve(band).arc_heights, dtype=float)
-        self.eps = fs.eps
-        self.profile = fs.profile
         self.levels = np.array([fs.level_speed(band, l) for l in range(len(self.anchors))])
         self._slow = 1.0 / self.levels
         # slowness step at the next anchor; none past the last one
         self._dslow = np.append(np.diff(self._slow), 0.0)
         self._next = np.append(self.anchors[1:], np.inf)
-        ramp = self.eps * float(self.profile.beta_integral(1.0))
+        ramp = RAMP_EPS * float(bump_profile().beta_integral(1.0))
         seg = np.diff(self.anchors) * self._slow[:-1] + self._dslow[:-1] * ramp
         self._anchor_time = np.concatenate([[0.0], np.cumsum(seg)])
         self._ramps: dict[int, CubicSpline] = {}
@@ -150,18 +138,18 @@ class LevelSpeed:
     def _locate(self, s):
         k = np.clip(np.searchsorted(self.anchors, s, side="right") - 1,
                     0, len(self.anchors) - 1)
-        return k, (s - self._next[k]) / self.eps + 1.0
+        return k, (s - self._next[k]) / RAMP_EPS + 1.0
 
     def __call__(self, s):
         """lambda_i(s); array friendly."""
         k, sigma = self._locate(s)
-        return 1.0 / (self._slow[k] + self._dslow[k] * self.profile.beta(sigma))
+        return 1.0 / (self._slow[k] + self._dslow[k] * bump_profile().beta(sigma))
 
     def time_to(self, s):
         """Flow time from s = 0 to s along the curve; array friendly."""
         k, sigma = self._locate(s)
         return (self._anchor_time[k] + (s - self.anchors[k]) * self._slow[k]
-                + self._dslow[k] * self.eps * self.profile.beta_integral(sigma))
+                + self._dslow[k] * RAMP_EPS * bump_profile().beta_integral(sigma))
 
     def time(self, s_a, s_b):
         """Flow time from s_a to s_b, the integral of 1/lambda_i."""
@@ -170,7 +158,7 @@ class LevelSpeed:
     def _ramp_cumulative(self, k: int) -> np.ndarray:
         """Integral of lambda/lambda_k over the ramp before anchor k + 1, on the grid."""
         ratio = self._slow[k + 1] / self._slow[k]
-        vals = 1.0 / (1.0 + (ratio - 1.0) * self.profile.beta(self._GRID))
+        vals = 1.0 / (1.0 + (ratio - 1.0) * bump_profile().beta(self._GRID))
         return cumulative_simpson(vals, x=self._GRID, initial=0.0)
 
     def _ramp_potential(self, k: int) -> CubicSpline:
@@ -180,8 +168,8 @@ class LevelSpeed:
 
     @cached_property
     def _anchor_potential(self) -> np.ndarray:
-        seg = [(self.anchors[k + 1] - self.anchors[k] - self.eps
-                + self.eps * self._ramp_cumulative(k)[-1]) * self.levels[k]
+        seg = [(self.anchors[k + 1] - self.anchors[k] - RAMP_EPS
+                + RAMP_EPS * self._ramp_cumulative(k)[-1]) * self.levels[k]
                for k in range(len(self.anchors) - 1)]
         return np.concatenate([[0.0], np.cumsum(seg)])
 
@@ -189,10 +177,10 @@ class LevelSpeed:
         """Lambda_i(s): the integral of lambda_i from 0 to s."""
         k, sigma = self._locate(s)
         lam = self.levels[k]
-        out = self._anchor_potential[k] + lam * (min(s, self._next[k] - self.eps)
+        out = self._anchor_potential[k] + lam * (min(s, self._next[k] - RAMP_EPS)
                                                  - self.anchors[k])
         if sigma > 0.0:
-            out += self.eps * lam * float(self._ramp_potential(k)(min(sigma, 1.0)))
+            out += RAMP_EPS * lam * float(self._ramp_potential(k)(min(sigma, 1.0)))
         return float(out)
 
 
@@ -230,7 +218,7 @@ def field_eval_plane(fs: FieldSpec, x: float, y: float) -> tuple[float, float]:
     if hit is None:
         return 0.0, 0.0
     i, ch, s, rho = hit
-    chi = float(cutoff(abs(rho) / fs.rho0))
+    chi = float(cutoff(abs(rho) / RHO0))
     if chi == 0.0:
         return 0.0, 0.0
     u = float(ch.curve.param_of_arclength(s))
@@ -251,7 +239,7 @@ def potential_plane(fs: FieldSpec, x: float, y: float) -> float:
 def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0, h: float = 1e-6):
     """Compare the plane field with finite differences of the potential.
 
-    Samples points with |rho| <= rho0/2 where the cutoff is identically 1;
+    Samples points with |rho| <= RHO0/2 where the cutoff is identically 1;
     reports the max relative gradient error and the max curl residual.
     """
     rng = np.random.default_rng(seed)
@@ -261,7 +249,7 @@ def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0, h: float = 1e-6)
     while n < samples:
         i = int(rng.integers(0, fs.n_bands))
         s = float(rng.uniform(0.0, fs.curve(i).arc_heights[-1]))
-        rho = float(rng.uniform(-fs.rho0 / 2, fs.rho0 / 2))
+        rho = float(rng.uniform(-RHO0 / 2, RHO0 / 2))
         x, y = fs.chart(i).chart_to_plane(s, rho)
         fx = field_eval_plane(fs, x, y)
         gx = (potential_plane(fs, x + h, y) - potential_plane(fs, x - h, y)) / (2 * h)
@@ -281,18 +269,17 @@ def measure_c0(fs: FieldSpec, samples: int = 1000, seed: int = 0) -> float:
 
     The band's width scales with the local flow speed: the normal part
     -rho*N can beat the lambda-sized tangential part on ramps once
-    |rho| ~ lambda, so points are drawn with |rho| < min(rho0, lambda_i(s)/4).
+    |rho| ~ lambda, so points are drawn with |rho| < min(RHO0, lambda_i(s)/4).
     """
     rng = np.random.default_rng(seed)
     c0 = math.inf
     for _ in range(samples):
         i = int(rng.integers(0, fs.n_bands))
         s = float(rng.uniform(0.0, fs.curve(i).arc_heights[-1]))
-        w = min(fs.rho0, float(fs.speed(i)(s)) / 4.0)
+        w = min(RHO0, float(fs.speed(i)(s)) / 4.0)
         rho = float(rng.uniform(-w, w))
         x, y = fs.chart(i).chart_to_plane(s, rho)
         c0 = min(c0, field_eval_plane(fs, x, y)[1])
-    fs.c0_measured = c0
     return c0
 
 
@@ -324,10 +311,7 @@ def measure_box_derivative_bound(fs: FieldSpec, band: int = 0, height: int = 0,
 class ErrorSchedule:
     """Admissible per-box perturbation thresholds, in log magnitude form."""
 
-    eps: float
-    eps0: float
     M: float  # uniform derivative bound over the boxes
-    l_max: int
     thresholds: dict = field(repr=False)  # (band, height) -> LogMagnitude
     taus: dict = field(repr=False)  # (band, height) -> crossing-time bound
 
@@ -338,8 +322,8 @@ class ErrorSchedule:
         return self.thresholds[(band, height)]
 
     def cap(self, band: int, height: int) -> LogMagnitude:
-        """Amplitude cap eps0 * threshold for perturbation sampling."""
-        return self.thresholds[(band, height)] + math.log(self.eps0)
+        """Amplitude cap EPS0 * threshold for perturbation sampling."""
+        return self.thresholds[(band, height)] + math.log(EPS0)
 
     def envelope_check(self, C: float = 1.0) -> bool:
         """ln eps(r) <= ln C - e^{C r} with r the box's farthest corner radius."""
@@ -359,9 +343,9 @@ class ErrorSchedule:
         return best
 
 
-def error_schedule(fs: FieldSpec, l_max: int | None = None,
-                   eps0: float = 0.1, M: float | None = None) -> ErrorSchedule:
-    """Thresholds eps^i_l = (M/(e^{M tau_il} - 1)) * min(eps/2, A_{i,l+1}/8).
+def error_schedule(fs: FieldSpec) -> ErrorSchedule:
+    """Thresholds eps^i_l = (M/(e^{M tau_il} - 1)) * min(eps/2, A_{i,l+1}/8)
+    for the boxes i + l <= l_max, with eps = RAMP_EPS.
 
     M is the measured derivative bound (uniform across boxes, measured once
     per field) and tau_il the crossing-time budget of box (i, l):
@@ -370,28 +354,21 @@ def error_schedule(fs: FieldSpec, l_max: int | None = None,
     l + 1.  M*tau_il reaches ~1e30, so it is carried in the fixed-point part;
     above 50, ln(e^{M tau} - 1) is M*tau to double precision.
     """
-    if l_max is None:
-        l_max = fs.l_max
-    if l_max < 1:
-        raise ValueError("height budget must be >= 1")
-    if M is None:
-        M = fs.box_derivative_bound
+    M = fs.box_derivative_bound
     max_gap = max(
         float(np.max(np.diff(fs.curve(i).arc_heights))) for i in range(fs.n_bands)
     )
     tau_top = (max_gap + 1.0) / GAMMA0
-    ln_eps_half = LogMagnitude.from_ln(math.log(fs.eps / 2.0))
+    ln_eps_half = LogMagnitude.from_ln(math.log(RAMP_EPS / 2.0))
     m = fs.machine.m
     thresholds = {}
     taus = {}
     for i in range(fs.n_bands):
-        for l in range(l_max + 1):
-            if i + l > l_max:
-                continue
+        for l in range(fs.l_max + 1 - i):
             tau = tau_top * fs.lam / fs.level_speed(i, l + 1)
             mt = M * tau
             growth = LogMagnitude.fixed(mt) if mt > 50.0 else math.log(math.expm1(mt))
             branch = lm_min(ln_eps_half, interval_bound_log(m, i, l + 1) - LN8)
             thresholds[(i, l)] = branch + math.log(M) - growth
             taus[(i, l)] = tau
-    return ErrorSchedule(fs.eps, eps0, M, l_max, thresholds, taus)
+    return ErrorSchedule(M, thresholds, taus)

@@ -18,7 +18,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
-from .curves import CurveFamily, interval_bound_log
+from .curves import RAMP_EPS, CurveFamily, flat, interval_bound_log
 from .field import ErrorSchedule, FieldSpec, contraction_speed_limit  # noqa: F401
 from .logmag import FIX, LN2_FIX, LogMagnitude, signed_log_add
 from .machine import MachineSpec
@@ -30,20 +30,20 @@ _GL_ORDER = 8
 # peak's width (the integrand is below e^-98 of its peak outside)
 _FORCING_POINTS = 401
 _FORCING_HALF_WIDTH = 14.0
-
-
-def _ln_bump01(t):
-    """ln of `_bump01` on (0, 1)."""
-    return 1.0 - 0.25 / (t * (1.0 - t))
+# contraction certificate: probes at |s - s^i_{l+1}| <= 0.9 RAMP_EPS
+_CONTRACTION_PROBES = 11
 
 
 def _bump01(t):
-    """Smooth bump on (0, 1), peak value 1 at t = 1/2."""
+    """Smooth bump on (0, 1), peak value 1 at t = 1/2: e * flat(4t(1 - t))."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = (t > 0.0) & (t < 1.0)
-    out[inside] = np.exp(_ln_bump01(t[inside]))
-    return out
+    return math.e * flat(4.0 * t * (1.0 - t))
+
+
+def _ln_bump(x):
+    """ln(e * flat(x)) for x > 0: the log of `_bump01` in x = 4t(1 - t),
+    which the forcing needs where the bump itself underflows."""
+    return 1.0 - 1.0 / x
 
 
 def _forcing_peak(c: float) -> float:
@@ -194,11 +194,12 @@ class PerturbationSpec:
         _, dn, _ = curve.lambda_eval(nodes.ravel())
         w_nodes = np.sqrt(1.0 + dn * dn).reshape(nodes.shape)
         arc = 0.5 * delta * (w_nodes @ gl_w)
+        tx = x - 2 * curve.band + 0.25
         with np.errstate(divide="ignore"):
-            # ln bump01(1 - 2 delta), written in delta so that no
-            # 1 - (1 - 2 delta) cancels when delta is ~1e-15
-            ln_bump_y = 1.0 - 1.0 / (8.0 * delta * (1.0 - 2.0 * delta))
-        ln_mag = (_ln_bump01(x - 2 * curve.band + 0.25) + ln_bump_y
+            # ln bump01(1 - 2 delta): x = 4t(1 - t) written in delta, so
+            # that no 1 - (1 - 2 delta) cancels when delta is ~1e-15
+            ln_bump_y = _ln_bump(8.0 * delta * (1.0 - 2.0 * delta))
+        ln_mag = (_ln_bump(4.0 * tx * (1.0 - tx)) + ln_bump_y
                   + np.log(w) - arc / lam + z)
         peak = float(np.max(ln_mag))
         vals = dot * np.exp(ln_mag - peak)
@@ -218,12 +219,12 @@ def sample_perturbation(schedule: ErrorSchedule, seed: int) -> PerturbationSpec:
 
 
 def contraction_check(machine: MachineSpec, lam: float, band: int, height: int,
-                      j: int, n_probes: int = 11, eps: float = 0.01) -> dict:
+                      j: int) -> dict:
     """Certify one step of the interval contraction under the chart flow.
 
     Starts at arc length s^i_l with ln|rho(0)| = ln A_{i,l} - j ln2 and
     flows ds/dt = lam/(1 - kappa(s) rho(t)) with the exact decay
-    rho(t) = rho(0) e^{-t}; the probe times, where |s - s^i_{l+1}| < eps,
+    rho(t) = rho(0) e^{-t}; the probe times, where |s - s^i_{l+1}| < RAMP_EPS,
     come from `crossing_times` with the slowness integral (b - a)/lam.  At
     each probe the claim ln|rho(t)| < ln A_{i,l+1} - (j+1) ln2 is checked in
     exact log arithmetic.  Returns a report with the worst margin
@@ -237,7 +238,7 @@ def contraction_check(machine: MachineSpec, lam: float, band: int, height: int,
     bound = interval_bound_log(m, band, height + 1) - LogMagnitude((j + 1) * LN2_FIX, 0.0)
     s_lo = float(curve.arc_heights[height])
     s_hi = float(curve.arc_heights[height + 1])
-    targets = s_hi + np.linspace(-0.9 * eps, 0.9 * eps, n_probes)
+    targets = s_hi + np.linspace(-0.9 * RAMP_EPS, 0.9 * RAMP_EPS, _CONTRACTION_PROBES)
     times = crossing_times(curve, lambda a, b: (b - a) / lam, s_lo,
                            math.exp(w0.ln()), targets)
     probes = []

@@ -48,13 +48,6 @@ class IntegratorConfig:
             raise ValueError("height budget must be >= 1")
 
 
-@dataclass(frozen=True)
-class InsideBox:
-    q: int
-    r: int
-    s: int
-
-
 MISS = "Miss"
 
 
@@ -66,7 +59,7 @@ class EventRecord:
     s: float
     rho_sign: int
     rho_ln: LogMagnitude
-    classification: object  # InsideBox or MISS
+    classification: object  # the Configuration of the box crossed, or MISS
 
 
 @dataclass
@@ -217,13 +210,11 @@ def integrate_segment(fs: FieldSpec, band: int, s0: float, s_target: float,
 
 
 def classify_crossing(fs: FieldSpec, band: int, height: int, rho: _RhoState):
-    """InsideBox iff ln|rho| is below the encoded-interval half-width."""
+    """The box's Configuration iff ln|rho| is below the encoded-interval
+    half-width, else MISS."""
     c = fs.curve(band).configs[height]
-    if rho.sign == 0:
-        return InsideBox(c.q, c.r, c.s)
-    half = encode(c).ln_half_width()
-    if rho.w.diff_ln(half) < -CLASSIFY_GUARD:
-        return InsideBox(c.q, c.r, c.s)
+    if rho.sign == 0 or rho.w.diff_ln(encode(c).ln_half_width()) < -CLASSIFY_GUARD:
+        return c
     return MISS
 
 
@@ -232,7 +223,7 @@ def integrate_chart(fs: FieldSpec, band: int, start=(0.0, 0.0), perturbation=Non
                     stop=None) -> ChartTrajectory:
     """Run the chart flow from `start`, recording one event per height.
 
-    `start` is (s0, rho0) with rho0 a float or a (sign, LogMagnitude) pair.
+    `start` is (s0, rho0) with rho0 a float or a `_RhoState`.
     `stop` is an optional callback(event) -> bool ending the run early.
     """
     if cfg is None:
@@ -283,10 +274,9 @@ def simulate_input(fs: FieldSpec, input_index: int, constraint: HaltingSetSpec |
 
     def stop(ev):
         nonlocal hit, halt_ev
-        if not isinstance(ev.classification, InsideBox):
+        c = ev.classification
+        if not isinstance(c, Configuration):
             return False
-        c = Configuration(ev.classification.q, ev.classification.r,
-                          ev.classification.s)
         if constraint is not None and constraint.matches(c):
             hit = True
         if c.q == q_halt and halt_ev is None:
@@ -324,9 +314,8 @@ def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
 
     def stop(ev):
         nonlocal outcome
-        if isinstance(ev.classification, InsideBox):
-            c = Configuration(ev.classification.q, ev.classification.r,
-                              ev.classification.s)
+        c = ev.classification
+        if isinstance(c, Configuration):
             if c.tape_size() > size_cap:
                 outcome = SimulationVerdict("OOM", height=ev.height)
                 return True
@@ -363,8 +352,8 @@ def event_rows(traj: ChartTrajectory):
     """Rows band,l,classification,q,r,s,t for the event log."""
     rows = []
     for e in traj.events:
-        if isinstance(e.classification, InsideBox):
-            c = e.classification
+        c = e.classification
+        if isinstance(c, Configuration):
             rows.append((e.band, e.height, "InsideBox", c.q, c.r, c.s, e.t))
         else:
             rows.append((e.band, e.height, "Miss", "", "", "", e.t))

@@ -7,7 +7,7 @@ are a rapidly decaying damping and lam/lambda_i(s), which runs every level
 of the field at the top speed lam, so a height takes about the same time at
 every level.
 Computation survives as the time-delta map: below the threshold
-delta0 = eps/(32 lam) the discrete orbit cannot skip a height band, so box
+delta0 = RAMP_EPS/(32 lam) the discrete orbit cannot skip a height band, so box
 visits — and with them the verdicts — match the continuous flow.
 """
 
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
+from .curves import RAMP_EPS
 from .field import FieldSpec, _locate, field_eval_plane
-from .machine import Configuration
 from .simulate import HaltingSetSpec, IntegratorConfig, SimulationVerdict
 
 NORTH = (0.0, 0.0, 1.0)
@@ -98,11 +98,11 @@ def damp_and_push(fs: FieldSpec, profile: DampingProfile | None = None):
     return sphere_field
 
 
-def delta_threshold(eps: float, lam: float) -> float:
+def delta_threshold(lam: float) -> float:
     """Largest admissible sampling step of the time-delta map."""
-    if eps <= 0 or lam <= 0:
-        raise ValueError("eps and lam must be positive")
-    return eps / (32.0 * lam)
+    if lam <= 0:
+        raise ValueError("lam must be positive")
+    return RAMP_EPS / (32.0 * lam)
 
 
 @dataclass
@@ -130,12 +130,12 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
         cfg = IntegratorConfig()
     if profile is None:
         profile = DampingProfile()
-    d0 = delta_threshold(fs.eps, fs.lam)
+    d0 = delta_threshold(fs.lam)
     if delta >= d0:
         raise ValueError(f"delta = {delta} not below the threshold {d0}")
     curve = fs.curve(input_index)
     l_max = min(cfg.l_max, fs.l_max)
-    s_end = float(curve.arc_heights[l_max]) + fs.eps
+    s_end = float(curve.arc_heights[l_max]) + RAMP_EPS
     grid = np.linspace(0.0, s_end, max(int(s_end * 400), 100) + 1)
     u = curve.param_of_arclength(grid)
     gx, gy = curve.point(u)
@@ -153,7 +153,7 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     gaps = []
     for l in range(1, l_max + 1):
         s_l = float(heights[l])
-        inside = np.abs(s_vals - s_l) < fs.eps / 2.0
+        inside = np.abs(s_vals - s_l) < RAMP_EPS / 2.0
         if not np.any(inside):
             gaps.append(l)
             continue
@@ -162,7 +162,7 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
         if constraint is not None and constraint.matches(c):
             hit = True
         if verdict is None and c.q == q_halt:
-            verdict = SimulationVerdict("HALTED", Configuration(c.q, c.r, c.s), l)
+            verdict = SimulationVerdict("HALTED", c, l)
             break
     if verdict is None:
         verdict = SimulationVerdict("UNRESOLVED", budget=l_max)

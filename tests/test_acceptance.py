@@ -19,7 +19,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from flowcomp.beltrami import Poly2, beltrami_from_potential, residuals
-from flowcomp.curves import CurveFamily, bump_profile, interval_bound_log
+from flowcomp.curves import RAMP_EPS, CurveFamily, bump_profile, interval_bound_log
 from flowcomp.field import LAMBDA0, FieldSpec, error_schedule, verify_gradient
 from flowcomp.logmag import LN2_FIX, LogMagnitude
 from flowcomp.machine import (
@@ -320,9 +320,8 @@ def test_criterion_08_set_to_set_starts(suite):
         alpha = 2.0 ** -case.machine.q0 * 3.0 ** -case.config.r \
             * 5.0 ** -case.config.s
         radius = alpha / 128.0  # quarter of the encoded interval
-        eps = case.fs.eps
         for trial in range(10):
-            start = (float(rng.uniform(-eps / 2, eps / 2)),
+            start = (float(rng.uniform(-RAMP_EPS / 2, RAMP_EPS / 2)),
                      float(rng.uniform(-radius, radius)))
             _, hit, _ = simulate_input(case.fs, case.index, case.constraint,
                                        cfg, start=start)
@@ -370,7 +369,7 @@ def test_criterion_10_sphere_time_delta_map(suite):
     mismatches = []
     gaps = 0
     for case in suite:
-        delta = delta_threshold(case.fs.eps, case.fs.lam) / 2.0
+        delta = delta_threshold(case.fs.lam) / 2.0
         verdict, hit, orbit = discrete_orbit_verdict(
             case.fs, case.index, case.constraint, delta, cfg)
         if hit != case.hit or verdict.kind != case.verdict.kind:

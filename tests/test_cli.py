@@ -27,6 +27,18 @@ def test_usage_errors(tmp_path, capsys):
         run("unknown-subcommand")
     assert e.value.code == 2
     assert run("verify", "--out", str(tmp_path)) == 2  # missing --machine
+    # out-of-range values are usage errors, not verification failures
+    for argv in (("verify", "--machine", INC, "--lmax", "0"),
+                 ("verify", "--machine", INC, "--lambda-frac", "2"),
+                 ("extend3d", "--machine", INC, "--degree", "0"),
+                 ("estimate", "--sb", "0"),
+                 ("estimate", "--C", "0")):
+        assert run(*argv, "--out", str(tmp_path / "r")) == 2, argv
+    # flags that no subcommand reads are gone
+    for flag in ("--eps0", "--window"):
+        with pytest.raises(SystemExit) as e:
+            run("perturb", "--machine", INC, flag, "-1", "--out", str(tmp_path))
+        assert e.value.code == 2
     capsys.readouterr()
 
 

@@ -1,17 +1,25 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from flowcomp.curves import (
+    RAMP_EPS,
     BandChart,
     ChartError,
     CurveFamily,
     bump_profile,
     curve_records,
+    flat,
     interval_bound_log,
 )
-from flowcomp.machine import MachineSpec
+from flowcomp.field import cutoff
+from flowcomp.machine import MachineSpec, load_machine
+from flowcomp.robust import _bump01, _ln_bump
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
 
 def make_machine(q2, sym_of, shift, name="t"):
@@ -30,8 +38,8 @@ def incrementer():
 
 
 @pytest.fixture(scope="module")
-def curve(incrementer, profile):
-    return CurveFamily(incrementer, band=0, l_max=3, profile=profile)
+def curve(incrementer):
+    return CurveFamily(incrementer, band=0, l_max=3)
 
 
 # -- bump profile -----------------------------------------------------------
@@ -51,8 +59,8 @@ def test_bump_sup_expression(profile):
 
 
 def test_beta_endpoints_and_symmetry(profile):
-    assert float(profile.beta(profile.eps)) == 0.0
-    assert float(profile.beta(1 - profile.eps)) == pytest.approx(1.0, abs=1e-14)
+    assert float(profile.beta(RAMP_EPS)) == 0.0
+    assert float(profile.beta(1 - RAMP_EPS)) == pytest.approx(1.0, abs=1e-14)
     assert float(profile.beta(0.5)) == pytest.approx(0.5, abs=1e-12)
     # beta(t) + beta(1-t) = 1 by symmetry of the integrand
     for t in (0.1, 0.25, 0.37):
@@ -75,15 +83,15 @@ def test_anchor_values(curve):
     assert np.all(curve.x[1:] == curve.x[1])
 
 
-def test_band_translation(incrementer, profile):
-    cf = CurveFamily(incrementer, band=1, l_max=2, profile=profile)
+def test_band_translation(incrementer):
+    cf = CurveFamily(incrementer, band=1, l_max=2)
     # input (r, s) = (1, 0) encodes to 1/(2*3) = 1/6, translated by +2
     assert cf.x[0] == pytest.approx(2 + 1.0 / 6.0)
     assert np.all(cf.x >= 2.0) and np.all(cf.x <= 3.0)
 
 
 def test_vertical_near_anchors(curve):
-    eps = curve.profile.eps
+    eps = RAMP_EPS
     for u in (0.0, eps / 2, 1.0 - eps / 2, 1.0, 2.0 + eps):
         val, d1, d2 = curve.lambda_eval(u)
         assert d1 == 0.0 and d2 == 0.0
@@ -133,6 +141,85 @@ def test_arclength_matches_quad_anchors(curve):
     assert np.max(np.abs(got - curve.arc_heights)) < 1e-9
 
 
+def random_machine(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    rules = {(q, d): (int(rng.integers(1, m + 1)), int(rng.integers(0, 10)),
+                      int(rng.integers(-1, 2)))
+             for q in range(1, m) for d in range(10)}
+    return MachineSpec(f"r{seed}", m, 1, m, rules)
+
+
+def sample_curves():
+    for path in sorted(MACHINES.glob("*.tm")):
+        for band in range(3):
+            yield CurveFamily(load_machine(path), band, 20)
+    for seed in range(20):
+        yield CurveFamily(random_machine(seed), seed % 3, 12)
+
+
+def quad_arc_heights(curve):
+    """Reference: adaptive quadrature of the speed over each unit of height,
+    split where the ramp starts and ends."""
+    def speed(u):
+        return math.sqrt(1.0 + curve.lambda_eval(u)[1] ** 2)
+
+    gaps = [quad(speed, l, l + 1, points=[l + RAMP_EPS, l + 1 - RAMP_EPS],
+                 epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+            for l in range(curve.l_max + 1)]
+    return np.concatenate([[0.0], np.cumsum(gaps)])
+
+
+def test_arc_heights_match_quadrature_reference():
+    for curve in sample_curves():
+        ref = quad_arc_heights(curve)
+        assert np.max(np.abs(curve.arc_heights - ref)) < 1e-11, curve.machine.name
+
+
+def test_anchors_invert_to_their_heights():
+    for curve in sample_curves():
+        heights = np.arange(curve.l_max + 2, dtype=float)
+        got = curve.param_of_arclength(curve.arc_heights)
+        assert np.max(np.abs(got - heights)) < 1e-12, curve.machine.name
+
+
+# -- the shared bump ----------------------------------------------------------
+
+
+def _rel_close(new, old):
+    """Equal to 1e-15 relative per unit of exponent, and exactly 0 where old
+    is.  exp turns a rounding of its argument a into a relative error of
+    about |a| ulps, and the closed forms below round their arguments
+    differently from flat(x); below the normal range, where values reach at
+    the support's edges, doubles keep only a few ulps of absolute precision."""
+    new, old = np.asarray(new), np.asarray(old)
+    zero = old == 0.0
+    with np.errstate(divide="ignore"):
+        scale = np.maximum(1.0, np.abs(np.log(np.where(zero, 1.0, old))))
+    tol = 1e-15 * scale * np.abs(old) + 4 * np.finfo(float).smallest_subnormal
+    return bool(np.all(new[zero] == 0.0) and np.all(np.abs(new - old) <= tol))
+
+
+def test_flat_reproduces_the_old_closed_forms():
+    rng = np.random.default_rng(0)
+    t = np.concatenate([rng.uniform(-0.5, 1.5, 20000),
+                        np.linspace(-0.25, 1.25, 15001), [0.0, 1.0]])
+    inside = (t > 0.0) & (t < 1.0)
+    ti = np.where(inside, t, 0.5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ramp = np.where(inside, np.exp(-1.0 / ti - 1.0 / (1.0 - ti)), 0.0)
+        piece = np.where(t > 0.0, np.exp(-1.0 / np.where(t > 0.0, t, 1.0)), 0.0)
+        bump = np.where(inside, np.exp(1.0 - 0.25 / (ti * (1.0 - ti))), 0.0)
+        ln_bump = 1.0 - 0.25 / (ti * (1.0 - ti))
+    assert _rel_close(flat(t * (1.0 - t)), ramp)
+    assert np.array_equal(flat(t), piece)
+    assert _rel_close(_bump01(t), bump)
+    assert np.array_equal(_ln_bump(4.0 * ti * (1.0 - ti))[inside], ln_bump[inside])
+    # the cutoff keeps its pieces: 1 up to 1/2, 0 from 1 on
+    c = cutoff(t)
+    assert np.all(c[t <= 0.5] == 1.0) and np.all(c[t >= 1.0] == 0.0)
+
+
 def test_interval_bound_log():
     lb = interval_bound_log(2, 0, 1)
     assert lb.ln() == pytest.approx(-(6 * math.log(2) + 100 * math.log(15)), rel=1e-14)
@@ -172,11 +259,6 @@ def test_chart_rejects_far_points(curve):
         ch.plane_to_chart(curve.x[2] + 0.2, 2.0)
     with pytest.raises(ChartError):
         ch.chart_to_plane(1.0, 0.0626)
-
-
-def test_chart_rho0_validation(curve):
-    with pytest.raises(ValueError):
-        BandChart(curve, rho0=0.1)
 
 
 def test_curve_records(curve):

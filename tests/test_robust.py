@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from flowcomp.curves import interval_bound_log
-from flowcomp.field import LAMBDA0, FieldSpec, error_schedule
+from flowcomp.curves import RAMP_EPS, interval_bound_log
+from flowcomp.field import EPS0, LAMBDA0, FieldSpec, error_schedule
 from flowcomp.logmag import LN2_FIX, LogMagnitude
 from flowcomp.machine import MachineSpec
 from flowcomp.robust import (
@@ -129,7 +129,7 @@ def _mp_forced_rho(fs, band, l, bump):
     s_top = float(curve.arclength_of_param(l + 0.75))
     s_end = float(curve.arc_heights[l + 1])
     t_top = mp.quad(lambda s: 1 / mp.mpf(float(speed(float(s)))),
-                    [s_top, s_end - fs.eps, s_end])
+                    [s_top, s_end - RAMP_EPS, s_end])
 
     def ln_shape_and_dot(s):
         u = float(curve.param_of_arclength(float(s)))
@@ -200,8 +200,7 @@ def test_contraction_deep_level(incrementer):
     # the admissible speed shrinks double-exponentially with the level
     lim = contraction_speed_limit(incrementer.m, 1, 4)
     assert lim < contraction_speed_limit(incrementer.m, 0, 0)
-    rep = contraction_check(incrementer, lam=0.5 * lim, band=1, height=4, j=2,
-                            n_probes=5)
+    rep = contraction_check(incrementer, lam=0.5 * lim, band=1, height=4, j=2)
     assert rep["ok"]
 
 
@@ -221,7 +220,7 @@ def test_gronwall_formula(schedule):
     # the schedule is built so the bound lands at eps0 * min(eps/2, A/8)
     from flowcomp.curves import interval_bound_log as ibl
 
-    target = ibl(2, 0, 1) + (math.log(schedule.eps0) - 3 * math.log(2))
+    target = ibl(2, 0, 1) + (math.log(EPS0) - 3 * math.log(2))
     assert b.diff_ln(target) == pytest.approx(0.0, abs=1e-6)
 
 

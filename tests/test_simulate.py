@@ -22,7 +22,6 @@ from flowcomp.simulate import (
     ConfinementError,
     EventRecord,
     HaltingSetSpec,
-    InsideBox,
     IntegratorConfig,
     SimulationVerdict,
     _RhoState,
@@ -68,7 +67,7 @@ def test_on_curve_trajectory_stays_on_curve(fs):
     traj = integrate_chart(fs, 0, (0.0, 0.0), cfg=CFG)
     assert len(traj.events) == 5
     assert all(e.rho_sign == 0 for e in traj.events)
-    assert all(isinstance(e.classification, InsideBox) for e in traj.events)
+    assert all(isinstance(e.classification, Configuration) for e in traj.events)
 
 
 def test_rho_exact_decay(fs):
@@ -101,7 +100,7 @@ def test_confinement_error_on_bad_start(fs):
 
 def test_classify_center_and_miss(fs):
     inside = classify_crossing(fs, 0, 1, _RhoState.from_float(0.0))
-    assert inside == InsideBox(2, 1, 0)
+    assert inside == Configuration(2, 1, 0)
     # 1/32 >> the half-width 1/(2**7 * 3) of the configuration at height 1
     assert classify_crossing(fs, 0, 1, _RhoState.from_float(1.0 / 32.0)) is MISS
 
@@ -113,7 +112,7 @@ def test_classify_quarter_interval_bound(fs):
 
     a4 = interval_bound_log(fs.machine.m, 0, 1) - LogMagnitude(2 * LN2_FIX, 0.0)
     cls = classify_crossing(fs, 0, 1, _RhoState(1, a4))
-    assert isinstance(cls, InsideBox)
+    assert isinstance(cls, Configuration)
 
 
 def test_simulate_halting_and_hit(fs, incrementer):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flowcomp.curves import RAMP_EPS
 from flowcomp.field import FieldSpec, field_eval_plane
 from flowcomp.machine import MachineSpec
 from flowcomp.simulate import HaltingSetSpec, IntegratorConfig, simulate_input
@@ -93,14 +94,14 @@ def test_sphere_field_is_damped_push(fs):
 
 
 def test_delta_threshold_algebra():
-    assert delta_threshold(1.0, 1.0) == 1.0 / 32.0
-    assert delta_threshold(0.02, 0.001) == pytest.approx(0.625)
+    assert delta_threshold(1.0) == RAMP_EPS / 32.0
+    assert delta_threshold(0.001) == pytest.approx(0.3125)
     with pytest.raises(ValueError):
-        delta_threshold(0.0, 1.0)
+        delta_threshold(0.0)
 
 
 def test_threshold_guard(fs):
-    d0 = delta_threshold(fs.eps, fs.lam)
+    d0 = delta_threshold(fs.lam)
     with pytest.raises(ValueError):
         discrete_orbit_verdict(fs, 0, None, d0)
     with pytest.raises(ValueError):
@@ -111,7 +112,7 @@ def test_discrete_orbit_matches_continuous(fs):
     cfg = IntegratorConfig(l_max=3)
     hs = HaltingSetSpec.from_digits(2, {0: 1})
     cont_v, cont_hit, _ = simulate_input(fs, 0, hs, cfg)
-    d0 = delta_threshold(fs.eps, fs.lam)
+    d0 = delta_threshold(fs.lam)
     disc_v, disc_hit, orbit = discrete_orbit_verdict(fs, 0, hs, d0 / 2.0, cfg)
     assert disc_v.kind == cont_v.kind == "HALTED"
     assert disc_v.height == cont_v.height
@@ -125,7 +126,7 @@ def test_discrete_orbit_visits_every_band(fs):
     # no halting constraint: the orbit runs the full budget
     spin = MachineSpec("spin", 2, 1, 2, {(1, d): (1, d, 0) for d in range(10)})
     fss = FieldSpec(spin, n_bands=1, l_max=4)
-    d0 = delta_threshold(fss.eps, fss.lam)
+    d0 = delta_threshold(fss.lam)
     v, hit, orbit = discrete_orbit_verdict(fss, 0, None, d0 / 2.0, cfg)
     assert v.kind == "UNRESOLVED" and not hit
     assert orbit.visited_heights == [1, 2, 3]
@@ -133,7 +134,7 @@ def test_discrete_orbit_visits_every_band(fs):
 
 
 def test_orbit_iterates_monotone(fs):
-    d0 = delta_threshold(fs.eps, fs.lam)
+    d0 = delta_threshold(fs.lam)
     _, _, orbit = discrete_orbit_verdict(fs, 0, None, d0 / 2.0,
                                          IntegratorConfig(l_max=2))
     assert np.all(np.diff(orbit.s_values) >= 0.0)
