@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -284,8 +285,8 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
     errors of value and gradient against the smallest scheduled perturbation
     threshold intersecting the window.  An error above the threshold is
     reported as insufficient degree, not raised.  Synthetic potentials (for
-    tests) can be supplied via potential_fn/gradient_fn, in which case the
-    full rectangular grid is sampled.
+    tests) can be supplied via potential_fn/gradient_fn, which take arrays of
+    points; then the full rectangular grid is sampled.
     """
     from .curves import RHO0
     from .field import error_schedule, field_eval_plane, potential_plane, _locate
@@ -294,23 +295,18 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
         raise ValueError("degree must be >= 1")
     x0, x1, y0, y1 = window
     synthetic = potential_fn is not None
-    xs, ys, fvals = [], [], []
-    for x in np.linspace(x0, x1, grid):
-        for y in np.linspace(y0, y1, grid):
-            x, y = float(x), float(y)
-            if synthetic:
-                fvals.append(potential_fn(x, y))
-            else:
-                hit = _locate(fs, x, y)
-                if hit is None or abs(hit[3]) > RHO0 / 2:
-                    continue
-                fvals.append(potential_plane(fs, x, y))
-            xs.append(x)
-            ys.append(y)
+    xs, ys = (g.ravel() for g in np.meshgrid(np.linspace(x0, x1, grid),
+                                             np.linspace(y0, y1, grid), indexing="ij"))
+    if not synthetic:
+        band, _, rho = _locate(fs, xs, ys)
+        keep = (band >= 0) & (np.abs(rho) <= RHO0 / 2)
+        xs, ys = xs[keep], ys[keep]
+        potential_fn = partial(potential_plane, fs)
+        gradient_fn = partial(field_eval_plane, fs)
+    fvals = potential_fn(xs, ys)
     monos = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
     if len(xs) < len(monos):
         raise ValueError("window intersects too little of the bands for this degree")
-    xs, ys, fvals = map(np.array, (xs, ys, fvals))
     A = np.column_stack([xs**i * ys**j for i, j in monos])
     sol, *_ = np.linalg.lstsq(A, fvals, rcond=None)
     F = Poly2({m: Fraction(float(c)).limit_denominator(10**12)
@@ -319,14 +315,8 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
     resid = A @ sol - fvals
     sup_val = float(np.max(np.abs(resid)))
     l2_val = float(np.sqrt(np.mean(resid**2)))
-    sup_grad = 0.0
-    for x, y in zip(xs, ys):
-        if synthetic:
-            gx, gy = gradient_fn(float(x), float(y))
-        else:
-            gx, gy = field_eval_plane(fs, float(x), float(y))
-        sup_grad = max(sup_grad, math.hypot(float(Fx(x, y)) - gx,
-                                            float(Fy(x, y)) - gy))
+    gx, gy = gradient_fn(xs, ys)
+    sup_grad = float(np.max(np.hypot(Fx(xs, ys) - gx, Fy(xs, ys) - gy), initial=0.0))
     if synthetic:
         ln_threshold = -math.inf
     else:

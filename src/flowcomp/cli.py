@@ -86,6 +86,10 @@ def _coerce(key: str, value):
 
 def _check_ranges(settings: dict):
     """Reject out-of-range values as usage errors, before any work starts."""
+    if settings["inputs"] < 1:
+        raise ValueError("--inputs must be at least 1")
+    if settings["trials"] < 1:
+        raise ValueError("--trials must be at least 1")
     if settings["lmax"] < 1:
         raise ValueError("--lmax must be at least 1")
     if not 0.0 < settings["lambda_frac"] < 1.0:
@@ -265,7 +269,7 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
 
 def _build(settings: dict):
     machine = load_machine(settings["machine"])
-    fs = FieldSpec(machine, n_bands=max(settings["inputs"], 1),
+    fs = FieldSpec(machine, n_bands=settings["inputs"],
                    l_max=settings["lmax"] + 1,
                    lambda_frac=settings["lambda_frac"])
     cfg = IntegratorConfig(l_max=settings["lmax"])
@@ -287,16 +291,13 @@ def cmd_compile(settings, outdir, man):
         svg_trajectory(svg, curve, None, settings["lmax"])
         man.artifacts.append(svg.name)
     grid = outdir / "field_grid.csv"
-    rows = []
     step = 0.25
     ny = int((settings["lmax"] + 2) / step)
     nx = int((2 * fs.n_bands + 1) / step)
-    for iy in range(ny + 1):
-        y = -1.0 + iy * step
-        for ix in range(nx + 1):
-            x = -0.5 + ix * step
-            vx, vy = field_eval_plane(fs, x, y)
-            rows.append((f"{x:.4f}", f"{y:.4f}", f"{vx:.12g}", f"{vy:.12g}"))
+    pts = [(-0.5 + ix * step, -1.0 + iy * step) for iy in range(ny + 1) for ix in range(nx + 1)]
+    vx, vy = field_eval_plane(fs, *zip(*pts))
+    rows = [(f"{x:.4f}", f"{y:.4f}", f"{a:.12g}", f"{b:.12g}")
+            for (x, y), a, b in zip(pts, vx.tolist(), vy.tolist())]
     write_csv(grid, ["x", "y", "vx", "vy"], rows)
     man.artifacts.append(grid.name)
     return 0

@@ -160,12 +160,13 @@ class CurveFamily:
         return val, np.asarray(u, dtype=float) + 0.0
 
     def frame(self, u):
-        """(tangent, normal, curvature, speed) at parameter u (scalar)."""
+        """(tangent, normal, curvature, speed) at parameter u; array friendly."""
         _, d1, d2 = self.lambda_eval(u)
-        w = math.sqrt(1.0 + d1 * d1)
+        w = np.sqrt(1.0 + d1 * d1)
         tangent = (d1 / w, 1.0 / w)
         normal = (-1.0 / w, d1 / w)
-        kappa = -d2 / w**3
+        # w**3 by the C library's pow, point by point; numpy's can differ in the last bit
+        kappa = -d2 / np.array([v**3 for v in np.ravel(w).tolist()]).reshape(np.shape(w))
         return tangent, normal, kappa, w
 
     # -- arc length ---------------------------------------------------------
@@ -233,40 +234,52 @@ class BandChart:
         _, normal, _, _ = self.curve.frame(u)
         return float(x + rho * normal[0]), float(y + rho * normal[1])
 
-    def plane_to_chart(self, x: float, y: float) -> tuple[float, float]:
+    def plane_to_chart(self, x, y):
+        """(s, rho) of plane points; array friendly.  A single point beyond the
+        half-width raises ChartError; in arrays such points get NaN."""
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        scalar = x.ndim == 0
+        x, y = np.atleast_1d(x, y)
         u = self._project(x, y)
         gx, _, _ = self.curve.lambda_eval(u)
         _, normal, _, _ = self.curve.frame(u)
         rho = (x - gx) * normal[0] + (y - u) * normal[1]
-        if abs(rho) >= CHART_HALF_WIDTH:
-            raise ChartError(f"point ({x}, {y}) farther than 1/16 from the curve")
-        return float(self.curve.arclength_of_param(u)), float(rho)
+        off = np.abs(rho) >= CHART_HALF_WIDTH
+        s = self.curve.arclength_of_param(u)
+        if scalar:
+            if off[0]:
+                raise ChartError(f"point ({x[0]}, {y[0]}) farther than 1/16 from the curve")
+            return float(s[0]), float(rho[0])
+        return np.where(off, np.nan, s), np.where(off, np.nan, rho)
 
-    def _project(self, x: float, y: float) -> float:
-        """Foot of the normal through (x, y): solve (p - gamma(u)) . gamma'(u) = 0."""
-        u = min(max(y, -0.75), self.curve.l_max + 0.75)
+    def _project(self, x, y):
+        """Foot of the normal through each (x, y), by Newton on
+        (p - gamma(u)) . gamma'(u) = 0 for all points in lockstep; a point is
+        frozen once its step is below 1e-14, so it takes the iterates it
+        would take alone."""
+        u = np.clip(y, -0.75, self.curve.l_max + 0.75)
         hi = self.curve.l_max + 1.0
+        active = np.ones(u.shape, dtype=bool)
         for _ in range(60):
-            val, d1, d2 = self.curve.lambda_eval(u)
-            f = (x - val) * d1 + (y - u)
-            df = -d1 * d1 + (x - val) * d2 - 1.0
-            un = u - f / df
-            un = min(max(un, u - 0.5), min(u + 0.5, hi))
-            if abs(un - u) < 1e-14:
-                u = un
+            ua, xa, ya = u[active], x[active], y[active]
+            val, d1, d2 = self.curve.lambda_eval(ua)
+            f = (xa - val) * d1 + (ya - ua)
+            df = -d1 * d1 + (xa - val) * d2 - 1.0
+            un = ua - f / df
+            un = np.minimum(np.maximum(un, ua - 0.5), np.minimum(ua + 0.5, hi))
+            u[active] = un
+            active[active] = ~(np.abs(un - ua) < 1e-14)
+            if not active.any():
                 break
-            u = un
         return u
 
 
 def curve_records(curve: CurveFamily, ds: float = 0.01):
     """Rows (s, x, y, kappa) along the curve for dumps and plots."""
     s_max = float(curve.arc_heights[-1])
-    out = []
-    s = 0.0
-    while s <= s_max:
-        u = float(curve.param_of_arclength(s))
-        x, y = curve.point(u)
-        out.append((s, float(x), float(y), float(curve.curvature(u))))
-        s += ds
-    return out
+    s_vals = [0.0]
+    while s_vals[-1] + ds <= s_max:
+        s_vals.append(s_vals[-1] + ds)
+    u = curve.param_of_arclength(np.array(s_vals))
+    x, y = curve.point(u)
+    return list(zip(s_vals, x.tolist(), y.tolist(), curve.curvature(u).tolist()))

@@ -173,15 +173,18 @@ class LevelSpeed:
                for k in range(len(self.anchors) - 1)]
         return np.concatenate([[0.0], np.cumsum(seg)])
 
-    def potential(self, s: float) -> float:
-        """Lambda_i(s): the integral of lambda_i from 0 to s."""
+    def potential(self, s):
+        """Lambda_i(s): the integral of lambda_i from 0 to s; array friendly."""
+        scalar = np.ndim(s) == 0
+        s = np.atleast_1d(np.asarray(s, dtype=float))
         k, sigma = self._locate(s)
         lam = self.levels[k]
-        out = self._anchor_potential[k] + lam * (min(s, self._next[k] - RAMP_EPS)
+        out = self._anchor_potential[k] + lam * (np.minimum(s, self._next[k] - RAMP_EPS)
                                                  - self.anchors[k])
-        if sigma > 0.0:
-            out += RAMP_EPS * lam * float(self._ramp_potential(k)(min(sigma, 1.0)))
-        return float(out)
+        for kk in np.unique(k[sigma > 0.0]).tolist():
+            m = (k == kk) & (sigma > 0.0)
+            out[m] += RAMP_EPS * lam[m] * self._ramp_potential(kk)(np.minimum(sigma[m], 1.0))
+        return float(out[0]) if scalar else out
 
 
 def field_eval_chart(fs: FieldSpec, band: int, s: float, rho: float):
@@ -197,43 +200,63 @@ def potential_eval(fs: FieldSpec, band: int, s: float, rho: float) -> float:
     return fs.speed(band).potential(s) - rho * rho / 2.0
 
 
-def _locate(fs: FieldSpec, x: float, y: float):
-    """(band, chart, s, rho) for an in-chart plane point, else None."""
-    cands = {int(math.floor((x - CHART_HALF_WIDTH) / 2.0)),
-             int(math.floor((x + CHART_HALF_WIDTH) / 2.0))}
-    for i in sorted(cands):
-        if not 0 <= i < fs.n_bands:
-            continue
-        ch = fs.chart(i)
-        try:
-            s, rho = ch.plane_to_chart(x, y)
-        except ChartError:
-            continue
-        return i, ch, s, rho
-    return None
+def _locate(fs: FieldSpec, x, y):
+    """(band, s, rho) of plane points; array friendly.  A point tries the band
+    to its left first; where no chart holds it, band is -1 and s, rho NaN."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape = x.shape
+    x, y = np.atleast_1d(x, y)
+    band = np.full(x.shape, -1)
+    s, rho = np.full((2,) + x.shape, np.nan)
+    left = np.floor((x - CHART_HALF_WIDTH) / 2.0)
+    right = np.floor((x + CHART_HALF_WIDTH) / 2.0)
+    for cand in (left, np.where(right != left, right, -1.0)):
+        for i in range(fs.n_bands):
+            todo = (band < 0) & (cand == i)
+            if not todo.any():
+                continue
+            si, ri = fs.chart(i).plane_to_chart(x[todo], y[todo])
+            held = ~np.isnan(si)
+            hit = todo.copy()
+            hit[todo] = held
+            band[hit], s[hit], rho[hit] = i, si[held], ri[held]
+    return band.reshape(shape), s.reshape(shape), rho.reshape(shape)
 
 
-def field_eval_plane(fs: FieldSpec, x: float, y: float) -> tuple[float, float]:
-    hit = _locate(fs, x, y)
-    if hit is None:
-        return 0.0, 0.0
-    i, ch, s, rho = hit
-    chi = float(cutoff(abs(rho) / RHO0))
-    if chi == 0.0:
-        return 0.0, 0.0
-    u = float(ch.curve.param_of_arclength(s))
-    tangent, normal, kappa, _ = ch.curve.frame(u)
-    a = float(fs.speed(i)(s)) / (1.0 - kappa * rho)
-    return (chi * (a * tangent[0] - rho * normal[0]),
-            chi * (a * tangent[1] - rho * normal[1]))
+def _chart_field(fs: FieldSpec, band, s, rho):
+    """The plane field (vx, vy) at points located by `_locate`: zero where
+    band is -1 or the cutoff vanishes."""
+    vx, vy = (np.zeros(band.shape) for _ in range(2))
+    # rho is NaN off the charts, where the cutoff is zero
+    chi = np.asarray(cutoff(np.abs(rho) / RHO0))
+    on = chi != 0.0
+    for i in np.unique(band[on]).tolist():
+        m = on & (band == i)
+        curve = fs.curve(i)
+        tangent, normal, kappa, _ = curve.frame(curve.param_of_arclength(s[m]))
+        a = fs.speed(i)(s[m]) / (1.0 - kappa * rho[m])
+        vx[m] = chi[m] * (a * tangent[0] - rho[m] * normal[0])
+        vy[m] = chi[m] * (a * tangent[1] - rho[m] * normal[1])
+    return vx, vy
 
 
-def potential_plane(fs: FieldSpec, x: float, y: float) -> float:
-    hit = _locate(fs, x, y)
-    if hit is None:
+def field_eval_plane(fs: FieldSpec, x, y):
+    """The Cartesian plane field (vx, vy); array friendly, zero off the charts."""
+    vx, vy = _chart_field(fs, *_locate(fs, x, y))
+    return (float(vx), float(vy)) if vx.ndim == 0 else (vx, vy)
+
+
+def potential_plane(fs: FieldSpec, x, y):
+    """Lambda_i(s) - rho^2/2 at plane points; array friendly.  A single point
+    outside every chart raises ChartError; in arrays such points get NaN."""
+    band, s, rho = _locate(fs, x, y)
+    if band.ndim == 0 and band < 0:
         raise ChartError(f"({x}, {y}) outside every band chart")
-    i, _, s, rho = hit
-    return fs.speed(i).potential(s) - rho * rho / 2.0
+    out = np.full(band.shape, np.nan)
+    for i in np.unique(band[band >= 0]).tolist():
+        m = band == i
+        out[m] = fs.speed(i).potential(s[m]) - rho[m] * rho[m] / 2.0
+    return float(out) if out.ndim == 0 else out
 
 
 def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0, h: float = 1e-6):
@@ -243,25 +266,24 @@ def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0, h: float = 1e-6)
     reports the max relative gradient error and the max curl residual.
     """
     rng = np.random.default_rng(seed)
-    max_rel = 0.0
-    max_curl = 0.0
-    n = 0
-    while n < samples:
+    pts = []
+    for _ in range(samples):
         i = int(rng.integers(0, fs.n_bands))
         s = float(rng.uniform(0.0, fs.curve(i).arc_heights[-1]))
         rho = float(rng.uniform(-RHO0 / 2, RHO0 / 2))
-        x, y = fs.chart(i).chart_to_plane(s, rho)
-        fx = field_eval_plane(fs, x, y)
-        gx = (potential_plane(fs, x + h, y) - potential_plane(fs, x - h, y)) / (2 * h)
-        gy = (potential_plane(fs, x, y + h) - potential_plane(fs, x, y - h)) / (2 * h)
-        scale = math.hypot(*fx)
-        rel = math.hypot(fx[0] - gx, fx[1] - gy) / scale
-        max_rel = max(max_rel, rel)
-        cx = (field_eval_plane(fs, x + h, y)[1] - field_eval_plane(fs, x - h, y)[1]) / (2 * h)
-        cy = (field_eval_plane(fs, x, y + h)[0] - field_eval_plane(fs, x, y - h)[0]) / (2 * h)
-        max_curl = max(max_curl, abs(cx - cy))
-        n += 1
-    return {"samples": samples, "max_rel_error": max_rel, "max_curl": max_curl}
+        pts.append(fs.chart(i).chart_to_plane(s, rho))
+    x, y = np.array(pts).reshape(-1, 2).T
+    # each point and its four neighbours at distance h
+    px = np.array([x, x + h, x - h, x, x])
+    py = np.array([y, y, y, y + h, y - h])
+    vx, vy = field_eval_plane(fs, px, py)
+    pot = potential_plane(fs, px[1:], py[1:])
+    gx = (pot[0] - pot[1]) / (2 * h)
+    gy = (pot[2] - pot[3]) / (2 * h)
+    rel = np.hypot(vx[0] - gx, vy[0] - gy) / np.hypot(vx[0], vy[0])
+    curl = np.abs((vy[1] - vy[2]) / (2 * h) - (vx[3] - vx[4]) / (2 * h))
+    return {"samples": samples, "max_rel_error": float(np.max(rel, initial=0.0)),
+            "max_curl": float(np.max(curl, initial=0.0))}
 
 
 def measure_c0(fs: FieldSpec, samples: int = 1000, seed: int = 0) -> float:
@@ -272,15 +294,15 @@ def measure_c0(fs: FieldSpec, samples: int = 1000, seed: int = 0) -> float:
     |rho| ~ lambda, so points are drawn with |rho| < min(RHO0, lambda_i(s)/4).
     """
     rng = np.random.default_rng(seed)
-    c0 = math.inf
+    pts = []
     for _ in range(samples):
         i = int(rng.integers(0, fs.n_bands))
         s = float(rng.uniform(0.0, fs.curve(i).arc_heights[-1]))
         w = min(RHO0, float(fs.speed(i)(s)) / 4.0)
         rho = float(rng.uniform(-w, w))
-        x, y = fs.chart(i).chart_to_plane(s, rho)
-        c0 = min(c0, field_eval_plane(fs, x, y)[1])
-    return c0
+        pts.append(fs.chart(i).chart_to_plane(s, rho))
+    x, y = np.array(pts).reshape(-1, 2).T
+    return float(np.min(field_eval_plane(fs, x, y)[1], initial=math.inf))
 
 
 def measure_box_derivative_bound(fs: FieldSpec, band: int = 0, height: int = 0,
@@ -292,19 +314,13 @@ def measure_box_derivative_bound(fs: FieldSpec, band: int = 0, height: int = 0,
     anchor values and the flow speed, which only falls with i + l, so the
     first box is a representative one.
     """
-    xs = np.linspace(2 * band, 2 * band + 1, n)
-    ys = np.linspace(height - 0.25, height + 1.25, n)
-    best = 0.0
-    for x in xs:
-        for y in ys:
-            fxp = field_eval_plane(fs, x + h, y)
-            fxm = field_eval_plane(fs, x - h, y)
-            fyp = field_eval_plane(fs, x, y + h)
-            fym = field_eval_plane(fs, x, y - h)
-            j = np.array([[(fxp[0] - fxm[0]), (fyp[0] - fym[0])],
-                          [(fxp[1] - fxm[1]), (fyp[1] - fym[1])]]) / (2 * h)
-            best = max(best, float(np.linalg.norm(j, 2)))
-    return best
+    x, y = np.meshgrid(np.linspace(2 * band, 2 * band + 1, n),
+                       np.linspace(height - 0.25, height + 1.25, n), indexing="ij")
+    vx, vy = field_eval_plane(fs, np.array([x + h, x - h, x, x]),
+                              np.array([y, y, y + h, y - h]))
+    j = np.array([[vx[0] - vx[1], vx[2] - vx[3]],
+                  [vy[0] - vy[1], vy[2] - vy[3]]]) / (2 * h)
+    return float(np.max(np.linalg.norm(j, 2, axis=(0, 1)), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .curves import RAMP_EPS
-from .field import FieldSpec, _locate, field_eval_plane
+from .field import FieldSpec, _chart_field, _locate
 from .simulate import HaltingSetSpec, IntegratorConfig, SimulationVerdict
 
 NORTH = (0.0, 0.0, 1.0)
@@ -88,11 +88,11 @@ def damp_and_push(fs: FieldSpec, profile: DampingProfile | None = None):
         if p[2] >= 1.0 - _POLE_TOL:
             return np.zeros(3)
         x, y = float(p[0] / (1.0 - p[2])), float(p[1] / (1.0 - p[2]))
-        vx, vy = field_eval_plane(fs, x, y)
+        band, s, rho = _locate(fs, x, y)
+        vx, vy = map(float, _chart_field(fs, band, s, rho))
         if vx == 0.0 and vy == 0.0:
             return np.zeros(3)
-        band, _, s, _ = _locate(fs, x, y)
-        g = float(profile(x, y)) * fs.lam / float(fs.speed(band)(s))
+        g = float(profile(x, y)) * fs.lam / float(fs.speed(int(band))(s))
         return stereographic_push(x, y, g * vx, g * vy)
 
     return sphere_field

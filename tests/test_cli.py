@@ -32,7 +32,14 @@ def test_usage_errors(tmp_path, capsys):
                  ("verify", "--machine", INC, "--lambda-frac", "2"),
                  ("extend3d", "--machine", INC, "--degree", "0"),
                  ("estimate", "--sb", "0"),
-                 ("estimate", "--C", "0")):
+                 ("estimate", "--C", "0"),
+                 # a run over no inputs or trials checks nothing
+                 ("verify", "--machine", INC, "--inputs", "-1"),
+                 ("verify", "--machine", INC, "--inputs", "0"),
+                 ("simulate", "--machine", INC, "--inputs", "0"),
+                 ("sphere", "--machine", INC, "--inputs", "0"),
+                 ("perturb", "--machine", INC, "--trials", "-3"),
+                 ("perturb", "--machine", INC, "--trials", "0")):
         assert run(*argv, "--out", str(tmp_path / "r")) == 2, argv
     # flags that no subcommand reads are gone
     for flag in ("--eps0", "--window"):
@@ -112,14 +119,29 @@ def test_estimate_digit_counts(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+# sha256 of artifacts of the incrementer at --inputs 1 --lmax 3 (extend3d at
+# --degree 3), as the scalar plane-point code wrote them
+GOLDEN = {
+    "curve_0.csv": "29c17d164449c5b1f56fcd9fab6d7af746a8ea3030014f48e21a8fbfb55278ef",
+    "field_grid.csv": "e194d3c747dd0f9e1275e58c0a21486b0c56c1b92326bfe02b0fad3706b266b5",
+    "extend3d.txt": "9ff7f9fc3f12fee4d342a944ab0fee1362caa1314af8715bfe819dc03348d598",
+    "series.csv": "60e6d852834d97b5680044a4878e996cce0fa368efeeb2960aee06a9b2416ab7",
+}
+
+
 def test_deterministic_artifacts(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out in (a, b):
-        assert run("simulate", "--machine", INC, "--inputs", "2", "--lmax", "3",
-                   "--out", str(out)) == 0
-    da, db = digest_dir(a), digest_dir(b)
-    # manifests name different output dirs is not the case: paths are relative
-    assert da == db
+    golden = {}
+    for argv in (("simulate", "--inputs", "2", "--lmax", "3"),
+                 ("compile", "--inputs", "1", "--lmax", "3"),
+                 ("extend3d", "--inputs", "1", "--lmax", "3", "--degree", "3")):
+        a, b = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
+        for out in (a, b):
+            assert run(*argv, "--machine", INC, "--out", str(out)) == 0
+        da, db = digest_dir(a), digest_dir(b)
+        # manifests name different output dirs is not the case: paths are relative
+        assert da == db, argv[0]
+        golden.update((name, d) for name, d in da.items() if name in GOLDEN)
+    assert golden == GOLDEN
     capsys.readouterr()
 
 

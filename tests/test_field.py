@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ from flowcomp.field import (
     potential_eval,
     potential_plane,
     verify_gradient,
+    _locate,
 )
 from flowcomp.logmag import LogMagnitude
-from flowcomp.machine import MachineSpec
+from flowcomp.machine import MachineSpec, load_machine
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
 
 def make_machine(q2, sym_of, shift, name="t"):
@@ -161,6 +165,63 @@ def test_plane_field_vertical_piece(fs):
     assert fy == pytest.approx(fs.level_speed(0, 2))
 
 
+def _plane_cloud(fs, seed=11):
+    """Seeded plane points: anywhere, beside the curves (some beyond the
+    chart half-width) and within 1e-3 of the band edges 2i +- 1/16, where a
+    point's candidate bands change."""
+    rng = np.random.default_rng(seed)
+    top = fs.l_max + 1.0
+    xs = [rng.uniform(-0.5, 2 * fs.n_bands + 0.5, 60)]
+    ys = [rng.uniform(-1.0, top, 60)]
+    for i in range(fs.n_bands):
+        u = rng.uniform(-0.5, top - 0.5, 60)
+        xs.append(fs.curve(i).point(u)[0] + rng.uniform(-0.08, 0.08, 60))
+        ys.append(u)
+    for i in range(fs.n_bands + 1):
+        for edge in (2 * i - 1.0 / 16.0, 2 * i + 1.0 / 16.0):
+            xs.append(edge + rng.uniform(-1e-3, 1e-3, 8))
+            ys.append(rng.uniform(-1.0, top, 8))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def test_plane_points_array_path_matches_scalar_calls(fs):
+    x, y = _plane_cloud(fs)
+    band, s, rho = _locate(fs, x, y)
+    assert 0 < np.count_nonzero(band < 0) < len(x)
+    assert np.all(np.isnan(s[band < 0]) & np.isnan(rho[band < 0]))
+    vx, vy = field_eval_plane(fs, x, y)
+    pot = potential_plane(fs, x, y)
+    charts = [fs.chart(i).plane_to_chart(x, y) for i in range(fs.n_bands)]
+    for k, (xk, yk) in enumerate(zip(x.tolist(), y.tolist())):
+        assert _locate(fs, xk, yk) == (band[k], s[k], rho[k]) or band[k] < 0
+        assert field_eval_plane(fs, xk, yk) == (vx[k], vy[k])
+        if band[k] < 0:
+            assert (vx[k], vy[k]) == (0.0, 0.0) and np.isnan(pot[k])
+            with pytest.raises(ChartError, match="outside every band chart"):
+                potential_plane(fs, xk, yk)
+        else:
+            assert potential_plane(fs, xk, yk) == pot[k]
+        for i, (ci_s, ci_rho) in enumerate(charts):
+            if np.isnan(ci_s[k]):
+                assert np.isnan(ci_rho[k])
+                with pytest.raises(ChartError, match="farther than 1/16"):
+                    fs.chart(i).plane_to_chart(xk, yk)
+            else:
+                assert fs.chart(i).plane_to_chart(xk, yk) == (ci_s[k], ci_rho[k])
+
+
+def test_plane_points_scalar_types(fs):
+    x0 = float(fs.curve(0).x[2])
+    s, rho = fs.chart(0).plane_to_chart(x0 + 0.02, 2.0)
+    assert type(s) is float and type(rho) is float
+    vx, vy = field_eval_plane(fs, x0 + 0.02, 2.0)
+    assert type(vx) is float and type(vy) is float
+    assert type(potential_plane(fs, x0 + 0.02, 2.0)) is float
+    assert _locate(fs, x0 + 0.02, 2.0) == (0, s, rho)
+    band, s_off, rho_off = _locate(fs, 1.5, 2.0)
+    assert band == -1 and math.isnan(s_off) and math.isnan(rho_off)
+
+
 def test_gradient_identity(fs):
     rep = verify_gradient(fs, 200, seed=1)
     assert rep["max_rel_error"] < 1e-6
@@ -238,3 +299,27 @@ def test_envelope(schedule):
 def test_box_derivative_bound_finite(fs):
     M = measure_box_derivative_bound(fs, n=8)
     assert 0.0 < M < 100.0
+
+
+def test_box_derivative_bound_matches_pointwise_reference(fs):
+    h = 1e-5
+    best = 0.0
+    for x in np.linspace(0.0, 1.0, 8):
+        for y in np.linspace(-0.25, 1.25, 8):
+            fxp = field_eval_plane(fs, x + h, y)
+            fxm = field_eval_plane(fs, x - h, y)
+            fyp = field_eval_plane(fs, x, y + h)
+            fym = field_eval_plane(fs, x, y - h)
+            j = np.array([[(fxp[0] - fxm[0]), (fyp[0] - fym[0])],
+                          [(fxp[1] - fxm[1]), (fyp[1] - fym[1])]]) / (2 * h)
+            best = max(best, float(np.linalg.norm(j, 2)))
+    assert measure_box_derivative_bound(fs, n=8) == best
+
+
+@pytest.mark.parametrize("name, M", [("incrementer", 1.0000001807258512),
+                                     ("right_filler", 1.4611184353553608),
+                                     ("spinner", 0.9999999999982244)])
+def test_box_derivative_bound_of_sample_machines(name, M):
+    # the values the pointwise measurement gave, to the last bit
+    fs = FieldSpec(load_machine(str(MACHINES / f"{name}.tm")), n_bands=1, l_max=9)
+    assert fs.box_derivative_bound == M
