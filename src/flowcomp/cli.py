@@ -18,12 +18,13 @@ import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .beltrami import beltrami_from_potential, fit_window_polynomial, residuals, series_rows
-from .curves import RAMP_EPS, RHO0
-from .field import LAMBDA0, FieldSpec, error_schedule
+from .curves import RAMP_EPS, RHO0, curve_records
+from .field import LAMBDA0, FieldSpec, error_schedule, field_eval_plane
 from .machine import (
-    UNRESOLVED,
     Halted,
     MachineError,
     enumerate_inputs,
@@ -245,10 +246,8 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
         )
     pts = []
     if traj is not None and traj.samples:
-        for _, s, _, _ in traj.samples:
-            u = float(curve.param_of_arclength(float(s)))
-            px, py = curve.point(u)
-            pts.append(f"{f(sx(float(px)))},{f(sy(float(py)))}")
+        px, py = curve.point(curve.param_of_arclength(np.array([r[1] for r in traj.samples])))
+        pts = [f"{f(sx(a))},{f(sy(b))}" for a, b in zip(px.tolist(), py.tolist())]
     if len(pts) >= 2:
         parts.append(
             f'<polyline points="{" ".join(pts)}" fill="none" '
@@ -277,9 +276,6 @@ def _build(settings: dict):
 
 
 def cmd_compile(settings, outdir, man):
-    from .curves import curve_records
-    from .field import field_eval_plane
-
     _, fs, _ = _build(settings)
     for band in range(fs.n_bands):
         curve = fs.curve(band)

@@ -11,12 +11,10 @@ length, rho signed distance) is where all the flow dynamics happens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, quad
-from scipy.interpolate import CubicSpline
 
 from .logmag import LN2_FIX, LN15_FIX, LogMagnitude
 from .machine import MachineSpec, encode, enumerate_inputs, trajectory
@@ -49,6 +47,26 @@ def flat(x):
     return out
 
 
+def hermite_cumulative(x, f, df):
+    """Integrals from x[0] to each node of the cubic Hermite interpolant of values f and
+    exact slopes df along the last axis: per cell h/2 (f0 + f1) + h^2/12 (f0' - f1')."""
+    h = np.diff(x)
+    cells = h * ((f[..., :-1] + f[..., 1:]) / 2.0 + h * (df[..., :-1] - df[..., 1:]) / 12.0)
+    return np.cumsum(np.concatenate([np.zeros_like(f[..., :1]), cells], axis=-1), axis=-1)
+
+
+def hermite_eval(x, f, df, t):
+    """Cubic Hermite interpolant of (f, df) on increasing nodes x at t; end cells extend."""
+    t = np.asarray(t, dtype=float)
+    k = np.minimum(np.maximum(np.searchsorted(x, t, side="right") - 1, 0), len(x) - 2)
+    j, x0, f0 = k + 1, x[k], f[k]
+    h = x[j] - x0
+    v = (t - x0) / h
+    rise, d0, d1 = f[j] - f0, h * df[k], h * df[j]
+    a = d0 + d1 - 2.0 * rise
+    return f0 + v * (d0 + v * (rise - d0 - a + v * a))
+
+
 @dataclass(frozen=True)
 class BumpProfile:
     """Normalized antiderivative of flat(t(1 - t)) on [RAMP_EPS, 1 - RAMP_EPS]."""
@@ -57,22 +75,23 @@ class BumpProfile:
     full_integral: float  # integral over (0, 1)
     sup_expression: float  # sup of flat(t(1 - t))|1/t^2 - 1/(1-t)^2|
     quad_error: float
-    _beta: CubicSpline
+    _nodes: tuple = field(repr=False)  # grid, beta, beta' and the integral of beta
+
+    def dbeta(self, sigma):
+        """beta'(sigma) = flat(sigma(1 - sigma))/Z inside the ramp; array friendly."""
+        return flat(sigma * (1.0 - sigma)) / self.Z
 
     def beta(self, sigma):
         """Ramp value in [0, 1]; clamped outside [RAMP_EPS, 1 - RAMP_EPS]."""
-        sigma = np.clip(sigma, RAMP_EPS, 1.0 - RAMP_EPS)
-        return np.clip(self._beta(sigma), 0.0, 1.0)
-
-    @cached_property
-    def _beta_antiderivative(self):
-        return self._beta.antiderivative()
+        grid, beta, dbeta, _ = self._nodes
+        sigma = np.minimum(np.maximum(sigma, RAMP_EPS), 1.0 - RAMP_EPS)
+        return np.minimum(np.maximum(hermite_eval(grid, beta, dbeta, sigma), 0.0), 1.0)
 
     def beta_integral(self, sigma):
         """Integral of beta from 0 to sigma (0 for sigma <= 0); array friendly."""
-        lo, hi = RAMP_EPS, 1.0 - RAMP_EPS
-        F = self._beta_antiderivative
-        return (F(np.clip(sigma, lo, hi)) - F(lo)) + np.maximum(np.asarray(sigma) - hi, 0.0)
+        grid, beta, _, integral = self._nodes
+        inner = hermite_eval(grid, integral, beta, np.clip(sigma, RAMP_EPS, 1.0 - RAMP_EPS))
+        return inner + np.maximum(np.asarray(sigma) - (1.0 - RAMP_EPS), 0.0)
 
 
 _PROFILE: BumpProfile | None = None
@@ -83,22 +102,26 @@ def bump_profile() -> BumpProfile:
     global _PROFILE
     if _PROFILE is not None:
         return _PROFILE
-    tol = 1e-10
 
-    def g(t):
-        return float(flat(t * (1.0 - t)))
+    def ramp(t):  # flat(t(1 - t)) and its derivative
+        g = flat(t * (1.0 - t))
+        return g, g * (1.0 / t**2 - 1.0 / (1.0 - t) ** 2)
 
-    Z, z_err = quad(g, RAMP_EPS, 1.0 - RAMP_EPS, epsabs=tol / 10, limit=200)
-    full, f_err = quad(g, 0.0, 1.0, epsabs=tol / 10, limit=200)
-    if z_err > tol or f_err > tol:
-        raise RuntimeError("bump quadrature did not reach the requested tolerance")
-    # cumulative on a symmetric fine grid; Simpson keeps beta(1/2) = 1/2
+    def integral(t):
+        return hermite_cumulative(t, *ramp(t))
+
+    # a symmetric grid keeps beta(1/2) = 1/2; the tails outside it are below
+    # e^-100, and the integrand underflows to 0 in the end cells of (0, 1).
+    # The error estimate is the change from every other node to all.
     grid = np.linspace(RAMP_EPS, 1.0 - RAMP_EPS, 4001)
-    cum = np.concatenate([[0.0], cumulative_simpson(flat(grid * (1.0 - grid)), x=grid)])
-    beta_spline = CubicSpline(grid, cum / cum[-1])
-    t = np.linspace(1e-4, 1.0 - 1e-4, 20001)
-    sup = float(np.max(flat(t * (1.0 - t)) * np.abs(1.0 / t**2 - 1.0 / (1.0 - t) ** 2)))
-    _PROFILE = BumpProfile(Z, full, sup, max(z_err, f_err, abs(cum[-1] - Z)), beta_spline)
+    whole = np.linspace(0.0, 1.0, 4001)[1:-1]
+    cum, full = integral(grid), float(integral(whole)[-1])
+    Z = float(cum[-1])
+    err = max(abs(Z - integral(grid[::2])[-1]), abs(full - integral(whole[::2])[-1]))
+    beta, dbeta = cum / Z, ramp(grid)[0] / Z
+    sup = float(np.max(np.abs(ramp(np.linspace(1e-4, 1.0 - 1e-4, 20001))[1])))
+    _PROFILE = BumpProfile(Z, full, sup, float(err),
+                           (grid, beta, dbeta, hermite_cumulative(grid, beta, dbeta)))
     return _PROFILE
 
 
@@ -143,7 +166,7 @@ class CurveFamily:
         if np.any(mid):
             profile = bump_profile()
             sm = sigma[mid]
-            g = flat(sm * (1.0 - sm)) / profile.Z * dx[mid]
+            g = profile.dbeta(sm) * dx[mid]
             val[mid] = xl[mid] + profile.beta(sm) * dx[mid]
             d1[mid] = g
             d2[mid] = g * (1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2)
@@ -171,43 +194,38 @@ class CurveFamily:
 
     # -- arc length ---------------------------------------------------------
 
-    def _speed(self, u):
-        _, d1, _ = self.lambda_eval(u)
-        return np.sqrt(1.0 + d1**2)
-
     @cached_property
     def arc_heights(self) -> np.ndarray:
         """s^i_l: arc length from p^i_0 to p^i_l along the curve, read off
         the arc-length grid, on which every anchor is a node."""
-        return self._arc_maps[2][_ARC_CELLS::_ARC_CELLS]
+        return self._arc_maps[1][_ARC_CELLS::_ARC_CELLS]
 
     @cached_property
     def _arc_maps(self):
-        """(s(u) spline, u(s) spline, s on the grid) on u in [-1, l_max + 1].
-
-        `_ARC_CELLS` cells per unit height, so u = 0 and every anchor sit on
-        the grid; the splines use the full fine grid so the derivative of
-        s(u) is good to ~1e-9 (needed by the gradient check).
-        """
+        """(u, s, ds/du, du/ds) on the arc-length grid, u in [-1, l_max + 1], whose
+        `_ARC_CELLS` cells per unit height put u = 0 and every anchor on a node.
+        s(u) and u(s) interpolate the nodes with these exact slopes."""
         n_cells = _ARC_CELLS * (self.l_max + 2)
         u_grid = np.linspace(-1.0, self.l_max + 1, n_cells + 1)
-        s_arr = np.concatenate([[0.0], cumulative_simpson(self._speed(u_grid), x=u_grid)])
+        _, d1, d2 = self.lambda_eval(u_grid)
+        w = np.sqrt(1.0 + d1**2)
+        s_arr = hermite_cumulative(u_grid, w, d1 * d2 / w)
         s_arr -= s_arr[_ARC_CELLS]  # anchor s(0) = 0 exactly
-        return CubicSpline(u_grid, s_arr), CubicSpline(s_arr, u_grid), s_arr
+        return u_grid, s_arr, w, 1.0 / w
 
     def arclength_of_param(self, u):
-        return self._arc_maps[0](u)
+        u_grid, s_arr, w, _ = self._arc_maps
+        return hermite_eval(u_grid, s_arr, w, u)
 
     def param_of_arclength(self, s):
-        fwd, inv, _ = self._arc_maps
-        u = np.asarray(inv(s), dtype=float)
+        u_grid, s_arr, _, dudS = self._arc_maps
+        u = np.asarray(hermite_eval(s_arr, u_grid, dudS, s), dtype=float)
         hi = self.l_max + 1.0
-        # polish the spline guess against the forward map
+        # polish the interpolated guess against the forward map
         for _ in range(3):
-            u = np.clip(u - (fwd(u) - s) / self._speed(u), -1.0, hi)
-        if u.ndim == 0:
-            return float(u)
-        return u
+            speed = np.sqrt(1.0 + self.lambda_eval(u)[1] ** 2)
+            u = np.clip(u - (self.arclength_of_param(u) - s) / speed, -1.0, hi)
+        return float(u) if u.ndim == 0 else u
 
     def kappa_at_arclength(self, s):
         return self.curvature(self.param_of_arclength(s))
@@ -226,13 +244,15 @@ class BandChart:
     def __init__(self, curve: CurveFamily):
         self.curve = curve
 
-    def chart_to_plane(self, s: float, rho: float) -> tuple[float, float]:
-        if abs(rho) >= CHART_HALF_WIDTH:
-            raise ChartError(f"|rho| = {abs(rho)} outside the chart")
-        u = float(self.curve.param_of_arclength(s))
+    def chart_to_plane(self, s, rho):
+        """(x, y) of chart points; array friendly.  Any |rho| >= 1/16 raises ChartError."""
+        if np.any(np.abs(rho) >= CHART_HALF_WIDTH):
+            raise ChartError(f"|rho| = {np.max(np.abs(rho))} outside the chart")
+        u = self.curve.param_of_arclength(s)
         x, y = self.curve.point(u)
         _, normal, _, _ = self.curve.frame(u)
-        return float(x + rho * normal[0]), float(y + rho * normal[1])
+        x, y = x + rho * normal[0], y + rho * normal[1]
+        return (float(x), float(y)) if np.ndim(x) == 0 else (x, y)
 
     def plane_to_chart(self, x, y):
         """(s, rho) of plane points; array friendly.  A single point beyond the

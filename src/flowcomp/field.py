@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
 from .curves import (
     CHART_HALF_WIDTH,
@@ -28,6 +26,8 @@ from .curves import (
     CurveFamily,
     bump_profile,
     flat,
+    hermite_cumulative,
+    hermite_eval,
     interval_bound_log,
 )
 from .logmag import LN2, LogMagnitude, lm_min
@@ -133,7 +133,6 @@ class LevelSpeed:
         ramp = RAMP_EPS * float(bump_profile().beta_integral(1.0))
         seg = np.diff(self.anchors) * self._slow[:-1] + self._dslow[:-1] * ramp
         self._anchor_time = np.concatenate([[0.0], np.cumsum(seg)])
-        self._ramps: dict[int, CubicSpline] = {}
 
     def _locate(self, s):
         k = np.clip(np.searchsorted(self.anchors, s, side="right") - 1,
@@ -155,23 +154,16 @@ class LevelSpeed:
         """Flow time from s_a to s_b, the integral of 1/lambda_i."""
         return self.time_to(s_b) - self.time_to(s_a)
 
-    def _ramp_cumulative(self, k: int) -> np.ndarray:
-        """Integral of lambda/lambda_k over the ramp before anchor k + 1, on the grid."""
-        ratio = self._slow[k + 1] / self._slow[k]
-        vals = 1.0 / (1.0 + (ratio - 1.0) * bump_profile().beta(self._GRID))
-        return cumulative_simpson(vals, x=self._GRID, initial=0.0)
-
-    def _ramp_potential(self, k: int) -> CubicSpline:
-        if k not in self._ramps:
-            self._ramps[k] = CubicSpline(self._GRID, self._ramp_cumulative(k))
-        return self._ramps[k]
-
     @cached_property
-    def _anchor_potential(self) -> np.ndarray:
-        seg = [(self.anchors[k + 1] - self.anchors[k] - RAMP_EPS
-                + RAMP_EPS * self._ramp_cumulative(k)[-1]) * self.levels[k]
-               for k in range(len(self.anchors) - 1)]
-        return np.concatenate([[0.0], np.cumsum(seg)])
+    def _potential_tables(self):
+        """Row k of vals: lambda/lambda_k = 1/(1 + (r - 1) beta) over the ramp before
+        anchor k + 1; of cum: its integral.  at_anchor: the potential at each anchor."""
+        profile = bump_profile()
+        r1 = self._slow[1:, None] / self._slow[:-1, None] - 1.0
+        vals = 1.0 / (1.0 + r1 * profile.beta(self._GRID))
+        cum = hermite_cumulative(self._GRID, vals, -r1 * profile.dbeta(self._GRID) * vals * vals)
+        seg = (np.diff(self.anchors) - RAMP_EPS + RAMP_EPS * cum[:, -1]) * self.levels[:-1]
+        return vals, cum, np.concatenate([[0.0], np.cumsum(seg)])
 
     def potential(self, s):
         """Lambda_i(s): the integral of lambda_i from 0 to s; array friendly."""
@@ -179,11 +171,12 @@ class LevelSpeed:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         k, sigma = self._locate(s)
         lam = self.levels[k]
-        out = self._anchor_potential[k] + lam * (np.minimum(s, self._next[k] - RAMP_EPS)
-                                                 - self.anchors[k])
+        vals, cum, at_anchor = self._potential_tables
+        out = at_anchor[k] + lam * (np.minimum(s, self._next[k] - RAMP_EPS) - self.anchors[k])
         for kk in np.unique(k[sigma > 0.0]).tolist():
             m = (k == kk) & (sigma > 0.0)
-            out[m] += RAMP_EPS * lam[m] * self._ramp_potential(kk)(np.minimum(sigma[m], 1.0))
+            ramp = hermite_eval(self._GRID, cum[kk], vals[kk], np.minimum(sigma[m], 1.0))
+            out[m] += RAMP_EPS * lam[m] * ramp
         return float(out[0]) if scalar else out
 
 
@@ -259,20 +252,30 @@ def potential_plane(fs: FieldSpec, x, y):
     return float(out) if out.ndim == 0 else out
 
 
+def _sample_points(fs: FieldSpec, samples: int, seed: int, half_width):
+    """Plane points of seeded draws (band, s, |rho| < half_width(band, s)), placed per band."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(samples):
+        i = int(rng.integers(0, fs.n_bands))
+        s = float(rng.uniform(0.0, fs.curve(i).arc_heights[-1]))
+        w = half_width(i, s)
+        draws.append((i, s, float(rng.uniform(-w, w))))
+    band, s, rho = np.array(draws, dtype=float).reshape(-1, 3).T
+    x, y = np.empty(band.shape), np.empty(band.shape)
+    for i in np.unique(band).astype(int).tolist():
+        m = band == i
+        x[m], y[m] = fs.chart(i).chart_to_plane(s[m], rho[m])
+    return x, y
+
+
 def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0, h: float = 1e-6):
     """Compare the plane field with finite differences of the potential.
 
     Samples points with |rho| <= RHO0/2 where the cutoff is identically 1;
     reports the max relative gradient error and the max curl residual.
     """
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(samples):
-        i = int(rng.integers(0, fs.n_bands))
-        s = float(rng.uniform(0.0, fs.curve(i).arc_heights[-1]))
-        rho = float(rng.uniform(-RHO0 / 2, RHO0 / 2))
-        pts.append(fs.chart(i).chart_to_plane(s, rho))
-    x, y = np.array(pts).reshape(-1, 2).T
+    x, y = _sample_points(fs, samples, seed, lambda i, s: RHO0 / 2)
     # each point and its four neighbours at distance h
     px = np.array([x, x + h, x - h, x, x])
     py = np.array([y, y, y, y + h, y - h])
@@ -293,15 +296,7 @@ def measure_c0(fs: FieldSpec, samples: int = 1000, seed: int = 0) -> float:
     -rho*N can beat the lambda-sized tangential part on ramps once
     |rho| ~ lambda, so points are drawn with |rho| < min(RHO0, lambda_i(s)/4).
     """
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(samples):
-        i = int(rng.integers(0, fs.n_bands))
-        s = float(rng.uniform(0.0, fs.curve(i).arc_heights[-1]))
-        w = min(RHO0, float(fs.speed(i)(s)) / 4.0)
-        rho = float(rng.uniform(-w, w))
-        pts.append(fs.chart(i).chart_to_plane(s, rho))
-    x, y = np.array(pts).reshape(-1, 2).T
+    x, y = _sample_points(fs, samples, seed, lambda i, s: min(RHO0, float(fs.speed(i)(s)) / 4.0))
     return float(np.min(field_eval_plane(fs, x, y)[1], initial=math.inf))
 
 
@@ -349,14 +344,6 @@ class ErrorSchedule:
             if not th <= bound:
                 return False
         return True
-
-    def fit_envelope_constant(self) -> float:
-        """Largest C on a coarse grid for which the envelope shape holds."""
-        best = 0.0
-        for c in np.linspace(0.05, 3.0, 60):
-            if self.envelope_check(float(c)):
-                best = float(c)
-        return best
 
 
 def error_schedule(fs: FieldSpec) -> ErrorSchedule:

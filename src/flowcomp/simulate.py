@@ -76,10 +76,6 @@ class SimulationVerdict:
     height: int | None = None
     budget: int | None = None
 
-    @property
-    def halted(self) -> bool:
-        return self.kind == "HALTED"
-
 
 def format_verdict(v: SimulationVerdict) -> str:
     if v.kind == "HALTED":

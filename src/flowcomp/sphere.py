@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .curves import RAMP_EPS
 from .field import FieldSpec, _chart_field, _locate
@@ -140,7 +139,8 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     u = curve.param_of_arclength(grid)
     gx, gy = curve.point(u)
     damp = profile(gx, gy)
-    t_of_s = cumulative_trapezoid(1.0 / (fs.lam * damp), grid, initial=0.0)
+    slow = 1.0 / (fs.lam * damp)
+    t_of_s = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (slow[1:] + slow[:-1]) / 2.0)])
     n_total = int(t_of_s[-1] / delta) + 1
     times = np.arange(n_total, dtype=float) * delta
     s_vals = np.interp(times, t_of_s, grid)

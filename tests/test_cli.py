@@ -1,5 +1,7 @@
 import hashlib
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,12 +122,12 @@ def test_estimate_digit_counts(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of artifacts of the incrementer at --inputs 1 --lmax 3 (extend3d at
-# --degree 3), as the scalar plane-point code wrote them
+# --degree 3), with the arc-length maps built by the Hermite rule
 GOLDEN = {
-    "curve_0.csv": "29c17d164449c5b1f56fcd9fab6d7af746a8ea3030014f48e21a8fbfb55278ef",
-    "field_grid.csv": "e194d3c747dd0f9e1275e58c0a21486b0c56c1b92326bfe02b0fad3706b266b5",
+    "curve_0.csv": "34ba0a30108839eb57690a07b15ce8874bd7ac1f1e31da036290a0110e8e1b94",
+    "field_grid.csv": "83dfb38e8c9e706bd47baa36ec7a5b83b872eef48d5b3df5838edd68735e6880",
     "extend3d.txt": "9ff7f9fc3f12fee4d342a944ab0fee1362caa1314af8715bfe819dc03348d598",
-    "series.csv": "60e6d852834d97b5680044a4878e996cce0fa368efeeb2960aee06a9b2416ab7",
+    "series.csv": "b75593df5cb41b543641b1d00290ce1a65f3a8e635cd641531920147082959e2",
 }
 
 
@@ -143,6 +145,15 @@ def test_deterministic_artifacts(tmp_path, capsys):
         golden.update((name, d) for name, d in da.items() if name in GOLDEN)
     assert golden == GOLDEN
     capsys.readouterr()
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs only numpy; scipy serves the reference tests
+    code = "import sys, flowcomp.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_file_and_env_override(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -45,11 +46,22 @@ def curve(incrementer):
 # -- bump profile -----------------------------------------------------------
 
 
+def mp_ramp(t):
+    return mp.exp(-1 / (t * (1 - t)))
+
+
 def test_bump_integrals(profile):
     # frozen oracle values (adaptive quadrature at 1e-11 abs tolerance)
     assert profile.Z == pytest.approx(0.007029858406609572, abs=1e-12)
     assert profile.full_integral == pytest.approx(0.007029858406609656, abs=1e-12)
     assert profile.full_integral > 7e-3
+    # 30-digit references: the Hermite rule is within a few dozen ulps, and
+    # its own error estimate (every other node against all) is that small too
+    with mp.workdps(30):
+        lo, hi = mp.mpf(RAMP_EPS), 1 - mp.mpf(RAMP_EPS)
+        assert abs(profile.Z - mp.quad(mp_ramp, [lo, 0.5, hi])) < 5e-17
+        assert abs(profile.full_integral - mp.quad(mp_ramp, [0, 0.5, 1])) < 5e-17
+    assert 0.0 < profile.quad_error < 1e-16
 
 
 def test_bump_sup_expression(profile):
@@ -70,6 +82,21 @@ def test_beta_endpoints_and_symmetry(profile):
 def test_beta_clamped_outside_ramp(profile):
     assert float(profile.beta(0.0)) == 0.0
     assert float(profile.beta(1.0)) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_beta_and_its_integral_match_mpmath(profile):
+    sigma = np.random.default_rng(5).uniform(-0.05, 1.05, 20)
+    with mp.workdps(30):
+        lo, hi = mp.mpf(RAMP_EPS), 1 - mp.mpf(RAMP_EPS)
+        Z = mp.quad(mp_ramp, [lo, 0.5, hi])
+        for s in sigma.tolist():
+            c = min(max(mp.mpf(s), lo), hi)
+            beta = mp.quad(mp_ramp, [lo, c]) / Z
+            # by parts: the integral of beta to c is c beta(c) - int x beta'(x) dx
+            integral = (c * beta - mp.quad(lambda x: x * mp_ramp(x), [lo, c]) / Z
+                        + max(mp.mpf(s) - hi, 0))
+            assert abs(float(profile.beta(s)) - beta) < 1e-13, s
+            assert abs(float(profile.beta_integral(s)) - integral) < 1e-13, s
 
 
 # -- curve family -----------------------------------------------------------
@@ -242,6 +269,14 @@ def test_chart_roundtrip(curve):
         s2, rho2 = ch.plane_to_chart(x, y)
         assert s2 == pytest.approx(s, abs=1e-10)
         assert rho2 == pytest.approx(rho, abs=1e-12)
+    # arrays give the scalar calls' points bit for bit
+    rng = np.random.default_rng(2)
+    s = rng.uniform(-0.5, float(curve.arc_heights[-1]), 200)
+    rho = rng.uniform(-0.0624, 0.0624, 200)
+    x, y = ch.chart_to_plane(s, rho)
+    assert list(zip(x.tolist(), y.tolist())) == [
+        ch.chart_to_plane(a, b) for a, b in zip(s.tolist(), rho.tolist())]
+    assert all(type(v) is float for v in ch.chart_to_plane(1.0, 0.01))
 
 
 def test_chart_vertical_sign_convention(curve):
@@ -259,6 +294,8 @@ def test_chart_rejects_far_points(curve):
         ch.plane_to_chart(curve.x[2] + 0.2, 2.0)
     with pytest.raises(ChartError):
         ch.chart_to_plane(1.0, 0.0626)
+    with pytest.raises(ChartError):
+        ch.chart_to_plane(np.array([1.0, 2.0]), np.array([0.01, -0.0625]))
 
 
 def test_curve_records(curve):

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -135,6 +136,31 @@ def test_potential_values(fs):
                       epsrel=1e-13, limit=200)[0]
     assert potential_eval(fs, 0, 2.0, 0.01) == pytest.approx(tangential - 5e-5,
                                                              rel=1e-9)
+
+
+def test_ramp_potential_matches_mpmath(fs):
+    # the potential across the speed step before anchor 1, against a 17-digit
+    # quadrature of lambda with the ramp beta itself from quadrature; the
+    # bound is the rounding of the two potentials whose difference is taken
+    speed = fs.speed(0)
+    start = speed.anchors[1] - RAMP_EPS
+    with mp.workdps(17):
+        lo, hi = mp.mpf(RAMP_EPS), 1 - mp.mpf(RAMP_EPS)
+
+        def g(t):
+            return mp.exp(-1 / (t * (1 - t)))
+
+        Z = mp.quad(g, [lo, 0.5, hi])
+        slow0, slow1 = 1 / mp.mpf(speed.levels[0]), 1 / mp.mpf(speed.levels[1])
+
+        def lam(sigma):
+            beta = mp.quad(g, [lo, min(max(sigma, lo), hi)]) / Z
+            return 1 / (slow0 + (slow1 - slow0) * beta)
+
+        for sigma in (0.3, 1.0):
+            ref = RAMP_EPS * mp.quad(lam, [0, lo, min(sigma, 0.5), sigma])
+            got = speed.potential(start + RAMP_EPS * sigma) - speed.potential(start)
+            assert abs(got - ref) < 1e-13 * ref, sigma
 
 
 def test_potential_chart_gradient(fs):
@@ -293,7 +319,6 @@ def test_schedule_cap_scaling(schedule):
 
 def test_envelope(schedule):
     assert schedule.envelope_check(1.0)
-    assert schedule.fit_envelope_constant() >= 1.0
 
 
 def test_box_derivative_bound_finite(fs):
@@ -316,10 +341,10 @@ def test_box_derivative_bound_matches_pointwise_reference(fs):
     assert measure_box_derivative_bound(fs, n=8) == best
 
 
-@pytest.mark.parametrize("name, M", [("incrementer", 1.0000001807258512),
-                                     ("right_filler", 1.4611184353553608),
+@pytest.mark.parametrize("name, M", [("incrementer", 1.0000001807252465),
+                                     ("right_filler", 1.4611184353482396),
                                      ("spinner", 0.9999999999982244)])
 def test_box_derivative_bound_of_sample_machines(name, M):
-    # the values the pointwise measurement gave, to the last bit
+    # the measured values to the last bit, with the Hermite arc-length maps
     fs = FieldSpec(load_machine(str(MACHINES / f"{name}.tm")), n_bands=1, l_max=9)
     assert fs.box_derivative_bound == M
