@@ -167,15 +167,6 @@ def _fmt(v):
     return str(v)
 
 
-def _decimal_digits(n: int) -> int:
-    """Decimal digits of |n|, counted without int-to-str conversion, which
-    Python refuses above 4300 digits."""
-    n = abs(n)
-    d = max(1, math.ceil(n.bit_length() * math.log10(2.0)))
-    # 2^(bits-1) <= n < 2^bits leaves only d - 1 or d digits
-    return d - (d > 1 and n < 10 ** (d - 1))
-
-
 def _digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -424,16 +415,16 @@ def cmd_sphere(settings, outdir, man):
 
 def cmd_estimate(settings, outdir, man):
     est = resource_estimate(settings["sb"], settings["C"])
-    lines = [
+    digits = est.fixed_digits()  # the threshold's fixed part is -fix
+    text = "\n".join([
         f"space_bound = {est.s_b}",
         f"C = {est.C}",
         f"inner_exponent = {est.inner:.12g}",
         f"lnln_norm_bound = {est.lnln_h1():.12g}",
-        f"ln_threshold_offset = {est.ln_eps.off:.12g}",
-        f"ln_threshold_fixed_digits = {_decimal_digits(est.ln_eps.fix)}",
-        f"ln_norm_bound_fixed_digits = {_decimal_digits(est.ln_h1.fix)}",
-    ]
-    text = "\n".join(lines)
+        f"ln_threshold_offset = {math.log(est.C):.12g}",
+        f"ln_threshold_fixed_digits = {digits}",
+        f"ln_norm_bound_fixed_digits = {digits}",
+    ])
     path = outdir / "estimate.txt"
     path.write_text(text + "\n")
     man.artifacts.append(path.name)

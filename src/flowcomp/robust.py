@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
+from functools import cached_property
 
 import numpy as np
 
@@ -281,7 +282,9 @@ def gronwall_radius(M: float, tau: float, eps_k) -> LogMagnitude:
 # resource estimator
 
 
-_MAX_NESTED = 13.0  # e^{C s_b} beyond this needs >10^5-digit fixed points
+# e^{C s_b} beyond this makes `.fix` >10^5 digits; only its exact readers pay
+_MAX_NESTED = 13.0
+_DIGITS_GUARD = 1e-12  # digit counts this near a power of ten read `.fix`
 
 
 def _exp_fix(x: float) -> int:
@@ -295,14 +298,33 @@ def _exp_fix(x: float) -> int:
 class ResourceEstimate:
     s_b: float
     C: float
-    ln_eps: LogMagnitude  # ln of the robustness threshold C e^{-e^{e^{C s_b}}}
-    ln_h1: LogMagnitude  # ln of the Sobolev-norm bound C e^{e^{e^{C s_b}}}
     inner: float  # e^{C s_b}
+
+    @cached_property
+    def ln_h1(self) -> LogMagnitude:  # ln of the norm bound C e^{e^{e^{C s_b}}}
+        return LogMagnitude(_exp_fix(self.inner), math.log(self.C))
+
+    @cached_property
+    def ln_eps(self) -> LogMagnitude:  # ln of the threshold C e^{-e^{e^{C s_b}}}
+        return LogMagnitude(-self.ln_h1.fix, self.ln_h1.off)
 
     def lnln_h1(self) -> float:
         """ln ln of the norm bound; exactly e^{C s_b} when C = 1."""
         return math.log(math.log(self.C) + math.exp(self.inner)) if self.inner < 700 \
             else self.inner  # ln(lnC + e^y) -> y for huge y
+
+    def fixed_digits(self) -> int:
+        """Decimal digits of ln_h1.fix = floor(e^inner 10^30): floor(q) + 31
+        for q = inner / ln 10 in 40 digits (Decimal(inner) is exact).  Within
+        the guard of a whole number k, the exact integer is compared with
+        10^(k + 30) instead."""
+        with localcontext() as ctx:
+            ctx.prec = 40
+            q = Decimal(self.inner) / ctx.ln(10)
+            k = round(q)
+            if abs(q - k) > _DIGITS_GUARD:
+                return int(q) + 31
+        return k + 30 + (self.ln_h1.fix >= 10 ** (k + 30))
 
 
 def resource_estimate(s_b: float, C: float = 1.0) -> ResourceEstimate:
@@ -315,22 +337,8 @@ def resource_estimate(s_b: float, C: float = 1.0) -> ResourceEstimate:
         raise ValueError("need s_b >= 1 and C > 0")
     x = C * s_b
     if x > _MAX_NESTED:
-        raise OverflowError(
-            f"C*s_b = {x} too large for the fixed-point representation"
-        )
-    inner = math.exp(x)
-    fix = _exp_fix(inner)
-    off = math.log(C)
-    return ResourceEstimate(s_b, C, LogMagnitude(-fix, off), LogMagnitude(fix, off), inner)
-
-
-def _ln_big(n: int) -> float:
-    """ln of a positive integer too large for float conversion."""
-    bl = n.bit_length()
-    if bl <= 1000:
-        return math.log(n)
-    top = n >> (bl - 53)
-    return math.log(top) + (bl - 53) * math.log(2.0)
+        raise OverflowError(f"C*s_b = {x} too large for the fixed-point representation")
+    return ResourceEstimate(s_b, C, math.exp(x))
 
 
 def space_bound_of_norm(ln_h1: LogMagnitude, C: float = 1.0) -> float:
@@ -338,11 +346,10 @@ def space_bound_of_norm(ln_h1: LogMagnitude, C: float = 1.0) -> float:
 
     Solves ln H1 = ln C + e^{e^{C s_b}} for s_b, i.e. s_b is (doubly) the
     log-log of the norm budget.  For budgets whose log overflows a float,
-    the ln C offset is negligible and the fixed-point part is used directly.
+    the ln C offset is negligible and `math.log` takes the fixed-point int.
     """
     if ln_h1.fix > 10**15 * FIX:
-        ln_y = _ln_big(ln_h1.fix) - math.log(FIX)
-        return math.log(ln_y) / C
+        return math.log(math.log(ln_h1.fix) - math.log(FIX)) / C
     y = ln_h1.ln() - math.log(C)
     if y <= 1.0:
         raise ValueError("norm budget too small")

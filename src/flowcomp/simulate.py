@@ -184,7 +184,9 @@ def integrate_segment(fs: FieldSpec, band: int, s0: float, s_target: float,
     carried in the fixed-point part of its magnitude, and the perturbation's
     forcing is added by its exact exponential integral.
     """
-    grid = np.append(np.arange(s0, s_target, _SAMPLE_DS), s_target)
+    # one row every _SAMPLE_DS; their count ignores the last bit of the length
+    n = max(1, math.ceil((s_target - s0) / _SAMPLE_DS - 1e-9))
+    grid = np.append(np.arange(s0, s_target, _SAMPLE_DS)[:n], s_target)
     ln0 = rho.w.ln()
     times = crossing_times(fs.curve(band), fs.speed(band).time, s0,
                            rho.sign * math.exp(ln0), grid)

@@ -121,6 +121,22 @@ def test_estimate_digit_counts(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_estimate_never_builds_the_fixed_point(tmp_path, capsys, monkeypatch):
+    from flowcomp import robust
+
+    def refuse(x):
+        raise AssertionError("estimate built the exact fixed point")
+
+    monkeypatch.setattr(robust, "_exp_fix", refuse)
+    assert run("estimate", "--sb", "13", "--C", "1", "--out", str(tmp_path)) == 0
+    report = dict(line.split(" = ") for line in
+                  (tmp_path / "estimate.txt").read_text().splitlines())
+    # floor(e^13 / ln 10) + 31
+    assert report["ln_norm_bound_fixed_digits"] == "192168"
+    assert report["ln_threshold_fixed_digits"] == "192168"
+    capsys.readouterr()
+
+
 # sha256 of artifacts of the incrementer at --inputs 1 --lmax 3 (extend3d at
 # --degree 3), with the arc-length maps built by the Hermite rule
 GOLDEN = {

@@ -273,7 +273,7 @@ def test_resource_estimate_keeps_decimal_precision():
     import decimal
 
     prec = decimal.getcontext().prec
-    resource_estimate(5.0)
+    resource_estimate(5.0).ln_h1.fix  # the exact integer is built on first read
     assert decimal.getcontext().prec == prec
 
 
@@ -282,3 +282,35 @@ def test_resource_huge_but_exact():
     r = resource_estimate(10.0, 1.0)
     assert r.ln_h1.fix > 10 ** 9500
     assert space_bound_of_norm(r.ln_h1, 1.0) == pytest.approx(10.0, rel=1e-12)
+
+
+def exact_digits(d, fix):
+    return 10 ** (d - 1) <= fix < 10**d
+
+
+def test_digit_count_from_inner_matches_the_exact_integer():
+    rng = np.random.default_rng(20261018)
+    cases = [(10.0, 1.0)]
+    for _ in range(30):
+        s_b = float(rng.uniform(1.0, 9.0))
+        cases.append((s_b, float(rng.uniform(0.01, 9.0 / s_b))))
+    for s_b, C in cases:
+        est = resource_estimate(s_b, C)
+        digits = est.fixed_digits()
+        assert "ln_h1" not in est.__dict__  # read from inner alone
+        assert exact_digits(digits, est.ln_h1.fix), (s_b, C)
+
+
+def test_digit_count_next_to_a_power_of_ten_reads_the_exact_integer():
+    # inner = e^C within ~1e-13 of k ln 10 puts e^inner 10^30 on either side
+    # of 10^(k+30), inside the guard, where the exact integer decides
+    for k in (200, 300, 500):
+        C = math.log(k * math.log(10.0))
+        counts = []
+        for c in (C, math.nextafter(C, 0.0)):
+            est = resource_estimate(1.0, c)
+            digits = est.fixed_digits()
+            assert "ln_h1" in est.__dict__
+            assert exact_digits(digits, est.ln_h1.fix)
+            counts.append(digits)
+        assert counts == [k + 31, k + 30]

@@ -6,6 +6,7 @@ import pytest
 
 from flowcomp import simulate
 from flowcomp.field import FieldSpec
+from flowcomp.logmag import LogMagnitude
 from flowcomp.machine import (
     LOOP,
     Configuration,
@@ -30,6 +31,7 @@ from flowcomp.simulate import (
     event_rows,
     format_verdict,
     integrate_chart,
+    integrate_segment,
     simulate_bounded,
     simulate_input,
     trajectory_rows,
@@ -91,6 +93,18 @@ def test_events_strictly_increasing(fs):
     assert hs == sorted(hs) and len(set(hs)) == len(hs)
     ss = [s for _, s, _, _ in traj.samples]
     assert all(b >= a for a, b in zip(ss, ss[1:]))
+
+
+def test_segment_rows_do_not_depend_on_the_last_bit_of_its_length(fs):
+    # a unit segment gets 20 rows every 0.05 of arc plus its anchor; a row
+    # more would sit within 1e-16 of the anchor it duplicates
+    rho = _RhoState(0, LogMagnitude.zero())
+    counts = []
+    for length in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)):
+        _, _, rows = integrate_segment(fs, 0, 0.0, length, 0.0, rho, None)
+        counts.append(len(rows))
+        assert [s for _, s, _, _ in rows[:-1]] == np.arange(0.0, 1.0, 0.05).tolist()
+    assert counts == [21, 21, 21]
 
 
 def test_confinement_error_on_bad_start(fs):
