@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import math
 import os
@@ -445,7 +446,9 @@ COMMANDS = {
 NEEDS_MACHINE = {"compile", "simulate", "verify", "perturb", "extend3d", "sphere"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="flowcomp",
         description="Compile Turing machines into planar gradient fields and "

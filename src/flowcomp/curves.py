@@ -28,6 +28,9 @@ RAMP_EPS = 0.01
 RHO0 = 1.0 / 32.0
 # arc-length grid cells per unit height; every anchor is a grid node
 _ARC_CELLS = 256
+# cells above and below a point's own whose boxes can come within the chart
+# half-width of it, and one more for round-off in the nodes
+_REACH = int(CHART_HALF_WIDTH * _ARC_CELLS) + 1
 
 
 class ChartError(ValueError):
@@ -154,15 +157,13 @@ class CurveFamily:
             raise ValueError("parameter beyond stored anchors")
         scalar = u.ndim == 0
         u = np.atleast_1d(u)
-        l = np.clip(np.floor(u).astype(int), 0, self.l_max)
-        sigma = u - l
+        l, sigma, mid = self._ramp(u)
         xl = self.x[l]
         xr = self.x[l + 1]
         dx = xr - xl
         val = np.where(sigma >= 1.0 - RAMP_EPS, xr, xl).astype(float)
         d1 = np.zeros_like(val)
         d2 = np.zeros_like(val)
-        mid = (sigma > RAMP_EPS) & (sigma < 1.0 - RAMP_EPS)
         if np.any(mid):
             profile = bump_profile()
             sm = sigma[mid]
@@ -173,6 +174,20 @@ class CurveFamily:
         if scalar:
             return float(val[0]), float(d1[0]), float(d2[0])
         return val, d1, d2
+
+    def _ramp(self, u):
+        """Anchor index l, sigma = u - l and the mask of sigma inside the ramp."""
+        l = np.clip(np.floor(u).astype(int), 0, self.l_max)
+        sigma = u - l
+        return l, sigma, (sigma > RAMP_EPS) & (sigma < 1.0 - RAMP_EPS)
+
+    def _slope(self, u):
+        """lambda'(u) alone, by the expression of `lambda_eval`; u an array
+        inside [-1, l_max + 1]."""
+        l, sigma, mid = self._ramp(u)
+        d1 = np.zeros(u.shape)
+        d1[mid] = bump_profile().dbeta(sigma[mid]) * (self.x[l + 1] - self.x[l])[mid]
+        return d1
 
     def curvature(self, u):
         _, d1, d2 = self.lambda_eval(u)
@@ -202,28 +217,28 @@ class CurveFamily:
 
     @cached_property
     def _arc_maps(self):
-        """(u, s, ds/du, du/ds) on the arc-length grid, u in [-1, l_max + 1], whose
-        `_ARC_CELLS` cells per unit height put u = 0 and every anchor on a node.
-        s(u) and u(s) interpolate the nodes with these exact slopes."""
+        """(u, s, ds/du, du/ds, lambda) on the arc-length grid, u in [-1, l_max + 1],
+        whose `_ARC_CELLS` cells per unit height put u = 0 and every anchor on a
+        node.  s(u) and u(s) interpolate the nodes with these exact slopes."""
         n_cells = _ARC_CELLS * (self.l_max + 2)
         u_grid = np.linspace(-1.0, self.l_max + 1, n_cells + 1)
-        _, d1, d2 = self.lambda_eval(u_grid)
+        val, d1, d2 = self.lambda_eval(u_grid)
         w = np.sqrt(1.0 + d1**2)
         s_arr = hermite_cumulative(u_grid, w, d1 * d2 / w)
         s_arr -= s_arr[_ARC_CELLS]  # anchor s(0) = 0 exactly
-        return u_grid, s_arr, w, 1.0 / w
+        return u_grid, s_arr, w, 1.0 / w, val
 
     def arclength_of_param(self, u):
-        u_grid, s_arr, w, _ = self._arc_maps
+        u_grid, s_arr, w, _, _ = self._arc_maps
         return hermite_eval(u_grid, s_arr, w, u)
 
     def param_of_arclength(self, s):
-        u_grid, s_arr, _, dudS = self._arc_maps
+        u_grid, s_arr, _, dudS, _ = self._arc_maps
         u = np.asarray(hermite_eval(s_arr, u_grid, dudS, s), dtype=float)
         hi = self.l_max + 1.0
         # polish the interpolated guess against the forward map
         for _ in range(3):
-            speed = np.sqrt(1.0 + self.lambda_eval(u)[1] ** 2)
+            speed = np.sqrt(1.0 + self._slope(u) ** 2)
             u = np.clip(u - (self.arclength_of_param(u) - s) / speed, -1.0, hi)
         return float(u) if u.ndim == 0 else u
 
@@ -256,21 +271,54 @@ class BandChart:
 
     def plane_to_chart(self, x, y):
         """(s, rho) of plane points; array friendly.  A single point beyond the
-        half-width raises ChartError; in arrays such points get NaN."""
+        half-width raises ChartError; in arrays such points get NaN.  Only points
+        that `_distance_bound` puts within the half-width are projected."""
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         scalar = x.ndim == 0
         x, y = np.atleast_1d(x, y)
-        u = self._project(x, y)
-        gx, _, _ = self.curve.lambda_eval(u)
-        _, normal, _, _ = self.curve.frame(u)
-        rho = (x - gx) * normal[0] + (y - u) * normal[1]
-        off = np.abs(rho) >= CHART_HALF_WIDTH
-        s = self.curve.arclength_of_param(u)
+        held = self._distance_bound(x, y) < CHART_HALF_WIDTH**2
+        xh, yh = x[held], y[held]
+        u = self._project(xh, yh)
+        gx, d1, _ = self.curve.lambda_eval(u)
+        w = np.sqrt(1.0 + d1 * d1)  # the normal (-1, lambda')/w of `CurveFamily.frame`
+        rho = (xh - gx) * (-1.0 / w) + (yh - u) * (d1 / w)
+        on = np.abs(rho) < CHART_HALF_WIDTH
+        held[held] = on
+        s, rho = self.curve.arclength_of_param(u[on]), rho[on]
         if scalar:
-            if off[0]:
+            if not held[0]:
                 raise ChartError(f"point ({x[0]}, {y[0]}) farther than 1/16 from the curve")
             return float(s[0]), float(rho[0])
-        return np.where(off, np.nan, s), np.where(off, np.nan, rho)
+        out = np.full((2,) + x.shape, np.nan)
+        out[:, held] = s, rho
+        return out[0], out[1]
+
+    @cached_property
+    def _cell_boxes(self):
+        """(bottom, top, left, right) of a box around each cell of the arc-length
+        grid, the end cells repeated `_REACH` times on either side.  lambda is
+        monotone on each unit height, so the curve over a cell lies between its
+        end values.  The end cells reach down and up without limit, as
+        `_project` extends the curve vertically past its ends."""
+        u, *_, val = self.curve._arc_maps
+        bottom, top = u[:-1].copy(), u[1:].copy()
+        bottom[0], top[-1] = -np.inf, np.inf
+        boxes = bottom, top, np.minimum(val[:-1], val[1:]), np.maximum(val[:-1], val[1:])
+        return [np.pad(b, _REACH, mode="edge") for b in boxes]
+
+    def _distance_bound(self, x, y):
+        """A lower bound on the squared distance of each point to the curve:
+        the least squared distance to the boxes of the cells within the
+        half-width of its height, a running minimum over the cell offsets."""
+        bottom, top, left, right = self._cell_boxes
+        k0 = np.searchsorted(top[_REACH:-_REACH], y)  # the cell of each height
+        best = np.full(x.shape, np.inf)
+        for j in range(2 * _REACH + 1):
+            k = k0 + j  # cell k0 + j - _REACH, in the padded boxes
+            dx = x - np.minimum(np.maximum(x, left[k]), right[k])
+            dy = y - np.minimum(np.maximum(y, bottom[k]), top[k])
+            np.minimum(best, dx * dx + dy * dy, out=best)
+        return best
 
     def _project(self, x, y):
         """Foot of the normal through each (x, y), by Newton on

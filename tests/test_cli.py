@@ -51,6 +51,25 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    from flowcomp import __version__, cli
+
+    assert cli.build_parser() is cli.build_parser()
+    # usage errors and --version, twice over in one process: each call exits
+    # as it would in a fresh one
+    for _ in range(2):
+        for argv in (("unknown-subcommand",), ("verify", "--lmax", "x"), ("--version",)):
+            with pytest.raises(SystemExit) as e:
+                run(*argv)
+            assert e.value.code == (0 if argv == ("--version",) else 2), argv
+        assert capsys.readouterr().out == f"{__version__}\n"
+        assert run("verify", "--out", str(tmp_path)) == 2  # missing --machine
+        assert run("estimate", "--sb", "0", "--out", str(tmp_path)) == 2
+        assert "error: --sb must be at least 1" in capsys.readouterr().err
+        assert run("estimate", "--sb", "2", "--out", str(tmp_path)) == 0
+        assert "space_bound = 2.0" in capsys.readouterr().out
+
+
 def test_malformed_machine_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.tm"
     bad.write_text("machine bad\nstates 2\nstart 1\nthis is not a rule\n")
@@ -101,20 +120,20 @@ ln_norm_bound_fixed_digits = 95
 """
 
 
-def test_estimate_digit_counts(tmp_path, capsys, monkeypatch):
+def test_estimate_digit_counts(tmp_path, capsys, monkeypatch, estimate_sb10):
     from flowcomp import cli
 
     assert run("estimate", "--sb", "5", "--C", "1", "--out", str(tmp_path / "a")) == 0
     assert (tmp_path / "a" / "estimate.txt").read_text() == ESTIMATE_SB5
-    # e^(e^10) has about 9,600 digits, past the int-to-str limit; keep the
-    # estimate the run computes, which takes seconds
-    seen, estimate = [], cli.resource_estimate
-    monkeypatch.setattr(cli, "resource_estimate",
-                        lambda *a: seen.append(estimate(*a)) or seen[0])
+    # e^(e^10) has about 9,600 digits, past the int-to-str limit; the run
+    # gets the shared estimate of the same arguments, whose integer is built
+    seen = []
+    monkeypatch.setattr(cli, "resource_estimate", lambda *a: seen.append(a) or estimate_sb10)
     assert run("estimate", "--sb", "10", "--C", "1", "--out", str(tmp_path / "b")) == 0
+    assert seen == [(estimate_sb10.s_b, estimate_sb10.C)]
     report = dict(line.split(" = ") for line in
                   (tmp_path / "b" / "estimate.txt").read_text().splitlines())
-    fix = seen[0].ln_h1.fix
+    fix = estimate_sb10.ln_h1.fix
     for key in ("ln_threshold_fixed_digits", "ln_norm_bound_fixed_digits"):
         d = int(report[key])
         assert 10 ** (d - 1) <= fix < 10**d

@@ -298,6 +298,60 @@ def test_chart_rejects_far_points(curve):
         ch.chart_to_plane(np.array([1.0, 2.0]), np.array([0.01, -0.0625]))
 
 
+def test_distance_bound_keeps_every_chart_point():
+    # the bound that runs before Newton rejects no point of the chart: points
+    # placed within the half-width come back with their own s and rho
+    rng = np.random.default_rng(20261018)
+    machines = [load_machine(path) for path in sorted(MACHINES.glob("*.tm"))]
+    machines += [random_machine(seed) for seed in range(100, 109)]
+    n = 2000
+    half = n // 2
+    for k, machine in enumerate(machines):
+        curve = CurveFamily(machine, k % 3, int(rng.integers(6, 13)))
+        ch = BandChart(curve)
+        # half the heights in the middle of the ramps, where the curve is
+        # steepest and a foot lies farthest from its point's height; the rest
+        # anywhere, below u = 0 too, where the curve extends vertically
+        u = np.concatenate([rng.integers(0, curve.l_max + 1, half)
+                            + rng.uniform(0.3, 0.7, half),
+                            rng.uniform(-0.5, curve.l_max + 1.0, n - half)])
+        # half the offsets past 0.05, next to the half-width
+        rho = rng.choice([-1.0, 1.0], n) * np.concatenate(
+            [rng.uniform(0.05, 0.0624, half), rng.uniform(0.0, 0.0624, n - half)])
+        s = curve.arclength_of_param(u)
+        x, y = ch.chart_to_plane(s, rho)
+        # the bound is below each point's squared distance, rho^2
+        assert np.all(ch._distance_bound(x, y) <= rho * rho * (1.0 + 1e-9)), machine.name
+        s2, rho2 = ch.plane_to_chart(x, y)
+        assert np.max(np.abs(s2 - s)) < 1e-12, machine.name
+        assert np.max(np.abs(rho2 - rho)) < 1e-12, machine.name
+
+
+def test_far_point_is_off_the_chart():
+    # Newton alone stops at s = 0.9957, rho = 0.0033 for this point, which is
+    # 0.373 from the curve (nearest at u ~ 0.439)
+    curve = CurveFamily(load_machine(MACHINES / "incrementer.tm"), 0, 9)
+    with pytest.raises(ChartError, match="farther than 1/16"):
+        BandChart(curve).plane_to_chart(0.0955, 0.1721)
+    x, y = curve.point(np.linspace(-1.0, 10.0, 200001))
+    assert np.min(np.hypot(x - 0.0955, y - 0.1721)) > 0.37
+
+
+def test_points_past_the_ends_keep_their_chart():
+    # beyond its ends the curve extends vertically: rho = x_end - x, and s
+    # stays at the top end or runs on at unit speed below u = 0
+    curve = CurveFamily(load_machine(MACHINES / "right_filler.tm"), 0, 9)
+    ch = BandChart(curve)
+    top, bottom = curve.x[-1], curve.x[0]
+    assert ch.plane_to_chart(top + 0.03, 10.5) == (curve.arc_heights[-1], -0.03)
+    assert ch.plane_to_chart(top - 0.05, 40.0) == (curve.arc_heights[-1], 0.05)
+    for x, y in ((bottom - 0.02, -3.0), (bottom + 0.06, -20.0), (bottom + 0.02, -1.02)):
+        s, rho = ch.plane_to_chart(x, y)
+        assert s == pytest.approx(y, abs=1e-12) and rho == pytest.approx(bottom - x, abs=1e-12)
+    with pytest.raises(ChartError):
+        ch.plane_to_chart(top + 0.07, 12.0)
+
+
 def test_curve_records(curve):
     recs = curve_records(curve, ds=0.01)
     s, x, y, kap = recs[0]

@@ -348,3 +348,11 @@ def test_box_derivative_bound_of_sample_machines(name, M):
     # the measured values to the last bit, with the Hermite arc-length maps
     fs = FieldSpec(load_machine(str(MACHINES / f"{name}.tm")), n_bands=1, l_max=9)
     assert fs.box_derivative_bound == M
+
+
+@pytest.mark.parametrize("name", ["incrementer", "right_filler"])
+def test_box_derivative_bound_on_a_fine_grid(name):
+    # far points once reached the charts at wrong feet, and the field jumped
+    # there: M at n = 200 read 879.3 and 1,153.1
+    fs = FieldSpec(load_machine(str(MACHINES / f"{name}.tm")), n_bands=1, l_max=9)
+    assert measure_box_derivative_bound(fs, n=200) < 5.0

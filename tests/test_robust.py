@@ -277,9 +277,9 @@ def test_resource_estimate_keeps_decimal_precision():
     assert decimal.getcontext().prec == prec
 
 
-def test_resource_huge_but_exact():
+def test_resource_huge_but_exact(estimate_sb10):
     # e^{C s_b} ~ 22026: the double exponential has ~9600 digits, kept exact
-    r = resource_estimate(10.0, 1.0)
+    r = estimate_sb10
     assert r.ln_h1.fix > 10 ** 9500
     assert space_bound_of_norm(r.ln_h1, 1.0) == pytest.approx(10.0, rel=1e-12)
 
@@ -288,17 +288,19 @@ def exact_digits(d, fix):
     return 10 ** (d - 1) <= fix < 10**d
 
 
-def test_digit_count_from_inner_matches_the_exact_integer():
+def test_digit_count_from_inner_matches_the_exact_integer(estimate_sb10):
     rng = np.random.default_rng(20261018)
     cases = [(10.0, 1.0)]
     for _ in range(30):
         s_b = float(rng.uniform(1.0, 9.0))
         cases.append((s_b, float(rng.uniform(0.01, 9.0 / s_b))))
+    # the s_b = 10 integer is the shared one: same s_b, C and inner
+    built = {(estimate_sb10.s_b, estimate_sb10.C): estimate_sb10}
     for s_b, C in cases:
         est = resource_estimate(s_b, C)
         digits = est.fixed_digits()
         assert "ln_h1" not in est.__dict__  # read from inner alone
-        assert exact_digits(digits, est.ln_h1.fix), (s_b, C)
+        assert exact_digits(digits, built.get((s_b, C), est).ln_h1.fix), (s_b, C)
 
 
 def test_digit_count_next_to_a_power_of_ten_reads_the_exact_integer():
