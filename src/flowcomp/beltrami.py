@@ -13,23 +13,40 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 
 class Poly2:
-    """Bivariate polynomial with exact Fraction coefficients."""
+    """Bivariate polynomial with exact rational coefficients.
 
-    __slots__ = ("c",)
+    The coefficients are held as integer numerators over one positive common
+    denominator, which sums, scalings and derivatives carry without a gcd;
+    only the nonzero numerators are stored.  Values are reduced where they
+    leave the class: `c`, the mapping (i, j) -> Fraction in lowest terms,
+    and through it hash and repr.
+    """
+
+    __slots__ = ("_n", "_d", "_c")
 
     def __init__(self, coeffs=None):
-        self.c = {}
-        if coeffs:
-            for (i, j), v in coeffs.items():
-                v = Fraction(v)
-                if v:
-                    self.c[(i, j)] = v
+        fracs = [(k, Fraction(v)) for k, v in (coeffs or {}).items()]
+        d = math.lcm(*(v.denominator for _, v in fracs))
+        self._n = {k: v.numerator * (d // v.denominator) for k, v in fracs if v}
+        self._d = d
+        self._c = None
+
+    @classmethod
+    def _of(cls, n: dict, d: int) -> "Poly2":
+        p = cls.__new__(cls)
+        p._n, p._d, p._c = n, d, None
+        return p
+
+    @property
+    def c(self) -> dict:
+        if self._c is None:
+            self._c = {k: Fraction(v, self._d) for k, v in self._n.items()}
+        return self._c
 
     @classmethod
     def zero(cls):
@@ -44,60 +61,64 @@ class Poly2:
         raise ValueError(name)
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self._n
 
     def degree(self) -> int:
-        return max((i + j for i, j in self.c), default=-1)
+        return max((i + j for i, j in self._n), default=-1)
 
     def __eq__(self, other):
-        return isinstance(other, Poly2) and self.c == other.c
+        if not isinstance(other, Poly2):
+            return False
+        a, b = self._d, other._d
+        if a == b:
+            return self._n == other._n
+        return self._n.keys() == other._n.keys() and all(
+            v * b == other._n[k] * a for k, v in self._n.items())
 
     def __hash__(self):
         return hash(frozenset(self.c.items()))
 
     def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            w = out.get(k, 0) + v
+        a, b = self._d, other._d
+        d = a if a == b else math.lcm(a, b)
+        fa, fb = d // a, d // b
+        out = dict(self._n) if fa == 1 else {k: v * fa for k, v in self._n.items()}
+        for k, v in other._n.items():
+            w = out.get(k, 0) + v * fb
             if w:
                 out[k] = w
             else:
                 out.pop(k, None)
-        p = Poly2()
-        p.c = out
-        return p
+        return Poly2._of(out, d)
 
     def __sub__(self, other):
-        return self + other * Fraction(-1)
+        return self + other * -1
 
     def __mul__(self, other):
-        p = Poly2()
         if isinstance(other, Poly2):
-            for (i1, j1), v1 in self.c.items():
-                for (i2, j2), v2 in other.c.items():
+            out = {}
+            for (i1, j1), v1 in self._n.items():
+                for (i2, j2), v2 in other._n.items():
                     k = (i1 + i2, j1 + j2)
-                    w = p.c.get(k, 0) + v1 * v2
+                    w = out.get(k, 0) + v1 * v2
                     if w:
-                        p.c[k] = w
+                        out[k] = w
                     else:
-                        p.c.pop(k, None)
-            return p
+                        out.pop(k, None)
+            return Poly2._of(out, self._d * other._d)
         s = Fraction(other)
-        if s:
-            p.c = {k: v * s for k, v in self.c.items()}
-        return p
+        if not s:
+            return Poly2()
+        num = s.numerator
+        return Poly2._of({k: v * num for k, v in self._n.items()}, self._d * s.denominator)
 
     __rmul__ = __mul__
 
     def dx(self) -> "Poly2":
-        p = Poly2()
-        p.c = {(i - 1, j): v * i for (i, j), v in self.c.items() if i}
-        return p
+        return Poly2._of({(i - 1, j): v * i for (i, j), v in self._n.items() if i}, self._d)
 
     def dy(self) -> "Poly2":
-        p = Poly2()
-        p.c = {(i, j - 1): v * j for (i, j), v in self.c.items() if j}
-        return p
+        return Poly2._of({(i, j - 1): v * j for (i, j), v in self._n.items() if j}, self._d)
 
     def laplacian(self) -> "Poly2":
         return self.dx().dx() + self.dy().dy()
@@ -106,12 +127,13 @@ class Poly2:
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast(x, y).shape)
-        for (i, j), v in self.c.items():
-            out = out + float(v) * x**i * y**j
+        # int / int is correctly rounded, so unreduced n/d gives float(Fraction)
+        for (i, j), v in self._n.items():
+            out = out + (v / self._d) * x**i * y**j
         return out
 
     def __repr__(self):
-        if not self.c:
+        if not self._n:
             return "Poly2(0)"
         terms = [f"{v}*x^{i}*y^{j}" for (i, j), v in sorted(self.c.items())]
         return "Poly2(" + " + ".join(terms) + ")"
@@ -152,16 +174,7 @@ class SeriesField3D:
         return out
 
     def recursion_consistent(self) -> bool:
-        lam2 = self.lam * self.lam
-        for k in range(self.K - 1):
-            want = _vec(*[
-                (lam2 * self.coeffs[k][c] + self.coeffs[k][c].laplacian())
-                * Fraction(-1, (k + 1) * (k + 2))
-                for c in range(3)
-            ])
-            if any(want[c] != self.coeffs[k + 2][c] for c in range(3)):
-                return False
-        return True
+        return extend_series(self.coeffs[:2], self.lam, self.K).coeffs == self.coeffs
 
     def max_degree(self) -> int:
         return max((p.degree() for vec in self.coeffs for p in vec), default=-1)
@@ -289,7 +302,7 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
     points; then the full rectangular grid is sampled.
     """
     from .curves import RHO0
-    from .field import error_schedule, field_eval_plane, potential_plane, _locate
+    from .field import _chart_field, _chart_potential, _locate, error_schedule
 
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -297,13 +310,17 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
     synthetic = potential_fn is not None
     xs, ys = (g.ravel() for g in np.meshgrid(np.linspace(x0, x1, grid),
                                              np.linspace(y0, y1, grid), indexing="ij"))
-    if not synthetic:
-        band, _, rho = _locate(fs, xs, ys)
+    if synthetic:
+        fvals = potential_fn(xs, ys)
+        gx, gy = gradient_fn(xs, ys)
+    else:
+        # each sample is located once; potential and field share its chart point
+        band, s, rho = _locate(fs, xs, ys)
         keep = (band >= 0) & (np.abs(rho) <= RHO0 / 2)
         xs, ys = xs[keep], ys[keep]
-        potential_fn = partial(potential_plane, fs)
-        gradient_fn = partial(field_eval_plane, fs)
-    fvals = potential_fn(xs, ys)
+        located = (band[keep], s[keep], rho[keep])
+        fvals = _chart_potential(fs, *located)
+        gx, gy = _chart_field(fs, *located)
     monos = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
     if len(xs) < len(monos):
         raise ValueError("window intersects too little of the bands for this degree")
@@ -315,7 +332,6 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
     resid = A @ sol - fvals
     sup_val = float(np.max(np.abs(resid)))
     l2_val = float(np.sqrt(np.mean(resid**2)))
-    gx, gy = gradient_fn(xs, ys)
     sup_grad = float(np.max(np.hypot(Fx(xs, ys) - gx, Fy(xs, ys) - gy), initial=0.0))
     if synthetic:
         ln_threshold = -math.inf

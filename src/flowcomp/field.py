@@ -239,16 +239,22 @@ def field_eval_plane(fs: FieldSpec, x, y):
     return (float(vx), float(vy)) if vx.ndim == 0 else (vx, vy)
 
 
+def _chart_potential(fs: FieldSpec, band, s, rho):
+    """Lambda_i(s) - rho^2/2 at points located by `_locate`; NaN where band is -1."""
+    out = np.full(band.shape, np.nan)
+    for i in np.unique(band[band >= 0]).tolist():
+        m = band == i
+        out[m] = fs.speed(i).potential(s[m]) - rho[m] * rho[m] / 2.0
+    return out
+
+
 def potential_plane(fs: FieldSpec, x, y):
     """Lambda_i(s) - rho^2/2 at plane points; array friendly.  A single point
     outside every chart raises ChartError; in arrays such points get NaN."""
     band, s, rho = _locate(fs, x, y)
     if band.ndim == 0 and band < 0:
         raise ChartError(f"({x}, {y}) outside every band chart")
-    out = np.full(band.shape, np.nan)
-    for i in np.unique(band[band >= 0]).tolist():
-        m = band == i
-        out[m] = fs.speed(i).potential(s[m]) - rho[m] * rho[m] / 2.0
+    out = _chart_potential(fs, band, s, rho)
     return float(out) if out.ndim == 0 else out
 
 

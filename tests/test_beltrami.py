@@ -5,6 +5,7 @@ import pytest
 
 from flowcomp.beltrami import (
     Poly2,
+    SeriesField3D,
     assemble_beltrami,
     beltrami_from_potential,
     cauchy_data,
@@ -38,11 +39,25 @@ def test_poly_arithmetic():
     assert (X * Y).laplacian().is_zero()
     assert (X * X + Y * Y).laplacian() == Poly2({(0, 0): 4})
     assert float((X * Y)(2.0, 3.0)) == 6.0
+    assert (X * Fraction(1, 2)) * (Y * Fraction(-1, 3)) == Poly2({(1, 1): Fraction(-1, 6)})
 
 
 def test_poly_cancellation():
     assert (X - X).is_zero()
     assert (X + Y - Y) == X
+
+
+def test_equality_and_hash_ignore_the_route():
+    # one value reached over different common denominators
+    assert X * Fraction(2, 3) * Fraction(3, 2) == X
+    assert hash(X * Fraction(2, 3) * Fraction(3, 2)) == hash(X)
+    assert Poly2({(0, 0): Fraction(2, 4)}) == Poly2({(0, 0): Fraction(1, 2)})
+    assert hash(Poly2({(0, 0): Fraction(2, 4)})) == hash(Poly2({(0, 0): Fraction(1, 2)}))
+    third = X * Fraction(1, 3) + Y * Fraction(1, 6)
+    assert third * 6 - Y == X * 2
+    assert (third * 6).c == {(1, 0): 2, (0, 1): 1}
+    assert X * Fraction(1, 3) != X * Fraction(1, 6)
+    assert X != Y and X != X + Y
 
 
 def test_cauchy_data_cases():
@@ -135,14 +150,110 @@ def test_plane_restriction_exact():
 
 def test_residual_detects_corruption():
     F = random_poly(4)
-    v, u = beltrami_from_potential(F, 1, K=8)
-    bad = list(list(vec) for vec in u.coeffs)
-    bad[1][0] = bad[1][0] + Poly2({(0, 0): 1})
-    from flowcomp.beltrami import SeriesField3D
+    for lam in (1, Fraction(3, 2)):
+        v, u = beltrami_from_potential(F, lam, K=8)
+        bad = list(list(vec) for vec in u.coeffs)
+        bad[1][0] = bad[1][0] + Poly2({(0, 0): 1})
+        u_bad = SeriesField3D(u.lam, u.K, tuple(tuple(v_) for v_ in bad))
+        rep = residuals(u_bad, v, F, lam)
+        # u_1 enters curl u at order 0
+        assert rep["curl_residual_order"] == 0
+        assert rep["div_residual_order"] is None
 
-    u_bad = SeriesField3D(u.lam, u.K, tuple(tuple(v_) for v_ in bad))
-    rep = residuals(u_bad, v, F, 1)
-    assert rep["curl_residual_order"] is not None
+
+@pytest.mark.parametrize("order", [1, 4, 7])
+def test_residual_detects_divergence(order):
+    F = random_poly(5)
+    v, u = beltrami_from_potential(F, 1, K=8)
+    bad = list(list(vec) for vec in v.coeffs)
+    bad[order][2] = bad[order][2] + X * Y
+    v_bad = SeriesField3D(v.lam, v.K, tuple(tuple(v_) for v_ in bad))
+    rep = residuals(u, v_bad, F, 1)
+    # d/dz of the z-component at this order is the divergence one order down
+    assert rep["div_residual_order"] == order - 1
+    assert rep["curl_residual_order"] is None
+    assert rep["plane_restriction_ok"]
+
+
+# -- a plain-Fraction reference for the series -------------------------------
+# Polynomials are dicts (i, j) -> Fraction without zero entries; every step is
+# the textbook formula, reduced after each operation.
+
+
+def _r_add(*ps):
+    out = {}
+    for p in ps:
+        for k, v in p.items():
+            out[k] = out.get(k, 0) + v
+    return {k: v for k, v in out.items() if v}
+
+
+def _r_scale(p, s):
+    return {k: v * s for k, v in p.items()} if s else {}
+
+
+def _r_dx(p):
+    return {(i - 1, j): v * i for (i, j), v in p.items() if i}
+
+
+def _r_dy(p):
+    return {(i, j - 1): v * j for (i, j), v in p.items() if j}
+
+
+def _r_lap(p):
+    return _r_add(_r_dx(_r_dx(p)), _r_dy(_r_dy(p)))
+
+
+def _r_curl(w):
+    return [(_r_add(_r_dy(w[k][2]), _r_scale(w[k + 1][1], -(k + 1))),
+             _r_add(_r_scale(w[k + 1][0], k + 1), _r_scale(_r_dx(w[k][2]), -1)),
+             _r_add(_r_dx(w[k][1]), _r_scale(_r_dy(w[k][0]), -1)))
+            for k in range(len(w) - 1)]
+
+
+def _r_rows(w):
+    return [(k, c, i, j, val.numerator, val.denominator)
+            for k, vec in enumerate(w) for c in range(3)
+            for (i, j), val in sorted(vec[c].items())]
+
+
+def _reference_lift(F, lam, K):
+    """Rows of v and u and the residual report, on plain Fraction dicts."""
+    Fx, Fy = _r_dx(F), _r_dy(F)
+    v = [(Fx, Fy, {}), (_r_scale(Fy, lam), _r_scale(Fx, -lam), _r_scale(_r_lap(F), -1))]
+    for k in range(K - 1):
+        v.append(tuple(_r_scale(_r_add(_r_scale(a, lam * lam), _r_lap(a)),
+                                Fraction(-1, (k + 1) * (k + 2))) for a in v[k]))
+    u = [tuple(_r_scale(_r_add(cv[c], _r_scale(v[k][c], lam)), 1 / (2 * lam))
+               for c in range(3))
+         for k, cv in enumerate(_r_curl(v))]
+    check = K - 2
+    curl = [any(_r_add(cu[c], _r_scale(u[k][c], -lam)) for c in range(3))
+            for k, cu in enumerate(_r_curl(u))]
+    div = [bool(_r_add(_r_dx(v[k][0]), _r_dy(v[k][1]), _r_scale(v[k + 1][2], k + 1)))
+           for k in range(K)]
+    report = {
+        "curl_residual_order": next((k for k in range(min(len(curl), check + 1)) if curl[k]), None),
+        "div_residual_order": next((k for k in range(min(len(div), check + 1)) if div[k]), None),
+        "plane_restriction_ok": u[0] == (Fx, Fy, {}),
+        "checked_through": check,
+    }
+    return _r_rows(v), _r_rows(u), report
+
+
+@pytest.mark.parametrize("K", [2, 8, 20])
+@pytest.mark.parametrize("lam", [1, Fraction(3, 2), Fraction(-2, 5)])
+def test_series_matches_plain_fraction_reference(lam, K):
+    rng = np.random.default_rng(K)
+    for degree in range(3, 10):
+        # coefficients as the window fit hands them over
+        coeffs = {(i, j): Fraction(float(rng.normal(scale=10.0))).limit_denominator(10**12)
+                  for i in range(degree + 1) for j in range(degree + 1 - i)}
+        v, u = beltrami_from_potential(Poly2(coeffs), lam, K=K)
+        rows_v, rows_u, report = _reference_lift(coeffs, Fraction(lam), K)
+        assert series_rows(v) == rows_v
+        assert series_rows(u) == rows_u
+        assert residuals(u, v, Poly2(coeffs), lam) == report
 
 
 # -- exports ----------------------------------------------------------------

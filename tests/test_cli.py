@@ -11,6 +11,7 @@ from flowcomp.cli import main, read_config
 ROOT = Path(__file__).resolve().parent.parent
 INC = str(ROOT / "machines" / "incrementer.tm")
 SPIN = str(ROOT / "machines" / "spinner.tm")
+RF = str(ROOT / "machines" / "right_filler.tm")
 
 
 def run(*argv):
@@ -179,6 +180,19 @@ def test_deterministic_artifacts(tmp_path, capsys):
         assert da == db, argv[0]
         golden.update((name, d) for name, d in da.items() if name in GOLDEN)
     assert golden == GOLDEN
+    capsys.readouterr()
+
+
+def test_large_extend3d_artifacts(tmp_path, capsys):
+    # right_filler at --degree 6 is the largest window polynomial the lift
+    # benchmark draws; its series carries ~1,100-bit common denominators
+    assert run("extend3d", "--machine", RF, "--inputs", "1", "--lmax", "8",
+               "--degree", "6", "--out", str(tmp_path)) == 0
+    digests = digest_dir(tmp_path)
+    assert digests["series.csv"] == (
+        "aca2c650ffff849dfb5bfb5c549197a90410d17ac25c3f0529810171ca7e6ef9")
+    assert digests["extend3d.txt"] == (
+        "d9c57bf63ff39b249fcf7e012108b5accc2b061c66067036eba81de03c11e66a")
     capsys.readouterr()
 
 

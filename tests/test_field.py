@@ -23,6 +23,7 @@ from flowcomp.field import (
     potential_eval,
     potential_plane,
     verify_gradient,
+    _chart_potential,
     _locate,
 )
 from flowcomp.logmag import LogMagnitude
@@ -234,6 +235,38 @@ def test_plane_points_array_path_matches_scalar_calls(fs):
                     fs.chart(i).plane_to_chart(xk, yk)
             else:
                 assert fs.chart(i).plane_to_chart(xk, yk) == (ci_s[k], ci_rho[k])
+
+
+@pytest.mark.parametrize("name", ["incrementer", "right_filler", "spinner"])
+def test_locating_a_subset_matches_the_whole(name):
+    # the window fit locates its grid once and evaluates the kept samples on
+    # those chart points, so a subset must locate to the same bits
+    fs = FieldSpec(load_machine(str(MACHINES / f"{name}.tm")), n_bands=2, l_max=6)
+    x, y = _plane_cloud(fs, seed=5)
+    m = np.random.default_rng(5).random(len(x)) < 0.5
+    whole = _locate(fs, x, y)
+    part = _locate(fs, x[m], y[m])
+    for a, b in zip(whole, part):
+        assert a[m].tobytes() == b.tobytes()
+    assert _chart_potential(fs, *whole).tobytes() == potential_plane(fs, x, y).tobytes()
+
+
+def test_window_fit_locates_once(fs, monkeypatch):
+    from flowcomp import field
+    from flowcomp.beltrami import fit_window_polynomial
+
+    # the schedule's M samples the plane field too; measure it before counting
+    assert fs.box_derivative_bound > 0.0
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return _locate(*args)
+
+    monkeypatch.setattr(field, "_locate", counted)
+    rep = fit_window_polynomial(fs, (0.0, 1.0, 0.0, 2.0), degree=3, grid=24)
+    assert calls == [24 * 24]
+    assert rep["samples"] > 0
 
 
 def test_plane_points_scalar_types(fs):
