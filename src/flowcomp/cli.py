@@ -405,7 +405,7 @@ def cmd_sphere(settings, outdir, man):
         agree = format_verdict(cont) == format_verdict(disc) and not orbit.band_gaps
         ok &= agree
         rows.append((idx, f"{delta:.12g}", format_verdict(cont), format_verdict(disc),
-                     len(orbit.times), len(orbit.band_gaps),
+                     orbit.iterates, len(orbit.band_gaps),
                      "agree" if agree else "DISAGREE"))
     path = outdir / "sphere.csv"
     write_csv(path, ["input", "delta", "continuous", "discrete",

@@ -324,8 +324,9 @@ class BandChart:
         """Foot of the normal through each (x, y), by Newton on
         (p - gamma(u)) . gamma'(u) = 0 for all points in lockstep; a point is
         frozen once its step is below 1e-14, so it takes the iterates it
-        would take alone."""
-        u = np.clip(y, -0.75, self.curve.l_max + 0.75)
+        would take alone.  Newton starts at u = y, capped below the top end;
+        the curve is vertical below its start, so there u = y is the foot."""
+        u = np.minimum(y, self.curve.l_max + 0.75)
         hi = self.curve.l_max + 1.0
         active = np.ones(u.shape, dtype=bool)
         for _ in range(60):

@@ -13,6 +13,7 @@ the corresponding machine configuration, entirely in log space.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,7 +137,7 @@ def _exp_weights(h):
     return decay - right, right
 
 
-def crossing_times(curve, time_of, s0: float, rho0: float, s) -> np.ndarray:
+def crossing_times(curve, time_of, s0: float, rho0: float, s, T=None) -> np.ndarray:
     """Flow times from s0 to each arc length of the ascending array s.
 
     Along the chart flow rho(t) = rho0 e^{-t} exactly.  With T(s) =
@@ -150,9 +151,10 @@ def crossing_times(curve, time_of, s0: float, rho0: float, s) -> np.ndarray:
     and integrates each piece against e^{-T'} exactly (exponential time
     differencing).  It is cut off where ln|rho| falls below
     `_RHO_FLOAT_FLOOR`; past that, rho does not reach the s-equation at
-    double precision and t - T stays constant.
+    double precision and t - T stays constant.  T(s) may be passed in.
     """
-    T = time_of(s0, s)
+    if T is None:
+        T = time_of(s0, s)
     t_cut = math.log(abs(rho0)) - _RHO_FLOAT_FLOOR if rho0 != 0.0 else 0.0
     if t_cut <= 0.0:
         return T
@@ -174,22 +176,33 @@ def crossing_times(curve, time_of, s0: float, rho0: float, s) -> np.ndarray:
     return T + np.log1p(-rho0 * I_at_s)
 
 
+def _sample_grid(s0: float, s_target: float) -> np.ndarray:
+    """Arc lengths of a segment's rows: one every `_SAMPLE_DS` from s0, then
+    s_target; their count ignores the last bit of the length."""
+    n = max(1, math.ceil((s_target - s0) / _SAMPLE_DS - 1e-9))
+    return np.append(np.arange(s0, s_target, _SAMPLE_DS)[:n], s_target)
+
+
 def integrate_segment(fs: FieldSpec, band: int, s0: float, s_target: float,
-                      t0: float, rho: _RhoState, perturbation):
+                      t0: float, rho: _RhoState, perturbation, samples=None):
     """Advance from s0 to the anchor s_target; returns (t1, rho at t1, sample rows).
 
     The crossing time and the times of the sample rows, one every
     `_SAMPLE_DS` of arc, come from `crossing_times` with the band's
-    closed-form slowness integral.  The decay of rho by the elapsed time is
-    carried in the fixed-point part of its magnitude, and the perturbation's
-    forcing is added by its exact exponential integral.
+    closed-form slowness integral.  `samples` is (grid, T): the rows' arc
+    lengths and their slowness integrals from s0, computed here if not given.
+    The decay of rho by the elapsed time is carried in the fixed-point part
+    of its magnitude, and the perturbation's forcing is added by its exact
+    exponential integral.
     """
-    # one row every _SAMPLE_DS; their count ignores the last bit of the length
-    n = max(1, math.ceil((s_target - s0) / _SAMPLE_DS - 1e-9))
-    grid = np.append(np.arange(s0, s_target, _SAMPLE_DS)[:n], s_target)
+    speed = fs.speed(band)
+    if samples is None:
+        grid = _sample_grid(s0, s_target)
+        samples = grid, speed.time(s0, grid)
+    grid, T = samples
     ln0 = rho.w.ln()
-    times = crossing_times(fs.curve(band), fs.speed(band).time, s0,
-                           rho.sign * math.exp(ln0), grid)
+    times = crossing_times(fs.curve(band), speed.time, s0,
+                           rho.sign * math.exp(ln0), grid, T)
     dur = float(times[-1])
     t1 = t0 + dur
 
@@ -233,17 +246,25 @@ def integrate_chart(fs: FieldSpec, band: int, start=(0.0, 0.0), perturbation=Non
     curve = fs.curve(band)
     heights = curve.arc_heights
     l_max = min(cfg.l_max, fs.l_max)
-    traj = ChartTrajectory(band)
-    t = 0.0
+    segments = []  # (height, start, anchor)
     s = s0
     for l in range(1, l_max + 1):
         s_target = float(heights[l])
-        if s_target <= s:
-            continue
-        t, rho, rows = integrate_segment(fs, band, s, s_target, t, rho, perturbation)
-        s = s_target
+        if s_target > s:
+            segments.append((l, s, s_target))
+            s = s_target
+    # one slowness evaluation for the whole run: s0, then every segment's
+    # grid, whose last node is the next segment's start
+    grids = [_sample_grid(a, b) for _, a, b in segments]
+    T_all = fs.speed(band).time_to(np.concatenate([[s0]] + grids))
+    ends = np.cumsum([1] + [len(g) for g in grids]).tolist()
+    traj = ChartTrajectory(band)
+    t = 0.0
+    for (l, a, b), grid, lo, hi in zip(segments, grids, ends, ends[1:]):
+        t, rho, rows = integrate_segment(fs, band, a, b, t, rho, perturbation,
+                                         (grid, T_all[lo:hi] - T_all[lo - 1]))
         traj.samples.extend(rows)
-        ev = EventRecord(band, l, t, s, rho.sign, rho.w,
+        ev = EventRecord(band, l, t, b, rho.sign, rho.w,
                          classify_crossing(fs, band, l, rho))
         traj.events.append(ev)
         if stop is not None and stop(ev):
@@ -338,12 +359,10 @@ def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
 
 def trajectory_rows(traj: ChartTrajectory, l_next_of=None):
     """Rows t,s,rho_sign,ln_abs_rho,band,l_next for the trajectory dump."""
-    rows = []
-    ev_heights = [(e.s, e.height) for e in traj.events]
-    for t, s, sign, ln_rho in traj.samples:
-        l_next = next((h for es, h in ev_heights if es >= s), -1)
-        rows.append((t, s, sign, ln_rho, traj.band, l_next))
-    return rows
+    ev_s = [e.s for e in traj.events]
+    ev_heights = [e.height for e in traj.events] + [-1]
+    return [(t, s, sign, ln_rho, traj.band, ev_heights[bisect_left(ev_s, s)])
+            for t, s, sign, ln_rho in traj.samples]
 
 
 def event_rows(traj: ChartTrajectory):

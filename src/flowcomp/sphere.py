@@ -13,7 +13,8 @@ visits — and with them the verdicts — match the continuous flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -106,11 +107,36 @@ def delta_threshold(lam: float) -> float:
 
 @dataclass
 class DiscreteOrbit:
+    """The time-delta orbit: `iterates` points at times k*delta, k < iterates.
+
+    The times and arc lengths of the iterates are computed on first read;
+    the verdict itself needs only the few iterates near each height.
+    """
+
     delta: float
-    times: np.ndarray
-    s_values: np.ndarray
+    iterates: int
     visited_heights: list
     band_gaps: list  # heights the orbit crossed without an iterate inside
+    warp: tuple = field(repr=False)  # (t_of_s, arc-length grid)
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        return np.arange(self.iterates, dtype=float) * self.delta
+
+    @cached_property
+    def s_values(self) -> np.ndarray:
+        return np.interp(self.times, *self.warp)
+
+    def visits(self, s_l: float) -> bool:
+        """Whether an iterate lies within RAMP_EPS/2 of arc length s_l.  s(t)
+        is monotone, so only the iterates between the times of s_l -/+
+        RAMP_EPS/2, two steps wider on each side for round-off, are tested."""
+        t_of_s, grid = self.warp
+        t_lo, t_hi = np.interp([s_l - RAMP_EPS / 2.0, s_l + RAMP_EPS / 2.0], grid, t_of_s)
+        k = np.arange(max(int(t_lo / self.delta) - 2, 0),
+                      min(int(t_hi / self.delta) + 3, self.iterates))
+        s_vals = np.interp(k * self.delta, t_of_s, grid)
+        return bool(np.any(np.abs(s_vals - s_l) < RAMP_EPS / 2.0))
 
 
 def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
@@ -141,23 +167,17 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     damp = profile(gx, gy)
     slow = 1.0 / (fs.lam * damp)
     t_of_s = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (slow[1:] + slow[:-1]) / 2.0)])
-    n_total = int(t_of_s[-1] / delta) + 1
-    times = np.arange(n_total, dtype=float) * delta
-    s_vals = np.interp(times, t_of_s, grid)
+    orbit = DiscreteOrbit(delta, int(t_of_s[-1] / delta) + 1, [], [], (t_of_s, grid))
 
     heights = curve.arc_heights
     q_halt = fs.machine.q_halt
     hit = False
     verdict = None
-    visited = []
-    gaps = []
     for l in range(1, l_max + 1):
-        s_l = float(heights[l])
-        inside = np.abs(s_vals - s_l) < RAMP_EPS / 2.0
-        if not np.any(inside):
-            gaps.append(l)
+        if not orbit.visits(float(heights[l])):
+            orbit.band_gaps.append(l)
             continue
-        visited.append(l)
+        orbit.visited_heights.append(l)
         c = curve.configs[l]
         if constraint is not None and constraint.matches(c):
             hit = True
@@ -166,6 +186,5 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
             break
     if verdict is None:
         verdict = SimulationVerdict("UNRESOLVED", budget=l_max)
-    orbit = DiscreteOrbit(delta, times, s_vals, visited, gaps)
     return verdict, hit, orbit
 

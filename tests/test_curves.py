@@ -352,6 +352,18 @@ def test_points_past_the_ends_keep_their_chart():
         ch.plane_to_chart(top + 0.07, 12.0)
 
 
+def test_points_far_below_the_start_are_projected_in_one_step():
+    # Newton used to start these at u = -0.75 with steps of at most 0.5, and
+    # stopped 60 steps later at s = -30.75 for the point at height -40
+    curve = CurveFamily(load_machine(MACHINES / "right_filler.tm"), 0, 9)
+    ch = BandChart(curve)
+    bottom = curve.x[0]
+    for y in (-30.0, -40.0, -1000.0):
+        s, rho = ch.plane_to_chart(bottom + 0.02, y)
+        assert (s, rho) == (pytest.approx(y, abs=1e-12), pytest.approx(-0.02, abs=1e-12))
+    assert ch.plane_to_chart(bottom + 0.02, -1.0)[0] == -1.0
+
+
 def test_curve_records(curve):
     recs = curve_records(curve, ds=0.01)
     s, x, y, kap = recs[0]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flowcomp import simulate
-from flowcomp.field import FieldSpec
+from flowcomp.field import FieldSpec, error_schedule
 from flowcomp.logmag import LogMagnitude
 from flowcomp.machine import (
     LOOP,
@@ -17,6 +17,7 @@ from flowcomp.machine import (
     run,
     run_bounded,
 )
+from flowcomp.robust import sample_perturbation
 from flowcomp.simulate import (
     MISS,
     ChartTrajectory,
@@ -105,6 +106,46 @@ def test_segment_rows_do_not_depend_on_the_last_bit_of_its_length(fs):
         counts.append(len(rows))
         assert [s for _, s, _, _ in rows[:-1]] == np.arange(0.0, 1.0, 0.05).tolist()
     assert counts == [21, 21, 21]
+
+
+def reference_times(fs, traj, start):
+    """Sample and event times of a run rebuilt one segment at a time, from
+    the band's slowness integral speed.time(s0, grid) and `crossing_times`,
+    each segment starting from the previous event's rho."""
+    curve, speed = fs.curve(traj.band), fs.speed(traj.band)
+    s0, t0 = start[0], 0.0
+    rho = _RhoState.from_float(start[1])
+    samples, events = [], []
+    for ev in traj.events:
+        n = max(1, math.ceil((ev.s - s0) / simulate._SAMPLE_DS - 1e-9))
+        grid = np.append(np.arange(s0, ev.s, simulate._SAMPLE_DS)[:n], ev.s)
+        rho0 = rho.sign * math.exp(rho.w.ln())
+        times = crossing_times(curve, speed.time, s0, rho0, grid, speed.time(s0, grid))
+        samples += (t0 + times).tolist()
+        t0 += float(times[-1])
+        events.append(t0)
+        s0, rho = ev.s, _RhoState(ev.rho_sign, ev.rho_ln)
+    return samples, events
+
+
+@pytest.mark.parametrize("case", ["on_curve", "off_curve", "perturbed", "early_stop"])
+def test_batched_slowness_matches_per_segment_reference(fs, case):
+    start, pert, stop = (0.0, 0.0), None, None
+    if case in ("off_curve", "perturbed"):
+        start = (0.3, 0.01)
+    if case == "perturbed":
+        pert = sample_perturbation(error_schedule(fs), seed=4)
+    if case == "early_stop":
+        stop = lambda ev: ev.height == 3  # noqa: E731
+    traj = integrate_chart(fs, 0, start, pert, CFG, stop=stop)
+    assert len(traj.events) == (3 if case == "early_stop" else 5)
+    samples, events = reference_times(fs, traj, start)
+    assert [t for t, _, _, _ in traj.samples] == samples
+    assert [e.t for e in traj.events] == events
+    if start[1] != 0.0:
+        # the curvature correction moves every row after the start
+        s = np.array([s for _, s, _, _ in traj.samples[1:20]])
+        assert np.all(np.array(samples[1:20]) != fs.speed(0).time(start[0], s))
 
 
 def test_confinement_error_on_bad_start(fs):
@@ -221,6 +262,15 @@ def test_export_rows(fs):
     rows = trajectory_rows(traj)
     assert all(len(r) == 6 for r in rows)
     assert rows[0][4] == 0 and rows[0][5] == 1
+
+
+def test_trajectory_rows_name_the_next_height(fs):
+    traj = integrate_chart(fs, 0, (0.3, 0.0), cfg=CFG)
+    traj.samples.append((1e9, traj.events[-1].s + 1.0, 0, 0.0))  # past the last anchor
+    want = [next((e.height for e in traj.events if e.s >= s), -1)
+            for _, s, _, _ in traj.samples]
+    assert [r[5] for r in trajectory_rows(traj)] == want
+    assert want[0] == 1 and want[-2] == 5 and want[-1] == -1
 
 
 # -- closed-form crossing times ---------------------------------------------

@@ -1,11 +1,13 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowcomp import sphere
 from flowcomp.curves import RAMP_EPS
 from flowcomp.field import FieldSpec, field_eval_plane
-from flowcomp.machine import MachineSpec
+from flowcomp.machine import MachineSpec, load_machine
 from flowcomp.simulate import HaltingSetSpec, IntegratorConfig, simulate_input
 from flowcomp.sphere import (
     NORTH,
@@ -17,6 +19,8 @@ from flowcomp.sphere import (
     stereographic,
     stereographic_push,
 )
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
 
 @pytest.fixture(scope="module")
@@ -140,3 +144,60 @@ def test_orbit_iterates_monotone(fs):
     assert np.all(np.diff(orbit.s_values) >= 0.0)
     assert orbit.times[1] - orbit.times[0] == pytest.approx(d0 / 2.0)
 
+
+
+def random_machine(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    rules = {(q, d): (int(rng.integers(1, m + 1)), int(rng.integers(0, 10)),
+                      int(rng.integers(-1, 2)))
+             for q in range(1, m) for d in range(10)}
+    return MachineSpec(f"r{seed}", m, 1, m, rules)
+
+
+def full_scan(fs, orbit, l_max):
+    """(visited, gaps) from every iterate of the orbit, the verdict's loop
+    with each height tested against the whole array."""
+    curve = fs.curve(0)
+    visited, gaps = [], []
+    for l in range(1, l_max + 1):
+        if not np.any(np.abs(orbit.s_values - float(curve.arc_heights[l])) < RAMP_EPS / 2.0):
+            gaps.append(l)
+            continue
+        visited.append(l)
+        if curve.configs[l].q == fs.machine.q_halt:
+            break
+    return visited, gaps
+
+
+SCAN_MACHINES = [load_machine(p) for p in sorted(MACHINES.glob("*.tm"))]
+SCAN_MACHINES += [random_machine(seed) for seed in range(200, 204)]
+
+
+@pytest.mark.parametrize("machine", SCAN_MACHINES, ids=lambda m: m.name)
+def test_windowed_heights_match_a_full_scan(machine):
+    fs = FieldSpec(machine, n_bands=1, l_max=8)
+    d0 = delta_threshold(fs.lam)
+    for delta in (d0 / 2.0, d0 / 3.0, 0.99 * d0):
+        _, _, orbit = discrete_orbit_verdict(fs, 0, None, delta, IntegratorConfig(l_max=8))
+        assert len(orbit.times) == len(orbit.s_values) == orbit.iterates
+        assert (orbit.visited_heights, orbit.band_gaps) == full_scan(fs, orbit, 8)
+        assert orbit.band_gaps == []
+
+
+def test_coarse_steps_leave_gaps_as_a_full_scan_does(monkeypatch):
+    # above the threshold the orbit can step over a height; the guard is
+    # lifted so the verdict's gap branch runs
+    fs = FieldSpec(SCAN_MACHINES[1], n_bands=1, l_max=8)
+    monkeypatch.setattr(sphere, "delta_threshold", lambda lam: math.inf)
+    d0 = RAMP_EPS / (32.0 * fs.lam)
+    all_gaps = set()
+    for factor in (20.0, 37.0, 55.0, 90.0):
+        _, _, orbit = discrete_orbit_verdict(fs, 0, None, factor * d0, IntegratorConfig(l_max=8))
+        assert (orbit.visited_heights, orbit.band_gaps) == full_scan(fs, orbit, 8)
+        for s_l in np.linspace(0.0, float(orbit.warp[1][-1]), 301).tolist():
+            want = bool(np.any(np.abs(orbit.s_values - s_l) < RAMP_EPS / 2.0))
+            assert orbit.visits(s_l) == want
+        all_gaps |= set(orbit.band_gaps)
+        assert orbit.visited_heights
+    assert all_gaps

@@ -6,17 +6,22 @@ that changed kind, would otherwise show only when the benchmark runs.  The
 tracer's source is read, never written.
 """
 
+import csv
 import importlib
 import inspect
 import types
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
+from flowcomp.cli import main
 from flowcomp.field import FieldSpec
-from flowcomp.machine import MachineSpec
+from flowcomp.machine import MachineSpec, load_machine
 from flowcomp.simulate import IntegratorConfig, simulate_input
+from flowcomp.sphere import delta_threshold, discrete_orbit_verdict
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+MACHINE = Path(__file__).resolve().parent.parent / "machines" / "right_filler.tm"
 CACHED = {"CurveFamily.arc_heights", "CurveFamily._arc_maps"}
 
 
@@ -62,3 +67,21 @@ def test_every_tracer_target_resolves_and_keeps_its_kind():
     for (mod_name, path), obj in before.items():
         now = resolve(mod_name, path)
         assert (now.func if path in CACHED else now) is obj, path
+
+
+def test_orbit_iterate_count_is_the_one_the_tracer_reads(tmp_path):
+    # the tracer's sphere.iterates counter takes len(orbit.times), which the
+    # orbit builds only when read; sphere.csv writes orbit.iterates
+    argv = ["sphere", "--machine", str(MACHINE), "--inputs", "2", "--lmax", "5"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    with (tmp_path / "sphere.csv").open() as f:
+        written = [int(row["iterates"]) for row in csv.DictReader(f)]
+    fs = FieldSpec(load_machine(MACHINE), 2, 6)
+    delta = delta_threshold(fs.lam) / 2.0
+    for band, count in enumerate(written):
+        result = discrete_orbit_verdict(fs, band, None, delta, IntegratorConfig(l_max=5))
+        orbit = result[2]
+        assert len(orbit.times) == orbit.iterates == count
+        counts = Counter()
+        load_tracer()._orbit_iterates(counts, None, result)
+        assert counts["sphere.iterates"] == count
