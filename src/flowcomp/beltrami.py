@@ -63,9 +63,6 @@ class Poly2:
     def is_zero(self) -> bool:
         return not self._n
 
-    def degree(self) -> int:
-        return max((i + j for i, j in self._n), default=-1)
-
     def __eq__(self, other):
         if not isinstance(other, Poly2):
             return False
@@ -155,9 +152,6 @@ class SeriesField3D:
     K: int
     coeffs: tuple  # tuple of Vec3, index k = 0..K
 
-    def coefficient(self, k: int) -> Vec3:
-        return self.coeffs[k]
-
     def evaluate(self, x, y, z):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -172,12 +166,6 @@ class SeriesField3D:
                 if not vec[c].is_zero():
                     out[c] = out[c] + vec[c](x, y) * zk
         return out
-
-    def recursion_consistent(self) -> bool:
-        return extend_series(self.coeffs[:2], self.lam, self.K).coeffs == self.coeffs
-
-    def max_degree(self) -> int:
-        return max((p.degree() for vec in self.coeffs for p in vec), default=-1)
 
 
 def cauchy_data(F: Poly2, lam) -> tuple[Vec3, Vec3]:
@@ -293,13 +281,13 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
                           potential_fn=None, gradient_fn=None) -> dict:
     """Least-squares polynomial fit of the Cartesian potential on a window.
 
-    `window` is (x0, x1, y0, y1).  Sample points are taken where the cutoff
-    is identically 1 (|rho| <= RHO0/2); the report compares the achieved sup
-    errors of value and gradient against the smallest scheduled perturbation
-    threshold intersecting the window.  An error above the threshold is
-    reported as insufficient degree, not raised.  Synthetic potentials (for
-    tests) can be supplied via potential_fn/gradient_fn, which take arrays of
-    points; then the full rectangular grid is sampled.
+    `window` is (x0, x1, y0, y1).  Samples lie where the cutoff is 1
+    (|rho| <= RHO0/2).  Coefficients are rounded to the dyadic grid 2^-40, so
+    a fit of a polynomial on that grid loses its float noise.  A sup gradient
+    error of 0, or below the smallest scheduled perturbation threshold meeting
+    the window, is certified; else the status is insufficient degree (not
+    raised).  Synthetic potentials for tests come via potential_fn/gradient_fn
+    on arrays of points, sampled on the full rectangular grid.
     """
     from .curves import RHO0
     from .field import _chart_field, _chart_potential, _locate, error_schedule
@@ -326,8 +314,7 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
         raise ValueError("window intersects too little of the bands for this degree")
     A = np.column_stack([xs**i * ys**j for i, j in monos])
     sol, *_ = np.linalg.lstsq(A, fvals, rcond=None)
-    F = Poly2({m: Fraction(float(c)).limit_denominator(10**12)
-               for m, c in zip(monos, sol)})
+    F = Poly2({m: Fraction(round(float(c) * 2**40), 2**40) for m, c in zip(monos, sol)})
     Fx, Fy = F.dx(), F.dy()
     resid = A @ sol - fvals
     sup_val = float(np.max(np.abs(resid)))

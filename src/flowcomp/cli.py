@@ -35,6 +35,7 @@ from .machine import (
 from .robust import resource_estimate, sample_perturbation
 from .simulate import (
     IntegratorConfig,
+    SimulationVerdict,
     event_rows,
     format_verdict,
     simulate_input,
@@ -318,8 +319,8 @@ def cmd_simulate(settings, outdir, man):
 def _oracle_verdict(machine, config, lmax):
     result = run(machine, config, lmax)
     if isinstance(result, Halted):
-        return f"HALTED {result.config.q} {result.config.r} {result.config.s} {result.steps}"
-    return f"UNRESOLVED {lmax}"
+        return format_verdict(SimulationVerdict("HALTED", result.config, result.steps))
+    return format_verdict(SimulationVerdict("UNRESOLVED", budget=lmax))
 
 
 def cmd_verify(settings, outdir, man):

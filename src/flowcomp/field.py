@@ -180,19 +180,6 @@ class LevelSpeed:
         return float(out[0]) if scalar else out
 
 
-def field_eval_chart(fs: FieldSpec, band: int, s: float, rho: float):
-    if abs(rho) >= CHART_HALF_WIDTH:
-        raise ChartError(f"|rho| = {abs(rho)} outside the chart")
-    kappa = float(fs.curve(band).kappa_at_arclength(s))
-    return float(fs.speed(band)(s)) / (1.0 - kappa * rho), -rho
-
-
-def potential_eval(fs: FieldSpec, band: int, s: float, rho: float) -> float:
-    if abs(rho) >= CHART_HALF_WIDTH:
-        raise ChartError(f"|rho| = {abs(rho)} outside the chart")
-    return fs.speed(band).potential(s) - rho * rho / 2.0
-
-
 def _locate(fs: FieldSpec, x, y):
     """(band, s, rho) of plane points; array friendly.  A point tries the band
     to its left first; where no chart holds it, band is -1 and s, rho NaN."""
@@ -295,17 +282,6 @@ def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0, h: float = 1e-6)
             "max_curl": float(np.max(curl, initial=0.0))}
 
 
-def measure_c0(fs: FieldSpec, samples: int = 1000, seed: int = 0) -> float:
-    """Measured lower bound for X . e_y on the transversality band.
-
-    The band's width scales with the local flow speed: the normal part
-    -rho*N can beat the lambda-sized tangential part on ramps once
-    |rho| ~ lambda, so points are drawn with |rho| < min(RHO0, lambda_i(s)/4).
-    """
-    x, y = _sample_points(fs, samples, seed, lambda i, s: min(RHO0, float(fs.speed(i)(s)) / 4.0))
-    return float(np.min(field_eval_plane(fs, x, y)[1], initial=math.inf))
-
-
 def measure_box_derivative_bound(fs: FieldSpec, band: int = 0, height: int = 0,
                                  n: int = 25, h: float = 1e-5) -> float:
     """Max finite-difference Jacobian norm of the plane field over one box.
@@ -341,15 +317,6 @@ class ErrorSchedule:
     def cap(self, band: int, height: int) -> LogMagnitude:
         """Amplitude cap EPS0 * threshold for perturbation sampling."""
         return self.thresholds[(band, height)] + math.log(EPS0)
-
-    def envelope_check(self, C: float = 1.0) -> bool:
-        """ln eps(r) <= ln C - e^{C r} with r the box's farthest corner radius."""
-        for (i, l), th in self.thresholds.items():
-            r = math.hypot(2 * i + 1, l + 1.25)
-            bound = LogMagnitude.from_ln(math.log(C) - math.exp(C * r))
-            if not th <= bound:
-                return False
-        return True
 
 
 def error_schedule(fs: FieldSpec) -> ErrorSchedule:

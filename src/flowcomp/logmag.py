@@ -99,12 +99,7 @@ class LogMagnitude:
             return -math.inf
         if other.is_zero:
             return math.inf
-        d = self.fix - other.fix
-        # |d|/FIX below ~1e15 fits a float with full precision
-        if abs(d) < FIX * 10**15:
-            return float(d) / FIX + (self.off - other.off)
-        dfloat = _int_to_float(d) / FIX
-        return dfloat + (self.off - other.off)
+        return _int_to_float(self.fix - other.fix) / FIX + (self.off - other.off)
 
     def __lt__(self, other):
         return self.diff_ln(_coerce(other)) < 0.0
@@ -132,10 +127,6 @@ def _coerce(x) -> LogMagnitude:
 
 def lm_min(a: LogMagnitude, b: LogMagnitude) -> LogMagnitude:
     return a if a <= b else b
-
-
-def lm_max(a: LogMagnitude, b: LogMagnitude) -> LogMagnitude:
-    return a if a >= b else b
 
 
 def signed_log_add(

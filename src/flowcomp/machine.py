@@ -83,13 +83,6 @@ class Configuration:
             hi = -1 - _lowest_nonzero_pos(self.s)
         return hi - lo + 1
 
-    @classmethod
-    def from_digits(cls, q: int, digits: dict) -> "Configuration":
-        """Build from a {position: symbol} mapping."""
-        r = sum(sym * 10**p for p, sym in digits.items() if p >= 0)
-        s = sum(sym * 10 ** (-p - 1) for p, sym in digits.items() if p < 0)
-        return cls(q, r, s)
-
 
 def _lowest_nonzero_pos(n: int) -> int:
     pos = 0

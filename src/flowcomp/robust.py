@@ -1,4 +1,4 @@
-"""Scheduled perturbations, contraction/Gronwall certificates, and the
+"""Scheduled perturbations, the contraction certificate, and the
 nested-exponential resource estimator.
 
 Perturbations are finite sums of compactly supported smooth bumps, one per
@@ -257,25 +257,6 @@ def contraction_check(machine: MachineSpec, lam: float, band: int, height: int,
         "height": height,
         "j": j,
     }
-
-
-# ---------------------------------------------------------------------------
-# Gronwall bound
-
-
-def gronwall_radius(M: float, tau: float, eps_k) -> LogMagnitude:
-    """Divergence bound (eps_K / M)(e^{M tau} - 1) in log form."""
-    if M <= 0 or tau <= 0:
-        raise ValueError("M and tau must be positive")
-    if not isinstance(eps_k, LogMagnitude):
-        if eps_k == 0.0:
-            return LogMagnitude.zero()
-        eps_k = LogMagnitude.from_ln(math.log(eps_k))
-    if eps_k.is_zero:
-        return LogMagnitude.zero()
-    mt = M * tau
-    ln_factor = (mt if mt > 50.0 else math.log(math.expm1(mt))) - math.log(M)
-    return eps_k + ln_factor
 
 
 # ---------------------------------------------------------------------------

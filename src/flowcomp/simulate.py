@@ -276,41 +276,37 @@ def integrate_chart(fs: FieldSpec, band: int, start=(0.0, 0.0), perturbation=Non
 # verdict-level simulation
 
 
+def read_verdict(visits, q_halt: int, constraint: HaltingSetSpec | None, budget: int):
+    """(verdict, hit) of ordered (height, Configuration) visits.
+
+    HALTED at the first halting visit, after which nothing is read: halting
+    configurations are fixed by the transition.  Else UNRESOLVED at `budget`.
+    hit: some visit read lies in the constrained halting family.
+    """
+    hit = False
+    for height, c in visits:
+        hit |= constraint is not None and constraint.matches(c)
+        if c.q == q_halt:
+            return SimulationVerdict("HALTED", c, height), hit
+    return SimulationVerdict("UNRESOLVED", budget=budget), hit
+
+
 def simulate_input(fs: FieldSpec, input_index: int, constraint: HaltingSetSpec | None,
                    cfg: IntegratorConfig | None = None, perturbation=None,
                    start=(0.0, 0.0)):
-    """Flow the trajectory of one enumerated input; returns (verdict, hit).
-
-    The verdict is HALTED at the first crossing classified inside a halting
-    box, else UNRESOLVED at the height budget.  The hit flag reports whether
-    any visited box (heights >= 1) lies in the constrained halting family.
-    """
+    """Flow one enumerated input up to its first halting crossing; returns
+    (verdict, hit, traj), read by `read_verdict` at the budget cfg.l_max."""
     if cfg is None:
         cfg = IntegratorConfig()
     q_halt = fs.machine.q_halt
-    hit = False
-    halt_ev = None
 
-    def stop(ev):
-        nonlocal hit, halt_ev
-        c = ev.classification
-        if not isinstance(c, Configuration):
-            return False
-        if constraint is not None and constraint.matches(c):
-            hit = True
-        if c.q == q_halt and halt_ev is None:
-            halt_ev = (ev.height, c)
-            # one extra crossing after halting never changes the outcome:
-            # halting configurations are fixed by the transition
-            return True
-        return False
+    def halts(ev):
+        return isinstance(ev.classification, Configuration) and ev.classification.q == q_halt
 
-    traj = integrate_chart(fs, input_index, start, perturbation, cfg, stop=stop)
-    if halt_ev is not None:
-        height, c = halt_ev
-        verdict = SimulationVerdict("HALTED", c, height)
-    else:
-        verdict = SimulationVerdict("UNRESOLVED", budget=cfg.l_max)
+    traj = integrate_chart(fs, input_index, start, perturbation, cfg, stop=halts)
+    visits = ((ev.height, ev.classification) for ev in traj.events
+              if isinstance(ev.classification, Configuration))
+    verdict, hit = read_verdict(visits, q_halt, constraint, cfg.l_max)
     return verdict, hit, traj
 
 
@@ -357,7 +353,7 @@ def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
 # export row formats
 
 
-def trajectory_rows(traj: ChartTrajectory, l_next_of=None):
+def trajectory_rows(traj: ChartTrajectory):
     """Rows t,s,rho_sign,ln_abs_rho,band,l_next for the trajectory dump."""
     ev_s = [e.s for e in traj.events]
     ev_heights = [e.height for e in traj.events] + [-1]

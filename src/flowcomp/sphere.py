@@ -20,7 +20,7 @@ import numpy as np
 
 from .curves import RAMP_EPS
 from .field import FieldSpec, _chart_field, _locate
-from .simulate import HaltingSetSpec, IntegratorConfig, SimulationVerdict
+from .simulate import HaltingSetSpec, IntegratorConfig, read_verdict
 
 NORTH = (0.0, 0.0, 1.0)
 _POLE_TOL = 1e-12
@@ -33,14 +33,6 @@ def stereographic(x, y):
     r2 = x * x + y * y
     d = 1.0 + r2
     return np.stack([2.0 * x / d, 2.0 * y / d, (r2 - 1.0) / d], axis=-1)
-
-
-def inverse_stereographic(p):
-    p = np.asarray(p, dtype=float)
-    z = p[..., 2]
-    if np.any(z >= 1.0 - _POLE_TOL):
-        raise ValueError("the north pole has no planar pre-image")
-    return p[..., 0] / (1.0 - z), p[..., 1] / (1.0 - z)
 
 
 def stereographic_push(x: float, y: float, vx: float, vy: float):
@@ -170,21 +162,15 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     orbit = DiscreteOrbit(delta, int(t_of_s[-1] / delta) + 1, [], [], (t_of_s, grid))
 
     heights = curve.arc_heights
-    q_halt = fs.machine.q_halt
-    hit = False
-    verdict = None
-    for l in range(1, l_max + 1):
-        if not orbit.visits(float(heights[l])):
-            orbit.band_gaps.append(l)
-            continue
-        orbit.visited_heights.append(l)
-        c = curve.configs[l]
-        if constraint is not None and constraint.matches(c):
-            hit = True
-        if verdict is None and c.q == q_halt:
-            verdict = SimulationVerdict("HALTED", c, l)
-            break
-    if verdict is None:
-        verdict = SimulationVerdict("UNRESOLVED", budget=l_max)
-    return verdict, hit, orbit
 
+    def visited():
+        for l in range(1, l_max + 1):
+            if orbit.visits(float(heights[l])):
+                orbit.visited_heights.append(l)
+                yield l, curve.configs[l]
+            else:
+                orbit.band_gaps.append(l)
+
+    # read lazily, so the orbit's lists end at the halting height
+    verdict, hit = read_verdict(visited(), fs.machine.q_halt, constraint, l_max)
+    return verdict, hit, orbit

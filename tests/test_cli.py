@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -163,7 +164,7 @@ GOLDEN = {
     "curve_0.csv": "34ba0a30108839eb57690a07b15ce8874bd7ac1f1e31da036290a0110e8e1b94",
     "field_grid.csv": "83dfb38e8c9e706bd47baa36ec7a5b83b872eef48d5b3df5838edd68735e6880",
     "extend3d.txt": "9ff7f9fc3f12fee4d342a944ab0fee1362caa1314af8715bfe819dc03348d598",
-    "series.csv": "b75593df5cb41b543641b1d00290ce1a65f3a8e635cd641531920147082959e2",
+    "series.csv": "0b34064a9a8237ca69f41e873b6b47388cbe2a9381748f41efd06eebbf372e01",
 }
 
 
@@ -183,14 +184,21 @@ def test_deterministic_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_large_extend3d_artifacts(tmp_path, capsys):
+def test_large_extend3d_artifacts(tmp_path, capsys, monkeypatch):
     # right_filler at --degree 6 is the largest window polynomial the lift
-    # benchmark draws; its series carries ~1,100-bit common denominators
+    # benchmark draws; F's coefficients lie on the dyadic grid 2^-40
+    from flowcomp import cli
+
+    fits = []
+    fit = cli.fit_window_polynomial
+    monkeypatch.setattr(cli, "fit_window_polynomial", lambda *a: fits.append(fit(*a)) or fits[-1])
     assert run("extend3d", "--machine", RF, "--inputs", "1", "--lmax", "8",
                "--degree", "6", "--out", str(tmp_path)) == 0
+    d = math.lcm(*(v.denominator for v in fits[0]["F"].c.values()))
+    assert d & (d - 1) == 0 and d.bit_length() == 41
     digests = digest_dir(tmp_path)
     assert digests["series.csv"] == (
-        "aca2c650ffff849dfb5bfb5c549197a90410d17ac25c3f0529810171ca7e6ef9")
+        "4767f409cf22c24af71e4a4ca7bb927ee344a557affe4a282cacc44f32a759b0")
     assert digests["extend3d.txt"] == (
         "d9c57bf63ff39b249fcf7e012108b5accc2b061c66067036eba81de03c11e66a")
     capsys.readouterr()

@@ -9,7 +9,6 @@ from flowcomp.logmag import (
     LN3_FIX,
     LN5_FIX,
     LogMagnitude,
-    lm_max,
     lm_min,
     signed_log_add,
 )
@@ -35,6 +34,15 @@ def test_huge_exponents_compare_exactly():
     b = LogMagnitude.from_prime_exponents(0, 10**21 - 1, 0)
     assert a < b
     assert b.diff_ln(a) == pytest.approx(math.log(3), rel=1e-12)
+
+
+@pytest.mark.parametrize("d, want", [(10**15 * FIX - 1, 1e15), (10**15 * FIX + 1, 1e15),
+                                     (10**400 * FIX, math.inf)])
+def test_diff_ln_of_large_fixed_gaps(d, want):
+    # gaps on both sides of 10^15 in the log, and one past the float range
+    a, b = LogMagnitude(d + LN2_FIX, 0.5), LogMagnitude(LN2_FIX, 0.25)
+    assert a.diff_ln(b) == pytest.approx(want + 0.25, rel=1e-15)
+    assert b.diff_ln(a) == pytest.approx(-want - 0.25, rel=1e-15)
 
 
 def test_fixed_keeps_small_offsets_next_to_huge_times():
@@ -89,7 +97,6 @@ def test_min_max():
     a = LogMagnitude.from_ln(-1.0)
     b = LogMagnitude.from_ln(-2.0)
     assert lm_min(a, b) is b
-    assert lm_max(a, b) is a
 
 
 @given(

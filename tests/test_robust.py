@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from flowcomp.curves import RAMP_EPS, interval_bound_log
-from flowcomp.field import EPS0, LAMBDA0, FieldSpec, error_schedule
+from flowcomp.field import LAMBDA0, FieldSpec, error_schedule
 from flowcomp.logmag import LN2_FIX, LogMagnitude
 from flowcomp.machine import MachineSpec
 from flowcomp.robust import (
     PerturbationSpec,
     contraction_check,
     contraction_speed_limit,
-    gronwall_radius,
     resource_estimate,
     sample_perturbation,
     space_bound_of_norm,
@@ -207,36 +206,6 @@ def test_contraction_deep_level(incrementer):
 def test_contraction_rejects_bad_j(incrementer):
     with pytest.raises(ValueError):
         contraction_check(incrementer, lam=1e-5, band=0, height=0, j=0)
-
-
-# -- Gronwall ---------------------------------------------------------------
-
-
-def test_gronwall_formula(schedule):
-    eps_k = schedule.cap(0, 0)
-    b = gronwall_radius(schedule.M, schedule.tau(0, 0), eps_k)
-    expected = eps_k + (schedule.M * schedule.tau(0, 0) - math.log(schedule.M))
-    assert b.diff_ln(expected) == pytest.approx(0.0, abs=1e-6)
-    # the schedule is built so the bound lands at eps0 * min(eps/2, A/8)
-    from flowcomp.curves import interval_bound_log as ibl
-
-    target = ibl(2, 0, 1) + (math.log(EPS0) - 3 * math.log(2))
-    assert b.diff_ln(target) == pytest.approx(0.0, abs=1e-6)
-
-
-def test_gronwall_zero_and_monotone():
-    assert gronwall_radius(1.0, 1.0, 0.0).is_zero
-    a = gronwall_radius(1.0, 1.0, 1e-3)
-    b = gronwall_radius(1.0, 2.0, 1e-3)
-    c = gronwall_radius(1.0, 1.0, 2e-3)
-    assert a < b and a < c
-    with pytest.raises(ValueError):
-        gronwall_radius(0.0, 1.0, 1e-3)
-
-
-def test_gronwall_small_mtau_uses_expm1():
-    b = gronwall_radius(2.0, 0.01, 1.0)
-    assert b.ln() == pytest.approx(math.log(math.expm1(0.02) / 2.0))
 
 
 # -- resource estimates -----------------------------------------------------

@@ -33,6 +33,7 @@ from flowcomp.simulate import (
     format_verdict,
     integrate_chart,
     integrate_segment,
+    read_verdict,
     simulate_bounded,
     simulate_input,
     trajectory_rows,
@@ -195,6 +196,27 @@ def test_simulate_looping(spinner):
     fss = FieldSpec(spinner, n_bands=1, l_max=6)
     v, hit, _ = simulate_input(fss, 0, HaltingSetSpec.from_digits(2, {0: 0}), CFG)
     assert v.kind == "UNRESOLVED" and v.budget == 5 and not hit
+
+
+def test_read_verdict_stops_at_the_first_halting_visit():
+    halt = Configuration(2, 1, 0)
+
+    def visits():
+        yield 1, Configuration(1, 0, 0)
+        yield 2, halt
+        raise AssertionError("read past the halting visit")
+
+    hs = HaltingSetSpec.from_digits(2, {0: 1})
+    assert read_verdict(visits(), 2, hs, 9) == (SimulationVerdict("HALTED", halt, 2), True)
+    assert read_verdict(visits(), 2, None, 9) == (SimulationVerdict("HALTED", halt, 2), False)
+
+
+def test_read_verdict_unresolved_carries_its_budget():
+    seen = [(1, Configuration(1, 5, 0)), (2, Configuration(1, 7, 0))]
+    hs = HaltingSetSpec.from_digits(1, {0: 5})
+    # a visit in the constrained family sets hit without halting
+    assert read_verdict(iter(seen), 2, hs, 7) == (SimulationVerdict("UNRESOLVED", budget=7), True)
+    assert read_verdict(iter([]), 2, hs, 3) == (SimulationVerdict("UNRESOLVED", budget=3), False)
 
 
 def test_bounded_three_cases(incrementer, spinner, right_filler):

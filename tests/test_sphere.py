@@ -15,7 +15,6 @@ from flowcomp.sphere import (
     damp_and_push,
     delta_threshold,
     discrete_orbit_verdict,
-    inverse_stereographic,
     stereographic,
     stereographic_push,
 )
@@ -36,18 +35,13 @@ def test_stereographic_roundtrip():
     y = rng.uniform(-5, 5, 100)
     p = stereographic(x, y)
     assert np.allclose(np.sum(p * p, axis=-1), 1.0, atol=1e-12)
-    xb, yb = inverse_stereographic(p)
+    xb, yb = p[:, 0] / (1.0 - p[:, 2]), p[:, 1] / (1.0 - p[:, 2])
     assert np.max(np.abs(xb - x)) < 1e-12
     assert np.max(np.abs(yb - y)) < 1e-12
 
 
 def test_origin_maps_to_south_pole():
     assert np.allclose(stereographic(0.0, 0.0), [0.0, 0.0, -1.0])
-
-
-def test_pole_has_no_preimage():
-    with pytest.raises(ValueError):
-        inverse_stereographic(np.array(NORTH))
 
 
 def test_push_matches_finite_differences():
