@@ -32,7 +32,7 @@ from .machine import (
     load_machine,
     run,
 )
-from .robust import resource_estimate, sample_perturbation
+from .robust import MAX_NESTED, resource_estimate, sample_perturbation
 from .simulate import (
     IntegratorConfig,
     SimulationVerdict,
@@ -103,6 +103,8 @@ def _check_ranges(settings: dict):
         raise ValueError("--sb must be at least 1")
     if not settings["C"] > 0.0:
         raise ValueError("--C must be positive")
+    if settings["C"] * settings["sb"] > MAX_NESTED:
+        raise ValueError(f"--C times --sb must be at most {MAX_NESTED:g}")
 
 
 def resolve(args: argparse.Namespace) -> dict:
@@ -125,6 +127,8 @@ def resolve(args: argparse.Namespace) -> dict:
         or os.environ.get(ENV_PREFIX + "MACHINE")
         or config.get("machine")
     )
+    if settings["machine"] and not Path(settings["machine"]).is_file():
+        raise ValueError(f"machine file {settings['machine']} not found")
     return settings
 
 

@@ -15,24 +15,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .curves import RAMP_EPS, CurveFamily, flat, interval_bound_log
-from .field import ErrorSchedule, FieldSpec, contraction_speed_limit  # noqa: F401
+from .field import ErrorSchedule, FieldSpec
 from .logmag import FIX, LN2_FIX, LogMagnitude, signed_log_add
 from .machine import MachineSpec
 from .simulate import crossing_times
 
-# Gauss-Legendre order for arc length over short stretches of the curve
-_GL_ORDER = 8
 # forcing quadrature: points, and the window half-width in units of the
 # peak's width (the integrand is below e^-98 of its peak outside)
 _FORCING_POINTS = 401
 _FORCING_HALF_WIDTH = 14.0
 # contraction certificate: probes at |s - s^i_{l+1}| <= 0.9 RAMP_EPS
 _CONTRACTION_PROBES = 11
+
+
+@cache
+def _gauss_legendre():
+    """Order-8 rule for short arc lengths, built on first use, not at import."""
+    return np.polynomial.legendre.leggauss(8)
 
 
 def _bump01(t):
@@ -190,7 +194,7 @@ class PerturbationSpec:
         x, d1, _ = curve.lambda_eval(u)
         w = np.sqrt(1.0 + d1 * d1)
         dot = (bump.direction[1] * d1 - bump.direction[0]) / w
-        gl_x, gl_w = np.polynomial.legendre.leggauss(_GL_ORDER)
+        gl_x, gl_w = _gauss_legendre()
         nodes = u_top - np.outer(delta, 0.5 * (gl_x + 1.0))
         _, dn, _ = curve.lambda_eval(nodes.ravel())
         w_nodes = np.sqrt(1.0 + dn * dn).reshape(nodes.shape)
@@ -264,7 +268,7 @@ def contraction_check(machine: MachineSpec, lam: float, band: int, height: int,
 
 
 # e^{C s_b} beyond this makes `.fix` >10^5 digits; only its exact readers pay
-_MAX_NESTED = 13.0
+MAX_NESTED = 13.0
 _DIGITS_GUARD = 1e-12  # digit counts this near a power of ten read `.fix`
 
 
@@ -317,7 +321,7 @@ def resource_estimate(s_b: float, C: float = 1.0) -> ResourceEstimate:
     if s_b < 1 or C <= 0:
         raise ValueError("need s_b >= 1 and C > 0")
     x = C * s_b
-    if x > _MAX_NESTED:
+    if x > MAX_NESTED:
         raise OverflowError(f"C*s_b = {x} too large for the fixed-point representation")
     return ResourceEstimate(s_b, C, math.exp(x))
 

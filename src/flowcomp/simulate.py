@@ -295,17 +295,20 @@ def simulate_input(fs: FieldSpec, input_index: int, constraint: HaltingSetSpec |
                    cfg: IntegratorConfig | None = None, perturbation=None,
                    start=(0.0, 0.0)):
     """Flow one enumerated input up to its first halting crossing; returns
-    (verdict, hit, traj), read by `read_verdict` at the budget cfg.l_max."""
+    (verdict, hit, traj), read by `read_verdict` at the budget cfg.l_max from
+    the start's own box (height 0) on; a start that halts flows nowhere."""
     if cfg is None:
         cfg = IntegratorConfig()
     q_halt = fs.machine.q_halt
+    c0 = fs.curve(input_index).configs[0]
 
     def halts(ev):
         return isinstance(ev.classification, Configuration) and ev.classification.q == q_halt
 
-    traj = integrate_chart(fs, input_index, start, perturbation, cfg, stop=halts)
-    visits = ((ev.height, ev.classification) for ev in traj.events
-              if isinstance(ev.classification, Configuration))
+    traj = (ChartTrajectory(input_index) if c0.q == q_halt
+            else integrate_chart(fs, input_index, start, perturbation, cfg, stop=halts))
+    visits = [(0, c0)] + [(ev.height, ev.classification) for ev in traj.events
+                          if isinstance(ev.classification, Configuration)]
     verdict, hit = read_verdict(visits, q_halt, constraint, cfg.l_max)
     return verdict, hit, traj
 
@@ -324,6 +327,9 @@ def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
     if bounded.base is not fs.machine and bounded.base != fs.machine:
         raise ValueError("field and bounded machine disagree")
     q_halt = fs.machine.q_halt
+    c0 = fs.curve(input_index).configs[0]
+    if c0.q == q_halt:
+        return SimulationVerdict("HALTED", c0, 0)
     size_cap = bounded.tape_size
     outcome = None
 

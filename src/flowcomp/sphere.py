@@ -18,12 +18,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import RAMP_EPS
+from .curves import _ARC_CELLS, RAMP_EPS
 from .field import FieldSpec, _chart_field, _locate
 from .simulate import HaltingSetSpec, IntegratorConfig, read_verdict
 
 NORTH = (0.0, 0.0, 1.0)
 _POLE_TOL = 1e-12
+DAMPING_SCALE = 64.0
 
 
 def stereographic(x, y):
@@ -49,31 +50,18 @@ def stereographic_push(x: float, y: float, vx: float, vy: float):
     return j @ np.array([vx, vy])
 
 
-@dataclass(frozen=True)
-class DampingProfile:
-    """Radial factor exp(1 - exp(sqrt(1 + r^2)/scale)) in (0, 1).
+def damping(x, y):
+    """Radial factor exp(1 - exp(sqrt(1 + r^2)/DAMPING_SCALE)) in (0, 1).
 
     Double-exponential decay in r makes every derivative of the damped
     field vanish at infinity; the scale keeps the factor of order one on
     the working window so the time reparametrization stays benign.
     """
-
-    scale: float = 64.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
-
-    def __call__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return np.exp(1.0 - np.exp(np.sqrt(1.0 + x * x + y * y) / self.scale))
+    return np.exp(1.0 - np.exp(np.sqrt(1.0 + x * x + y * y) / DAMPING_SCALE))
 
 
-def damp_and_push(fs: FieldSpec, profile: DampingProfile | None = None):
+def damp_and_push(fs: FieldSpec):
     """Evaluator for the sphere field: 3-vector at a unit 3-vector point."""
-    if profile is None:
-        profile = DampingProfile()
 
     def sphere_field(p):
         p = np.asarray(p, dtype=float)
@@ -84,7 +72,7 @@ def damp_and_push(fs: FieldSpec, profile: DampingProfile | None = None):
         vx, vy = map(float, _chart_field(fs, band, s, rho))
         if vx == 0.0 and vy == 0.0:
             return np.zeros(3)
-        g = float(profile(x, y)) * fs.lam / float(fs.speed(int(band))(s))
+        g = float(damping(x, y)) * fs.lam / float(fs.speed(int(band))(s))
         return stereographic_push(x, y, g * vx, g * vy)
 
     return sphere_field
@@ -133,37 +121,34 @@ class DiscreteOrbit:
 
 def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
                            constraint: HaltingSetSpec | None, delta: float,
-                           cfg: IntegratorConfig | None = None,
-                           profile: DampingProfile | None = None):
+                           cfg: IntegratorConfig | None = None):
     """(verdict, hit, orbit) for the time-delta map of the sphere field.
 
     The orbit through an on-curve start stays on the curve (the factors are
     positive scalars and the normal dynamics is contracting), and along it
     the sphere field moves at lambda_i(s) * (lam/lambda_i(s)) * G = lam * G,
     so the iterates are computed by warping time: t(s) = integral
-    ds/(lam * G) along the curve, inverted on a precomputed grid.
+    ds/(lam * G) along the curve, a trapezoid sum on the curve's arc-length
+    nodes up to RAMP_EPS past the last anchor, where the curve is vertical.
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    if profile is None:
-        profile = DampingProfile()
     d0 = delta_threshold(fs.lam)
     if delta >= d0:
         raise ValueError(f"delta = {delta} not below the threshold {d0}")
     curve = fs.curve(input_index)
     l_max = min(cfg.l_max, fs.l_max)
-    s_end = float(curve.arc_heights[l_max]) + RAMP_EPS
-    grid = np.linspace(0.0, s_end, max(int(s_end * 400), 100) + 1)
-    u = curve.param_of_arclength(grid)
-    gx, gy = curve.point(u)
-    damp = profile(gx, gy)
-    slow = 1.0 / (fs.lam * damp)
+    u, s, _, _, val = (a[_ARC_CELLS:_ARC_CELLS * (l_max + 1) + 1] for a in curve._arc_maps)
+    # one node more, RAMP_EPS up the vertical piece above anchor l_max
+    grid = np.append(s, s[-1] + RAMP_EPS)
+    slow = 1.0 / (fs.lam * damping(np.append(val, val[-1]), np.append(u, u[-1] + RAMP_EPS)))
     t_of_s = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (slow[1:] + slow[:-1]) / 2.0)])
     orbit = DiscreteOrbit(delta, int(t_of_s[-1] / delta) + 1, [], [], (t_of_s, grid))
 
     heights = curve.arc_heights
 
     def visited():
+        yield 0, curve.configs[0]  # the start's own box
         for l in range(1, l_max + 1):
             if orbit.visits(float(heights[l])):
                 orbit.visited_heights.append(l)

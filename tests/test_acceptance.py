@@ -20,7 +20,13 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from flowcomp.beltrami import Poly2, beltrami_from_potential, residuals
 from flowcomp.curves import RAMP_EPS, CurveFamily, bump_profile, interval_bound_log
-from flowcomp.field import LAMBDA0, FieldSpec, error_schedule, verify_gradient
+from flowcomp.field import (
+    LAMBDA0,
+    FieldSpec,
+    contraction_speed_limit,
+    error_schedule,
+    verify_gradient,
+)
 from flowcomp.logmag import LN2_FIX, LogMagnitude
 from flowcomp.machine import (
     LOOP,
@@ -39,7 +45,6 @@ from flowcomp.machine import (
 )
 from flowcomp.robust import (
     contraction_check,
-    contraction_speed_limit,
     resource_estimate,
     sample_perturbation,
     space_bound_of_norm,

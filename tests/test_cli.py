@@ -37,6 +37,11 @@ def test_usage_errors(tmp_path, capsys):
                  ("extend3d", "--machine", INC, "--degree", "0"),
                  ("estimate", "--sb", "0"),
                  ("estimate", "--C", "0"),
+                 ("estimate", "--sb", "14"),  # C * s_b above 13
+                 ("estimate", "--sb", "7", "--C", "2"),
+                 # a machine path that names no file
+                 ("verify", "--machine", str(tmp_path / "missing.tm")),
+                 ("sphere", "--machine", str(tmp_path)),
                  # a run over no inputs or trials checks nothing
                  ("verify", "--machine", INC, "--inputs", "-1"),
                  ("verify", "--machine", INC, "--inputs", "0"),
@@ -88,6 +93,25 @@ def test_verify_halting_machine(tmp_path, capsys):
     assert rows[0] == "input,oracle,flow,status"
     assert len(rows) == 4 and all(r.endswith("agree") for r in rows[1:])
     assert (out / "manifest.txt").exists()
+    capsys.readouterr()
+
+
+def test_machine_that_starts_in_its_halting_state(tmp_path, capsys):
+    tm = tmp_path / "h.tm"
+    tm.write_text("machine h\nstates 1\nstart 1\nhalt 1\n")
+    args = ("--machine", str(tm), "--inputs", "2", "--lmax", "3", "--out")
+    assert run("verify", *args, str(tmp_path / "v")) == 0
+    assert (tmp_path / "v" / "verify.csv").read_text().splitlines()[1:] == [
+        "0,HALTED 1 0 0 0,HALTED 1 0 0 0,agree", "1,HALTED 1 1 0 0,HALTED 1 1 0 0,agree"]
+    # the start's own box is the halting visit: no segment, no event row
+    assert run("simulate", *args, str(tmp_path / "s")) == 0
+    for i in range(2):
+        assert (tmp_path / "s" / f"events_{i}.csv").read_text() == "band,l,class,q,r,s,t\n"
+    assert run("sphere", *args, str(tmp_path / "o")) == 0
+    rows = (tmp_path / "o" / "sphere.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[2:4] + r.split(",")[5:] for r in rows] == [
+        ["HALTED 1 0 0 0", "HALTED 1 0 0 0", "0", "agree"],
+        ["HALTED 1 1 0 0", "HALTED 1 1 0 0", "0", "agree"]]
     capsys.readouterr()
 
 

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from flowcomp.curves import RAMP_EPS, interval_bound_log
-from flowcomp.field import LAMBDA0, FieldSpec, error_schedule
+from flowcomp.field import LAMBDA0, FieldSpec, contraction_speed_limit, error_schedule
 from flowcomp.logmag import LN2_FIX, LogMagnitude
 from flowcomp.machine import MachineSpec
 from flowcomp.robust import (
     PerturbationSpec,
     contraction_check,
-    contraction_speed_limit,
     resource_estimate,
     sample_perturbation,
     space_bound_of_norm,

@@ -244,6 +244,20 @@ def test_bounded_halt_height_matches_oracle_steps(incrementer):
     assert got.kind == "HALTED" and got.height == oracle.steps
 
 
+def test_start_in_the_halting_state_halts_at_height_0():
+    halted = MachineSpec("h", 1, 1, 1, {})
+    fs = FieldSpec(halted, n_bands=1, l_max=3)
+    c0 = Configuration(1, 0, 0)
+    want = SimulationVerdict("HALTED", c0, 0)
+    v, hit, traj = simulate_input(fs, 0, HaltingSetSpec.from_digits(1, {0: 0}),
+                                  IntegratorConfig(l_max=3))
+    assert (v, hit) == (want, True)
+    assert traj.events == traj.samples == []  # no segment is integrated
+    bnd = TapeBoundedSpec(halted, -2, 2)
+    assert run_bounded(bnd, c0, 10) == Halted(c0, 0)
+    assert simulate_bounded(fs, bnd, 0, IntegratorConfig(l_max=3, window=10.0)) == want
+
+
 def test_bounded_requires_window(fs):
     bnd = TapeBoundedSpec(fs.machine, -2, 2)
     with pytest.raises(ValueError):

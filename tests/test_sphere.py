@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from flowcomp import sphere
-from flowcomp.curves import RAMP_EPS
+from flowcomp.curves import RAMP_EPS, CurveFamily
 from flowcomp.field import FieldSpec, field_eval_plane
 from flowcomp.machine import MachineSpec, load_machine
 from flowcomp.simulate import HaltingSetSpec, IntegratorConfig, simulate_input
 from flowcomp.sphere import (
     NORTH,
-    DampingProfile,
     damp_and_push,
+    damping,
     delta_threshold,
     discrete_orbit_verdict,
     stereographic,
@@ -60,14 +60,11 @@ def test_push_is_tangent():
 
 
 def test_damping_profile_properties():
-    g = DampingProfile()
     r = np.linspace(0.0, 300.0, 400)
-    vals = g(r, np.zeros_like(r))
+    vals = damping(r, np.zeros_like(r))
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
     assert np.all(np.diff(vals) < 0.0)  # strictly decreasing in radius
-    assert float(g(0.0, 0.0)) == pytest.approx(math.exp(1.0 - math.exp(1.0 / 64.0)))
-    with pytest.raises(ValueError):
-        DampingProfile(scale=0.0)
+    assert float(damping(0.0, 0.0)) == pytest.approx(math.exp(1.0 - math.exp(1.0 / 64.0)))
 
 
 def test_sphere_field_vanishes_at_pole_and_off_band(fs):
@@ -86,7 +83,7 @@ def test_sphere_field_is_damped_push(fs):
     assert (vx, vy) != (0.0, 0.0)
     # damping times lam/lambda_0(s): every level runs at the top speed
     s = float(fs.curve(0).arclength_of_param(0.5))
-    g = float(DampingProfile()(x, y)) * fs.lam / float(fs.speed(0)(s))
+    g = float(damping(x, y)) * fs.lam / float(fs.speed(0)(s))
     want = stereographic_push(x, y, g * vx, g * vy)
     assert np.allclose(Y(stereographic(x, y)), want, atol=1e-15)
 
@@ -138,6 +135,21 @@ def test_orbit_iterates_monotone(fs):
     assert np.all(np.diff(orbit.s_values) >= 0.0)
     assert orbit.times[1] - orbit.times[0] == pytest.approx(d0 / 2.0)
 
+
+def test_warp_reads_the_curves_own_arc_length_nodes(fs, monkeypatch):
+    # the warp is built on `_arc_maps`: no arc-length inversion, no point
+    calls = []
+
+    def counting(name, original):
+        def wrapper(self, *args):
+            calls.append(name)
+            return original(self, *args)
+        return wrapper
+
+    for name in ("param_of_arclength", "point"):
+        monkeypatch.setattr(CurveFamily, name, counting(name, getattr(CurveFamily, name)))
+    discrete_orbit_verdict(fs, 0, None, delta_threshold(fs.lam) / 2.0, IntegratorConfig(l_max=4))
+    assert calls == []
 
 
 def random_machine(seed):
@@ -195,3 +207,30 @@ def test_coarse_steps_leave_gaps_as_a_full_scan_does(monkeypatch):
         all_gaps |= set(orbit.band_gaps)
         assert orbit.visited_heights
     assert all_gaps
+
+
+def fine_grid_warp(fs, l_max):
+    """(t(s), s) on 400 nodes per unit of arc length, each placed by
+    inverting arc length: the reference the orbit's warp must match."""
+    curve = fs.curve(0)
+    s_end = float(curve.arc_heights[l_max]) + RAMP_EPS
+    grid = np.linspace(0.0, s_end, max(int(s_end * 400), 100) + 1)
+    slow = 1.0 / (fs.lam * damping(*curve.point(curve.param_of_arclength(grid))))
+    return np.concatenate([[0.0], np.cumsum(np.diff(grid) * (slow[1:] + slow[:-1]) / 2.0)]), grid
+
+
+@pytest.mark.parametrize("machine", SCAN_MACHINES, ids=lambda m: m.name)
+def test_warp_matches_a_fine_arc_length_grid(machine):
+    fs = FieldSpec(machine, n_bands=1, l_max=8)
+    d0 = delta_threshold(fs.lam)
+    ref_t, ref_s = fine_grid_warp(fs, 8)
+    anchors = fs.curve(0).arc_heights[1:9]
+    for delta in (d0 / 2.0, d0 / 3.0, 0.99 * d0):
+        _, _, orbit = discrete_orbit_verdict(fs, 0, None, delta, IntegratorConfig(l_max=8))
+        t_of_s, grid = orbit.warp
+        assert grid[-1] == pytest.approx(ref_s[-1], abs=1e-12)
+        got, want = np.interp(anchors, grid, t_of_s), np.interp(anchors, ref_s, ref_t)
+        # both are trapezoid sums, each about 1e-8 from the exact t at the
+        # first anchor (2.2e-8 and 8.4e-9 against 20,000 nodes per unit)
+        assert np.all(np.abs(got / want - 1.0) < 2e-8)
+        assert orbit.iterates == int(ref_t[-1] / delta) + 1
