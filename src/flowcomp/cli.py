@@ -89,22 +89,18 @@ def _coerce(key: str, value):
 
 def _check_ranges(settings: dict):
     """Reject out-of-range values as usage errors, before any work starts."""
-    if settings["inputs"] < 1:
-        raise ValueError("--inputs must be at least 1")
-    if settings["trials"] < 1:
-        raise ValueError("--trials must be at least 1")
-    if settings["lmax"] < 1:
-        raise ValueError("--lmax must be at least 1")
-    if not 0.0 < settings["lambda_frac"] < 1.0:
-        raise ValueError("--lambda-frac must be in (0, 1)")
-    if settings["degree"] < 1:
-        raise ValueError("--degree must be at least 1")
-    if not settings["sb"] >= 1.0:
-        raise ValueError("--sb must be at least 1")
-    if not settings["C"] > 0.0:
-        raise ValueError("--C must be positive")
-    if settings["C"] * settings["sb"] > MAX_NESTED:
-        raise ValueError(f"--C times --sb must be at most {MAX_NESTED:g}")
+    for ok, message in (
+            (settings["inputs"] >= 1, "--inputs must be at least 1"),
+            (settings["trials"] >= 1, "--trials must be at least 1"),
+            (settings["lmax"] >= 1, "--lmax must be at least 1"),
+            (0.0 < settings["lambda_frac"] < 1.0, "--lambda-frac must be in (0, 1)"),
+            (settings["degree"] >= 1, "--degree must be at least 1"),
+            (settings["sb"] >= 1.0, "--sb must be at least 1"),
+            (settings["C"] > 0.0, "--C must be positive"),
+            (not settings["C"] * settings["sb"] > MAX_NESTED,
+             f"--C times --sb must be at most {MAX_NESTED:g}")):
+        if not ok:
+            raise ValueError(message)
 
 
 def resolve(args: argparse.Namespace) -> dict:
@@ -159,18 +155,12 @@ class RunManifest:
                          ("budget", self.budgets)):
             rows.extend((f"{group}.{k}", v) for k, v in sorted(d.items()))
         rows.extend(("artifact", a) for a in self.artifacts)
-        return [f"{k} = {_fmt(v)}" for k, v in rows]
+        return [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in rows]
 
     def write(self, outdir: Path):
         path = outdir / "manifest.txt"
         path.write_text("\n".join(self.lines()) + "\n")
         return path
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _digest(path: str) -> str:
@@ -179,8 +169,7 @@ def _digest(path: str) -> str:
 
 def base_manifest(sub: str, settings: dict) -> RunManifest:
     fs_lam = settings["lambda_frac"]
-
-    man = RunManifest(
+    return RunManifest(
         sub,
         Path(settings["machine"]).stem,
         _digest(settings["machine"]),
@@ -201,7 +190,6 @@ def base_manifest(sub: str, settings: dict) -> RunManifest:
             "series_order": 20,
         },
     )
-    return man
 
 
 # ---------------------------------------------------------------------------

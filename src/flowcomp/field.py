@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -94,10 +94,6 @@ class FieldSpec:
         if band not in self._speeds:
             self._speeds[band] = LevelSpeed(self, band)
         return self._speeds[band]
-
-    @cached_property
-    def box_derivative_bound(self) -> float:
-        return measure_box_derivative_bound(self)
 
     def curve(self, band: int) -> CurveFamily:
         return self.chart(band).curve
@@ -282,22 +278,50 @@ def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0, h: float = 1e-6)
             "max_curl": float(np.max(curl, initial=0.0))}
 
 
-def measure_box_derivative_bound(fs: FieldSpec, band: int = 0, height: int = 0,
-                                 n: int = 25, h: float = 1e-5) -> float:
-    """Max finite-difference Jacobian norm of the plane field over one box.
+@cache
+def _cutoff_peaks() -> tuple[float, float]:
+    """sup |(t chi)'| and sup |chi'| over (1/2, 1), off which chi is constant: each
+    the best node of a 1001-point grid, re-gridded between its neighbours until
+    they are 1e-14 apart, plus 1e-9 relative for rounding.  Computed on first use."""
 
-    Boxes K cover [2i, 2i+1] x [l - 1/4, l + 5/4]; the bound is uniform over
-    boxes because every band/height window is the same picture up to the
-    anchor values and the flow speed, which only falls with i + l, so the
-    first box is a representative one.
+    def dchi(t):
+        a, b = flat(1.0 - t), flat(2.0 * t - 1.0)
+        return -a * b * (1.0 / (1.0 - t) ** 2 + 2.0 / (2.0 * t - 1.0) ** 2) / (a + b) ** 2
+
+    sups = []
+    for f in (lambda t: cutoff(t) + t * dchi(t), dchi):
+        t = np.linspace(0.501, 0.999, 1001)
+        for _ in range(5):
+            k = int(np.argmax(np.abs(f(t))))
+            t = np.linspace(t[max(k - 1, 0)], t[min(k + 1, 1000)], 1001)
+        sups.append(float(np.max(np.abs(f(t)))) * (1.0 + 1e-9))
+    return tuple(sups)
+
+
+def derivative_bound(fs: FieldSpec) -> float:
+    """M >= |DX| over the plane, in closed form.
+
+    In the frame (T, N) at a chart point's foot, X = chi(t) (a T - rho N) with
+    t = |rho|/RHO0 and a = lambda_i(s)/(1 - kappa rho).  With q = 1 - kbar RHO0, the
+    entries of DX are at most: N-N, S1 = sup |(t chi)'| = 4.0773; T-T, (|lambda_s|/q
+    + lam |kappa_s| RHO0/q^2 + kbar RHO0)/q; off the diagonal, lam (sup |chi'|/RHO0
+    + kbar)/q^2.  lam is the fastest level speed, band 0's at height 0, whose ramp
+    has the steepest lambda_s.  Anchor gaps are below 1/2, so |kappa| <= kbar =
+    sup |lambda''| and |kappa_s| <= sup |lambda'''| + 3 kbar^2 sup |lambda'|, where
+    g = flat(p), p = u(1 - u) <= 1/4, has |g''| <= e^(-1/p) (p^-4 + 2 p^-3) <= 384 e^-4.
+    M is the spectral norm of the matrix of these bounds.
     """
-    x, y = np.meshgrid(np.linspace(2 * band, 2 * band + 1, n),
-                       np.linspace(height - 0.25, height + 1.25, n), indexing="ij")
-    vx, vy = field_eval_plane(fs, np.array([x + h, x - h, x, x]),
-                              np.array([y, y, y + h, y - h]))
-    j = np.array([[vx[0] - vx[1], vx[2] - vx[3]],
-                  [vy[0] - vy[1], vy[2] - vy[3]]]) / (2 * h)
-    return float(np.max(np.linalg.norm(j, 2, axis=(0, 1)), initial=0.0))
+    profile = bump_profile()
+    s1, dchi = _cutoff_peaks()
+    dbeta = math.exp(-4.0) / profile.Z  # sup beta' = g(1/2)/Z
+    kbar = profile.sup_expression / profile.Z / 2.0
+    q = 1.0 - kbar * RHO0
+    lam = fs.level_speed(0, 0)
+    lam_s = lam * (lam / fs.level_speed(0, 1) - 1.0) * dbeta / RAMP_EPS
+    kappa_s = (384.0 + 3.0 * kbar**2) * dbeta / 2.0
+    tt = (lam_s / q + lam * kappa_s * RHO0 / q**2 + kbar * RHO0) / q
+    off = lam * (dchi / RHO0 + kbar) / q**2
+    return (tt + s1) / 2.0 + math.hypot((s1 - tt) / 2.0, off)
 
 
 @dataclass(frozen=True)
@@ -308,12 +332,6 @@ class ErrorSchedule:
     thresholds: dict = field(repr=False)  # (band, height) -> LogMagnitude
     taus: dict = field(repr=False)  # (band, height) -> crossing-time bound
 
-    def tau(self, band: int, height: int) -> float:
-        return self.taus[(band, height)]
-
-    def threshold(self, band: int, height: int) -> LogMagnitude:
-        return self.thresholds[(band, height)]
-
     def cap(self, band: int, height: int) -> LogMagnitude:
         """Amplitude cap EPS0 * threshold for perturbation sampling."""
         return self.thresholds[(band, height)] + math.log(EPS0)
@@ -323,14 +341,13 @@ def error_schedule(fs: FieldSpec) -> ErrorSchedule:
     """Thresholds eps^i_l = (M/(e^{M tau_il} - 1)) * min(eps/2, A_{i,l+1}/8)
     for the boxes i + l <= l_max, with eps = RAMP_EPS.
 
-    M is the measured derivative bound (uniform across boxes, measured once
-    per field) and tau_il the crossing-time budget of box (i, l):
-    (max anchor gap + 1) / Gamma0 at the top speed, scaled by the ratio of
-    the top speed to the slowest level speed in the box, that of height
-    l + 1.  M*tau_il reaches ~1e30, so it is carried in the fixed-point part;
-    above 50, ln(e^{M tau} - 1) is M*tau to double precision.
+    M is `derivative_bound`, uniform across boxes, and tau_il the crossing-time
+    budget of box (i, l): (max anchor gap + 1) / Gamma0 at the top speed, scaled
+    by the ratio of the top speed to the slowest level speed in the box, that of
+    height l + 1.  M*tau_il reaches ~1e30, so it is carried in the fixed-point
+    part; above 50, ln(e^{M tau} - 1) is M*tau to double precision.
     """
-    M = fs.box_derivative_bound
+    M = derivative_bound(fs)
     max_gap = max(
         float(np.max(np.diff(fs.curve(i).arc_heights))) for i in range(fs.n_bands)
     )

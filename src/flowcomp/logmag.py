@@ -152,4 +152,5 @@ def signed_log_add(
         return sign_a, a + math.log1p(math.exp(-d))
     if d == 0.0:
         return 0, LogMagnitude.zero()
-    return sign_a, a + math.log1p(-math.exp(-d))
+    # ln(1 - e^-d): below ln 2, 1 - e^-d would lose the digits of a small d
+    return sign_a, a + (math.log(-math.expm1(-d)) if d < LN2 else math.log1p(-math.exp(-d)))

@@ -245,7 +245,7 @@ def contraction_check(machine: MachineSpec, lam: float, band: int, height: int,
     s_hi = float(curve.arc_heights[height + 1])
     targets = s_hi + np.linspace(-0.9 * RAMP_EPS, 0.9 * RAMP_EPS, _CONTRACTION_PROBES)
     times = crossing_times(curve, lambda a, b: (b - a) / lam, s_lo,
-                           math.exp(w0.ln()), targets)
+                           math.exp(w0.ln()), targets, (targets - s_lo) / lam)
     probes = []
     worst = math.inf
     for s, t in zip(targets.tolist(), times.tolist()):

@@ -137,7 +137,7 @@ def _exp_weights(h):
     return decay - right, right
 
 
-def crossing_times(curve, time_of, s0: float, rho0: float, s, T=None) -> np.ndarray:
+def crossing_times(curve, time_of, s0: float, rho0: float, s, T) -> np.ndarray:
     """Flow times from s0 to each arc length of the ascending array s.
 
     Along the chart flow rho(t) = rho0 e^{-t} exactly.  With T(s) =
@@ -151,10 +151,8 @@ def crossing_times(curve, time_of, s0: float, rho0: float, s, T=None) -> np.ndar
     and integrates each piece against e^{-T'} exactly (exponential time
     differencing).  It is cut off where ln|rho| falls below
     `_RHO_FLOAT_FLOOR`; past that, rho does not reach the s-equation at
-    double precision and t - T stays constant.  T(s) may be passed in.
+    double precision and t - T stays constant.  T holds T(s) at each s.
     """
-    if T is None:
-        T = time_of(s0, s)
     t_cut = math.log(abs(rho0)) - _RHO_FLOAT_FLOOR if rho0 != 0.0 else 0.0
     if t_cut <= 0.0:
         return T
@@ -184,24 +182,20 @@ def _sample_grid(s0: float, s_target: float) -> np.ndarray:
 
 
 def integrate_segment(fs: FieldSpec, band: int, s0: float, s_target: float,
-                      t0: float, rho: _RhoState, perturbation, samples=None):
+                      t0: float, rho: _RhoState, perturbation, samples):
     """Advance from s0 to the anchor s_target; returns (t1, rho at t1, sample rows).
 
     The crossing time and the times of the sample rows, one every
     `_SAMPLE_DS` of arc, come from `crossing_times` with the band's
     closed-form slowness integral.  `samples` is (grid, T): the rows' arc
-    lengths and their slowness integrals from s0, computed here if not given.
+    lengths and their slowness integrals from s0.
     The decay of rho by the elapsed time is carried in the fixed-point part
     of its magnitude, and the perturbation's forcing is added by its exact
     exponential integral.
     """
-    speed = fs.speed(band)
-    if samples is None:
-        grid = _sample_grid(s0, s_target)
-        samples = grid, speed.time(s0, grid)
     grid, T = samples
     ln0 = rho.w.ln()
-    times = crossing_times(fs.curve(band), speed.time, s0,
+    times = crossing_times(fs.curve(band), fs.speed(band).time, s0,
                            rho.sign * math.exp(ln0), grid, T)
     dur = float(times[-1])
     t1 = t0 + dur

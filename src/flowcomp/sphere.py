@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import _ARC_CELLS, RAMP_EPS
+from .curves import _ARC_CELLS, RAMP_EPS, hermite_cumulative
 from .field import FieldSpec, _chart_field, _locate
 from .simulate import HaltingSetSpec, IntegratorConfig, read_verdict
 
@@ -37,17 +37,11 @@ def stereographic(x, y):
 
 
 def stereographic_push(x: float, y: float, vx: float, vy: float):
-    """Differential of the plane-to-sphere map applied to (vx, vy)."""
-    r2 = x * x + y * y
-    d = 1.0 + r2
-    dd_dx, dd_dy = 2.0 * x, 2.0 * y
-    # d/dx of (2x/d, 2y/d, (r2-1)/d) etc.
-    j = np.array([
-        [2.0 / d - 2.0 * x * dd_dx / d**2, -2.0 * x * dd_dy / d**2],
-        [-2.0 * y * dd_dx / d**2, 2.0 / d - 2.0 * y * dd_dy / d**2],
-        [dd_dx / d - (r2 - 1.0) * dd_dx / d**2, dd_dy / d - (r2 - 1.0) * dd_dy / d**2],
-    ])
-    return j @ np.array([vx, vy])
+    """Differential of the plane-to-sphere map applied to (vx, vy): with
+    d = 1 + x^2 + y^2 and dot = x vx + y vy, 2 (vx, vy, 0)/d - 4 dot (x, y, -1)/d^2."""
+    d = 1.0 + x * x + y * y
+    k = 4.0 * (x * vx + y * vy) / (d * d)
+    return np.array([2.0 * vx / d - k * x, 2.0 * vy / d - k * y, k])
 
 
 def damping(x, y):
@@ -128,8 +122,9 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     positive scalars and the normal dynamics is contracting), and along it
     the sphere field moves at lambda_i(s) * (lam/lambda_i(s)) * G = lam * G,
     so the iterates are computed by warping time: t(s) = integral
-    ds/(lam * G) along the curve, a trapezoid sum on the curve's arc-length
-    nodes up to RAMP_EPS past the last anchor, where the curve is vertical.
+    ds/(lam * G) along the curve, by the Hermite rule with the slowness's
+    exact s-derivative on the curve's arc-length nodes, up to RAMP_EPS past
+    the last anchor, where the curve is vertical.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -138,11 +133,16 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
         raise ValueError(f"delta = {delta} not below the threshold {d0}")
     curve = fs.curve(input_index)
     l_max = min(cfg.l_max, fs.l_max)
-    u, s, _, _, val = (a[_ARC_CELLS:_ARC_CELLS * (l_max + 1) + 1] for a in curve._arc_maps)
-    # one node more, RAMP_EPS up the vertical piece above anchor l_max
+    u, s, _, duds, val = (a[_ARC_CELLS:_ARC_CELLS * (l_max + 1) + 1] for a in curve._arc_maps)
+    # one node more, RAMP_EPS up the vertical piece above anchor l_max, where
+    # (x, y)' = (0, 1); along the arc it is (lambda', 1)/w
     grid = np.append(s, s[-1] + RAMP_EPS)
-    slow = 1.0 / (fs.lam * damping(np.append(val, val[-1]), np.append(u, u[-1] + RAMP_EPS)))
-    t_of_s = np.concatenate([[0.0], np.cumsum(np.diff(grid) * (slow[1:] + slow[:-1]) / 2.0)])
+    x, y = np.append(val, val[-1]), np.append(u, u[-1] + RAMP_EPS)
+    dx, dy = np.append(curve._slope(u) * duds, 0.0), np.append(duds, 1.0)
+    r = np.sqrt(1.0 + x * x + y * y)
+    slow = 1.0 / (fs.lam * damping(x, y))
+    dslow = slow * np.exp(r / DAMPING_SCALE) / DAMPING_SCALE * (x * dx + y * dy) / r
+    t_of_s = hermite_cumulative(grid, slow, dslow)
     orbit = DiscreteOrbit(delta, int(t_of_s[-1] / delta) + 1, [], [], (t_of_s, grid))
 
     heights = curve.arc_heights

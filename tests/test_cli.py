@@ -183,11 +183,12 @@ def test_estimate_never_builds_the_fixed_point(tmp_path, capsys, monkeypatch):
 
 
 # sha256 of artifacts of the incrementer at --inputs 1 --lmax 3 (extend3d at
-# --degree 3), with the arc-length maps built by the Hermite rule
+# --degree 3), with the arc-length maps built by the Hermite rule and the
+# error schedule's closed-form M
 GOLDEN = {
     "curve_0.csv": "34ba0a30108839eb57690a07b15ce8874bd7ac1f1e31da036290a0110e8e1b94",
     "field_grid.csv": "83dfb38e8c9e706bd47baa36ec7a5b83b872eef48d5b3df5838edd68735e6880",
-    "extend3d.txt": "9ff7f9fc3f12fee4d342a944ab0fee1362caa1314af8715bfe819dc03348d598",
+    "extend3d.txt": "5b7f79f06e8c9c60efebf8d4b1e7c71de4e6aec277d55c7894f416742b5c4244",
     "series.csv": "0b34064a9a8237ca69f41e873b6b47388cbe2a9381748f41efd06eebbf372e01",
 }
 
@@ -224,7 +225,7 @@ def test_large_extend3d_artifacts(tmp_path, capsys, monkeypatch):
     assert digests["series.csv"] == (
         "4767f409cf22c24af71e4a4ca7bb927ee344a557affe4a282cacc44f32a759b0")
     assert digests["extend3d.txt"] == (
-        "d9c57bf63ff39b249fcf7e012108b5accc2b061c66067036eba81de03c11e66a")
+        "332306b847c0418b0ef4569512578ce8f17aae8fd34fae000f7640a2c9249802")
     capsys.readouterr()
 
 

@@ -15,9 +15,9 @@ from flowcomp.field import (
     FieldSpec,
     contraction_speed_limit,
     cutoff,
+    derivative_bound,
     error_schedule,
     field_eval_plane,
-    measure_box_derivative_bound,
     potential_plane,
     verify_gradient,
     _chart_field,
@@ -27,6 +27,7 @@ from flowcomp.field import (
 )
 from flowcomp.logmag import LogMagnitude
 from flowcomp.machine import MachineSpec, load_machine
+from test_curves import random_machine
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -251,8 +252,6 @@ def test_window_fit_locates_once(fs, monkeypatch):
     from flowcomp import field
     from flowcomp.beltrami import fit_window_polynomial
 
-    # the schedule's M samples the plane field too; measure it before counting
-    assert fs.box_derivative_bound > 0.0
     calls = []
 
     def counted(*args):
@@ -305,10 +304,10 @@ def schedule(fs):
 
 
 def test_schedule_monotone(schedule):
-    assert schedule.threshold(0, 1) < schedule.threshold(0, 0)
-    assert schedule.threshold(1, 1) < schedule.threshold(1, 0)
+    assert schedule.thresholds[(0, 1)] < schedule.thresholds[(0, 0)]
+    assert schedule.thresholds[(1, 1)] < schedule.thresholds[(1, 0)]
     # depends only on i + l through the interval bound
-    d = schedule.threshold(0, 1).diff_ln(schedule.threshold(1, 0))
+    d = schedule.thresholds[(0, 1)].diff_ln(schedule.thresholds[(1, 0)])
     assert d == pytest.approx(0.0, abs=1e-9)
 
 
@@ -322,31 +321,31 @@ def test_schedule_formula(schedule, fs):
     # min always lands on the interval branch here: ln(A/8) << ln(eps/2)
     from flowcomp.curves import interval_bound_log
 
-    th = schedule.threshold(0, 0)
+    th = schedule.thresholds[(0, 0)]
     expected = (
         interval_bound_log(fs.machine.m, 0, 1)
-        + (math.log(schedule.M) - schedule.M * schedule.tau(0, 0) - 3 * math.log(2))
+        + (math.log(schedule.M) - schedule.M * schedule.taus[(0, 0)] - 3 * math.log(2))
     )
     assert th.diff_ln(expected) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_schedule_per_box_crossing_time(schedule, fs):
     # each box's budget is the top-speed one scaled to its slowest level
-    ratio = schedule.tau(0, 2) / schedule.tau(0, 1)
+    ratio = schedule.taus[(0, 2)] / schedule.taus[(0, 1)]
     assert ratio == pytest.approx(fs.level_speed(0, 2) / fs.level_speed(0, 3))
-    assert schedule.tau(0, 1) == pytest.approx(schedule.tau(1, 0))
-    # M*tau ~ 7e8 here: carried in the fixed-point part, the float offsets
+    assert schedule.taus[(0, 1)] == pytest.approx(schedule.taus[(1, 0)])
+    # M*tau ~ 3e9 here: carried in the fixed-point part, the float offsets
     # ln M and ln 8 survive it exactly
     from flowcomp.curves import interval_bound_log
 
-    mt = LogMagnitude.fixed(schedule.M * schedule.tau(1, 2))
+    mt = LogMagnitude.fixed(schedule.M * schedule.taus[(1, 2)])
     base = interval_bound_log(fs.machine.m, 1, 3) - mt
-    d = schedule.threshold(1, 2).diff_ln(base)
+    d = schedule.thresholds[(1, 2)].diff_ln(base)
     assert d == pytest.approx(math.log(schedule.M) - 3 * math.log(2), abs=1e-12)
 
 
 def test_schedule_cap_scaling(schedule):
-    d = schedule.cap(0, 0).diff_ln(schedule.threshold(0, 0))
+    d = schedule.cap(0, 0).diff_ln(schedule.thresholds[(0, 0)])
     assert d == pytest.approx(math.log(0.1))
 
 
@@ -357,38 +356,68 @@ def test_envelope(schedule):
         assert th <= LogMagnitude.from_ln(-math.exp(math.hypot(2 * i + 1, l + 1.25)))
 
 
-def test_box_derivative_bound_finite(fs):
-    M = measure_box_derivative_bound(fs, n=8)
-    assert 0.0 < M < 100.0
+def _jacobian_norms(fs, x, y, h=1e-5):
+    """Central-difference Jacobian norm of the plane field at each point: the
+    reference that `derivative_bound` must bound from above."""
+    vx, vy = field_eval_plane(fs, np.array([x + h, x - h, x, x]), np.array([y, y, y + h, y - h]))
+    j = np.array([[vx[0] - vx[1], vx[2] - vx[3]],
+                  [vy[0] - vy[1], vy[2] - vy[3]]]) / (2 * h)
+    return np.linalg.norm(j, 2, axis=(0, 1))
 
 
-def test_box_derivative_bound_matches_pointwise_reference(fs):
-    h = 1e-5
-    best = 0.0
-    for x in np.linspace(0.0, 1.0, 8):
-        for y in np.linspace(-0.25, 1.25, 8):
-            fxp = field_eval_plane(fs, x + h, y)
-            fxm = field_eval_plane(fs, x - h, y)
-            fyp = field_eval_plane(fs, x, y + h)
-            fym = field_eval_plane(fs, x, y - h)
-            j = np.array([[(fxp[0] - fxm[0]), (fyp[0] - fym[0])],
-                          [(fxp[1] - fxm[1]), (fyp[1] - fym[1])]]) / (2 * h)
-            best = max(best, float(np.linalg.norm(j, 2)))
-    assert measure_box_derivative_bound(fs, n=8) == best
+def test_box_derivative_bound_finite():
+    # S1 = sup |(t chi)'| = 4.07727 dominates; the lambda-sized terms add
+    # little even at the fastest admissible speed
+    machine = make_machine(2, lambda d: d, 0)
+    for frac in (0.01, 0.5, 0.99):
+        M = derivative_bound(FieldSpec(machine, 1, 2, lambda_frac=frac))
+        assert 4.07727 < M < 4.49
 
 
-@pytest.mark.parametrize("name, M", [("incrementer", 1.0000001807252465),
-                                     ("right_filler", 1.4611184353482396),
-                                     ("spinner", 0.9999999999982244)])
-def test_box_derivative_bound_of_sample_machines(name, M):
-    # the measured values to the last bit, with the Hermite arc-length maps
-    fs = FieldSpec(load_machine(str(MACHINES / f"{name}.tm")), n_bands=1, l_max=9)
-    assert fs.box_derivative_bound == M
+BOUND_MACHINES = [load_machine(str(MACHINES / f"{name}.tm"))
+                  for name in ("incrementer", "right_filler", "spinner")]
+BOUND_MACHINES += [random_machine(seed) for seed in range(300, 304)]
+
+
+@pytest.mark.parametrize("machine", BOUND_MACHINES, ids=lambda m: m.name)
+def test_derivative_bound_holds_on_the_peak_shell(machine):
+    # |(t chi)'| peaks at |rho| = 0.656 RHO0, in a shell thinner than a
+    # 25 x 25 grid's spacing (which read M = 1.0000 here): draw most points
+    # there, the rest anywhere inside the cutoff, along every box's arc
+    fs = FieldSpec(machine, n_bands=2, l_max=9)
+    M = derivative_bound(fs)
+    rng = np.random.default_rng(13)
+    sup = 0.0
+    for i in range(fs.n_bands):
+        heights = fs.curve(i).arc_heights
+        for l in range(fs.l_max + 1 - i):
+            s = rng.uniform(heights[l], heights[l + 1], 160)
+            t = np.concatenate([rng.uniform(0.62, 0.69, 120), rng.uniform(0.0, 1.0, 40)])
+            rho = RHO0 * t * rng.choice([-1.0, 1.0], 160)
+            x, y = fs.chart(i).chart_to_plane(s, rho)
+            sup = max(sup, float(np.max(_jacobian_norms(fs, x, y))))
+    assert 4.077 < sup <= M <= 4.49
+
+
+def test_error_schedule_locates_no_plane_point(monkeypatch):
+    from flowcomp import field
+
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return _locate(*args)
+
+    monkeypatch.setattr(field, "_locate", counted)
+    fs = FieldSpec(load_machine(str(MACHINES / "right_filler.tm")), n_bands=2, l_max=6)
+    assert error_schedule(fs).M == derivative_bound(fs)
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["incrementer", "right_filler"])
 def test_box_derivative_bound_on_a_fine_grid(name):
     # far points once reached the charts at wrong feet, and the field jumped
-    # there: M at n = 200 read 879.3 and 1,153.1
+    # there: the sampled norm at n = 200 read 879.3 and 1,153.1
     fs = FieldSpec(load_machine(str(MACHINES / f"{name}.tm")), n_bands=1, l_max=9)
-    assert measure_box_derivative_bound(fs, n=200) < 5.0
+    x, y = np.meshgrid(np.linspace(0.0, 1.0, 200), np.linspace(-0.25, 1.25, 200))
+    assert np.max(_jacobian_norms(fs, x, y)) <= derivative_bound(fs)

@@ -121,3 +121,69 @@ def test_order_matches_rational_order(a2, a3, a5, b2, b3, b5):
         assert lma < lmb
     else:
         assert lmb < lma
+
+
+EPS = 2.0**-52
+# fixed parts up to 10^60 nats of either sign, and ordinary float offsets
+FIXED = st.integers(min_value=-(10**60) * FIX, max_value=10**60 * FIX)
+OFFSETS = st.floats(min_value=-1e3, max_value=1e3)
+# gaps between the two magnitudes, in nats: any, near-cancellation, and
+# on either side of the 700-nat drop
+GAPS = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-1e-6, max_value=1e-6),
+    st.floats(min_value=699.0, max_value=701.0),
+    st.floats(min_value=-701.0, max_value=-699.0),
+)
+
+
+@st.composite
+def magnitude_pairs(draw):
+    """(a, b) with b about `gap` nats above a, the gap split between the
+    fixed part and the offset."""
+    a = LogMagnitude(draw(FIXED), draw(OFFSETS))
+    gap = draw(GAPS)
+    k = int(draw(st.floats(min_value=0.0, max_value=1.0)) * gap * FIX)
+    return a, LogMagnitude(a.fix + k, a.off + (gap - k / FIX))
+
+
+def _mp_gap(a, b):
+    """ln a - ln b at 100 digits; the offsets are subtracted exactly."""
+    return mpmath.mpf(a.fix - b.fix) / FIX + mpmath.fsub(a.off, b.off, exact=True)
+
+
+def _gap_error(a, b):
+    """Rounding bound of a.diff_ln(b): a few ulps of its two parts."""
+    return 4 * EPS * (abs((a.fix - b.fix) / FIX) + abs(a.off - b.off))
+
+
+@given(magnitude_pairs())
+def test_diff_ln_matches_mpmath(pair):
+    a, b = pair
+    with mpmath.workdps(100):
+        exact = _mp_gap(a, b)
+        assert abs(a.diff_ln(b) - exact) <= _gap_error(a, b) + EPS * abs(exact)
+        assert abs(b.diff_ln(a) + exact) <= _gap_error(a, b) + EPS * abs(exact)
+
+
+@given(magnitude_pairs(), st.sampled_from([-1, 1]), st.sampled_from([-1, 1]))
+def test_signed_log_add_matches_mpmath(pair, sign_a, sign_b):
+    a, b = pair
+    sign, got = signed_log_add(sign_a, a, sign_b, b)
+    with mpmath.workdps(100):
+        if _mp_gap(a, b) < 0:
+            a, b, sign_a, sign_b = b, a, sign_b, sign_a
+        d = _mp_gap(a, b)
+        if sign_a != sign_b and d == 0:
+            assert sign == 0 and got.is_zero
+            return
+        # ln|sign_a e^a + sign_b e^b| = a + ln(1 +- e^-d), d >= 0; an error e
+        # in the float gap d moves the term by e |dterm/dd| = e / (e^d +- 1)
+        if sign_a == sign_b:
+            term, slope = mpmath.log1p(mpmath.exp(-d)), 1 / (mpmath.exp(d) + 1)
+        else:
+            term, slope = mpmath.log(-mpmath.expm1(-d)), 1 / mpmath.expm1(d)
+        # then the term is added to an offset
+        tol = _gap_error(a, b) * slope + 4 * EPS * (abs(a.off) + abs(term) + 1)
+        assert sign == sign_a
+        assert abs(_mp_gap(got, a) - term) <= tol

@@ -18,6 +18,7 @@ from flowcomp.simulate import (
     HaltingSetSpec,
     IntegratorConfig,
     _RhoState,
+    _sample_grid,
     integrate_chart,
     integrate_segment,
     simulate_input,
@@ -172,9 +173,10 @@ def test_forcing_matches_mpmath_at_level_5(fs, schedule):
     # from anchor 5 to anchor 6 only bump (0, 5) acts; its peak sits ~1e-5
     # below the support's edge and the forced rho is ~e^(-6.6e10)
     p = sample_perturbation(schedule, seed=3)
-    heights = fs.curve(0).arc_heights
-    _, rho, _ = integrate_segment(fs, 0, float(heights[5]), float(heights[6]), 0.0,
-                                  _RhoState(0, LogMagnitude.zero()), p)
+    a, b = (float(s) for s in fs.curve(0).arc_heights[5:7])
+    grid = _sample_grid(a, b)
+    _, rho, _ = integrate_segment(fs, 0, a, b, 0.0, _RhoState(0, LogMagnitude.zero()), p,
+                                  (grid, fs.speed(0).time(a, grid)))
     sign, ln_rho = _mp_forced_rho(fs, 0, 5, p.bumps[(0, 5)])
     assert rho.sign == sign
     assert rho.w.ln() == pytest.approx(ln_rho, abs=0.01)

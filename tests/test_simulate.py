@@ -27,6 +27,7 @@ from flowcomp.simulate import (
     IntegratorConfig,
     SimulationVerdict,
     _RhoState,
+    _sample_grid,
     classify_crossing,
     crossing_times,
     event_rows,
@@ -103,7 +104,9 @@ def test_segment_rows_do_not_depend_on_the_last_bit_of_its_length(fs):
     rho = _RhoState(0, LogMagnitude.zero())
     counts = []
     for length in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)):
-        _, _, rows = integrate_segment(fs, 0, 0.0, length, 0.0, rho, None)
+        grid = _sample_grid(0.0, length)
+        _, _, rows = integrate_segment(fs, 0, 0.0, length, 0.0, rho, None,
+                                       (grid, fs.speed(0).time(0.0, grid)))
         counts.append(len(rows))
         assert [s for _, s, _, _ in rows[:-1]] == np.arange(0.0, 1.0, 0.05).tolist()
     assert counts == [21, 21, 21]
@@ -339,11 +342,12 @@ def test_crossing_times_match_solver(request, monkeypatch, machine):
         # through the float-visible transient of rho, past it, and the anchor
         transient = s0 + float(speed(s0)) * np.array([0.5, 2.0, 8.0, 30.0, 120.0])
         targets = np.append(transient, curve.arc_heights[1])
-        got = crossing_times(curve, speed.time, s0, rho0, targets)
-        assert np.all(np.abs(got - speed.time(s0, targets)) > 1e-3)
+        T = speed.time(s0, targets)
+        got = crossing_times(curve, speed.time, s0, rho0, targets, T)
+        assert np.all(np.abs(got - T) > 1e-3)
         assert np.all(np.abs(got - _solver_times(curve, speed, s0, rho0, targets)) < 1e-9)
         monkeypatch.setattr(simulate, "_QUAD_DT", simulate._QUAD_DT / 2.0)
-        finer = crossing_times(curve, speed.time, s0, rho0, targets)
+        finer = crossing_times(curve, speed.time, s0, rho0, targets, T)
         monkeypatch.undo()
         # the quadrature error is O(step^2), about 2e-12 time units at the
         # default step: below 1e-12 relative from a few time units on
@@ -355,6 +359,6 @@ def test_crossing_times_without_rho_are_the_slowness_integral(fs):
     curve, speed = fs.curve(0), fs.speed(0)
     s = np.linspace(0.1, 2.5, 7)
     want = speed.time(0.05, s)
-    assert np.array_equal(crossing_times(curve, speed.time, 0.05, 0.0, s), want)
+    assert np.array_equal(crossing_times(curve, speed.time, 0.05, 0.0, s, want), want)
     # rho below the float floor no longer reaches the s-equation
-    assert np.array_equal(crossing_times(curve, speed.time, 0.05, 1e-90, s), want)
+    assert np.array_equal(crossing_times(curve, speed.time, 0.05, 1e-90, s, want), want)

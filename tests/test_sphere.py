@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from flowcomp import sphere
 from flowcomp.curves import RAMP_EPS, CurveFamily
@@ -230,7 +231,39 @@ def test_warp_matches_a_fine_arc_length_grid(machine):
         t_of_s, grid = orbit.warp
         assert grid[-1] == pytest.approx(ref_s[-1], abs=1e-12)
         got, want = np.interp(anchors, grid, t_of_s), np.interp(anchors, ref_s, ref_t)
-        # both are trapezoid sums, each about 1e-8 from the exact t at the
-        # first anchor (2.2e-8 and 8.4e-9 against 20,000 nodes per unit)
+        # the reference trapezoid sum is itself about 1e-8 from the exact t
+        # at the first anchor (8.4e-9 on right_filler); the warp is within
+        # 2e-13 of quadrature (below)
         assert np.all(np.abs(got / want - 1.0) < 2e-8)
         assert orbit.iterates == int(ref_t[-1] / delta) + 1
+
+
+def quadrature_warp(fs, band, l_max):
+    """t at anchors 0..l_max and RAMP_EPS above the last: adaptive quadrature
+    in u of the slowness times ds/du, split where the ramps start and end."""
+    curve = fs.curve(band)
+
+    def slowness(u):
+        x, d1, _ = curve.lambda_eval(u)
+        return math.sqrt(1.0 + d1 * d1) / (fs.lam * float(damping(x, u)))
+
+    cuts = [c for l in range(l_max) for c in (l, l + RAMP_EPS, l + 0.5, l + 1 - RAMP_EPS)]
+    cuts += [l_max, l_max + RAMP_EPS]
+    pieces = [quad(slowness, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for a, b in zip(cuts, cuts[1:])]
+    t = np.cumsum([0.0] + pieces)
+    return np.append(t[:-1:4], t[-1])
+
+
+@pytest.mark.parametrize("machine", SCAN_MACHINES, ids=lambda m: m.name)
+def test_warp_matches_quadrature_at_every_anchor(machine):
+    # the Hermite rule with the slowness's exact s-derivative; a trapezoid
+    # sum on the same nodes was 2.2e-8 off at anchor 1 on right_filler
+    fs = FieldSpec(machine, n_bands=3, l_max=8)
+    for band in range(3):
+        _, _, orbit = discrete_orbit_verdict(fs, band, None, delta_threshold(fs.lam) / 2.0,
+                                             IntegratorConfig(l_max=8))
+        t_of_s, grid = orbit.warp
+        want = quadrature_warp(fs, band, 8)
+        got = np.append(np.interp(fs.curve(band).arc_heights[:9], grid, t_of_s), t_of_s[-1])
+        assert np.all(np.abs(got[1:] / want[1:] - 1.0) < 1e-11)
