@@ -21,7 +21,7 @@ import numpy as np
 
 from .curves import RAMP_EPS, CurveFamily, flat, interval_bound_log
 from .field import ErrorSchedule, FieldSpec
-from .logmag import FIX, LN2_FIX, LogMagnitude, signed_log_add
+from .logmag import FIX, LN2_FIX, LogMagnitude
 from .machine import MachineSpec
 from .simulate import crossing_times
 
@@ -71,8 +71,6 @@ def _forcing_peak(c: float) -> float:
 
 @dataclass(frozen=True)
 class _BoxBump:
-    band: int
-    height: int
     sign: int
     amplitude: LogMagnitude  # ln of the bump's peak magnitude
     direction: tuple  # unit vector
@@ -92,15 +90,17 @@ class PerturbationSpec:
     def __init__(self, schedule: ErrorSchedule, seed: int):
         self.schedule = schedule
         self.seed = seed
-        rng = np.random.default_rng(seed)
+        keys = sorted(schedule.thresholds)
+        # per box (amplitude fraction, sign, angle), each as low + (high - low) r,
+        # which is how rng.uniform(low, high) forms it, bit for bit
+        draws = np.random.default_rng(seed).random((len(keys), 3)).tolist()
         self.bumps = {}
-        for (i, l), _th in sorted(schedule.thresholds.items()):
-            cap = schedule.cap(i, l)
-            u = float(rng.uniform(1e-3, 1.0))
-            sign = 1 if rng.uniform() < 0.5 else -1
-            theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            self.bumps[(i, l)] = _BoxBump(
-                i, l, sign, cap + math.log(u), (math.cos(theta), math.sin(theta))
+        for key, (r_amp, r_sign, r_angle) in zip(keys, draws):
+            theta = 2.0 * math.pi * r_angle
+            self.bumps[key] = _BoxBump(
+                1 if r_sign < 0.5 else -1,
+                schedule.cap(*key) + math.log(1e-3 + (1.0 - 1e-3) * r_amp),
+                (math.cos(theta), math.sin(theta)),
             )
 
     def _locate(self, x: float, y: float):
@@ -138,55 +138,37 @@ class PerturbationSpec:
         sign = bump.sign * (1 if dot > 0 else -1)
         return sign, bump.amplitude + math.log(shape * abs(dot))
 
-    def forcing(self, fs: FieldSpec, band: int, s0: float, s_target: float):
-        """(sign, ln|rho|) the bumps add to the normal coordinate by s_target.
+    def forcing(self, fs: FieldSpec, band: int, l: int):
+        """(sign, ln|rho|) box (band, l) adds to the normal coordinate by
+        anchor l + 1, on a segment that enters below the box's support.
 
-        s_target must be an anchor.  Along the curve d(rho)/dt = -rho + P . n,
-        so a bump passed between s0 and s_target adds, at the time t1 the
-        flow reaches s_target,
+        Along the curve d(rho)/dt = -rho + P . n, so the bump adds, at the
+        time t1 the flow reaches the anchor,
 
-            amplitude * integral of shape * (dir . n) * e^{-(t1 - t)} dt.
+            amplitude * integral of shape * (dir . n) * e^{-(t1 - t)} dt
 
-        The support of bump l lies where the flow runs at the constant level
-        speed lam_l, so with delta = l + 3/4 - u the distance below the
-        support's top edge, t1 - t = T_top + K(delta)/lam_l, where T_top is
-        the closed-form time from the top edge to s_target and K(delta) the
-        arc length over delta.  The integrand peaks where the bump's fall
-        towards its edge meets the kernel's; it is summed in ln(delta) on a
-        window around that peak with the peak's log factored out, so no
-        forcing underflows however deep the level.
+        over its whole support l + 1/4 < u < l + 3/4.  There the flow runs at
+        the constant level speed lam_l, so with delta = l + 3/4 - u the
+        distance below the support's top edge, t1 - t = T_top + K(delta)/lam_l,
+        where T_top is the closed-form time from the top edge to the anchor
+        and K(delta) the arc length over delta.  The integrand peaks where the
+        bump's fall towards its edge meets the kernel's; it is summed in
+        ln(delta) on a window around that peak with the peak's log factored
+        out, so no forcing underflows however deep the level.
         """
+        bump = self.bumps.get((band, l))
+        if bump is None:
+            return 0, LogMagnitude.zero()
         curve = fs.curve(band)
         speed = fs.speed(band)
-        u0 = float(curve.param_of_arclength(s0))
-        u1 = float(curve.param_of_arclength(s_target))
-        f_sign, f_w = 0, LogMagnitude.zero()
-        for l in range(max(0, math.ceil(u0 - 0.75)), math.floor(u1 - 0.25) + 1):
-            bump = self.bumps.get((band, l))
-            if bump is None or u0 >= l + 0.75:
-                continue
-            u_top = l + 0.75
-            if u_top > u1 + 1e-9:
-                raise ValueError("forcing runs from a point to an anchor")
-            lam = float(speed.levels[l])
-            t_top = float(speed.time(float(curve.arclength_of_param(u_top)), s_target))
-            sign, ln_int = self._box_integral(curve, bump, u_top, u_top - u0, lam)
-            if sign == 0:
-                continue
-            contrib = bump.amplitude - LogMagnitude.fixed(t_top) + ln_int
-            f_sign, f_w = signed_log_add(f_sign, f_w, bump.sign * sign, contrib)
-        return f_sign, f_w
-
-    @staticmethod
-    def _box_integral(curve, bump, u_top, delta_max, lam):
-        """(sign, ln|I|) of I = integral over the support below u_top of
-        shape * (dir . n) * e^{-K(delta)/lam} ds/lam."""
-        w_top = curve.frame(u_top)[3]
-        d_peak = _forcing_peak(w_top / lam)
+        u_top = l + 0.75
+        lam = float(speed.levels[l])
+        _, d_top, _ = curve.lambda_eval(u_top)
+        d_peak = _forcing_peak(math.sqrt(1.0 + d_top * d_top) / lam)
         q = d_peak * (1.0 - 2.0 * d_peak)
         curv = d_peak**2 * (4.0 / q**2 + 2.0 * (1.0 - 4.0 * d_peak) ** 2 / q**3) / 8.0
         half = _FORCING_HALF_WIDTH / math.sqrt(curv)
-        z_hi = min(math.log(d_peak) + half, math.log(min(delta_max, 0.5)))
+        z_hi = min(math.log(d_peak) + half, math.log(0.5))  # up to the whole support
         z_lo = min(math.log(d_peak) - half, z_hi - 2.0 * half)
         z = np.linspace(z_lo, z_hi, _FORCING_POINTS)
         delta = np.exp(z)
@@ -199,7 +181,7 @@ class PerturbationSpec:
         _, dn, _ = curve.lambda_eval(nodes.ravel())
         w_nodes = np.sqrt(1.0 + dn * dn).reshape(nodes.shape)
         arc = 0.5 * delta * (w_nodes @ gl_w)
-        tx = x - 2 * curve.band + 0.25
+        tx = x - 2 * band + 0.25
         with np.errstate(divide="ignore"):
             # ln bump01(1 - 2 delta): x = 4t(1 - t) written in delta, so
             # that no 1 - (1 - 2 delta) cancels when delta is ~1e-15
@@ -211,8 +193,11 @@ class PerturbationSpec:
         total = float(np.sum(vals[1:] + vals[:-1])) * 0.5 * (z[1] - z[0])
         if total == 0.0:
             return 0, LogMagnitude.zero()
+        t_top = float(speed.time(float(curve.arclength_of_param(u_top)),
+                                 float(curve.arc_heights[l + 1])))
         ln_rest = math.log(abs(total)) - math.log(lam)
-        return (1 if total > 0 else -1), LogMagnitude.fixed(peak) + ln_rest
+        return (bump.sign * (1 if total > 0 else -1),
+                bump.amplitude - LogMagnitude.fixed(t_top) + LogMagnitude.fixed(peak) + ln_rest)
 
 
 def sample_perturbation(schedule: ErrorSchedule, seed: int) -> PerturbationSpec:

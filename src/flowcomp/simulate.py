@@ -181,17 +181,18 @@ def _sample_grid(s0: float, s_target: float) -> np.ndarray:
     return np.append(np.arange(s0, s_target, _SAMPLE_DS)[:n], s_target)
 
 
-def integrate_segment(fs: FieldSpec, band: int, s0: float, s_target: float,
+def integrate_segment(fs: FieldSpec, band: int, height: int, s0: float,
                       t0: float, rho: _RhoState, perturbation, samples):
-    """Advance from s0 to the anchor s_target; returns (t1, rho at t1, sample rows).
+    """Advance from s0 to anchor `height`; returns (t1, rho at t1, sample rows).
 
     The crossing time and the times of the sample rows, one every
     `_SAMPLE_DS` of arc, come from `crossing_times` with the band's
     closed-form slowness integral.  `samples` is (grid, T): the rows' arc
-    lengths and their slowness integrals from s0.
+    lengths, the last one the anchor's, and their slowness integrals from s0.
     The decay of rho by the elapsed time is carried in the fixed-point part
     of its magnitude, and the perturbation's forcing is added by its exact
-    exponential integral.
+    exponential integral: the segment passes the whole support of box
+    (band, height - 1) and no other.
     """
     grid, T = samples
     ln0 = rho.w.ln()
@@ -202,13 +203,13 @@ def integrate_segment(fs: FieldSpec, band: int, s0: float, s_target: float,
 
     new_sign, new_w = rho.sign, rho.w - LogMagnitude.fixed(dur)
     if perturbation is not None:
-        f_sign, f_w = perturbation.forcing(fs, band, s0, s_target)
+        f_sign, f_w = perturbation.forcing(fs, band, height - 1)
         new_sign, new_w = signed_log_add(new_sign, new_w, f_sign, f_w)
 
     out = _RhoState(new_sign, new_w)
     if out.sign != 0 and out.w >= LN_CHART_LIMIT:
         raise ConfinementError(
-            f"|rho| reached the chart boundary on band {band} near s = {s_target}"
+            f"|rho| reached the chart boundary on band {band} at height {height}"
         )
     return t1, out, [(t, s_, rho.sign, ln0 - (t - t0))
                      for t, s_ in zip((t0 + times).tolist(), grid.tolist())]
@@ -228,25 +229,22 @@ def integrate_chart(fs: FieldSpec, band: int, start=(0.0, 0.0), perturbation=Non
                     stop=None) -> ChartTrajectory:
     """Run the chart flow from `start`, recording one event per height.
 
-    `start` is (s0, rho0) with rho0 a float or a `_RhoState`.
+    `start` is (s0, rho0) with s0 below arc length 1/4 and rho0 a float.
     `stop` is an optional callback(event) -> bool ending the run early.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     s0, rho0 = start
-    rho = rho0 if isinstance(rho0, _RhoState) else _RhoState.from_float(rho0)
+    # s(u) >= u, so such a start lies below every bump support, and each
+    # height is one segment from the anchor below it
+    if s0 >= 0.25:
+        raise ValueError(f"start at arc length {s0} is not below 1/4")
+    rho = _RhoState.from_float(rho0)
     if rho.sign != 0 and rho.w >= LN_CHART_LIMIT:
         raise ConfinementError("start outside the chart")
-    curve = fs.curve(band)
-    heights = curve.arc_heights
-    l_max = min(cfg.l_max, fs.l_max)
-    segments = []  # (height, start, anchor)
-    s = s0
-    for l in range(1, l_max + 1):
-        s_target = float(heights[l])
-        if s_target > s:
-            segments.append((l, s, s_target))
-            s = s_target
+    heights = fs.curve(band).arc_heights.tolist()
+    segments = [(l, s0 if l == 1 else heights[l - 1], heights[l])  # height, start, anchor
+                for l in range(1, min(cfg.l_max, fs.l_max) + 1)]
     # one slowness evaluation for the whole run: s0, then every segment's
     # grid, whose last node is the next segment's start
     grids = [_sample_grid(a, b) for _, a, b in segments]
@@ -255,7 +253,7 @@ def integrate_chart(fs: FieldSpec, band: int, start=(0.0, 0.0), perturbation=Non
     traj = ChartTrajectory(band)
     t = 0.0
     for (l, a, b), grid, lo, hi in zip(segments, grids, ends, ends[1:]):
-        t, rho, rows = integrate_segment(fs, band, a, b, t, rho, perturbation,
+        t, rho, rows = integrate_segment(fs, band, l, a, t, rho, perturbation,
                                          (grid, T_all[lo:hi] - T_all[lo - 1]))
         traj.samples.extend(rows)
         ev = EventRecord(band, l, t, b, rho.sign, rho.w,

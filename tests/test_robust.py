@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from flowcomp.curves import RAMP_EPS, interval_bound_log
+from flowcomp.curves import RAMP_EPS, CurveFamily, interval_bound_log
 from flowcomp.field import LAMBDA0, FieldSpec, contraction_speed_limit, error_schedule
 from flowcomp.logmag import LN2_FIX, LogMagnitude
 from flowcomp.machine import MachineSpec
@@ -175,11 +176,47 @@ def test_forcing_matches_mpmath_at_level_5(fs, schedule):
     p = sample_perturbation(schedule, seed=3)
     a, b = (float(s) for s in fs.curve(0).arc_heights[5:7])
     grid = _sample_grid(a, b)
-    _, rho, _ = integrate_segment(fs, 0, a, b, 0.0, _RhoState(0, LogMagnitude.zero()), p,
+    _, rho, _ = integrate_segment(fs, 0, 6, a, 0.0, _RhoState(0, LogMagnitude.zero()), p,
                                   (grid, fs.speed(0).time(a, grid)))
     sign, ln_rho = _mp_forced_rho(fs, 0, 5, p.bumps[(0, 5)])
     assert rho.sign == sign
     assert rho.w.ln() == pytest.approx(ln_rho, abs=0.01)
+
+
+def test_perturbed_run_makes_no_arc_length_inversion(fs, schedule, monkeypatch):
+    # each segment ends at an anchor, where the curve parameter is the height
+    p = sample_perturbation(schedule, seed=3)
+    calls = []
+    invert = CurveFamily.param_of_arclength
+
+    def counted(self, s):
+        calls.append(s)
+        return invert(self, s)
+
+    monkeypatch.setattr(CurveFamily, "param_of_arclength", counted)
+    _, _, traj = simulate_input(fs, 0, None, IntegratorConfig(l_max=5), perturbation=p)
+    assert traj.events[0].rho_sign != 0 and calls == []
+
+
+# sha256 of every forced crossing (t, rho sign, ln|rho| fixed and float
+# parts) of the incrementer and right_filler, 2 bands, l_max 6, seeds 0-4
+FORCED_CROSSINGS_SHA256 = "09d55e206fe972f8fe608d97532d47aa67cb57f3314776d61fb29606464d740f"
+
+
+def test_forced_crossings_are_pinned(incrementer):
+    rows = []
+    for m in (incrementer, mk(1, lambda d: 9, 1, "fill")):
+        fs6 = FieldSpec(m, n_bands=2, l_max=6)
+        sched = error_schedule(fs6)
+        for seed in range(5):
+            p = sample_perturbation(sched, seed)
+            for band in range(2):
+                traj = integrate_chart(fs6, band, (0.0, 0.0), p, IntegratorConfig(l_max=6))
+                rows += [f"{e.t!r} {e.rho_sign} {e.rho_ln.fix} {e.rho_ln.off!r}"
+                         for e in traj.events]
+    assert len(rows) == 2 * 5 * 2 * 6
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == FORCED_CROSSINGS_SHA256
 
 
 # -- contraction ------------------------------------------------------------

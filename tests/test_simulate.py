@@ -105,7 +105,7 @@ def test_segment_rows_do_not_depend_on_the_last_bit_of_its_length(fs):
     counts = []
     for length in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)):
         grid = _sample_grid(0.0, length)
-        _, _, rows = integrate_segment(fs, 0, 0.0, length, 0.0, rho, None,
+        _, _, rows = integrate_segment(fs, 0, 1, 0.0, 0.0, rho, None,
                                        (grid, fs.speed(0).time(0.0, grid)))
         counts.append(len(rows))
         assert [s for _, s, _, _ in rows[:-1]] == np.arange(0.0, 1.0, 0.05).tolist()
@@ -136,7 +136,7 @@ def reference_times(fs, traj, start):
 def test_batched_slowness_matches_per_segment_reference(fs, case):
     start, pert, stop = (0.0, 0.0), None, None
     if case in ("off_curve", "perturbed"):
-        start = (0.3, 0.01)
+        start = (0.2, 0.01)
     if case == "perturbed":
         pert = sample_perturbation(error_schedule(fs), seed=4)
     if case == "early_stop":
@@ -155,6 +155,13 @@ def test_batched_slowness_matches_per_segment_reference(fs, case):
 def test_confinement_error_on_bad_start(fs):
     with pytest.raises(ConfinementError):
         integrate_chart(fs, 0, (0.0, 0.07), cfg=CFG)
+
+
+@pytest.mark.parametrize("s0", [0.25, 0.3])
+def test_start_at_or_above_a_quarter_is_rejected(fs, s0):
+    # a start there could lie inside box 0's bump support
+    with pytest.raises(ValueError):
+        integrate_chart(fs, 0, (s0, 0.0), cfg=CFG)
 
 
 def test_classify_center_and_miss(fs):
@@ -304,7 +311,7 @@ def test_export_rows(fs):
 
 
 def test_trajectory_rows_name_the_next_height(fs):
-    traj = integrate_chart(fs, 0, (0.3, 0.0), cfg=CFG)
+    traj = integrate_chart(fs, 0, (0.2, 0.0), cfg=CFG)
     traj.samples.append((1e9, traj.events[-1].s + 1.0, 0, 0.0))  # past the last anchor
     want = [next((e.height for e in traj.events if e.s >= s), -1)
             for _, s, _, _ in traj.samples]
