@@ -19,7 +19,6 @@ from .machine import (
 from .robust import contraction_check, resource_estimate, sample_perturbation
 from .simulate import (
     HaltingSetSpec,
-    IntegratorConfig,
     simulate_bounded,
     simulate_input,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "EncodedPoint",
     "FieldSpec",
     "HaltingSetSpec",
-    "IntegratorConfig",
     "LogMagnitude",
     "MachineSpec",
     "Poly2",

@@ -34,7 +34,6 @@ from .machine import (
 )
 from .robust import MAX_NESTED, resource_estimate, sample_perturbation
 from .simulate import (
-    IntegratorConfig,
     SimulationVerdict,
     event_rows,
     format_verdict,
@@ -256,12 +255,11 @@ def _build(settings: dict):
     fs = FieldSpec(machine, n_bands=settings["inputs"],
                    l_max=settings["lmax"] + 1,
                    lambda_frac=settings["lambda_frac"])
-    cfg = IntegratorConfig(l_max=settings["lmax"])
-    return machine, fs, cfg
+    return machine, fs
 
 
 def cmd_compile(settings, outdir, man):
-    _, fs, _ = _build(settings)
+    _, fs = _build(settings)
     for band in range(fs.n_bands):
         curve = fs.curve(band)
         path = outdir / f"curve_{band}.csv"
@@ -285,11 +283,11 @@ def cmd_compile(settings, outdir, man):
 
 
 def cmd_simulate(settings, outdir, man):
-    _, fs, cfg = _build(settings)
+    _, fs = _build(settings)
     verdicts = []
     unresolved = False
     for idx in range(settings["inputs"]):
-        verdict, _, traj = simulate_input(fs, idx, None, cfg)
+        verdict, _, traj = simulate_input(fs, idx, None, settings["lmax"])
         unresolved |= verdict.kind == "UNRESOLVED"
         verdicts.append((idx, format_verdict(verdict)))
         tpath = outdir / f"trajectory_{idx}.csv"
@@ -316,11 +314,11 @@ def _oracle_verdict(machine, config, lmax):
 
 
 def cmd_verify(settings, outdir, man):
-    machine, fs, cfg = _build(settings)
+    machine, fs = _build(settings)
     rows = []
     ok = True
     for idx, config, _ in enumerate_inputs(machine, settings["inputs"]):
-        verdict, _, _ = simulate_input(fs, idx, None, cfg)
+        verdict, _, _ = simulate_input(fs, idx, None, settings["lmax"])
         flow = format_verdict(verdict)
         oracle = _oracle_verdict(machine, config, settings["lmax"])
         agree = flow == oracle
@@ -333,17 +331,18 @@ def cmd_verify(settings, outdir, man):
 
 
 def cmd_perturb(settings, outdir, man):
-    _, fs, cfg = _build(settings)
+    _, fs = _build(settings)
     schedule = error_schedule(fs)
     rows = []
     ok = True
     for idx in range(settings["inputs"]):
-        base, _, _ = simulate_input(fs, idx, None, cfg)
+        base, _, _ = simulate_input(fs, idx, None, settings["lmax"])
         baseline = format_verdict(base)
         for trial in range(settings["trials"]):
             seed = settings["seed"] + 1000 * idx + trial
             pert = sample_perturbation(schedule, seed)
-            verdict, _, _ = simulate_input(fs, idx, None, cfg, perturbation=pert)
+            verdict, _, _ = simulate_input(fs, idx, None, settings["lmax"],
+                                           perturbation=pert)
             got = format_verdict(verdict)
             agree = got == baseline
             ok &= agree
@@ -355,7 +354,7 @@ def cmd_perturb(settings, outdir, man):
 
 
 def cmd_extend3d(settings, outdir, man):
-    _, fs, _ = _build(settings)
+    _, fs = _build(settings)
     window = (0.0, 1.0, 0.0, float(min(settings["lmax"], 2)))
     report = fit_window_polynomial(fs, window, settings["degree"])
     F = report["F"]
@@ -388,13 +387,13 @@ def cmd_extend3d(settings, outdir, man):
 
 
 def cmd_sphere(settings, outdir, man):
-    _, fs, cfg = _build(settings)
+    _, fs = _build(settings)
     delta = delta_threshold(fs.lam) / 2.0
     rows = []
     ok = True
     for idx in range(settings["inputs"]):
-        cont, _, _ = simulate_input(fs, idx, None, cfg)
-        disc, _, orbit = discrete_orbit_verdict(fs, idx, None, delta, cfg)
+        cont, _, _ = simulate_input(fs, idx, None, settings["lmax"])
+        disc, _, orbit = discrete_orbit_verdict(fs, idx, None, delta, settings["lmax"])
         agree = format_verdict(cont) == format_verdict(disc) and not orbit.band_gaps
         ok &= agree
         rows.append((idx, f"{delta:.12g}", format_verdict(cont), format_verdict(disc),

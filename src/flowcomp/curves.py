@@ -190,22 +190,18 @@ class CurveFamily:
         return d1
 
     def curvature(self, u):
-        _, d1, d2 = self.lambda_eval(u)
-        return -d2 * (1.0 + d1**2) ** -1.5
+        return self.frame(u)[2]
 
     def point(self, u):
         val, _, _ = self.lambda_eval(u)
         return val, np.asarray(u, dtype=float) + 0.0
 
     def frame(self, u):
-        """(tangent, normal, curvature, speed) at parameter u; array friendly."""
+        """(tangent, normal, curvature, speed) at parameter u; array friendly.
+        The curvature is -lambda''/w^3 with the speed w = sqrt(1 + lambda'^2)."""
         _, d1, d2 = self.lambda_eval(u)
         w = np.sqrt(1.0 + d1 * d1)
-        tangent = (d1 / w, 1.0 / w)
-        normal = (-1.0 / w, d1 / w)
-        # w**3 by the C library's pow, point by point; numpy's can differ in the last bit
-        kappa = -d2 / np.array([v**3 for v in np.ravel(w).tolist()]).reshape(np.shape(w))
-        return tangent, normal, kappa, w
+        return (d1 / w, 1.0 / w), (-1.0 / w, d1 / w), -d2 / w**3, w
 
     # -- arc length ---------------------------------------------------------
 

@@ -8,6 +8,11 @@ integral of the per-level slowness, corrected by an exponentially weighted
 integral of the curvature while rho is visible at double precision.  At each
 arc-length anchor the crossing is classified against the encoded interval of
 the corresponding machine configuration, entirely in log space.
+
+`integrate_chart` yields the crossings one height at a time, and a verdict
+driver reads them only as far as its verdict needs: reading stops the flow.
+Every driver takes a height budget l_max in 1..fs.l_max (`check_budget`), so
+an UNRESOLVED verdict's budget is the number of heights flown.
 """
 
 from __future__ import annotations
@@ -37,16 +42,6 @@ _QUAD_DT = 0.01
 
 class ConfinementError(RuntimeError):
     """|rho| reached the chart boundary: the schedule was violated."""
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    l_max: int = 20
-    window: float | None = None
-
-    def __post_init__(self):
-        if self.l_max < 1:
-            raise ValueError("height budget must be >= 1")
 
 
 MISS = "Miss"
@@ -110,22 +105,6 @@ class HaltingSetSpec:
 # chart integration
 
 
-class _RhoState:
-    """Signed log-magnitude normal coordinate."""
-
-    __slots__ = ("sign", "w")
-
-    def __init__(self, sign: int, w: LogMagnitude):
-        self.sign = sign
-        self.w = w
-
-    @classmethod
-    def from_float(cls, rho: float) -> "_RhoState":
-        if rho == 0.0:
-            return cls(0, LogMagnitude.zero())
-        return cls(1 if rho > 0 else -1, LogMagnitude.from_ln(math.log(abs(rho))))
-
-
 def _exp_weights(h):
     """Weights (left, right) of the exact integral of a linear function times
     e^{-tau} over [0, h]: the integral of e^{-tau} minus, and plus, that of
@@ -182,7 +161,7 @@ def _sample_grid(s0: float, s_target: float) -> np.ndarray:
 
 
 def integrate_segment(fs: FieldSpec, band: int, height: int, s0: float,
-                      t0: float, rho: _RhoState, perturbation, samples):
+                      t0: float, rho, perturbation, samples):
     """Advance from s0 to anchor `height`; returns (t1, rho at t1, sample rows).
 
     The crossing time and the times of the sample rows, one every
@@ -192,80 +171,77 @@ def integrate_segment(fs: FieldSpec, band: int, height: int, s0: float,
     The decay of rho by the elapsed time is carried in the fixed-point part
     of its magnitude, and the perturbation's forcing is added by its exact
     exponential integral: the segment passes the whole support of box
-    (band, height - 1) and no other.
+    (band, height - 1) and no other.  rho is the (sign, LogMagnitude) pair
+    that `signed_log_add` takes and returns.
     """
     grid, T = samples
-    ln0 = rho.w.ln()
+    sign, w = rho
+    ln0 = w.ln()
     times = crossing_times(fs.curve(band), fs.speed(band).time, s0,
-                           rho.sign * math.exp(ln0), grid, T)
+                           sign * math.exp(ln0), grid, T)
     dur = float(times[-1])
     t1 = t0 + dur
 
-    new_sign, new_w = rho.sign, rho.w - LogMagnitude.fixed(dur)
+    out = sign, w - LogMagnitude.fixed(dur)
     if perturbation is not None:
-        f_sign, f_w = perturbation.forcing(fs, band, height - 1)
-        new_sign, new_w = signed_log_add(new_sign, new_w, f_sign, f_w)
-
-    out = _RhoState(new_sign, new_w)
-    if out.sign != 0 and out.w >= LN_CHART_LIMIT:
+        out = signed_log_add(*out, *perturbation.forcing(fs, band, height - 1))
+    if out[0] != 0 and out[1] >= LN_CHART_LIMIT:
         raise ConfinementError(
             f"|rho| reached the chart boundary on band {band} at height {height}"
         )
-    return t1, out, [(t, s_, rho.sign, ln0 - (t - t0))
+    return t1, out, [(t, s_, sign, ln0 - (t - t0))
                      for t, s_ in zip((t0 + times).tolist(), grid.tolist())]
 
 
-def classify_crossing(fs: FieldSpec, band: int, height: int, rho: _RhoState):
+def classify_crossing(fs: FieldSpec, band: int, height: int, rho):
     """The box's Configuration iff ln|rho| is below the encoded-interval
-    half-width, else MISS."""
+    half-width, else MISS; rho is a (sign, LogMagnitude) pair."""
     c = fs.curve(band).configs[height]
-    if rho.sign == 0 or rho.w.diff_ln(encode(c).ln_half_width()) < -CLASSIFY_GUARD:
+    sign, w = rho
+    if sign == 0 or w.diff_ln(encode(c).ln_half_width()) < -CLASSIFY_GUARD:
         return c
     return MISS
 
 
-def integrate_chart(fs: FieldSpec, band: int, start=(0.0, 0.0), perturbation=None,
-                    cfg: IntegratorConfig | None = None, *,
-                    stop=None) -> ChartTrajectory:
-    """Run the chart flow from `start`, recording one event per height.
+def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int):
+    """Yield (EventRecord, sample rows) of the chart flow from `start`, one
+    height at a time from 1 to `l_max`; reading stops the flow.
 
-    `start` is (s0, rho0) with s0 below arc length 1/4 and rho0 a float.
-    `stop` is an optional callback(event) -> bool ending the run early.
+    `start` is (s0, rho0) with s0 below arc length 1/4 and rho0 a float; a
+    bad start raises on the first read, before any segment is integrated.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
     s0, rho0 = start
     # s(u) >= u, so such a start lies below every bump support, and each
     # height is one segment from the anchor below it
     if s0 >= 0.25:
         raise ValueError(f"start at arc length {s0} is not below 1/4")
-    rho = _RhoState.from_float(rho0)
-    if rho.sign != 0 and rho.w >= LN_CHART_LIMIT:
+    rho = ((0, LogMagnitude.zero()) if rho0 == 0.0 else
+           (1 if rho0 > 0 else -1, LogMagnitude.from_ln(math.log(abs(rho0)))))
+    if rho[0] != 0 and rho[1] >= LN_CHART_LIMIT:
         raise ConfinementError("start outside the chart")
     heights = fs.curve(band).arc_heights.tolist()
     segments = [(l, s0 if l == 1 else heights[l - 1], heights[l])  # height, start, anchor
-                for l in range(1, min(cfg.l_max, fs.l_max) + 1)]
+                for l in range(1, l_max + 1)]
     # one slowness evaluation for the whole run: s0, then every segment's
     # grid, whose last node is the next segment's start
     grids = [_sample_grid(a, b) for _, a, b in segments]
     T_all = fs.speed(band).time_to(np.concatenate([[s0]] + grids))
     ends = np.cumsum([1] + [len(g) for g in grids]).tolist()
-    traj = ChartTrajectory(band)
     t = 0.0
     for (l, a, b), grid, lo, hi in zip(segments, grids, ends, ends[1:]):
         t, rho, rows = integrate_segment(fs, band, l, a, t, rho, perturbation,
                                          (grid, T_all[lo:hi] - T_all[lo - 1]))
-        traj.samples.extend(rows)
-        ev = EventRecord(band, l, t, b, rho.sign, rho.w,
-                         classify_crossing(fs, band, l, rho))
-        traj.events.append(ev)
-        if stop is not None and stop(ev):
-            break
-    return traj
+        yield EventRecord(band, l, t, b, *rho, classify_crossing(fs, band, l, rho)), rows
 
 
 # ---------------------------------------------------------------------------
 # verdict-level simulation
+
+
+def check_budget(fs: FieldSpec, l_max: int):
+    """A verdict's height budget is the number of heights it may fly: 1..fs.l_max."""
+    if not 1 <= l_max <= fs.l_max:
+        raise ValueError(f"height budget {l_max} outside 1..{fs.l_max}")
 
 
 def read_verdict(visits, q_halt: int, constraint: HaltingSetSpec | None, budget: int):
@@ -284,67 +260,55 @@ def read_verdict(visits, q_halt: int, constraint: HaltingSetSpec | None, budget:
 
 
 def simulate_input(fs: FieldSpec, input_index: int, constraint: HaltingSetSpec | None,
-                   cfg: IntegratorConfig | None = None, perturbation=None,
-                   start=(0.0, 0.0)):
-    """Flow one enumerated input up to its first halting crossing; returns
-    (verdict, hit, traj), read by `read_verdict` at the budget cfg.l_max from
-    the start's own box (height 0) on; a start that halts flows nowhere."""
-    if cfg is None:
-        cfg = IntegratorConfig()
-    q_halt = fs.machine.q_halt
-    c0 = fs.curve(input_index).configs[0]
+                   l_max: int, perturbation=None, start=(0.0, 0.0)):
+    """Flow one enumerated input up to its first halting crossing within
+    `l_max` heights; returns (verdict, hit, traj).
 
-    def halts(ev):
-        return isinstance(ev.classification, Configuration) and ev.classification.q == q_halt
+    `read_verdict` reads the visits lazily, from the start's own box (height
+    0) on, and the flow advances only as far as it reads: a start that halts
+    flows nowhere.
+    """
+    check_budget(fs, l_max)
+    traj = ChartTrajectory(input_index)
 
-    traj = (ChartTrajectory(input_index) if c0.q == q_halt
-            else integrate_chart(fs, input_index, start, perturbation, cfg, stop=halts))
-    visits = [(0, c0)] + [(ev.height, ev.classification) for ev in traj.events
-                          if isinstance(ev.classification, Configuration)]
-    verdict, hit = read_verdict(visits, q_halt, constraint, cfg.l_max)
+    def visits():
+        yield 0, fs.curve(input_index).configs[0]
+        for ev, rows in integrate_chart(fs, input_index, start, perturbation, l_max):
+            traj.events.append(ev)
+            traj.samples.extend(rows)
+            if isinstance(ev.classification, Configuration):
+                yield ev.height, ev.classification
+
+    verdict, hit = read_verdict(visits(), fs.machine.q_halt, constraint, l_max)
     return verdict, hit, traj
 
 
 def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
-                     cfg: IntegratorConfig, perturbation=None):
+                     l_max: int, window: float, perturbation=None):
     """Three-case verdict for a tape-bounded machine read off the flow.
 
     Order of precedence at each crossing: a box whose configuration needs
     more tape than the bound gives OOM; a halting box gives HALTED; leaving
-    the window before either gives LOOP (the trajectory escapes to infinity
-    without ever reaching a distinguished box).
+    the window of radius `window` before either gives LOOP (the trajectory
+    escapes to infinity without ever reaching a distinguished box).
     """
-    if cfg.window is None:
-        raise ValueError("bounded simulation needs a window radius")
-    if bounded.base is not fs.machine and bounded.base != fs.machine:
+    check_budget(fs, l_max)
+    if bounded.base != fs.machine:
         raise ValueError("field and bounded machine disagree")
     q_halt = fs.machine.q_halt
     c0 = fs.curve(input_index).configs[0]
     if c0.q == q_halt:
         return SimulationVerdict("HALTED", c0, 0)
-    size_cap = bounded.tape_size
-    outcome = None
-
-    def stop(ev):
-        nonlocal outcome
+    for ev, _ in integrate_chart(fs, input_index, (0.0, 0.0), perturbation, l_max):
         c = ev.classification
         if isinstance(c, Configuration):
-            if c.tape_size() > size_cap:
-                outcome = SimulationVerdict("OOM", height=ev.height)
-                return True
+            if c.tape_size() > bounded.tape_size:
+                return SimulationVerdict("OOM", height=ev.height)
             if c.q == q_halt:
-                outcome = SimulationVerdict("HALTED", c, ev.height)
-                return True
-        x_center = float(fs.curve(ev.band).x[ev.height])
-        if math.hypot(x_center, ev.height) > cfg.window:
-            outcome = SimulationVerdict("LOOP", height=ev.height)
-            return True
-        return False
-
-    integrate_chart(fs, input_index, (0.0, 0.0), perturbation, cfg, stop=stop)
-    if outcome is None:
-        outcome = SimulationVerdict("UNRESOLVED", budget=cfg.l_max)
-    return outcome
+                return SimulationVerdict("HALTED", c, ev.height)
+        if math.hypot(float(fs.curve(ev.band).x[ev.height]), ev.height) > window:
+            return SimulationVerdict("LOOP", height=ev.height)
+    return SimulationVerdict("UNRESOLVED", budget=l_max)
 
 
 # ---------------------------------------------------------------------------

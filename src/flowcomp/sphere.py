@@ -8,7 +8,9 @@ of the field at the top speed lam, so a height takes about the same time at
 every level.
 Computation survives as the time-delta map: below the threshold
 delta0 = RAMP_EPS/(32 lam) the discrete orbit cannot skip a height band, so box
-visits — and with them the verdicts — match the continuous flow.
+visits — and with them the verdicts — match the continuous flow.  The
+orbit's visits are read lazily by `read_verdict`, like the flow's crossings,
+over a height budget that `check_budget` holds to 1..fs.l_max.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .curves import _ARC_CELLS, RAMP_EPS, hermite_cumulative
 from .field import FieldSpec, _chart_field, _locate
-from .simulate import HaltingSetSpec, IntegratorConfig, read_verdict
+from .simulate import HaltingSetSpec, check_budget, read_verdict
 
 NORTH = (0.0, 0.0, 1.0)
 _POLE_TOL = 1e-12
@@ -115,8 +117,9 @@ class DiscreteOrbit:
 
 def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
                            constraint: HaltingSetSpec | None, delta: float,
-                           cfg: IntegratorConfig | None = None):
-    """(verdict, hit, orbit) for the time-delta map of the sphere field.
+                           l_max: int):
+    """(verdict, hit, orbit) for the time-delta map of the sphere field over
+    `l_max` heights.
 
     The orbit through an on-curve start stays on the curve (the factors are
     positive scalars and the normal dynamics is contracting), and along it
@@ -126,13 +129,11 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     exact s-derivative on the curve's arc-length nodes, up to RAMP_EPS past
     the last anchor, where the curve is vertical.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
+    check_budget(fs, l_max)
     d0 = delta_threshold(fs.lam)
     if delta >= d0:
         raise ValueError(f"delta = {delta} not below the threshold {d0}")
     curve = fs.curve(input_index)
-    l_max = min(cfg.l_max, fs.l_max)
     u, s, _, duds, val = (a[_ARC_CELLS:_ARC_CELLS * (l_max + 1) + 1] for a in curve._arc_maps)
     # one node more, RAMP_EPS up the vertical piece above anchor l_max, where
     # (x, y)' = (0, 1); along the arc it is (lambda', 1)/w

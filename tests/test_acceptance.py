@@ -51,7 +51,6 @@ from flowcomp.robust import (
 )
 from flowcomp.simulate import (
     HaltingSetSpec,
-    IntegratorConfig,
     format_verdict,
     simulate_bounded,
     simulate_input,
@@ -97,9 +96,8 @@ class Case:
         else:
             digits = {0: 0}
         self.constraint = HaltingSetSpec.from_digits(machine.q_halt, digits)
-        cfg = IntegratorConfig(l_max=L_MAX)
         self.verdict, self.hit, self.traj = simulate_input(
-            fs, index, self.constraint, cfg)
+            fs, index, self.constraint, L_MAX)
 
 
 @pytest.fixture(scope="module")
@@ -270,8 +268,7 @@ def test_criterion_06_oracle_equivalence(suite):
         if not agree:
             mismatches.append((case.machine.name, case.index, "input"))
         bounded = _bounded_spec(case.machine)
-        cfg = IntegratorConfig(l_max=int(WINDOW) + 2, window=WINDOW)
-        got = simulate_bounded(case.fs, bounded, case.index, cfg)
+        got = simulate_bounded(case.fs, bounded, case.index, int(WINDOW) + 2, WINDOW)
         oracle = run_bounded(bounded, case.config, 500)
         want = ("LOOP" if oracle is LOOP
                 else "OOM" if isinstance(oracle, OutOfMemory) else "HALTED")
@@ -287,7 +284,6 @@ def test_criterion_06_oracle_equivalence(suite):
 
 def test_criterion_07_perturbation_robustness(suite):
     t0 = time.time()
-    cfg = IntegratorConfig(l_max=L_MAX)
     changed = []
     unconfined = 0
     for case in suite:
@@ -296,7 +292,7 @@ def test_criterion_07_perturbation_robustness(suite):
         for trial in range(20):
             pert = sample_perturbation(schedule, 10_000 + 100 * trial + case.index)
             verdict, hit, traj = simulate_input(
-                case.fs, case.index, case.constraint, cfg, perturbation=pert)
+                case.fs, case.index, case.constraint, L_MAX, perturbation=pert)
             if (format_verdict(verdict), hit) != base:
                 changed.append((case.machine.name, case.index, trial))
             quarter = LogMagnitude(2 * LN2_FIX, 0.0)
@@ -318,7 +314,6 @@ def test_criterion_07_perturbation_robustness(suite):
 
 def test_criterion_08_set_to_set_starts(suite):
     t0 = time.time()
-    cfg = IntegratorConfig(l_max=L_MAX)
     rng = np.random.default_rng(8)
     disagreements = []
     for case in suite:
@@ -329,7 +324,7 @@ def test_criterion_08_set_to_set_starts(suite):
             start = (float(rng.uniform(-RAMP_EPS / 2, RAMP_EPS / 2)),
                      float(rng.uniform(-radius, radius)))
             _, hit, _ = simulate_input(case.fs, case.index, case.constraint,
-                                       cfg, start=start)
+                                       L_MAX, start=start)
             if hit != case.hit:
                 disagreements.append((case.machine.name, case.index, trial))
     elapsed = time.time() - t0
@@ -370,13 +365,12 @@ def test_criterion_09_cauchy_kovalevskaya_lift():
 
 def test_criterion_10_sphere_time_delta_map(suite):
     t0 = time.time()
-    cfg = IntegratorConfig(l_max=L_MAX)
     mismatches = []
     gaps = 0
     for case in suite:
         delta = delta_threshold(case.fs.lam) / 2.0
         verdict, hit, orbit = discrete_orbit_verdict(
-            case.fs, case.index, case.constraint, delta, cfg)
+            case.fs, case.index, case.constraint, delta, L_MAX)
         if hit != case.hit or verdict.kind != case.verdict.kind:
             mismatches.append((case.machine.name, case.index))
         gaps += len(orbit.band_gaps)

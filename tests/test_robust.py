@@ -17,8 +17,6 @@ from flowcomp.robust import (
 )
 from flowcomp.simulate import (
     HaltingSetSpec,
-    IntegratorConfig,
-    _RhoState,
     _sample_grid,
     integrate_chart,
     integrate_segment,
@@ -95,12 +93,11 @@ def test_deterministic_per_seed(schedule):
 
 
 def test_verdict_stable_under_perturbation(fs, schedule):
-    cfg = IntegratorConfig(l_max=5)
     hs = HaltingSetSpec.from_digits(2, {0: 1})
-    base, base_hit, _ = simulate_input(fs, 0, hs, cfg)
+    base, base_hit, _ = simulate_input(fs, 0, hs, 5)
     for seed in range(5):
         p = sample_perturbation(schedule, seed)
-        v, hit, traj = simulate_input(fs, 0, hs, cfg, perturbation=p)
+        v, hit, traj = simulate_input(fs, 0, hs, 5, perturbation=p)
         assert (v.kind, hit) == (base.kind, base_hit)
         # confinement: every crossing well inside the quarter-interval bound
         for e in traj.events:
@@ -163,8 +160,7 @@ def _mp_forced_rho(fs, band, l, bump):
 
 def test_forcing_matches_mpmath_at_height_1(fs, schedule):
     p = sample_perturbation(schedule, seed=3)
-    traj = integrate_chart(fs, 0, (0.0, 0.0), p, IntegratorConfig(l_max=1))
-    ev = traj.events[0]
+    ev, _ = next(integrate_chart(fs, 0, (0.0, 0.0), p, 1))
     sign, ln_rho = _mp_forced_rho(fs, 0, 0, p.bumps[(0, 0)])
     assert ev.rho_sign == sign
     assert ev.rho_ln.ln() == pytest.approx(ln_rho, abs=0.01)
@@ -176,11 +172,11 @@ def test_forcing_matches_mpmath_at_level_5(fs, schedule):
     p = sample_perturbation(schedule, seed=3)
     a, b = (float(s) for s in fs.curve(0).arc_heights[5:7])
     grid = _sample_grid(a, b)
-    _, rho, _ = integrate_segment(fs, 0, 6, a, 0.0, _RhoState(0, LogMagnitude.zero()), p,
-                                  (grid, fs.speed(0).time(a, grid)))
+    _, (rho_sign, rho_ln), _ = integrate_segment(fs, 0, 6, a, 0.0, (0, LogMagnitude.zero()),
+                                                 p, (grid, fs.speed(0).time(a, grid)))
     sign, ln_rho = _mp_forced_rho(fs, 0, 5, p.bumps[(0, 5)])
-    assert rho.sign == sign
-    assert rho.w.ln() == pytest.approx(ln_rho, abs=0.01)
+    assert rho_sign == sign
+    assert rho_ln.ln() == pytest.approx(ln_rho, abs=0.01)
 
 
 def test_perturbed_run_makes_no_arc_length_inversion(fs, schedule, monkeypatch):
@@ -194,7 +190,7 @@ def test_perturbed_run_makes_no_arc_length_inversion(fs, schedule, monkeypatch):
         return invert(self, s)
 
     monkeypatch.setattr(CurveFamily, "param_of_arclength", counted)
-    _, _, traj = simulate_input(fs, 0, None, IntegratorConfig(l_max=5), perturbation=p)
+    _, _, traj = simulate_input(fs, 0, None, 5, perturbation=p)
     assert traj.events[0].rho_sign != 0 and calls == []
 
 
@@ -211,9 +207,8 @@ def test_forced_crossings_are_pinned(incrementer):
         for seed in range(5):
             p = sample_perturbation(sched, seed)
             for band in range(2):
-                traj = integrate_chart(fs6, band, (0.0, 0.0), p, IntegratorConfig(l_max=6))
                 rows += [f"{e.t!r} {e.rho_sign} {e.rho_ln.fix} {e.rho_ln.off!r}"
-                         for e in traj.events]
+                         for e, _ in integrate_chart(fs6, band, (0.0, 0.0), p, 6)]
     assert len(rows) == 2 * 5 * 2 * 6
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == FORCED_CROSSINGS_SHA256

@@ -24,9 +24,7 @@ from flowcomp.simulate import (
     ConfinementError,
     EventRecord,
     HaltingSetSpec,
-    IntegratorConfig,
     SimulationVerdict,
-    _RhoState,
     _sample_grid,
     classify_crossing,
     crossing_times,
@@ -39,6 +37,7 @@ from flowcomp.simulate import (
     simulate_input,
     trajectory_rows,
 )
+from flowcomp.sphere import delta_threshold, discrete_orbit_verdict
 
 
 def mk(q2, f, shift, name):
@@ -65,25 +64,50 @@ def fs(incrementer):
     return FieldSpec(incrementer, n_bands=2, l_max=6)
 
 
-CFG = IntegratorConfig(l_max=5)
+L_MAX = 5
+
+
+def chart(fs, start, perturbation=None, l_max=L_MAX, reads=None):
+    """The first `reads` items of band 0's crossing stream (all by default),
+    gathered into a ChartTrajectory."""
+    traj = ChartTrajectory(0)
+    stream = integrate_chart(fs, 0, start, perturbation, l_max)
+    for ev, rows in itertools.islice(stream, reads):
+        traj.events.append(ev)
+        traj.samples.extend(rows)
+    return traj
+
+
+@pytest.fixture
+def segments(monkeypatch):
+    """The heights `integrate_chart` integrates, one entry per segment."""
+    seen = []
+    integrate = simulate.integrate_segment
+
+    def counted(fs, band, height, *args):
+        seen.append(height)
+        return integrate(fs, band, height, *args)
+
+    monkeypatch.setattr(simulate, "integrate_segment", counted)
+    return seen
 
 
 def test_on_curve_trajectory_stays_on_curve(fs):
-    traj = integrate_chart(fs, 0, (0.0, 0.0), cfg=CFG)
+    traj = chart(fs, (0.0, 0.0))
     assert len(traj.events) == 5
     assert all(e.rho_sign == 0 for e in traj.events)
     assert all(isinstance(e.classification, Configuration) for e in traj.events)
 
 
 def test_rho_exact_decay(fs):
-    traj = integrate_chart(fs, 0, (0.0, 1e-3), cfg=CFG)
+    traj = chart(fs, (0.0, 1e-3))
     for e in traj.events:
         assert e.rho_sign == 1
         assert e.rho_ln.ln() == pytest.approx(math.log(1e-3) - e.t, rel=1e-12)
 
 
 def test_crossing_time_lower_bound(fs):
-    traj = integrate_chart(fs, 0, (0.0, 0.0), cfg=CFG)
+    traj = chart(fs, (0.0, 0.0))
     ts = np.array([0.0] + [e.t for e in traj.events])
     ss = np.array([0.0] + [e.s for e in traj.events])
     assert np.all(np.diff(ts) > np.diff(ss) / (16 * fs.lam))
@@ -91,7 +115,7 @@ def test_crossing_time_lower_bound(fs):
 
 
 def test_events_strictly_increasing(fs):
-    traj = integrate_chart(fs, 0, (0.0, 0.0), cfg=CFG)
+    traj = chart(fs, (0.0, 0.0))
     hs = [e.height for e in traj.events]
     assert hs == sorted(hs) and len(set(hs)) == len(hs)
     ss = [s for _, s, _, _ in traj.samples]
@@ -101,7 +125,7 @@ def test_events_strictly_increasing(fs):
 def test_segment_rows_do_not_depend_on_the_last_bit_of_its_length(fs):
     # a unit segment gets 20 rows every 0.05 of arc plus its anchor; a row
     # more would sit within 1e-16 of the anchor it duplicates
-    rho = _RhoState(0, LogMagnitude.zero())
+    rho = (0, LogMagnitude.zero())
     counts = []
     for length in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)):
         grid = _sample_grid(0.0, length)
@@ -118,30 +142,30 @@ def reference_times(fs, traj, start):
     each segment starting from the previous event's rho."""
     curve, speed = fs.curve(traj.band), fs.speed(traj.band)
     s0, t0 = start[0], 0.0
-    rho = _RhoState.from_float(start[1])
+    rho = (1, LogMagnitude.from_ln(math.log(start[1]))) if start[1] else (0, LogMagnitude.zero())
     samples, events = [], []
     for ev in traj.events:
         n = max(1, math.ceil((ev.s - s0) / simulate._SAMPLE_DS - 1e-9))
         grid = np.append(np.arange(s0, ev.s, simulate._SAMPLE_DS)[:n], ev.s)
-        rho0 = rho.sign * math.exp(rho.w.ln())
+        rho0 = rho[0] * math.exp(rho[1].ln())
         times = crossing_times(curve, speed.time, s0, rho0, grid, speed.time(s0, grid))
         samples += (t0 + times).tolist()
         t0 += float(times[-1])
         events.append(t0)
-        s0, rho = ev.s, _RhoState(ev.rho_sign, ev.rho_ln)
+        s0, rho = ev.s, (ev.rho_sign, ev.rho_ln)
     return samples, events
 
 
 @pytest.mark.parametrize("case", ["on_curve", "off_curve", "perturbed", "early_stop"])
 def test_batched_slowness_matches_per_segment_reference(fs, case):
-    start, pert, stop = (0.0, 0.0), None, None
+    start, pert, reads = (0.0, 0.0), None, None
     if case in ("off_curve", "perturbed"):
         start = (0.2, 0.01)
     if case == "perturbed":
         pert = sample_perturbation(error_schedule(fs), seed=4)
     if case == "early_stop":
-        stop = lambda ev: ev.height == 3  # noqa: E731
-    traj = integrate_chart(fs, 0, start, pert, CFG, stop=stop)
+        reads = 3
+    traj = chart(fs, start, pert, reads=reads)
     assert len(traj.events) == (3 if case == "early_stop" else 5)
     samples, events = reference_times(fs, traj, start)
     assert [t for t, _, _, _ in traj.samples] == samples
@@ -152,23 +176,26 @@ def test_batched_slowness_matches_per_segment_reference(fs, case):
         assert np.all(np.array(samples[1:20]) != fs.speed(0).time(start[0], s))
 
 
-def test_confinement_error_on_bad_start(fs):
+def test_confinement_error_on_bad_start(fs, segments):
     with pytest.raises(ConfinementError):
-        integrate_chart(fs, 0, (0.0, 0.07), cfg=CFG)
+        next(integrate_chart(fs, 0, (0.0, 0.07), None, L_MAX))
+    with pytest.raises(ConfinementError):
+        simulate_input(fs, 0, None, L_MAX, start=(0.0, 0.07))
+    assert segments == []
 
 
 @pytest.mark.parametrize("s0", [0.25, 0.3])
 def test_start_at_or_above_a_quarter_is_rejected(fs, s0):
     # a start there could lie inside box 0's bump support
     with pytest.raises(ValueError):
-        integrate_chart(fs, 0, (s0, 0.0), cfg=CFG)
+        next(integrate_chart(fs, 0, (s0, 0.0), None, L_MAX))
 
 
 def test_classify_center_and_miss(fs):
-    inside = classify_crossing(fs, 0, 1, _RhoState.from_float(0.0))
+    inside = classify_crossing(fs, 0, 1, (0, LogMagnitude.zero()))
     assert inside == Configuration(2, 1, 0)
     # 1/32 >> the half-width 1/(2**7 * 3) of the configuration at height 1
-    assert classify_crossing(fs, 0, 1, _RhoState.from_float(1.0 / 32.0)) is MISS
+    assert classify_crossing(fs, 0, 1, (1, LogMagnitude.from_ln(math.log(1.0 / 32.0)))) is MISS
 
 
 def test_classify_quarter_interval_bound(fs):
@@ -177,13 +204,13 @@ def test_classify_quarter_interval_bound(fs):
     from flowcomp.logmag import LN2_FIX, LogMagnitude
 
     a4 = interval_bound_log(fs.machine.m, 0, 1) - LogMagnitude(2 * LN2_FIX, 0.0)
-    cls = classify_crossing(fs, 0, 1, _RhoState(1, a4))
+    cls = classify_crossing(fs, 0, 1, (1, a4))
     assert isinstance(cls, Configuration)
 
 
 def test_simulate_halting_and_hit(fs, incrementer):
     hs = HaltingSetSpec.from_digits(2, {0: 1})
-    v, hit, _ = simulate_input(fs, 0, hs, CFG)
+    v, hit, _ = simulate_input(fs, 0, hs, L_MAX)
     assert v.kind == "HALTED" and v.height == 1 and hit
     oracle = run(incrementer, Configuration(1, 0, 0), 20)
     assert isinstance(oracle, Halted) and oracle.config.r == v.config.r
@@ -191,20 +218,20 @@ def test_simulate_halting_and_hit(fs, incrementer):
 
 def test_simulate_mismatched_constraint(fs):
     hs = HaltingSetSpec.from_digits(2, {0: 5})
-    v, hit, _ = simulate_input(fs, 0, hs, CFG)
+    v, hit, _ = simulate_input(fs, 0, hs, L_MAX)
     assert v.kind == "HALTED" and not hit
 
 
 def test_simulate_second_input(fs):
     # input 1 has tape digit 1 at the head; output digit is 2
     hs = HaltingSetSpec.from_digits(2, {0: 2})
-    v, hit, _ = simulate_input(fs, 1, hs, CFG)
+    v, hit, _ = simulate_input(fs, 1, hs, L_MAX)
     assert v.kind == "HALTED" and hit
 
 
 def test_simulate_looping(spinner):
     fss = FieldSpec(spinner, n_bands=1, l_max=6)
-    v, hit, _ = simulate_input(fss, 0, HaltingSetSpec.from_digits(2, {0: 0}), CFG)
+    v, hit, _ = simulate_input(fss, 0, HaltingSetSpec.from_digits(2, {0: 0}), L_MAX)
     assert v.kind == "UNRESOLVED" and v.budget == 5 and not hit
 
 
@@ -231,7 +258,6 @@ def test_read_verdict_unresolved_carries_its_budget():
 
 def test_bounded_three_cases(incrementer, spinner, right_filler):
     window = 4.5
-    cfg = IntegratorConfig(l_max=6, window=window)
     cases = [
         (incrementer, TapeBoundedSpec(incrementer, -2, 2)),
         (spinner, TapeBoundedSpec(spinner, -2, 2)),
@@ -240,7 +266,7 @@ def test_bounded_three_cases(incrementer, spinner, right_filler):
     kinds = {Halted: "HALTED", OutOfMemory: "OOM"}
     for machine, bnd in cases:
         fsb = FieldSpec(machine, n_bands=1, l_max=6)
-        got = simulate_bounded(fsb, bnd, 0, cfg)
+        got = simulate_bounded(fsb, bnd, 0, 6, window)
         oracle = run_bounded(bnd, Configuration(machine.q0, 0, 0), 200)
         want = "LOOP" if oracle is LOOP else kinds[type(oracle)]
         assert got.kind == want, machine.name
@@ -249,7 +275,7 @@ def test_bounded_three_cases(incrementer, spinner, right_filler):
 def test_bounded_halt_height_matches_oracle_steps(incrementer):
     bnd = TapeBoundedSpec(incrementer, -2, 2)
     fsb = FieldSpec(incrementer, n_bands=1, l_max=6)
-    got = simulate_bounded(fsb, bnd, 0, IntegratorConfig(l_max=6, window=10.0))
+    got = simulate_bounded(fsb, bnd, 0, 6, 10.0)
     oracle = run_bounded(bnd, Configuration(1, 0, 0), 100)
     assert got.kind == "HALTED" and got.height == oracle.steps
 
@@ -259,26 +285,78 @@ def test_start_in_the_halting_state_halts_at_height_0():
     fs = FieldSpec(halted, n_bands=1, l_max=3)
     c0 = Configuration(1, 0, 0)
     want = SimulationVerdict("HALTED", c0, 0)
-    v, hit, traj = simulate_input(fs, 0, HaltingSetSpec.from_digits(1, {0: 0}),
-                                  IntegratorConfig(l_max=3))
+    v, hit, traj = simulate_input(fs, 0, HaltingSetSpec.from_digits(1, {0: 0}), 3)
     assert (v, hit) == (want, True)
     assert traj.events == traj.samples == []  # no segment is integrated
     bnd = TapeBoundedSpec(halted, -2, 2)
     assert run_bounded(bnd, c0, 10) == Halted(c0, 0)
-    assert simulate_bounded(fs, bnd, 0, IntegratorConfig(l_max=3, window=10.0)) == want
+    assert simulate_bounded(fs, bnd, 0, 3, 10.0) == want
 
 
-def test_bounded_requires_window(fs):
-    bnd = TapeBoundedSpec(fs.machine, -2, 2)
-    with pytest.raises(ValueError):
-        simulate_bounded(fs, bnd, 0, IntegratorConfig(l_max=5))
+def test_every_driver_rejects_a_budget_beyond_the_field(spinner):
+    # the budget is the number of heights flown: 1..fs.l_max, checked even
+    # when the start already halts
+    halted = MachineSpec("h", 1, 1, 1, {})
+    for machine in (spinner, halted):
+        f = FieldSpec(machine, n_bands=1, l_max=3)
+        bnd = TapeBoundedSpec(machine, -2, 2)
+        delta = delta_threshold(f.lam) / 2.0
+        for l_max in (0, f.l_max + 1):
+            with pytest.raises(ValueError, match="budget"):
+                simulate_input(f, 0, None, l_max)
+            with pytest.raises(ValueError, match="budget"):
+                simulate_bounded(f, bnd, 0, l_max, 50.0)
+            with pytest.raises(ValueError, match="budget"):
+                discrete_orbit_verdict(f, 0, None, delta, l_max)
+
+
+def test_a_full_budget_reads_the_same_from_flow_and_orbit(spinner):
+    fss = FieldSpec(spinner, n_bands=1, l_max=3)
+    want = SimulationVerdict("UNRESOLVED", budget=3)
+    v, _, traj = simulate_input(fss, 0, None, 3)
+    assert v == want and len(traj.events) == 3
+    delta = delta_threshold(fss.lam) / 2.0
+    assert discrete_orbit_verdict(fss, 0, None, delta, 3)[0] == want
+
+
+def chain(k):
+    """A machine that halts after k steps: state q steps to q + 1 up to k + 1."""
+    return MachineSpec(f"chain{k}", k + 1, 1, k + 1,
+                       {(q, d): (q + 1, d, 0) for q in range(1, k + 1) for d in range(10)})
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_reading_stops_the_flow_at_the_halting_height(k, segments):
+    fsk = FieldSpec(chain(k), n_bands=1, l_max=6)
+    v, _, traj = simulate_input(fsk, 0, None, 6)
+    assert (v.kind, v.height) == ("HALTED", k)
+    assert segments == list(range(1, k + 1)) and len(traj.events) == k
+    segments.clear()
+    v = simulate_bounded(fsk, TapeBoundedSpec(fsk.machine, -2, 2), 0, 6, 50.0)
+    assert (v.kind, v.height) == ("HALTED", k) and segments == list(range(1, k + 1))
+
+
+def test_bounded_oom_and_loop_stop_the_flow(spinner, right_filler, segments):
+    for machine, bnd, kind in ((right_filler, TapeBoundedSpec(right_filler, -1, 1), "OOM"),
+                               (spinner, TapeBoundedSpec(spinner, -2, 2), "LOOP")):
+        segments.clear()
+        v = simulate_bounded(FieldSpec(machine, n_bands=1, l_max=6), bnd, 0, 6, 4.5)
+        assert v.kind == kind and v.height < 6
+        assert segments == list(range(1, v.height + 1))
+
+
+def test_a_start_that_halts_integrates_no_segment(segments):
+    fs0 = FieldSpec(chain(0), n_bands=1, l_max=3)
+    assert simulate_input(fs0, 0, None, 3)[0].height == 0
+    assert simulate_bounded(fs0, TapeBoundedSpec(fs0.machine, -2, 2), 0, 3, 10.0).height == 0
+    assert segments == []
 
 
 def test_small_window_never_wrong_halted(spinner):
     # budget smaller than the window: must stay honest with UNRESOLVED
     fss = FieldSpec(spinner, n_bands=1, l_max=3)
     bnd = TapeBoundedSpec(spinner, -2, 2)
-    got = simulate_bounded(fss, bnd, 0, IntegratorConfig(l_max=3, window=50.0))
+    got = simulate_bounded(fss, bnd, 0, 3, 50.0)
     assert got.kind == "UNRESOLVED"
 
 
@@ -302,7 +380,7 @@ def test_format_verdict():
 
 
 def test_export_rows(fs):
-    traj = integrate_chart(fs, 0, (0.0, 1e-3), cfg=IntegratorConfig(l_max=2))
+    traj = chart(fs, (0.0, 1e-3), l_max=2)
     ev = event_rows(traj)
     assert ev[0][:3] == (0, 1, "InsideBox")
     rows = trajectory_rows(traj)
@@ -311,7 +389,7 @@ def test_export_rows(fs):
 
 
 def test_trajectory_rows_name_the_next_height(fs):
-    traj = integrate_chart(fs, 0, (0.2, 0.0), cfg=CFG)
+    traj = chart(fs, (0.2, 0.0))
     traj.samples.append((1e9, traj.events[-1].s + 1.0, 0, 0.0))  # past the last anchor
     want = [next((e.height for e in traj.events if e.s >= s), -1)
             for _, s, _, _ in traj.samples]

@@ -9,7 +9,7 @@ from flowcomp import sphere
 from flowcomp.curves import RAMP_EPS, CurveFamily
 from flowcomp.field import FieldSpec, field_eval_plane
 from flowcomp.machine import MachineSpec, load_machine
-from flowcomp.simulate import HaltingSetSpec, IntegratorConfig, simulate_input
+from flowcomp.simulate import HaltingSetSpec, simulate_input
 from flowcomp.sphere import (
     NORTH,
     damp_and_push,
@@ -99,17 +99,16 @@ def test_delta_threshold_algebra():
 def test_threshold_guard(fs):
     d0 = delta_threshold(fs.lam)
     with pytest.raises(ValueError):
-        discrete_orbit_verdict(fs, 0, None, d0)
+        discrete_orbit_verdict(fs, 0, None, d0, 3)
     with pytest.raises(ValueError):
-        discrete_orbit_verdict(fs, 0, None, 2.0 * d0)
+        discrete_orbit_verdict(fs, 0, None, 2.0 * d0, 3)
 
 
 def test_discrete_orbit_matches_continuous(fs):
-    cfg = IntegratorConfig(l_max=3)
     hs = HaltingSetSpec.from_digits(2, {0: 1})
-    cont_v, cont_hit, _ = simulate_input(fs, 0, hs, cfg)
+    cont_v, cont_hit, _ = simulate_input(fs, 0, hs, 3)
     d0 = delta_threshold(fs.lam)
-    disc_v, disc_hit, orbit = discrete_orbit_verdict(fs, 0, hs, d0 / 2.0, cfg)
+    disc_v, disc_hit, orbit = discrete_orbit_verdict(fs, 0, hs, d0 / 2.0, 3)
     assert disc_v.kind == cont_v.kind == "HALTED"
     assert disc_v.height == cont_v.height
     assert disc_hit == cont_hit
@@ -118,12 +117,11 @@ def test_discrete_orbit_matches_continuous(fs):
 
 
 def test_discrete_orbit_visits_every_band(fs):
-    cfg = IntegratorConfig(l_max=3)
     # no halting constraint: the orbit runs the full budget
     spin = MachineSpec("spin", 2, 1, 2, {(1, d): (1, d, 0) for d in range(10)})
     fss = FieldSpec(spin, n_bands=1, l_max=4)
     d0 = delta_threshold(fss.lam)
-    v, hit, orbit = discrete_orbit_verdict(fss, 0, None, d0 / 2.0, cfg)
+    v, hit, orbit = discrete_orbit_verdict(fss, 0, None, d0 / 2.0, 3)
     assert v.kind == "UNRESOLVED" and not hit
     assert orbit.visited_heights == [1, 2, 3]
     assert orbit.band_gaps == []
@@ -131,8 +129,7 @@ def test_discrete_orbit_visits_every_band(fs):
 
 def test_orbit_iterates_monotone(fs):
     d0 = delta_threshold(fs.lam)
-    _, _, orbit = discrete_orbit_verdict(fs, 0, None, d0 / 2.0,
-                                         IntegratorConfig(l_max=2))
+    _, _, orbit = discrete_orbit_verdict(fs, 0, None, d0 / 2.0, 2)
     assert np.all(np.diff(orbit.s_values) >= 0.0)
     assert orbit.times[1] - orbit.times[0] == pytest.approx(d0 / 2.0)
 
@@ -149,7 +146,7 @@ def test_warp_reads_the_curves_own_arc_length_nodes(fs, monkeypatch):
 
     for name in ("param_of_arclength", "point"):
         monkeypatch.setattr(CurveFamily, name, counting(name, getattr(CurveFamily, name)))
-    discrete_orbit_verdict(fs, 0, None, delta_threshold(fs.lam) / 2.0, IntegratorConfig(l_max=4))
+    discrete_orbit_verdict(fs, 0, None, delta_threshold(fs.lam) / 2.0, 4)
     assert calls == []
 
 
@@ -186,7 +183,7 @@ def test_windowed_heights_match_a_full_scan(machine):
     fs = FieldSpec(machine, n_bands=1, l_max=8)
     d0 = delta_threshold(fs.lam)
     for delta in (d0 / 2.0, d0 / 3.0, 0.99 * d0):
-        _, _, orbit = discrete_orbit_verdict(fs, 0, None, delta, IntegratorConfig(l_max=8))
+        _, _, orbit = discrete_orbit_verdict(fs, 0, None, delta, 8)
         assert len(orbit.times) == len(orbit.s_values) == orbit.iterates
         assert (orbit.visited_heights, orbit.band_gaps) == full_scan(fs, orbit, 8)
         assert orbit.band_gaps == []
@@ -200,7 +197,7 @@ def test_coarse_steps_leave_gaps_as_a_full_scan_does(monkeypatch):
     d0 = RAMP_EPS / (32.0 * fs.lam)
     all_gaps = set()
     for factor in (20.0, 37.0, 55.0, 90.0):
-        _, _, orbit = discrete_orbit_verdict(fs, 0, None, factor * d0, IntegratorConfig(l_max=8))
+        _, _, orbit = discrete_orbit_verdict(fs, 0, None, factor * d0, 8)
         assert (orbit.visited_heights, orbit.band_gaps) == full_scan(fs, orbit, 8)
         for s_l in np.linspace(0.0, float(orbit.warp[1][-1]), 301).tolist():
             want = bool(np.any(np.abs(orbit.s_values - s_l) < RAMP_EPS / 2.0))
@@ -227,7 +224,7 @@ def test_warp_matches_a_fine_arc_length_grid(machine):
     ref_t, ref_s = fine_grid_warp(fs, 8)
     anchors = fs.curve(0).arc_heights[1:9]
     for delta in (d0 / 2.0, d0 / 3.0, 0.99 * d0):
-        _, _, orbit = discrete_orbit_verdict(fs, 0, None, delta, IntegratorConfig(l_max=8))
+        _, _, orbit = discrete_orbit_verdict(fs, 0, None, delta, 8)
         t_of_s, grid = orbit.warp
         assert grid[-1] == pytest.approx(ref_s[-1], abs=1e-12)
         got, want = np.interp(anchors, grid, t_of_s), np.interp(anchors, ref_s, ref_t)
@@ -261,8 +258,7 @@ def test_warp_matches_quadrature_at_every_anchor(machine):
     # sum on the same nodes was 2.2e-8 off at anchor 1 on right_filler
     fs = FieldSpec(machine, n_bands=3, l_max=8)
     for band in range(3):
-        _, _, orbit = discrete_orbit_verdict(fs, band, None, delta_threshold(fs.lam) / 2.0,
-                                             IntegratorConfig(l_max=8))
+        _, _, orbit = discrete_orbit_verdict(fs, band, None, delta_threshold(fs.lam) / 2.0, 8)
         t_of_s, grid = orbit.warp
         want = quadrature_warp(fs, band, 8)
         got = np.append(np.interp(fs.curve(band).arc_heights[:9], grid, t_of_s), t_of_s[-1])

@@ -17,7 +17,7 @@ from pathlib import Path
 from flowcomp.cli import main
 from flowcomp.field import FieldSpec
 from flowcomp.machine import MachineSpec, load_machine
-from flowcomp.simulate import IntegratorConfig, simulate_input
+from flowcomp.simulate import simulate_input
 from flowcomp.sphere import delta_threshold, discrete_orbit_verdict
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -56,7 +56,7 @@ def test_every_tracer_target_resolves_and_keeps_its_kind():
     with tracer.Tracer() as t:
         assert len(t.names) == len(tracer.TARGETS)
         t.op_id, t.active = 0, True
-        simulate_input(FieldSpec(spinner, 1, 3), 0, None, IntegratorConfig(l_max=2))
+        simulate_input(FieldSpec(spinner, 1, 3), 0, None, 2)
         t.active = False
         values = t.metrics(0.0)
     assert [name for name, _, _ in tracer.PER_LAYER] == list(values)
@@ -79,7 +79,7 @@ def test_orbit_iterate_count_is_the_one_the_tracer_reads(tmp_path):
     fs = FieldSpec(load_machine(MACHINE), 2, 6)
     delta = delta_threshold(fs.lam) / 2.0
     for band, count in enumerate(written):
-        result = discrete_orbit_verdict(fs, band, None, delta, IntegratorConfig(l_max=5))
+        result = discrete_orbit_verdict(fs, band, None, delta, 5)
         orbit = result[2]
         assert len(orbit.times) == orbit.iterates == count
         counts = Counter()
