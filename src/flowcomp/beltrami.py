@@ -277,17 +277,35 @@ def beltrami_from_potential(F: Poly2, lam, K: int = 20) -> tuple[SeriesField3D, 
 # windowed potential fitting
 
 
-def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
-                          potential_fn=None, gradient_fn=None) -> dict:
+# samples per side of the window fit's rectangular grid
+_FIT_GRID = 48
+
+
+def _least_squares_fit(xs, ys, values, gx, gy, degree: int):
+    """(F, sup value error, l2 value error, sup gradient error) of the
+    least-squares polynomial of total degree `degree` through the samples,
+    whose gradient is compared with (gx, gy).  F's coefficients are rounded
+    to the dyadic grid 2^-40, so a fit of a polynomial on that grid loses its
+    float noise."""
+    monos = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    if len(xs) < len(monos):
+        raise ValueError("window intersects too little of the bands for this degree")
+    A = np.column_stack([xs**i * ys**j for i, j in monos])
+    sol, *_ = np.linalg.lstsq(A, values, rcond=None)
+    F = Poly2({m: Fraction(round(float(c) * 2**40), 2**40) for m, c in zip(monos, sol)})
+    Fx, Fy = F.dx(), F.dy()
+    resid = A @ sol - values
+    return (F, float(np.max(np.abs(resid))), float(np.sqrt(np.mean(resid**2))),
+            float(np.max(np.hypot(Fx(xs, ys) - gx, Fy(xs, ys) - gy), initial=0.0)))
+
+
+def fit_window_polynomial(fs, window, degree: int) -> dict:
     """Least-squares polynomial fit of the Cartesian potential on a window.
 
-    `window` is (x0, x1, y0, y1).  Samples lie where the cutoff is 1
-    (|rho| <= RHO0/2).  Coefficients are rounded to the dyadic grid 2^-40, so
-    a fit of a polynomial on that grid loses its float noise.  A sup gradient
-    error of 0, or below the smallest scheduled perturbation threshold meeting
-    the window, is certified; else the status is insufficient degree (not
-    raised).  Synthetic potentials for tests come via potential_fn/gradient_fn
-    on arrays of points, sampled on the full rectangular grid.
+    `window` is (x0, x1, y0, y1); samples are the `_FIT_GRID`-square grid's
+    nodes where the cutoff is 1 (|rho| <= RHO0/2).  A sup gradient error of 0,
+    or below the smallest scheduled perturbation threshold meeting the window,
+    is certified; else the status is insufficient degree (not raised).
     """
     from .curves import RHO0
     from .field import _chart_field, _chart_potential, _locate, error_schedule
@@ -295,38 +313,19 @@ def fit_window_polynomial(fs, window, degree: int, grid: int = 48,
     if degree < 1:
         raise ValueError("degree must be >= 1")
     x0, x1, y0, y1 = window
-    synthetic = potential_fn is not None
-    xs, ys = (g.ravel() for g in np.meshgrid(np.linspace(x0, x1, grid),
-                                             np.linspace(y0, y1, grid), indexing="ij"))
-    if synthetic:
-        fvals = potential_fn(xs, ys)
-        gx, gy = gradient_fn(xs, ys)
-    else:
-        # each sample is located once; potential and field share its chart point
-        band, s, rho = _locate(fs, xs, ys)
-        keep = (band >= 0) & (np.abs(rho) <= RHO0 / 2)
-        xs, ys = xs[keep], ys[keep]
-        located = (band[keep], s[keep], rho[keep])
-        fvals = _chart_potential(fs, *located)
-        gx, gy = _chart_field(fs, *located)
-    monos = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-    if len(xs) < len(monos):
-        raise ValueError("window intersects too little of the bands for this degree")
-    A = np.column_stack([xs**i * ys**j for i, j in monos])
-    sol, *_ = np.linalg.lstsq(A, fvals, rcond=None)
-    F = Poly2({m: Fraction(round(float(c) * 2**40), 2**40) for m, c in zip(monos, sol)})
-    Fx, Fy = F.dx(), F.dy()
-    resid = A @ sol - fvals
-    sup_val = float(np.max(np.abs(resid)))
-    l2_val = float(np.sqrt(np.mean(resid**2)))
-    sup_grad = float(np.max(np.hypot(Fx(xs, ys) - gx, Fy(xs, ys) - gy), initial=0.0))
-    if synthetic:
-        ln_threshold = -math.inf
-    else:
-        schedule = error_schedule(fs)
-        lns = [th.ln() for (i, l), th in schedule.thresholds.items()
-               if x0 <= 2 * i + 1 and 2 * i <= x1 and y0 <= l + 1.25 and l - 0.25 <= y1]
-        ln_threshold = min(lns) if lns else -math.inf
+    xs, ys = (g.ravel() for g in np.meshgrid(np.linspace(x0, x1, _FIT_GRID),
+                                             np.linspace(y0, y1, _FIT_GRID), indexing="ij"))
+    # each sample is located once; potential and field share its chart point
+    band, s, rho = _locate(fs, xs, ys)
+    keep = (band >= 0) & (np.abs(rho) <= RHO0 / 2)
+    xs, ys = xs[keep], ys[keep]
+    located = (band[keep], s[keep], rho[keep])
+    F, sup_val, l2_val, sup_grad = _least_squares_fit(
+        xs, ys, _chart_potential(fs, *located), *_chart_field(fs, *located), degree)
+    schedule = error_schedule(fs)
+    lns = [th.ln() for (i, l), th in schedule.thresholds.items()
+           if x0 <= 2 * i + 1 and 2 * i <= x1 and y0 <= l + 1.25 and l - 0.25 <= y1]
+    ln_threshold = min(lns) if lns else -math.inf
     certified = sup_grad == 0.0 or (
         sup_grad > 0.0 and math.log(sup_grad) < ln_threshold
     )

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .beltrami import beltrami_from_potential, fit_window_polynomial, residuals, series_rows
 from .curves import RAMP_EPS, RHO0, curve_records
-from .field import LAMBDA0, FieldSpec, error_schedule, field_eval_plane
+from .field import LAMBDA0, FieldSpec, error_schedule, field_eval_plane, height_ceiling
 from .machine import (
     Halted,
     MachineError,
@@ -97,7 +97,11 @@ def _check_ranges(settings: dict):
             (settings["sb"] >= 1.0, "--sb must be at least 1"),
             (settings["C"] > 0.0, "--C must be positive"),
             (not settings["C"] * settings["sb"] > MAX_NESTED,
-             f"--C times --sb must be at most {MAX_NESTED:g}")):
+             f"--C times --sb must be at most {MAX_NESTED:g}"),
+            # the field (--inputs bands, l_max = --lmax + 1) reaches level --inputs + --lmax + 1
+            (settings["lmax"] + settings["inputs"] < height_ceiling(settings["lambda_frac"]),
+             f"--lmax plus --inputs must be at most {height_ceiling(settings['lambda_frac']) - 1}: "
+             "deeper levels leave the float range")):
         if not ok:
             raise ValueError(message)
 
@@ -264,7 +268,7 @@ def cmd_compile(settings, outdir, man):
         curve = fs.curve(band)
         path = outdir / f"curve_{band}.csv"
         write_csv(path, ["s", "x", "y", "kappa"],
-                  [tuple(f"{v:.12g}" for v in r) for r in curve_records(curve, 0.05)])
+                  [tuple(f"{v:.12g}" for v in r) for r in curve_records(curve)])
         man.artifacts.append(path.name)
         svg = outdir / f"curve_{band}.svg"
         svg_trajectory(svg, curve, None, settings["lmax"])

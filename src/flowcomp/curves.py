@@ -339,9 +339,9 @@ class BandChart:
         return u
 
 
-def curve_records(curve: CurveFamily, ds: float = 0.01):
-    """Rows (s, x, y, kappa) along the curve for dumps and plots."""
-    s_max = float(curve.arc_heights[-1])
+def curve_records(curve: CurveFamily):
+    """Rows (s, x, y, kappa) along the curve, every 0.05 of arc length, for dumps and plots."""
+    s_max, ds = float(curve.arc_heights[-1]), 0.05
     s_vals = [0.0]
     while s_vals[-1] + ds <= s_max:
         s_vals.append(s_vals[-1] + ds)

@@ -12,6 +12,7 @@ admissible perturbation sup-norms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -61,6 +62,23 @@ def contraction_speed_limit(m: int, band: int, height: int) -> float:
     return (1.0 - RAMP_EPS) / (16.0 * drop)
 
 
+@cache
+def height_ceiling(lambda_frac: float) -> int:
+    """The deepest level i + l that a field of speed `lambda_frac` runs in floats.
+
+    There the level speed lambda_frac * contraction_speed_limit is a normal
+    float, so the slowness and the flow time (below 2.3 times the slowness:
+    arc-length gaps are below 2 and the speeds fall tenfold per level) are
+    finite, and so is the schedule's M tau, M (gap + 1) (31/4) over the limit
+    with M below 5, so below 120 over the limit.
+    """
+    k = 0
+    while (lambda_frac * contraction_speed_limit(0, 0, k + 1) >= sys.float_info.min
+           and 120.0 / contraction_speed_limit(0, 0, k + 1) < sys.float_info.max):
+        k += 1
+    return k
+
+
 class FieldSpec:
     """Per-machine planar field: lazy band charts plus the flow constants.
 
@@ -78,6 +96,8 @@ class FieldSpec:
                              "must stay below the contraction ceiling")
         if n_bands < 1 or l_max < 1:
             raise ValueError("need at least one band and one height")
+        if n_bands + l_max > height_ceiling(lambda_frac):  # the deepest level flown
+            raise ValueError(f"n_bands + l_max passes the ceiling {height_ceiling(lambda_frac)}")
         self.machine = machine
         self.n_bands = n_bands
         self.l_max = l_max
@@ -258,12 +278,13 @@ def _sample_points(fs: FieldSpec, samples: int, seed: int, half_width):
     return x, y
 
 
-def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0, h: float = 1e-6):
-    """Compare the plane field with finite differences of the potential.
+def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0):
+    """Compare the plane field with central differences of the potential.
 
     Samples points with |rho| <= RHO0/2 where the cutoff is identically 1;
     reports the max relative gradient error and the max curl residual.
     """
+    h = 1e-6  # the central differences' step
     x, y = _sample_points(fs, samples, seed, lambda i, s: RHO0 / 2)
     # each point and its four neighbours at distance h
     px = np.array([x, x + h, x - h, x, x])

@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from .curves import RAMP_EPS, CurveFamily, flat, interval_bound_log
+from .curves import RAMP_EPS, CurveFamily, flat, hermite_cumulative, interval_bound_log
 from .field import ErrorSchedule, FieldSpec
 from .logmag import FIX, LN2_FIX, LogMagnitude
 from .machine import MachineSpec
@@ -33,12 +33,6 @@ _FORCING_HALF_WIDTH = 14.0
 _CONTRACTION_PROBES = 11
 
 
-@cache
-def _gauss_legendre():
-    """Order-8 rule for short arc lengths, built on first use, not at import."""
-    return np.polynomial.legendre.leggauss(8)
-
-
 def _bump01(t):
     """Smooth bump on (0, 1), peak value 1 at t = 1/2: e * flat(4t(1 - t))."""
     t = np.asarray(t, dtype=float)
@@ -49,24 +43,6 @@ def _ln_bump(x):
     """ln(e * flat(x)) for x > 0: the log of `_bump01` in x = 4t(1 - t),
     which the forcing needs where the bump itself underflows."""
     return 1.0 - 1.0 / x
-
-
-def _forcing_peak(c: float) -> float:
-    """delta maximizing ln bump01(1 - 2 delta) - c delta on (0, 1/4).
-
-    The bump's log falls like -1/(8 delta) towards the support's top edge and
-    the kernel like -c delta away from it; bisection in ln(delta) on the
-    decreasing derivative (1 - 4d)/(8 d^2 (1 - 2d)^2) - c.
-    """
-    lo, hi = -300.0, math.log(0.25)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        d = math.exp(mid)
-        if (1.0 - 4.0 * d) / (8.0 * d * d * (1.0 - 2.0 * d) ** 2) > c:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(0.5 * (lo + hi))
 
 
 @dataclass(frozen=True)
@@ -151,43 +127,42 @@ class PerturbationSpec:
         the constant level speed lam_l, so with delta = l + 3/4 - u the
         distance below the support's top edge, t1 - t = T_top + K(delta)/lam_l,
         where T_top is the closed-form time from the top edge to the anchor
-        and K(delta) the arc length over delta.  The integrand peaks where the
-        bump's fall towards its edge meets the kernel's; it is summed in
-        ln(delta) on a window around that peak with the peak's log factored
-        out, so no forcing underflows however deep the level.
+        and K(delta) the arc length over delta: the Hermite rule on the
+        window's own nodes from delta = 0, with dK/d(delta) = w and its slope
+        -lambda' lambda''/w.  The bump's log falls like -1/(8 delta) towards
+        its edge and the kernel's like -c delta, c = w_top/lam_l, so the
+        integrand peaks near delta* = 1/sqrt(8c), where its curvature in
+        ln(delta) is 1/(4 delta*).  It is summed in ln(delta) on a window of
+        +-14 widths around delta* with the peak's log factored out, so the
+        amplitude's own underflow does not reach it.  The window's node step
+        shrinks like sqrt(delta*): from band + height 50 at the default speed
+        it is below the float spacing of ln(delta*), the sum reads zero and
+        the box forces nothing.
         """
         bump = self.bumps.get((band, l))
         if bump is None:
             return 0, LogMagnitude.zero()
-        curve = fs.curve(band)
-        speed = fs.speed(band)
+        curve, speed = fs.curve(band), fs.speed(band)
         u_top = l + 0.75
         lam = float(speed.levels[l])
         _, d_top, _ = curve.lambda_eval(u_top)
-        d_peak = _forcing_peak(math.sqrt(1.0 + d_top * d_top) / lam)
-        q = d_peak * (1.0 - 2.0 * d_peak)
-        curv = d_peak**2 * (4.0 / q**2 + 2.0 * (1.0 - 4.0 * d_peak) ** 2 / q**3) / 8.0
-        half = _FORCING_HALF_WIDTH / math.sqrt(curv)
+        d_peak = 1.0 / math.sqrt(8.0 * math.sqrt(1.0 + d_top * d_top) / lam)
+        half = _FORCING_HALF_WIDTH * math.sqrt(4.0 * d_peak)
         z_hi = min(math.log(d_peak) + half, math.log(0.5))  # up to the whole support
         z_lo = min(math.log(d_peak) - half, z_hi - 2.0 * half)
         z = np.linspace(z_lo, z_hi, _FORCING_POINTS)
-        delta = np.exp(z)
-        u = u_top - delta
-        x, d1, _ = curve.lambda_eval(u)
+        nodes = np.concatenate([[0.0], np.exp(z)])  # delta = 0, then the window
+        x, d1, d2 = curve.lambda_eval(u_top - nodes)
         w = np.sqrt(1.0 + d1 * d1)
+        arc = hermite_cumulative(nodes, w, -d1 * d2 / w)[1:]
+        x, d1, w, delta = x[1:], d1[1:], w[1:], nodes[1:]
         dot = (bump.direction[1] * d1 - bump.direction[0]) / w
-        gl_x, gl_w = _gauss_legendre()
-        nodes = u_top - np.outer(delta, 0.5 * (gl_x + 1.0))
-        _, dn, _ = curve.lambda_eval(nodes.ravel())
-        w_nodes = np.sqrt(1.0 + dn * dn).reshape(nodes.shape)
-        arc = 0.5 * delta * (w_nodes @ gl_w)
         tx = x - 2 * band + 0.25
         with np.errstate(divide="ignore"):
             # ln bump01(1 - 2 delta): x = 4t(1 - t) written in delta, so
             # that no 1 - (1 - 2 delta) cancels when delta is ~1e-15
             ln_bump_y = _ln_bump(8.0 * delta * (1.0 - 2.0 * delta))
-        ln_mag = (_ln_bump(4.0 * tx * (1.0 - tx)) + ln_bump_y
-                  + np.log(w) - arc / lam + z)
+        ln_mag = _ln_bump(4.0 * tx * (1.0 - tx)) + ln_bump_y + np.log(w) - arc / lam + z
         peak = float(np.max(ln_mag))
         vals = dot * np.exp(ln_mag - peak)
         total = float(np.sum(vals[1:] + vals[:-1])) * 0.5 * (z[1] - z[0])

@@ -1,6 +1,9 @@
 """Shared test plumbing: collects acceptance-criterion verdict lines and
 prints them once at the end of the run, bypassing output capture; holds
-the fixtures that several test modules share."""
+the fixtures that several test modules share; makes a RuntimeWarning (a
+float overflow, an invalid value) an error in every test of this suite."""
+
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +19,14 @@ def estimate_sb10():
     est = resource_estimate(10.0)
     assert est.ln_h1.fix > 0
     return est
+
+
+def pytest_collection_modifyitems(config, items):
+    # only this directory's tests: the perfbench suite keeps its own filters
+    here = Path(__file__).resolve().parent
+    for item in items:
+        if here in Path(item.path).resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -5,6 +5,7 @@ import pytest
 
 from flowcomp.beltrami import (
     Poly2,
+    _least_squares_fit,
     SeriesField3D,
     assemble_beltrami,
     beltrami_from_potential,
@@ -279,25 +280,25 @@ def _poly_gradient(x, y):
     return 2.0 + 0.25 * y, -0.5 + 0.25 * x
 
 
+def _synthetic_fit(pot, grad, degree):
+    """The fit's least-squares core on a 12 x 12 grid over the unit square."""
+    xs, ys = (g.ravel() for g in np.meshgrid(np.linspace(0.0, 1.0, 12),
+                                             np.linspace(0.0, 1.0, 12), indexing="ij"))
+    return _least_squares_fit(xs, ys, pot(xs, ys), *grad(xs, ys), degree)
+
+
 def test_fit_exact_polynomial():
-    rep = fit_window_polynomial(None, (0.0, 1.0, 0.0, 1.0), degree=2, grid=12,
-                                potential_fn=_poly_potential,
-                                gradient_fn=_poly_gradient)
-    assert rep["sup_value_error"] < 1e-10
-    assert rep["sup_gradient_error"] < 1e-9
-    assert rep["certified"]
-    assert rep["F"] == Poly2({(0, 0): 1, (1, 0): 2, (0, 1): Fraction(-1, 2),
-                              (1, 1): Fraction(1, 4)})
+    F, sup_value, _, sup_gradient = _synthetic_fit(_poly_potential, _poly_gradient, 2)
+    assert sup_value < 1e-10
+    assert sup_gradient == 0.0
+    assert F == Poly2({(0, 0): 1, (1, 0): 2, (0, 1): Fraction(-1, 2),
+                       (1, 1): Fraction(1, 4)})
 
 
 def test_fit_l2_error_nonincreasing_in_degree():
     pot = lambda x, y: np.sin(x) * np.cos(y)
     grad = lambda x, y: (np.cos(x) * np.cos(y), -np.sin(x) * np.sin(y))
-    errs = [
-        fit_window_polynomial(None, (0.0, 1.0, 0.0, 1.0), degree=d, grid=12,
-                              potential_fn=pot, gradient_fn=grad)["l2_value_error"]
-        for d in (1, 2, 3, 4)
-    ]
+    errs = [_synthetic_fit(pot, grad, d)[2] for d in (1, 2, 3, 4)]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(errs, errs[1:]))
 
 
@@ -307,7 +308,7 @@ def test_fit_real_potential_reports_honestly():
 
     inc = MachineSpec("inc", 2, 1, 2, {(1, d): (2, (d + 1) % 10, 0) for d in range(10)})
     fs = FieldSpec(inc, n_bands=1, l_max=3)
-    rep = fit_window_polynomial(fs, (0.0, 1.0, 0.0, 2.0), degree=3, grid=40)
+    rep = fit_window_polynomial(fs, (0.0, 1.0, 0.0, 2.0), degree=3)
     # scheduled thresholds are astronomically small; a float fit cannot
     # certify against them and must say so rather than pretend
     assert rep["status"] == "insufficient degree"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from flowcomp.cli import main, read_config
+from flowcomp.field import height_ceiling
 
 ROOT = Path(__file__).resolve().parent.parent
 INC = str(ROOT / "machines" / "incrementer.tm")
@@ -56,6 +57,26 @@ def test_usage_errors(tmp_path, capsys):
             run("perturb", "--machine", INC, flag, "-1", "--out", str(tmp_path))
         assert e.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("inputs", [1, 3])
+def test_height_budget_float_ceiling(tmp_path, capsys, inputs):
+    # the field reaches level --inputs + --lmax + 1; at the ceiling every
+    # subcommand runs with no RuntimeWarning (an error in this suite), one
+    # past it is a usage error that names the limit.  sphere is left out at
+    # the ceiling: its orbit test allocates every iterate of a height's window
+    most = height_ceiling(0.5) - 1
+    lmax = most - inputs
+    for sub in ("verify", "simulate", "perturb", "compile", "extend3d"):
+        trials = ("--trials", "1") if sub == "perturb" else ()
+        assert run(sub, "--machine", SPIN, "--inputs", str(inputs), "--lmax", str(lmax),
+                   *trials, "--out", str(tmp_path / sub)) == 0, sub
+    capsys.readouterr()
+    for sub in ("verify", "simulate", "perturb", "compile", "extend3d", "sphere"):
+        assert run(sub, "--machine", SPIN, "--inputs", str(inputs), "--lmax", str(lmax + 1),
+                   "--out", str(tmp_path / "past")) == 2, sub
+        assert f"at most {most}" in capsys.readouterr().err
+    assert not (tmp_path / "past").exists()
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

@@ -365,7 +365,7 @@ def test_points_far_below_the_start_are_projected_in_one_step():
 
 
 def test_curve_records(curve):
-    recs = curve_records(curve, ds=0.01)
+    recs = curve_records(curve)
     s, x, y, kap = recs[0]
     assert (s, x, y) == (0.0, pytest.approx(0.5), pytest.approx(0.0))
     assert all(b[0] > a[0] for a, b in zip(recs, recs[1:]))

@@ -1,4 +1,5 @@
 import math
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -18,6 +19,7 @@ from flowcomp.field import (
     derivative_bound,
     error_schedule,
     field_eval_plane,
+    height_ceiling,
     potential_plane,
     verify_gradient,
     _chart_field,
@@ -54,6 +56,26 @@ def test_speed_fraction_validated():
     with pytest.raises(ValueError):
         FieldSpec(machine, 1, 2, lambda_frac=1.0)
     assert FieldSpec(machine, 1, 2, lambda_frac=0.5).lam < LAMBDA0
+
+
+@pytest.mark.parametrize("frac", [0.5, 1e-3])
+def test_height_ceiling_is_where_the_floats_end(frac):
+    # at the default speed the schedule's M tau bounds it, at 1e-3 the speed
+    machine = load_machine(MACHINES / "spinner.tm")
+    k = height_ceiling(frac)
+    assert k == {0.5: 302, 1e-3: 301}[frac]
+    with pytest.raises(ValueError, match=f"ceiling {k}"):
+        FieldSpec(machine, 2, k - 1, lambda_frac=frac)
+    fs = FieldSpec(machine, 1, k - 1, lambda_frac=frac)  # reaches level k
+    speed = fs.speed(0)
+    assert speed.levels[-1] >= sys.float_info.min
+    assert np.all(np.isfinite(speed.time_to(speed.anchors)))
+    sched = error_schedule(fs)
+    tau = max(sched.taus.values())  # that of level k
+    assert math.isfinite(sched.M * tau)
+    # one level deeper, the speed is subnormal or M tau overflows
+    step = contraction_speed_limit(machine.m, 0, k + 1) / contraction_speed_limit(machine.m, 0, k)
+    assert speed.levels[-1] * step < sys.float_info.min or not math.isfinite(sched.M * tau / step)
 
 
 def test_cutoff_shape():
@@ -259,8 +281,8 @@ def test_window_fit_locates_once(fs, monkeypatch):
         return _locate(*args)
 
     monkeypatch.setattr(field, "_locate", counted)
-    rep = fit_window_polynomial(fs, (0.0, 1.0, 0.0, 2.0), degree=3, grid=24)
-    assert calls == [24 * 24]
+    rep = fit_window_polynomial(fs, (0.0, 1.0, 0.0, 2.0), degree=3)
+    assert calls == [48 * 48]
     assert rep["samples"] > 0
 
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from flowcomp.machine import (
     LOOP,
@@ -191,6 +192,23 @@ def test_parse_roundtrip():
     spec = parse_machine(GOOD)
     assert spec.name == "demo" and spec.m == 2
     assert spec.rules[(1, 3)] == (2, 4, 0)
+    assert parse_machine(format_machine(spec)) == spec
+
+
+@st.composite
+def machine_specs(draw):
+    """Machines of 1-4 states with every rule drawn.  The name is one token
+    without whitespace or '#', the only names the file format carries."""
+    m = draw(st.integers(1, 4))
+    q_halt = draw(st.integers(1, m))
+    rule = st.tuples(st.integers(1, m), st.integers(0, 9), st.sampled_from((-1, 0, 1)))
+    rules = {(q, d): draw(rule) for q in range(1, m + 1) if q != q_halt for d in range(10)}
+    name = draw(st.text("abcxyz019_-.", min_size=1, max_size=12))
+    return MachineSpec(name, m, draw(st.integers(1, m)), q_halt, rules)
+
+
+@given(machine_specs())
+def test_format_then_parse_is_the_identity(spec):
     assert parse_machine(format_machine(spec)) == spec
 
 

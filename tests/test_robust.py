@@ -1,13 +1,15 @@
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flowcomp import robust
 from flowcomp.curves import RAMP_EPS, CurveFamily, interval_bound_log
 from flowcomp.field import LAMBDA0, FieldSpec, contraction_speed_limit, error_schedule
 from flowcomp.logmag import LN2_FIX, LogMagnitude
-from flowcomp.machine import MachineSpec
+from flowcomp.machine import MachineSpec, TapeBoundedSpec, load_machine
 from flowcomp.robust import (
     PerturbationSpec,
     contraction_check,
@@ -20,8 +22,11 @@ from flowcomp.simulate import (
     _sample_grid,
     integrate_chart,
     integrate_segment,
+    simulate_bounded,
     simulate_input,
 )
+
+MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
 
 def mk(q2, f, shift, name):
@@ -196,7 +201,7 @@ def test_perturbed_run_makes_no_arc_length_inversion(fs, schedule, monkeypatch):
 
 # sha256 of every forced crossing (t, rho sign, ln|rho| fixed and float
 # parts) of the incrementer and right_filler, 2 bands, l_max 6, seeds 0-4
-FORCED_CROSSINGS_SHA256 = "09d55e206fe972f8fe608d97532d47aa67cb57f3314776d61fb29606464d740f"
+FORCED_CROSSINGS_SHA256 = "2d250d22e8d99b17f400bbcbebe9def93e4a9b0709427ae6b981cf7ccc170c2b"
 
 
 def test_forced_crossings_are_pinned(incrementer):
@@ -212,6 +217,39 @@ def test_forced_crossings_are_pinned(incrementer):
     assert len(rows) == 2 * 5 * 2 * 6
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == FORCED_CROSSINGS_SHA256
+
+
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+def test_forcing_converges_in_its_window(incrementer, frac, monkeypatch):
+    # every box of bands 0-2 up to band + height 11: the 401-point window
+    # against 3,201 points on a wider one (half-width 20 peak widths)
+    fs3 = FieldSpec(incrementer, n_bands=3, l_max=11, lambda_frac=frac)
+    sched = error_schedule(fs3)
+    perts = [sample_perturbation(sched, seed) for seed in range(3)]
+    keys = sorted(sched.thresholds)
+    coarse = [p.forcing(fs3, *key) for p in perts for key in keys]
+    monkeypatch.setattr(robust, "_FORCING_POINTS", 3201)
+    monkeypatch.setattr(robust, "_FORCING_HALF_WIDTH", 20.0)
+    fine = [p.forcing(fs3, *key) for p in perts for key in keys]
+    for (sign, ln_rho), (fine_sign, fine_ln) in zip(coarse, fine):
+        assert sign == fine_sign != 0
+        assert abs(ln_rho.diff_ln(fine_ln)) < 5e-9
+
+
+def test_bounded_verdict_stable_under_perturbation():
+    # HALTED (incrementer), OOM (right_filler) and LOOP (spinner) verdicts
+    for name in ("incrementer", "right_filler", "spinner"):
+        machine = load_machine(MACHINES / f"{name}.tm")
+        fs3 = FieldSpec(machine, n_bands=3, l_max=12)
+        sched = error_schedule(fs3)
+        perts = [sample_perturbation(sched, seed) for seed in range(5)]
+        for bounds in ((-2, 2), (-1, 1), (-3, 5)):
+            bounded = TapeBoundedSpec(machine, *bounds)
+            for index in range(3):
+                base = simulate_bounded(fs3, bounded, index, 12, 10.0)
+                for p in perts:
+                    got = simulate_bounded(fs3, bounded, index, 12, 10.0, perturbation=p)
+                    assert got == base, (name, bounds, index, p.seed)
 
 
 # -- contraction ------------------------------------------------------------
