@@ -295,8 +295,10 @@ def _least_squares_fit(xs, ys, values, gx, gy, degree: int):
     F = Poly2({m: Fraction(round(float(c) * 2**40), 2**40) for m, c in zip(monos, sol)})
     Fx, Fy = F.dx(), F.dy()
     resid = A @ sol - values
-    return (F, float(np.max(np.abs(resid))), float(np.sqrt(np.mean(resid**2))),
-            float(np.max(np.hypot(Fx(xs, ys) - gx, Fy(xs, ys) - gy), initial=0.0)))
+    sup_val = float(np.max(np.abs(resid)))
+    l2_val = float(np.sqrt(np.mean(resid**2)))
+    sup_grad = float(np.max(np.hypot(Fx(xs, ys) - gx, Fy(xs, ys) - gy), initial=0.0))
+    return F, sup_val, l2_val, sup_grad
 
 
 def fit_window_polynomial(fs, window, degree: int) -> dict:
@@ -320,8 +322,9 @@ def fit_window_polynomial(fs, window, degree: int) -> dict:
     keep = (band >= 0) & (np.abs(rho) <= RHO0 / 2)
     xs, ys = xs[keep], ys[keep]
     located = (band[keep], s[keep], rho[keep])
-    F, sup_val, l2_val, sup_grad = _least_squares_fit(
-        xs, ys, _chart_potential(fs, *located), *_chart_field(fs, *located), degree)
+    fvals = _chart_potential(fs, *located)
+    gx, gy = _chart_field(fs, *located)
+    F, sup_val, l2_val, sup_grad = _least_squares_fit(xs, ys, fvals, gx, gy, degree)
     schedule = error_schedule(fs)
     lns = [th.ln() for (i, l), th in schedule.thresholds.items()
            if x0 <= 2 * i + 1 and 2 * i <= x1 and y0 <= l + 1.25 and l - 0.25 <= y1]

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .beltrami import beltrami_from_potential, fit_window_polynomial, residuals, series_rows
 from .curves import RAMP_EPS, RHO0, curve_records
-from .field import LAMBDA0, FieldSpec, error_schedule, field_eval_plane, height_ceiling
+from .field import LAMBDA0, FieldSpec, check_height_budget, error_schedule, field_eval_plane
 from .machine import (
     Halted,
     MachineError,
@@ -97,13 +97,14 @@ def _check_ranges(settings: dict):
             (settings["sb"] >= 1.0, "--sb must be at least 1"),
             (settings["C"] > 0.0, "--C must be positive"),
             (not settings["C"] * settings["sb"] > MAX_NESTED,
-             f"--C times --sb must be at most {MAX_NESTED:g}"),
-            # the field (--inputs bands, l_max = --lmax + 1) reaches level --inputs + --lmax + 1
-            (settings["lmax"] + settings["inputs"] < height_ceiling(settings["lambda_frac"]),
-             f"--lmax plus --inputs must be at most {height_ceiling(settings['lambda_frac']) - 1}: "
-             "deeper levels leave the float range")):
+             f"--C times --sb must be at most {MAX_NESTED:g}")):
         if not ok:
             raise ValueError(message)
+    try:
+        check_height_budget(*_field_shape(settings), settings["lambda_frac"])
+    except ValueError as e:
+        raise ValueError(f"--inputs {settings['inputs']} with --lmax {settings['lmax']}: {e}; "
+                         "deeper levels leave the float range") from None
 
 
 def resolve(args: argparse.Namespace) -> dict:
@@ -254,11 +255,15 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
 # subcommands
 
 
+def _field_shape(settings: dict) -> tuple[int, int]:
+    """The (n_bands, l_max) of the field a run builds, for `_build` and `_check_ranges`."""
+    return settings["inputs"], settings["lmax"] + 1
+
+
 def _build(settings: dict):
     machine = load_machine(settings["machine"])
-    fs = FieldSpec(machine, n_bands=settings["inputs"],
-                   l_max=settings["lmax"] + 1,
-                   lambda_frac=settings["lambda_frac"])
+    n_bands, l_max = _field_shape(settings)
+    fs = FieldSpec(machine, n_bands=n_bands, l_max=l_max, lambda_frac=settings["lambda_frac"])
     return machine, fs
 
 

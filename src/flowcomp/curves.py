@@ -341,7 +341,8 @@ class BandChart:
 
 def curve_records(curve: CurveFamily):
     """Rows (s, x, y, kappa) along the curve, every 0.05 of arc length, for dumps and plots."""
-    s_max, ds = float(curve.arc_heights[-1]), 0.05
+    s_max = float(curve.arc_heights[-1])
+    ds = 0.05
     s_vals = [0.0]
     while s_vals[-1] + ds <= s_max:
         s_vals.append(s_vals[-1] + ds)

@@ -79,6 +79,14 @@ def height_ceiling(lambda_frac: float) -> int:
     return k
 
 
+def check_height_budget(n_bands: int, l_max: int, lambda_frac: float):
+    """Raise ValueError if a field of `n_bands` bands and `l_max` heights
+    reaches a level past `height_ceiling(lambda_frac)`."""
+    ceiling = height_ceiling(lambda_frac)
+    if n_bands + l_max > ceiling:  # the deepest level flown
+        raise ValueError(f"n_bands + l_max = {n_bands + l_max} passes the float ceiling {ceiling}")
+
+
 class FieldSpec:
     """Per-machine planar field: lazy band charts plus the flow constants.
 
@@ -96,8 +104,7 @@ class FieldSpec:
                              "must stay below the contraction ceiling")
         if n_bands < 1 or l_max < 1:
             raise ValueError("need at least one band and one height")
-        if n_bands + l_max > height_ceiling(lambda_frac):  # the deepest level flown
-            raise ValueError(f"n_bands + l_max passes the ceiling {height_ceiling(lambda_frac)}")
+        check_height_budget(n_bands, l_max, lambda_frac)
         self.machine = machine
         self.n_bands = n_bands
         self.l_max = l_max

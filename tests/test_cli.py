@@ -65,8 +65,8 @@ def test_height_budget_float_ceiling(tmp_path, capsys, inputs):
     # subcommand runs with no RuntimeWarning (an error in this suite), one
     # past it is a usage error that names the limit.  sphere is left out at
     # the ceiling: its orbit test allocates every iterate of a height's window
-    most = height_ceiling(0.5) - 1
-    lmax = most - inputs
+    ceiling = height_ceiling(0.5)
+    lmax = ceiling - 1 - inputs
     for sub in ("verify", "simulate", "perturb", "compile", "extend3d"):
         trials = ("--trials", "1") if sub == "perturb" else ()
         assert run(sub, "--machine", SPIN, "--inputs", str(inputs), "--lmax", str(lmax),
@@ -75,7 +75,7 @@ def test_height_budget_float_ceiling(tmp_path, capsys, inputs):
     for sub in ("verify", "simulate", "perturb", "compile", "extend3d", "sphere"):
         assert run(sub, "--machine", SPIN, "--inputs", str(inputs), "--lmax", str(lmax + 1),
                    "--out", str(tmp_path / "past")) == 2, sub
-        assert f"at most {most}" in capsys.readouterr().err
+        assert f"float ceiling {ceiling}" in capsys.readouterr().err
     assert not (tmp_path / "past").exists()
 
 
