@@ -75,10 +75,11 @@ class Poly2:
     def __hash__(self):
         return hash(frozenset(self.c.items()))
 
-    def __add__(self, other):
+    def __add__(self, other, sign: int = 1):
+        """self + sign * other, over the least common denominator."""
         a, b = self._d, other._d
         d = a if a == b else math.lcm(a, b)
-        fa, fb = d // a, d // b
+        fa, fb = d // a, sign * (d // b)
         out = dict(self._n) if fa == 1 else {k: v * fa for k, v in self._n.items()}
         for k, v in other._n.items():
             w = out.get(k, 0) + v * fb
@@ -89,7 +90,7 @@ class Poly2:
         return Poly2._of(out, d)
 
     def __sub__(self, other):
-        return self + other * -1
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, Poly2):
@@ -103,11 +104,13 @@ class Poly2:
                     else:
                         out.pop(k, None)
             return Poly2._of(out, self._d * other._d)
-        s = Fraction(other)
-        if not s:
+        s = other if isinstance(other, (int, Fraction)) else Fraction(other)
+        num, den = s.numerator, s.denominator
+        if not num:
             return Poly2()
-        num = s.numerator
-        return Poly2._of({k: v * num for k, v in self._n.items()}, self._d * s.denominator)
+        if num == den:  # times 1; a Poly2 is never changed in place
+            return self
+        return Poly2._of({k: v * num for k, v in self._n.items()}, self._d * den)
 
     __rmul__ = __mul__
 
@@ -118,7 +121,12 @@ class Poly2:
         return Poly2._of({(i, j - 1): v * j for (i, j), v in self._n.items() if j}, self._d)
 
     def laplacian(self) -> "Poly2":
-        return self.dx().dx() + self.dy().dy()
+        """dx dx + dy dy, the terms in the order that sum builds them."""
+        out = {(i - 2, j): v * i * (i - 1) for (i, j), v in self._n.items() if i > 1}
+        for (i, j), v in self._n.items():
+            if j > 1:
+                out[(i, j - 2)] = out.get((i, j - 2), 0) + v * j * (j - 1)
+        return Poly2._of({k: v for k, v in out.items() if v}, self._d)
 
     def __call__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -201,10 +209,9 @@ def _series_curl(v: SeriesField3D) -> SeriesField3D:
     for k in range(v.K):
         v1, v2, v3 = v.coeffs[k]
         n1, n2, _ = v.coeffs[k + 1]
-        kk = Fraction(k + 1)
         out.append((
-            v3.dy() - n2 * kk,
-            n1 * kk - v3.dx(),
+            v3.dy() - n2 * (k + 1),
+            n1 * (k + 1) - v3.dx(),
             v2.dx() - v1.dy(),
         ))
     return SeriesField3D(v.lam, v.K - 1, tuple(out))
@@ -228,7 +235,7 @@ def _series_div(v: SeriesField3D):
     for k in range(v.K):
         v1, v2, _ = v.coeffs[k]
         n3 = v.coeffs[k + 1][2]
-        out.append(v1.dx() + v2.dy() + n3 * Fraction(k + 1))
+        out.append(v1.dx() + v2.dy() + n3 * (k + 1))
     return out
 
 

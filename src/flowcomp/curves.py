@@ -93,7 +93,8 @@ class BumpProfile:
     def beta_integral(self, sigma):
         """Integral of beta from 0 to sigma (0 for sigma <= 0); array friendly."""
         grid, beta, _, integral = self._nodes
-        inner = hermite_eval(grid, integral, beta, np.clip(sigma, RAMP_EPS, 1.0 - RAMP_EPS))
+        inner = hermite_eval(grid, integral, beta,
+                             np.minimum(np.maximum(sigma, RAMP_EPS), 1.0 - RAMP_EPS))
         return inner + np.maximum(np.asarray(sigma) - (1.0 - RAMP_EPS), 0.0)
 
 
@@ -177,7 +178,7 @@ class CurveFamily:
 
     def _ramp(self, u):
         """Anchor index l, sigma = u - l and the mask of sigma inside the ramp."""
-        l = np.clip(np.floor(u).astype(int), 0, self.l_max)
+        l = np.minimum(np.maximum(np.floor(u).astype(int), 0), self.l_max)
         sigma = u - l
         return l, sigma, (sigma > RAMP_EPS) & (sigma < 1.0 - RAMP_EPS)
 
@@ -215,10 +216,23 @@ class CurveFamily:
     def _arc_maps(self):
         """(u, s, ds/du, du/ds, lambda) on the arc-length grid, u in [-1, l_max + 1],
         whose `_ARC_CELLS` cells per unit height put u = 0 and every anchor on a
-        node.  s(u) and u(s) interpolate the nodes with these exact slopes."""
+        node.  s(u) and u(s) interpolate the nodes with these exact slopes.
+        Every height holds the same nodes sigma = k/_ARC_CELLS, so the ramp is
+        evaluated on them once and scaled per height, as `lambda_eval` would."""
         n_cells = _ARC_CELLS * (self.l_max + 2)
         u_grid = np.linspace(-1.0, self.l_max + 1, n_cells + 1)
-        val, d1, d2 = self.lambda_eval(u_grid)
+        _, sigma, mid = self._ramp(u_grid[_ARC_CELLS:2 * _ARC_CELLS])  # height 0
+        sm, profile = sigma[mid], bump_profile()
+        # one row per unit height from u = -1, where the curve stands at x[0]
+        anchors = np.concatenate([self.x[:1], self.x])
+        xl, xr = anchors[:-1, None], anchors[1:, None]
+        dx = xr - xl
+        val = np.where(sigma >= 1.0 - RAMP_EPS, xr, xl)
+        d1, d2 = np.zeros(val.shape), np.zeros(val.shape)
+        val[:, mid] = xl + profile.beta(sm) * dx
+        d1[:, mid] = profile.dbeta(sm) * dx
+        d2[:, mid] = d1[:, mid] * (1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2)
+        val, d1, d2 = (np.append(a, end) for a, end in zip((val, d1, d2), (self.x[-1], 0.0, 0.0)))
         w = np.sqrt(1.0 + d1**2)
         s_arr = hermite_cumulative(u_grid, w, d1 * d2 / w)
         s_arr -= s_arr[_ARC_CELLS]  # anchor s(0) = 0 exactly
@@ -235,7 +249,7 @@ class CurveFamily:
         # polish the interpolated guess against the forward map
         for _ in range(3):
             speed = np.sqrt(1.0 + self._slope(u) ** 2)
-            u = np.clip(u - (self.arclength_of_param(u) - s) / speed, -1.0, hi)
+            u = np.minimum(np.maximum(u - (self.arclength_of_param(u) - s) / speed, -1.0), hi)
         return float(u) if u.ndim == 0 else u
 
     def kappa_at_arclength(self, s):
@@ -295,25 +309,35 @@ class BandChart:
         grid, the end cells repeated `_REACH` times on either side.  lambda is
         monotone on each unit height, so the curve over a cell lies between its
         end values.  The end cells reach down and up without limit, as
-        `_project` extends the curve vertically past its ends."""
+        `_project` extends the curve vertically past its ends.  Then the hulls:
+        the least left and greatest right of the 2 `_REACH` + 1 boxes from each cell."""
         u, *_, val = self.curve._arc_maps
         bottom, top = u[:-1].copy(), u[1:].copy()
         bottom[0], top[-1] = -np.inf, np.inf
         boxes = bottom, top, np.minimum(val[:-1], val[1:]), np.maximum(val[:-1], val[1:])
-        return [np.pad(b, _REACH, mode="edge") for b in boxes]
+        boxes = [np.pad(b, _REACH, mode="edge") for b in boxes]
+        windows = [np.lib.stride_tricks.sliding_window_view(b, 2 * _REACH + 1) for b in boxes[2:]]
+        return boxes + [windows[0].min(axis=1), windows[1].max(axis=1)]
 
     def _distance_bound(self, x, y):
         """A lower bound on the squared distance of each point to the curve:
         the least squared distance to the boxes of the cells within the
-        half-width of its height, a running minimum over the cell offsets."""
-        bottom, top, left, right = self._cell_boxes
+        half-width of its height, a running minimum over the cell offsets.
+        Points whose x-distance to their window's hull is already past the
+        half-width keep that distance, below every box's: floats round
+        monotonically, so the same points fall within the half-width."""
+        bottom, top, left, right, hull_left, hull_right = self._cell_boxes
         k0 = np.searchsorted(top[_REACH:-_REACH], y)  # the cell of each height
-        best = np.full(x.shape, np.inf)
+        best = (x - np.minimum(np.maximum(x, hull_left[k0]), hull_right[k0])) ** 2
+        near = best < CHART_HALF_WIDTH**2
+        x, y, k0 = x[near], y[near], k0[near]
+        near_best = np.full(x.shape, np.inf)
         for j in range(2 * _REACH + 1):
             k = k0 + j  # cell k0 + j - _REACH, in the padded boxes
             dx = x - np.minimum(np.maximum(x, left[k]), right[k])
             dy = y - np.minimum(np.maximum(y, bottom[k]), top[k])
-            np.minimum(best, dx * dx + dy * dy, out=best)
+            np.minimum(near_best, dx * dx + dy * dy, out=near_best)
+        best[near] = near_best
         return best
 
     def _project(self, x, y):

@@ -158,8 +158,8 @@ class LevelSpeed:
         self._anchor_time = np.concatenate([[0.0], np.cumsum(seg)])
 
     def _locate(self, s):
-        k = np.clip(np.searchsorted(self.anchors, s, side="right") - 1,
-                    0, len(self.anchors) - 1)
+        k = np.minimum(np.maximum(np.searchsorted(self.anchors, s, side="right") - 1, 0),
+                       len(self.anchors) - 1)
         return k, (s - self._next[k]) / RAMP_EPS + 1.0
 
     def __call__(self, s):
@@ -205,7 +205,8 @@ class LevelSpeed:
 
 def _locate(fs: FieldSpec, x, y):
     """(band, s, rho) of plane points; array friendly.  A point tries the band
-    to its left first; where no chart holds it, band is -1 and s, rho NaN."""
+    to its left first; where no chart holds it, band is -1 and s, rho NaN.
+    One projection per band, in ascending order, so a point's left band is first."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape = x.shape
     x, y = np.atleast_1d(x, y)
@@ -213,16 +214,15 @@ def _locate(fs: FieldSpec, x, y):
     s, rho = np.full((2,) + x.shape, np.nan)
     left = np.floor((x - CHART_HALF_WIDTH) / 2.0)
     right = np.floor((x + CHART_HALF_WIDTH) / 2.0)
-    for cand in (left, np.where(right != left, right, -1.0)):
-        for i in range(fs.n_bands):
-            todo = (band < 0) & (cand == i)
-            if not todo.any():
-                continue
-            si, ri = fs.chart(i).plane_to_chart(x[todo], y[todo])
-            held = ~np.isnan(si)
-            hit = todo.copy()
-            hit[todo] = held
-            band[hit], s[hit], rho[hit] = i, si[held], ri[held]
+    for i in range(fs.n_bands):
+        todo = (band < 0) & ((left == i) | (right == i))
+        if not todo.any():
+            continue
+        si, ri = fs.chart(i).plane_to_chart(x[todo], y[todo])
+        held = ~np.isnan(si)
+        hit = todo.copy()
+        hit[todo] = held
+        band[hit], s[hit], rho[hit] = i, si[held], ri[held]
     return band.reshape(shape), s.reshape(shape), rho.reshape(shape)
 
 

@@ -278,8 +278,8 @@ def parse_machine(text: str, name: str = "<string>") -> MachineSpec:
             continue
         parts = line.split()
         try:
-            if parts[0] == "machine":
-                mname = parts[1]
+            if parts[0] == "machine":  # the name is the rest of the line
+                mname = line.split(None, 1)[1]
             elif parts[0] == "states":
                 m = int(parts[1])
             elif parts[0] == "start":
@@ -315,6 +315,10 @@ def load_machine(path) -> MachineSpec:
 
 
 def format_machine(spec: MachineSpec) -> str:
+    """The file text of `spec`; ValueError for a name that `parse_machine` would not
+    read back: empty, padded with whitespace, or holding a '#' or a line break."""
+    if spec.name.strip().splitlines() != [spec.name] or "#" in spec.name:
+        raise ValueError(f"machine name {spec.name!r} does not survive the file format")
     lines = [
         f"machine {spec.name}",
         f"states {spec.m}",

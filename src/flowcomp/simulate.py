@@ -220,17 +220,14 @@ def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int):
     if rho[0] != 0 and rho[1] >= LN_CHART_LIMIT:
         raise ConfinementError("start outside the chart")
     heights = fs.curve(band).arc_heights.tolist()
-    segments = [(l, s0 if l == 1 else heights[l - 1], heights[l])  # height, start, anchor
-                for l in range(1, l_max + 1)]
-    # one slowness evaluation for the whole run: s0, then every segment's
-    # grid, whose last node is the next segment's start
-    grids = [_sample_grid(a, b) for _, a, b in segments]
-    T_all = fs.speed(band).time_to(np.concatenate([[s0]] + grids))
-    ends = np.cumsum([1] + [len(g) for g in grids]).tolist()
     t = 0.0
-    for (l, a, b), grid, lo, hi in zip(segments, grids, ends, ends[1:]):
+    for l in range(1, l_max + 1):
+        # each height's grid and slowness integral are built when it is read
+        a, b = s0 if l == 1 else heights[l - 1], heights[l]
+        grid = _sample_grid(a, b)  # its first node is a
+        T = fs.speed(band).time_to(grid)
         t, rho, rows = integrate_segment(fs, band, l, a, t, rho, perturbation,
-                                         (grid, T_all[lo:hi] - T_all[lo - 1]))
+                                         (grid, T - T[0]))
         yield EventRecord(band, l, t, b, *rho, classify_crossing(fs, band, l, rho)), rows
 
 

@@ -104,15 +104,22 @@ class DiscreteOrbit:
         return np.interp(self.times, *self.warp)
 
     def visits(self, s_l: float) -> bool:
-        """Whether an iterate lies within RAMP_EPS/2 of arc length s_l.  s(t)
-        is monotone, so only the iterates between the times of s_l -/+
-        RAMP_EPS/2, two steps wider on each side for round-off, are tested."""
+        """Whether an iterate lies within RAMP_EPS/2 of arc length s_l.  The
+        iterates tested lie between the times of s_l -/+ RAMP_EPS/2, two steps
+        wider on each side for round-off.  s(k delta) - s_l is nondecreasing
+        in k, so bisection finds the first of them past -RAMP_EPS/2, and the
+        height is visited iff that one is below +RAMP_EPS/2."""
         t_of_s, grid = self.warp
         t_lo, t_hi = np.interp([s_l - RAMP_EPS / 2.0, s_l + RAMP_EPS / 2.0], grid, t_of_s)
-        k = np.arange(max(int(t_lo / self.delta) - 2, 0),
-                      min(int(t_hi / self.delta) + 3, self.iterates))
-        s_vals = np.interp(k * self.delta, t_of_s, grid)
-        return bool(np.any(np.abs(s_vals - s_l) < RAMP_EPS / 2.0))
+        lo = max(int(t_lo / self.delta) - 2, 0)
+        hi = end = min(int(t_hi / self.delta) + 3, self.iterates)
+        k = min(lo + 3, (lo + hi) // 2)  # the crossing lies 3 in, but for round-off
+        while lo < hi:
+            s_k = np.interp(k * self.delta, t_of_s, grid)
+            lo, hi = (lo, k) if s_k - s_l > -RAMP_EPS / 2.0 else (k + 1, hi)
+            k = (lo + hi) // 2
+        return bool(lo < end and
+                    abs(np.interp(lo * self.delta, t_of_s, grid) - s_l) < RAMP_EPS / 2.0)
 
 
 def discrete_orbit_verdict(fs: FieldSpec, input_index: int,

@@ -206,6 +206,11 @@ def _r_lap(p):
     return _r_add(_r_dx(_r_dx(p)), _r_dy(_r_dy(p)))
 
 
+def _r_mul(p, q):
+    return _r_add(*({(i1 + i2, j1 + j2): v1 * v2} for (i1, j1), v1 in p.items()
+                    for (i2, j2), v2 in q.items()))
+
+
 def _r_curl(w):
     return [(_r_add(_r_dy(w[k][2]), _r_scale(w[k + 1][1], -(k + 1))),
              _r_add(_r_scale(w[k + 1][0], k + 1), _r_scale(_r_dx(w[k][2]), -1)),
@@ -241,6 +246,24 @@ def _reference_lift(F, lam, K):
         "checked_through": check,
     }
     return _r_rows(v), _r_rows(u), report
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_poly_ops_match_plain_fraction_reference(seed):
+    # each scaling path (int, Fraction, float, 0, 1, -1), the difference and
+    # the laplacian, against the textbook formulas reduced after every step
+    rng = np.random.default_rng(seed)
+    p, q = random_poly(seed, degree=5), random_poly(seed + 100, degree=4) * Fraction(1, 3)
+    ints = [int(v) for v in rng.integers(2, 99, 4)]
+    for s in (ints[0], -ints[1], Fraction(ints[2], ints[3]), Fraction(-7, 12), Fraction(1, 3),
+              float(rng.normal()), 0.375, 0, 1, -1, Fraction(1), Fraction(0), True):
+        for scaled in (p * s, s * p):
+            assert scaled.c == _r_scale(p.c, Fraction(s)), s
+            assert scaled == Poly2(_r_scale(p.c, Fraction(s)))
+    assert (p - q).c == _r_add(p.c, _r_scale(q.c, -1))
+    assert (q - q).is_zero() and (p - p).c == {}
+    assert p.laplacian().c == _r_lap(p.c)
+    assert (p * p - q).laplacian().c == _r_lap(_r_add(_r_mul(p.c, p.c), _r_scale(q.c, -1)))
 
 
 @pytest.mark.parametrize("K", [2, 8, 20])

@@ -63,11 +63,10 @@ def test_usage_errors(tmp_path, capsys):
 def test_height_budget_float_ceiling(tmp_path, capsys, inputs):
     # the field reaches level --inputs + --lmax + 1; at the ceiling every
     # subcommand runs with no RuntimeWarning (an error in this suite), one
-    # past it is a usage error that names the limit.  sphere is left out at
-    # the ceiling: its orbit test allocates every iterate of a height's window
+    # past it is a usage error that names the limit
     ceiling = height_ceiling(0.5)
     lmax = ceiling - 1 - inputs
-    for sub in ("verify", "simulate", "perturb", "compile", "extend3d"):
+    for sub in ("verify", "simulate", "perturb", "compile", "extend3d", "sphere"):
         trials = ("--trials", "1") if sub == "perturb" else ()
         assert run(sub, "--machine", SPIN, "--inputs", str(inputs), "--lmax", str(lmax),
                    *trials, "--out", str(tmp_path / sub)) == 0, sub

@@ -7,6 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from flowcomp.curves import (
+    _ARC_CELLS,
+    _REACH,
+    CHART_HALF_WIDTH,
     RAMP_EPS,
     BandChart,
     ChartError,
@@ -14,6 +17,7 @@ from flowcomp.curves import (
     bump_profile,
     curve_records,
     flat,
+    hermite_cumulative,
     interval_bound_log,
 )
 from flowcomp.field import cutoff
@@ -325,6 +329,58 @@ def test_distance_bound_keeps_every_chart_point():
         s2, rho2 = ch.plane_to_chart(x, y)
         assert np.max(np.abs(s2 - s)) < 1e-12, machine.name
         assert np.max(np.abs(rho2 - rho)) < 1e-12, machine.name
+
+
+def full_box_bound(ch, x, y):
+    """The distance bound over all 2 _REACH + 1 boxes of each point's window,
+    with no hull prefilter: the running minimum `_distance_bound` refines."""
+    bottom, top, left, right = ch._cell_boxes[:4]
+    k0 = np.searchsorted(top[_REACH:-_REACH], y)
+    best = np.full(x.shape, np.inf)
+    for j in range(2 * _REACH + 1):
+        k = k0 + j
+        dx = x - np.minimum(np.maximum(x, left[k]), right[k])
+        dy = y - np.minimum(np.maximum(y, bottom[k]), top[k])
+        np.minimum(best, dx * dx + dy * dy, out=best)
+    return best
+
+
+def test_hull_prefilter_keeps_the_bound_below_and_the_held_set():
+    # points across each band and past its edges, at every height and below
+    # and above the curve's ends, on the sample machines and random ones
+    rng = np.random.default_rng(17)
+    machines = [load_machine(path) for path in sorted(MACHINES.glob("*.tm"))]
+    machines += [random_machine(seed) for seed in range(300, 309)]
+    n, total = 9000, 0
+    for k, machine in enumerate(machines):
+        curve = CurveFamily(machine, k % 3, int(rng.integers(3, 13)))
+        ch = BandChart(curve)
+        x = 2 * curve.band + np.concatenate([rng.uniform(-0.25, 1.25, n // 2),
+                                             curve.x[rng.integers(0, curve.l_max + 2, n // 2)]
+                                             + rng.uniform(-0.08, 0.08, n // 2)])
+        y = rng.uniform(-1.5, curve.l_max + 2.5, n)
+        fast, full = ch._distance_bound(x, y), full_box_bound(ch, x, y)
+        assert np.all(fast <= full), machine.name
+        held = full < CHART_HALF_WIDTH**2
+        assert np.array_equal(fast < CHART_HALF_WIDTH**2, held), machine.name
+        assert np.array_equal(fast[held], full[held]), machine.name
+        total += n
+    assert total >= 100_000
+
+
+@pytest.mark.parametrize("l_max", [1, 3, 9, 40])
+def test_arc_maps_match_lambda_eval_on_their_grid(l_max):
+    # the tabulated ramp gives every node the bits `lambda_eval` gives it
+    machines = [load_machine(path) for path in sorted(MACHINES.glob("*.tm"))]
+    for k, machine in enumerate(machines + [random_machine(400 + l_max)]):
+        curve = CurveFamily(machine, k % 3, l_max)
+        u = np.linspace(-1.0, l_max + 1, _ARC_CELLS * (l_max + 2) + 1)
+        val, d1, d2 = curve.lambda_eval(u)
+        w = np.sqrt(1.0 + d1**2)
+        s = hermite_cumulative(u, w, d1 * d2 / w)
+        s -= s[_ARC_CELLS]
+        for got, want in zip(curve._arc_maps, (u, s, w, 1.0 / w, val)):
+            assert got.tobytes() == want.tobytes(), machine.name
 
 
 def test_far_point_is_off_the_chart():

@@ -270,6 +270,47 @@ def test_locating_a_subset_matches_the_whole(name):
     assert _chart_potential(fs, *whole).tobytes() == potential_plane(fs, x, y).tobytes()
 
 
+def two_pass_locate(fs, x, y):
+    """The locate loop that projected every band's left candidates, then every
+    band's right ones: one `plane_to_chart` call per band and candidate."""
+    band = np.full(x.shape, -1)
+    s, rho = np.full((2,) + x.shape, np.nan)
+    left = np.floor((x - 1.0 / 16.0) / 2.0)
+    right = np.floor((x + 1.0 / 16.0) / 2.0)
+    for cand in (left, np.where(right != left, right, -1.0)):
+        for i in range(fs.n_bands):
+            todo = (band < 0) & (cand == i)
+            if not todo.any():
+                continue
+            si, ri = fs.chart(i).plane_to_chart(x[todo], y[todo])
+            held = ~np.isnan(si)
+            hit = todo.copy()
+            hit[todo] = held
+            band[hit], s[hit], rho[hit] = i, si[held], ri[held]
+    return band, s, rho
+
+
+@pytest.mark.parametrize("name", ["incrementer", "right_filler", "spinner"])
+def test_one_pass_per_band_locates_as_the_two_pass_loop(name):
+    # points within 1/16 of the band borders x = 2i, where a point has two
+    # candidate bands, and x = 2i + 1, and points beside the curves
+    fs = FieldSpec(load_machine(str(MACHINES / f"{name}.tm")), n_bands=3, l_max=6)
+    rng = np.random.default_rng(23)
+    n, top = 3000, fs.l_max + 1.0
+    u = rng.uniform(-1.0, top, 2 * n)
+    beside = np.concatenate([fs.curve(i).point(u[i::3])[0] for i in range(3)])
+    x = np.concatenate([rng.integers(0, 2 * fs.n_bands + 1, n) + rng.uniform(-1, 1, n) / 16.0,
+                        beside + rng.uniform(-0.08, 0.08, 2 * n)])
+    y = np.concatenate([rng.uniform(-1.0, top, n), u[0::3], u[1::3], u[2::3]])
+    got, want = _locate(fs, x, y), two_pass_locate(fs, x, y)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    border = x[:n] - 2 * np.floor(x[:n] / 2 + 0.25)  # offset from the nearest even x
+    held = got[0][:n] >= 0
+    assert np.any(held & (np.abs(border) < 1.0 / 16.0) & (got[0][:n] > 0)), name
+    assert set(got[0].tolist()) == {-1, 0, 1, 2}, name
+
+
 def test_window_fit_locates_once(fs, monkeypatch):
     from flowcomp import field
     from flowcomp.beltrami import fit_window_polynomial

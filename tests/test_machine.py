@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -197,19 +198,32 @@ def test_parse_roundtrip():
 
 @st.composite
 def machine_specs(draw):
-    """Machines of 1-4 states with every rule drawn.  The name is one token
-    without whitespace or '#', the only names the file format carries."""
+    """Machines of 1-4 states with every rule drawn.  The name may hold inner
+    spaces and tabs, but no '#', line break or outer whitespace: those are
+    the names the file format carries."""
     m = draw(st.integers(1, 4))
     q_halt = draw(st.integers(1, m))
     rule = st.tuples(st.integers(1, m), st.integers(0, 9), st.sampled_from((-1, 0, 1)))
     rules = {(q, d): draw(rule) for q in range(1, m + 1) if q != q_halt for d in range(10)}
-    name = draw(st.text("abcxyz019_-.", min_size=1, max_size=12))
+    name = draw(st.text("abcxyz019_-. \t", min_size=1, max_size=12).filter(
+        lambda n: n.strip() == n))
     return MachineSpec(name, m, draw(st.integers(1, m)), q_halt, rules)
 
 
 @given(machine_specs())
 def test_format_then_parse_is_the_identity(spec):
     assert parse_machine(format_machine(spec)) == spec
+
+
+def test_names_that_would_not_survive_the_round_trip_are_refused():
+    spec = parse_machine(GOOD)
+    named = parse_machine(format_machine(dataclasses.replace(spec, name="my  machine")))
+    assert named.name == "my  machine"
+    assert parse_machine("machine two words # a comment\n" + GOOD.split("\n", 1)[1]).name == (
+        "two words")
+    for name in ("", " lead", "trail\t", "a#b", "two\nlines", "a\rb", "a\u2028b"):
+        with pytest.raises(ValueError):
+            format_machine(dataclasses.replace(spec, name=name))
 
 
 def test_parse_missing_rule():

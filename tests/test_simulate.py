@@ -176,6 +176,25 @@ def test_batched_slowness_matches_per_segment_reference(fs, case):
         assert np.all(np.array(samples[1:20]) != fs.speed(0).time(start[0], s))
 
 
+def test_a_read_that_stops_at_height_one_integrates_only_its_grid(fs, monkeypatch):
+    # each height's sample grid and slowness integral are built when it is read
+    from flowcomp.field import LevelSpeed
+
+    seen = []
+    time_to = LevelSpeed.time_to
+
+    def counted(self, s):
+        seen.append(np.atleast_1d(s))
+        return time_to(self, s)
+
+    monkeypatch.setattr(LevelSpeed, "time_to", counted)
+    traj = chart(fs, (0.0, 0.0), reads=1)
+    heights = fs.curve(0).arc_heights
+    assert [e.height for e in traj.events] == [1]
+    assert len(seen) == 1
+    assert seen[0].tolist() == _sample_grid(0.0, float(heights[1])).tolist()
+
+
 def test_confinement_error_on_bad_start(fs, segments):
     with pytest.raises(ConfinementError):
         next(integrate_chart(fs, 0, (0.0, 0.07), None, L_MAX))

@@ -207,6 +207,40 @@ def test_coarse_steps_leave_gaps_as_a_full_scan_does(monkeypatch):
     assert all_gaps
 
 
+def array_visits(orbit, s_l):
+    """The window test on an array of every iterate in the window, two steps
+    wider on each side: the form that bisection replaced."""
+    t_of_s, grid = orbit.warp
+    t_lo, t_hi = np.interp([s_l - RAMP_EPS / 2.0, s_l + RAMP_EPS / 2.0], grid, t_of_s)
+    k = np.arange(max(int(t_lo / orbit.delta) - 2, 0),
+                  min(int(t_hi / orbit.delta) + 3, orbit.iterates))
+    return bool(np.any(np.abs(np.interp(k * orbit.delta, t_of_s, grid) - s_l) < RAMP_EPS / 2.0))
+
+
+@pytest.mark.parametrize("machine", SCAN_MACHINES[:3], ids=lambda m: m.name)
+def test_bisected_visits_match_the_window_array(machine, monkeypatch):
+    # below and above the threshold (lifted, so some heights are stepped over),
+    # at every height and at arc lengths just inside and outside the windows
+    monkeypatch.setattr(sphere, "delta_threshold", lambda lam: math.inf)
+    rng = np.random.default_rng(31)
+    for l_max in (4, 8, 12):
+        fs = FieldSpec(machine, n_bands=1, l_max=l_max)
+        curve, d0 = fs.curve(0), RAMP_EPS / (32.0 * fs.lam)
+        for factor in (0.5, 0.99, 20.0, 55.0):
+            _, _, orbit = discrete_orbit_verdict(fs, 0, None, factor * d0, l_max)
+            visited, gaps = [], []
+            for l in range(1, l_max + 1):
+                (visited if array_visits(orbit, float(curve.arc_heights[l])) else gaps).append(l)
+                if visited[-1:] == [l] and curve.configs[l].q == fs.machine.q_halt:
+                    break
+            assert (orbit.visited_heights, orbit.band_gaps) == (visited, gaps)
+            k = rng.integers(0, orbit.iterates, 200)
+            edges = np.interp(k * orbit.delta, *orbit.warp)[:, None] + RAMP_EPS / 2.0 * np.array(
+                [-1.0 - 1e-15, -1.0, -1.0 + 1e-15, 1.0 - 1e-15, 1.0, 1.0 + 1e-15])
+            for s_l in edges.ravel().tolist() + np.linspace(0.0, orbit.warp[1][-1], 101).tolist():
+                assert orbit.visits(s_l) == array_visits(orbit, s_l), (l_max, factor, s_l)
+
+
 def fine_grid_warp(fs, l_max):
     """(t(s), s) on 400 nodes per unit of arc length, each placed by
     inverting arc length: the reference the orbit's warp must match."""

@@ -1,0 +1,58 @@
+"""sha256 pins of the benchmark's first ops: files, stdout and exit codes.
+
+The first 9 ops of `perfbench/workloads.generate(workload, seed=1)` are run
+through the CLI in a temporary directory, and everything they leave is hashed:
+each op's exit code and stdout, then its output files by name.  The work
+directory's path is replaced by a placeholder, so the digest does not depend
+on where the test runs.  A speed-up of the `lift` or `verify` path must keep
+every one of these bytes.  `workloads.py` is read, never written.
+"""
+
+import hashlib
+import importlib.util
+import itertools
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from flowcomp.cli import main
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+PINS = {
+    "lift": "2d3830ab9ccc8d63eca9d33e5b4715ef683e39bff98f86f1e0946f2e9649874e",
+    "verify": "c0702721fdd7d909f4c768952e6221c34628188308f7af933cb78269ad5424cb",
+}
+
+
+def load_workloads():
+    name = "perfbench_workloads"
+    if name not in sys.modules:  # its dataclasses look their module up there
+        spec = importlib.util.spec_from_file_location(name, WORKLOADS)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def digest_first_ops(workload: str, work: Path, capsys, n: int = 9) -> str:
+    h = hashlib.sha256()
+    place = str(work).encode()
+    for op in itertools.islice(load_workloads().generate(workload, 1, work), n):
+        rc = main(op.argv)
+        out = capsys.readouterr().out.encode()
+        h.update(b"op %d %s exit %r\n" % (op.index, op.sub.encode(), rc))
+        h.update(out.replace(place, b"<work>"))
+        for p in sorted(op.out.rglob("*")):
+            if p.is_file():
+                h.update(b"\n" + str(p.relative_to(work)).encode() + b"\n")
+                h.update(p.read_bytes().replace(place, b"<work>"))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workload", sorted(PINS))
+def test_first_benchmark_ops_are_pinned(workload, tmp_path, capsys, monkeypatch):
+    for var in [v for v in os.environ if v.startswith("FLOWCOMP_")]:
+        monkeypatch.delenv(var)
+    assert digest_first_ops(workload, tmp_path, capsys) == PINS[workload]
