@@ -75,7 +75,13 @@ class Poly2:
     def __hash__(self):
         return hash(frozenset(self.c.items()))
 
-    def __add__(self, other, sign: int = 1):
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int) -> "Poly2":
         """self + sign * other, over the least common denominator."""
         a, b = self._d, other._d
         d = a if a == b else math.lcm(a, b)
@@ -88,9 +94,6 @@ class Poly2:
             else:
                 out.pop(k, None)
         return Poly2._of(out, d)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, Poly2):

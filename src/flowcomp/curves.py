@@ -322,10 +322,9 @@ class BandChart:
     def _distance_bound(self, x, y):
         """A lower bound on the squared distance of each point to the curve:
         the least squared distance to the boxes of the cells within the
-        half-width of its height, a running minimum over the cell offsets.
-        Points whose x-distance to their window's hull is already past the
-        half-width keep that distance, below every box's: floats round
-        monotonically, so the same points fall within the half-width."""
+        half-width of its height, a running minimum over the cell offsets.  A point
+        whose x-distance to its window's hull is past the half-width keeps that
+        distance, below every box's, so the same points fall within the half-width."""
         bottom, top, left, right, hull_left, hull_right = self._cell_boxes
         k0 = np.searchsorted(top[_REACH:-_REACH], y)  # the cell of each height
         best = (x - np.minimum(np.maximum(x, hull_left[k0]), hull_right[k0])) ** 2

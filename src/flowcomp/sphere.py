@@ -104,11 +104,10 @@ class DiscreteOrbit:
         return np.interp(self.times, *self.warp)
 
     def visits(self, s_l: float) -> bool:
-        """Whether an iterate lies within RAMP_EPS/2 of arc length s_l.  The
-        iterates tested lie between the times of s_l -/+ RAMP_EPS/2, two steps
-        wider on each side for round-off.  s(k delta) - s_l is nondecreasing
-        in k, so bisection finds the first of them past -RAMP_EPS/2, and the
-        height is visited iff that one is below +RAMP_EPS/2."""
+        """Whether an iterate lies within RAMP_EPS/2 of arc length s_l.  Of the
+        iterates between the times of s_l -/+ RAMP_EPS/2, two steps wider each
+        side for round-off, s(k delta) - s_l is nondecreasing in k: bisection
+        finds the first past -RAMP_EPS/2, and only it is tested."""
         t_of_s, grid = self.warp
         t_lo, t_hi = np.interp([s_l - RAMP_EPS / 2.0, s_l + RAMP_EPS / 2.0], grid, t_of_s)
         lo = max(int(t_lo / self.delta) - 2, 0)
