@@ -16,6 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .curves import RHO0
+from .field import _chart_field, _chart_potential, _locate, error_schedule
+
 
 class Poly2:
     """Bivariate polynomial with exact rational coefficients.
@@ -319,9 +322,6 @@ def fit_window_polynomial(fs, window, degree: int) -> dict:
     or below the smallest scheduled perturbation threshold meeting the window,
     is certified; else the status is insufficient degree (not raised).
     """
-    from .curves import RHO0
-    from .field import _chart_field, _chart_potential, _locate, error_schedule
-
     if degree < 1:
         raise ValueError("degree must be >= 1")
     x0, x1, y0, y1 = window

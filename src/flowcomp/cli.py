@@ -16,7 +16,6 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +43,20 @@ from .sphere import delta_threshold, discrete_orbit_verdict
 
 ENV_PREFIX = "FLOWCOMP_"
 
-DEFAULTS = {
-    "inputs": 3,
-    "lmax": 8,
-    "seed": 0,
-    "lambda_frac": 0.5,
-    "out": "out",
-    "trials": 5,
-    "degree": 3,
-    "sb": 2.0,
-    "C": 1.0,
+# Every setting resolves flag > FLOWCOMP_<NAME> > config key > default on every
+# subcommand, but has a flag only on its owner's parser (None: on all of them).
+# name: (type, default, help, owner)
+SETTINGS = {
+    "inputs": (int, 3, "number of enumerated inputs", None),
+    "lmax": (int, 8, "height budget", None),
+    "seed": (int, 0, "base random seed", None),
+    "lambda_frac": (float, 0.5, "flow speed as a fraction of each level's "
+                                "contraction speed limit", None),
+    "out": (str, "out", "output directory", None),
+    "trials": (int, 5, "perturbations per input", "perturb"),
+    "degree": (int, 3, "fit polynomial degree", "extend3d"),
+    "sb": (float, 2.0, "space bound", "estimate"),
+    "C": (float, 1.0, "estimator constant", "estimate"),
 }
 
 
@@ -75,23 +78,13 @@ def read_config(path: str) -> dict:
     return out
 
 
-def _coerce(key: str, value):
-    if value is None or key not in DEFAULTS:
-        return value
-    template = DEFAULTS[key]
-    if isinstance(template, int) and not isinstance(template, bool):
-        return int(value)
-    if isinstance(template, float):
-        return float(value)
-    return str(value)
-
-
 def _check_ranges(settings: dict):
     """Reject out-of-range values as usage errors, before any work starts."""
     for ok, message in (
             (settings["inputs"] >= 1, "--inputs must be at least 1"),
             (settings["trials"] >= 1, "--trials must be at least 1"),
             (settings["lmax"] >= 1, "--lmax must be at least 1"),
+            (settings["seed"] >= 0, "--seed must be at least 0"),
             (0.0 < settings["lambda_frac"] < 1.0, "--lambda-frac must be in (0, 1)"),
             (settings["degree"] >= 1, "--degree must be at least 1"),
             (settings["sb"] >= 1.0, "--sb must be at least 1"),
@@ -108,92 +101,24 @@ def _check_ranges(settings: dict):
 
 
 def resolve(args: argparse.Namespace) -> dict:
-    """Merge flag/env/config/default values into one settings dict, with
-    every value in range."""
-    config = read_config(args.config) if getattr(args, "config", None) else {}
+    """Merge flag/env/config/default values into one settings dict; an
+    out-of-range value, a machine path that names no file or a missing
+    machine where the subcommand needs one is a ValueError."""
+    config = read_config(args.config) if args.config else {}
     settings = {}
-    for key, default in DEFAULTS.items():
-        value = getattr(args, key, None)
-        if value is None:
-            value = os.environ.get(ENV_PREFIX + key.upper())
-        if value is None:
-            value = config.get(key)
-        if value is None:
-            value = default
-        settings[key] = _coerce(key, value)
+    for key, (kind, default, _, _) in SETTINGS.items():
+        sources = (getattr(args, key, None), os.environ.get(ENV_PREFIX + key.upper()),
+                   config.get(key))
+        settings[key] = kind(next((v for v in sources if v is not None), default))
     _check_ranges(settings)
-    settings["machine"] = (
-        getattr(args, "machine", None)
-        or os.environ.get(ENV_PREFIX + "MACHINE")
-        or config.get("machine")
-    )
-    if settings["machine"] and not Path(settings["machine"]).is_file():
-        raise ValueError(f"machine file {settings['machine']} not found")
+    settings["fail_on_unresolved"] = getattr(args, "fail_on_unresolved", False)
+    machine = args.machine or os.environ.get(ENV_PREFIX + "MACHINE") or config.get("machine")
+    if machine and not Path(machine).is_file():
+        raise ValueError(f"machine file {machine} not found")
+    if not machine and args.subcommand != "estimate":
+        raise ValueError("--machine is required")
+    settings["machine"] = machine
     return settings
-
-
-# ---------------------------------------------------------------------------
-# manifest
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run, written as flat key = value."""
-
-    subcommand: str
-    machine_name: str
-    machine_digest: str
-    constants: dict = dc_field(default_factory=dict)
-    seeds: dict = dc_field(default_factory=dict)
-    budgets: dict = dc_field(default_factory=dict)
-    artifacts: list = dc_field(default_factory=list)
-
-    def lines(self):
-        rows = [
-            ("subcommand", self.subcommand),
-            ("version", __version__),
-            ("machine.name", self.machine_name),
-            ("machine.digest", self.machine_digest),
-        ]
-        for group, d in (("constant", self.constants), ("seed", self.seeds),
-                         ("budget", self.budgets)):
-            rows.extend((f"{group}.{k}", v) for k, v in sorted(d.items()))
-        rows.extend(("artifact", a) for a in self.artifacts)
-        return [f"{k} = {v!r}" if isinstance(v, float) else f"{k} = {v}" for k, v in rows]
-
-    def write(self, outdir: Path):
-        path = outdir / "manifest.txt"
-        path.write_text("\n".join(self.lines()) + "\n")
-        return path
-
-
-def _digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def base_manifest(sub: str, settings: dict) -> RunManifest:
-    fs_lam = settings["lambda_frac"]
-    return RunManifest(
-        sub,
-        Path(settings["machine"]).stem,
-        _digest(settings["machine"]),
-        constants={
-            # the top speed: the sphere time step; every level runs below it
-            "lambda": fs_lam * LAMBDA0,
-            "lambda_frac": fs_lam,
-            "eps": RAMP_EPS,
-            "rho0": RHO0,
-            "C": settings["C"],
-        },
-        seeds={"base": settings["seed"]},
-        budgets={
-            "inputs": settings["inputs"],
-            "l_max": settings["lmax"],
-            "trials": settings["trials"],
-            "degree": settings["degree"],
-            "series_order": 20,
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +176,35 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
     path.write_text("\n".join(parts) + "\n")
 
 
+def write_manifest(outdir: Path, sub: str, settings: dict, artifacts: list):
+    """Everything needed to reproduce the run, as flat `key = value` lines."""
+    if sub == "estimate":
+        rows = [("machine.name", "none"), ("machine.digest", "none"),
+                ("budget.C", settings["C"]), ("budget.sb", settings["sb"])]
+    else:
+        machine = Path(settings["machine"])
+        rows = [
+            ("machine.name", machine.stem),
+            ("machine.digest", hashlib.sha256(machine.read_bytes()).hexdigest()),
+            ("constant.C", settings["C"]),
+            ("constant.eps", RAMP_EPS),
+            # the top speed: the sphere time step; every level runs below it
+            ("constant.lambda", settings["lambda_frac"] * LAMBDA0),
+            ("constant.lambda_frac", settings["lambda_frac"]),
+            ("constant.rho0", RHO0),
+            ("seed.base", settings["seed"]),
+            ("budget.degree", settings["degree"]),
+            ("budget.inputs", settings["inputs"]),
+            ("budget.l_max", settings["lmax"]),
+            ("budget.series_order", 20),
+            ("budget.trials", settings["trials"]),
+        ]
+    rows = [("subcommand", sub), ("version", __version__), *rows,
+            *(("artifact", name) for name in artifacts)]
+    (outdir / "manifest.txt").write_text("".join(
+        f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n" for k, v in rows))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -267,17 +221,17 @@ def _build(settings: dict):
     return machine, fs
 
 
-def cmd_compile(settings, outdir, man):
+def cmd_compile(settings, outdir, artifacts):
     _, fs = _build(settings)
     for band in range(fs.n_bands):
         curve = fs.curve(band)
         path = outdir / f"curve_{band}.csv"
         write_csv(path, ["s", "x", "y", "kappa"],
                   [tuple(f"{v:.12g}" for v in r) for r in curve_records(curve)])
-        man.artifacts.append(path.name)
+        artifacts.append(path.name)
         svg = outdir / f"curve_{band}.svg"
         svg_trajectory(svg, curve, None, settings["lmax"])
-        man.artifacts.append(svg.name)
+        artifacts.append(svg.name)
     grid = outdir / "field_grid.csv"
     step = 0.25
     ny = int((settings["lmax"] + 2) / step)
@@ -287,11 +241,11 @@ def cmd_compile(settings, outdir, man):
     rows = [(f"{x:.4f}", f"{y:.4f}", f"{a:.12g}", f"{b:.12g}")
             for (x, y), a, b in zip(pts, vx.tolist(), vy.tolist())]
     write_csv(grid, ["x", "y", "vx", "vy"], rows)
-    man.artifacts.append(grid.name)
+    artifacts.append(grid.name)
     return 0
 
 
-def cmd_simulate(settings, outdir, man):
+def cmd_simulate(settings, outdir, artifacts):
     _, fs = _build(settings)
     verdicts = []
     unresolved = False
@@ -308,10 +262,10 @@ def cmd_simulate(settings, outdir, man):
                   [r[:6] + (f"{r[6]:.12g}",) for r in event_rows(traj)])
         spath = outdir / f"trajectory_{idx}.svg"
         svg_trajectory(spath, fs.curve(idx), traj, settings["lmax"])
-        man.artifacts.extend([tpath.name, epath.name, spath.name])
+        artifacts.extend([tpath.name, epath.name, spath.name])
     vpath = outdir / "verdicts.csv"
     write_csv(vpath, ["input", "verdict"], verdicts)
-    man.artifacts.append(vpath.name)
+    artifacts.append(vpath.name)
     return 1 if (unresolved and settings.get("fail_on_unresolved")) else 0
 
 
@@ -322,7 +276,7 @@ def _oracle_verdict(machine, config, lmax):
     return format_verdict(SimulationVerdict("UNRESOLVED", budget=lmax))
 
 
-def cmd_verify(settings, outdir, man):
+def cmd_verify(settings, outdir, artifacts):
     machine, fs = _build(settings)
     rows = []
     ok = True
@@ -335,11 +289,11 @@ def cmd_verify(settings, outdir, man):
         rows.append((idx, oracle, flow, "agree" if agree else "DISAGREE"))
     path = outdir / "verify.csv"
     write_csv(path, ["input", "oracle", "flow", "status"], rows)
-    man.artifacts.append(path.name)
+    artifacts.append(path.name)
     return 0 if ok else 1
 
 
-def cmd_perturb(settings, outdir, man):
+def cmd_perturb(settings, outdir, artifacts):
     _, fs = _build(settings)
     schedule = error_schedule(fs)
     rows = []
@@ -358,11 +312,11 @@ def cmd_perturb(settings, outdir, man):
             rows.append((idx, seed, baseline, got, "agree" if agree else "DISAGREE"))
     path = outdir / "perturb.csv"
     write_csv(path, ["input", "seed", "baseline", "perturbed", "status"], rows)
-    man.artifacts.append(path.name)
+    artifacts.append(path.name)
     return 0 if ok else 1
 
 
-def cmd_extend3d(settings, outdir, man):
+def cmd_extend3d(settings, outdir, artifacts):
     _, fs = _build(settings)
     window = (0.0, 1.0, 0.0, float(min(settings["lmax"], 2)))
     report = fit_window_polynomial(fs, window, settings["degree"])
@@ -388,14 +342,14 @@ def cmd_extend3d(settings, outdir, man):
     spath = outdir / "series.csv"
     write_csv(spath, ["k", "component", "i", "j", "numerator", "denominator"],
               series_rows(u))
-    man.artifacts.extend([rpath.name, spath.name])
+    artifacts.extend([rpath.name, spath.name])
     lift_ok = (res["curl_residual_order"] is None
                and res["div_residual_order"] is None
                and res["plane_restriction_ok"])
     return 0 if lift_ok else 1
 
 
-def cmd_sphere(settings, outdir, man):
+def cmd_sphere(settings, outdir, artifacts):
     _, fs = _build(settings)
     delta = delta_threshold(fs.lam) / 2.0
     rows = []
@@ -411,11 +365,11 @@ def cmd_sphere(settings, outdir, man):
     path = outdir / "sphere.csv"
     write_csv(path, ["input", "delta", "continuous", "discrete",
                      "iterates", "band_gaps", "status"], rows)
-    man.artifacts.append(path.name)
+    artifacts.append(path.name)
     return 0 if ok else 1
 
 
-def cmd_estimate(settings, outdir, man):
+def cmd_estimate(settings, outdir, artifacts):
     est = resource_estimate(settings["sb"], settings["C"])
     digits = est.fixed_digits()  # the threshold's fixed part is -fix
     text = "\n".join([
@@ -429,22 +383,20 @@ def cmd_estimate(settings, outdir, man):
     ])
     path = outdir / "estimate.txt"
     path.write_text(text + "\n")
-    man.artifacts.append(path.name)
+    artifacts.append(path.name)
     print(text)
     return 0
 
 
 COMMANDS = {
-    "compile": cmd_compile,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-    "perturb": cmd_perturb,
-    "extend3d": cmd_extend3d,
-    "sphere": cmd_sphere,
-    "estimate": cmd_estimate,
+    "compile": (cmd_compile, "build curves and field, dump grids and plots"),
+    "simulate": (cmd_simulate, "flow trajectories with verdicts, events, and plots"),
+    "verify": (cmd_verify, "compare flow verdicts against direct execution"),
+    "perturb": (cmd_perturb, "robustness sweep under scheduled perturbations"),
+    "extend3d": (cmd_extend3d, "window fit, series lift, residual report"),
+    "sphere": (cmd_sphere, "discrete time-delta orbit comparison"),
+    "estimate": (cmd_estimate, "nested-exponential resource bound"),
 }
-
-NEEDS_MACHINE = {"compile", "simulate", "verify", "perturb", "extend3d", "sphere"}
 
 
 @functools.cache
@@ -457,68 +409,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_ in [
-        ("compile", "build curves and field, dump grids and plots"),
-        ("simulate", "flow trajectories with verdicts, events, and plots"),
-        ("verify", "compare flow verdicts against direct execution"),
-        ("perturb", "robustness sweep under scheduled perturbations"),
-        ("extend3d", "window fit, series lift, residual report"),
-        ("sphere", "discrete time-delta orbit comparison"),
-        ("estimate", "nested-exponential resource bound"),
-    ]:
+    for name, (_, help_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--machine", help="machine description file")
         p.add_argument("--config", help="flat key = value settings file")
-        p.add_argument("--inputs", type=int, help="number of enumerated inputs")
-        p.add_argument("--lmax", type=int, help="height budget")
-        p.add_argument("--seed", type=int, help="base random seed")
-        p.add_argument("--lambda-frac", dest="lambda_frac", type=float,
-                       help="flow speed as a fraction of each level's "
-                            "contraction speed limit")
-        p.add_argument("--out", help="output directory")
+        for key, (kind, _, text, owner) in SETTINGS.items():
+            if owner in (None, name):
+                p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
         if name == "simulate":
             p.add_argument("--fail-on-unresolved", action="store_true",
-                           dest="fail_on_unresolved",
                            help="exit 1 when any verdict is UNRESOLVED")
-        if name == "perturb":
-            p.add_argument("--trials", type=int, help="perturbations per input")
-        if name == "extend3d":
-            p.add_argument("--degree", type=int, help="fit polynomial degree")
-        if name == "estimate":
-            p.add_argument("--sb", type=float, help="space bound")
-            p.add_argument("--C", type=float, help="estimator constant")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         settings = resolve(args)
+        outdir = Path(settings["out"])
+        outdir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    settings["fail_on_unresolved"] = getattr(args, "fail_on_unresolved", False)
-    sub = args.subcommand
-    if sub in NEEDS_MACHINE and not settings["machine"]:
-        print("error: --machine is required", file=sys.stderr)
-        return 2
-    outdir = Path(settings["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    artifacts = []
     try:
-        if sub in NEEDS_MACHINE:
-            man = base_manifest(sub, settings)
-        else:
-            man = RunManifest(sub, "none", "none",
-                              budgets={"sb": settings["sb"], "C": settings["C"]})
-        status = COMMANDS[sub](settings, outdir, man)
-    except MachineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        status = COMMANDS[args.subcommand][0](settings, outdir, artifacts)
+        write_manifest(outdir, args.subcommand, settings, artifacts)
     except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    man.write(outdir)
+        return 2 if isinstance(exc, MachineError) else 1
     return status
 
 

@@ -49,16 +49,16 @@ def cutoff(t):
     return a / (a + b + 1e-300)
 
 
-def contraction_speed_limit(m: int, band: int, height: int) -> float:
-    """Largest flow speed for which the one-step contraction can certify.
+def contraction_speed_limit(level: int) -> float:
+    """Largest flow speed the one-step contraction certifies at `level` = band + height.
 
     The slowest admissible crossing takes time (gap - eps)/(16 lam) >=
     (1 - eps)/(16 lam), eps = RAMP_EPS; the required log drop is the
     interval-bound gap plus one halving.  Level gaps grow like
-    9*10^(i+l+1) ln15, so the admissible speed shrinks double-exponentially
-    with i + l.
+    9*10^(level+1) ln15, so the admissible speed shrinks double-exponentially
+    with the level.
     """
-    drop = 9 * 10 ** (band + height + 1) * math.log(15.0) + LN2
+    drop = 9 * 10 ** (level + 1) * math.log(15.0) + LN2
     return (1.0 - RAMP_EPS) / (16.0 * drop)
 
 
@@ -73,8 +73,8 @@ def height_ceiling(lambda_frac: float) -> int:
     with M below 5, so below 120 over the limit.
     """
     k = 0
-    while (lambda_frac * contraction_speed_limit(0, 0, k + 1) >= sys.float_info.min
-           and 120.0 / contraction_speed_limit(0, 0, k + 1) < sys.float_info.max):
+    while (lambda_frac * contraction_speed_limit(k + 1) >= sys.float_info.min
+           and 120.0 / contraction_speed_limit(k + 1) < sys.float_info.max):
         k += 1
     return k
 
@@ -93,7 +93,7 @@ class FieldSpec:
     `lam` = lambda_frac * LAMBDA0 is the top speed: it fixes the time-delta
     threshold and the time of the sphere field.  The flow itself runs on
     band i from height l to l + 1 at the level speed
-    lambda_frac * contraction_speed_limit(m, i, l), which is far below `lam`
+    lambda_frac * contraction_speed_limit(i + l), which is far below `lam`
     (see `LevelSpeed`).
     """
 
@@ -115,7 +115,7 @@ class FieldSpec:
 
     def level_speed(self, band: int, height: int) -> float:
         """Flow speed on band `band` from height `height` to the next."""
-        return self.lambda_frac * contraction_speed_limit(self.machine.m, band, height)
+        return self.lambda_frac * contraction_speed_limit(band + height)
 
     def speed(self, band: int) -> "LevelSpeed":
         if band not in self._speeds:

@@ -236,7 +236,7 @@ def test_criterion_05_contraction_certificate():
         band = int(rng.integers(0, 21))
         height = int(rng.integers(0, 21 - band))
         j = int(rng.integers(1, 9))
-        lam = 0.5 * contraction_speed_limit(INCREMENTER.m, band, height)
+        lam = 0.5 * contraction_speed_limit(band + height)
         rep = contraction_check(INCREMENTER, lam, band, height, j)
         assert rep["ok"], (band, height, j)
         worst = min(worst, rep["worst_margin"])

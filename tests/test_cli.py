@@ -298,3 +298,84 @@ def test_compile_artifacts(tmp_path, capsys):
     manifest = (out / "manifest.txt").read_text()
     assert "machine.digest = " in manifest and "constant.lambda = " in manifest
     capsys.readouterr()
+
+
+# sha256 of each parser's --help at 80 columns: the top-level parser, then
+# every subcommand's
+HELP = {
+    None: "7ce0b42c5cc94a6efdc1d94ac2afe727638bff8af022308314c2c19cb00e5729",
+    "compile": "c5d9ea9c354377ee53bc5ba8c17198cde163d8d0deb37f4165de34b3a7f99910",
+    "simulate": "03c9bee8f3521b10cbe614a1a7762e2e5a86422618b8224f70c5c39ef4e0a01f",
+    "verify": "393a62fece64b85f704ce354063784e831231b4a206e57fb5b7c6c7d5d336f45",
+    "perturb": "15cd320c4c4b155747d8717597e19f36ae24b5b0d29c9508fb9a92f1388eb4f6",
+    "extend3d": "ede5bf7cda18d51d9d8efc274cb2b4e326ec3e6681ed3ca7533bb83d5bb38dfd",
+    "sphere": "8079cff2dec6fdb905b637c7a9e68c3491d76a39e25caf1a25474ee851880535",
+    "estimate": "0e471e8e8b73bbe919e95cb0840dfef2e549330bf9da78e7b32467238329150d",
+}
+
+
+def test_help_text_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for sub, digest in HELP.items():
+        with pytest.raises(SystemExit) as e:
+            run(*([sub] if sub else []), "--help")
+        assert e.value.code == 0
+        text = capsys.readouterr().out
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (sub, text)
+
+
+def test_estimate_manifest(tmp_path, capsys):
+    from flowcomp import __version__
+
+    assert run("estimate", "--sb", "3", "--out", str(tmp_path)) == 0
+    assert (tmp_path / "manifest.txt").read_text() == (
+        f"subcommand = estimate\nversion = {__version__}\n"
+        "machine.name = none\nmachine.digest = none\n"
+        "budget.C = 1.0\nbudget.sb = 3.0\nartifact = estimate.txt\n")
+    capsys.readouterr()
+
+
+def test_manifest_records_config_and_env(tmp_path, capsys, monkeypatch):
+    # inputs and lmax from --config, seed from the environment, the rest defaults
+    from flowcomp import __version__
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"machine = {INC}\ninputs = 2\nlmax = 3\n")
+    monkeypatch.setenv("FLOWCOMP_SEED", "11")
+    assert run("verify", "--config", str(cfg), "--out", str(tmp_path / "v")) == 0
+    digest = hashlib.sha256(Path(INC).read_bytes()).hexdigest()
+    assert (tmp_path / "v" / "manifest.txt").read_text() == (
+        f"subcommand = verify\nversion = {__version__}\n"
+        f"machine.name = incrementer\nmachine.digest = {digest}\n"
+        "constant.C = 1.0\nconstant.eps = 0.01\nconstant.lambda = 0.000562583616298279\n"
+        "constant.lambda_frac = 0.5\nconstant.rho0 = 0.03125\nseed.base = 11\n"
+        "budget.degree = 3\nbudget.inputs = 2\nbudget.l_max = 3\n"
+        "budget.series_order = 20\nbudget.trials = 5\nartifact = verify.csv\n")
+    capsys.readouterr()
+
+
+def test_setting_without_a_flag_is_range_checked(tmp_path, capsys, monkeypatch):
+    # verify has no --trials, but FLOWCOMP_TRIALS still resolves and is checked
+    monkeypatch.setenv("FLOWCOMP_TRIALS", "0")
+    assert run("verify", "--machine", INC, "--out", str(tmp_path / "v")) == 2
+    assert capsys.readouterr().err == "error: --trials must be at least 1\n"
+    assert not (tmp_path / "v").exists()
+
+
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # numpy refuses a negative seed; every subcommand rejects one before any work
+    for sub in ("perturb", "verify", "estimate"):
+        machine = () if sub == "estimate" else ("--machine", INC)
+        assert run(sub, *machine, "--seed", "-5", "--out", str(tmp_path / sub)) == 2, sub
+        assert capsys.readouterr().err == "error: --seed must be at least 0\n"
+        assert not (tmp_path / sub).exists()
+
+
+def test_out_that_is_no_directory_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    for out in (taken, taken / "below"):
+        assert run("estimate", "--sb", "2", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert taken.read_text() == "x"

@@ -74,7 +74,7 @@ def test_height_ceiling_is_where_the_floats_end(frac):
     tau = max(sched.taus.values())  # that of level k
     assert math.isfinite(sched.M * tau)
     # one level deeper, the speed is subnormal or M tau overflows
-    step = contraction_speed_limit(machine.m, 0, k + 1) / contraction_speed_limit(machine.m, 0, k)
+    step = contraction_speed_limit(k + 1) / contraction_speed_limit(k)
     assert speed.levels[-1] * step < sys.float_info.min or not math.isfinite(sched.M * tau / step)
 
 
@@ -108,9 +108,8 @@ def test_chart_field_values(fs):
 
 
 def test_level_speeds(fs):
-    m = fs.machine.m
-    assert fs.level_speed(0, 0) == pytest.approx(0.5 * contraction_speed_limit(m, 0, 0))
-    assert fs.level_speed(1, 2) == pytest.approx(0.5 * contraction_speed_limit(m, 1, 2))
+    assert fs.level_speed(0, 0) == pytest.approx(0.5 * contraction_speed_limit(0))
+    assert fs.level_speed(1, 2) == pytest.approx(0.5 * contraction_speed_limit(1 + 2))
     assert fs.level_speed(0, 0) < fs.lam
     speed = fs.speed(0)
     assert np.array_equal(speed.levels,
@@ -118,14 +117,13 @@ def test_level_speeds(fs):
 
 
 def test_speed_below_contraction_limit_on_every_segment(fs):
-    m = fs.machine.m
     for band in range(fs.n_bands):
         speed = fs.speed(band)
         heights = speed.anchors
         for l in range(len(heights) - 1):
             s = np.linspace(heights[l], heights[l + 1], 2001)
             lam = speed(s)
-            assert np.all(lam <= contraction_speed_limit(m, band, l))
+            assert np.all(lam <= contraction_speed_limit(band + l))
             # the step down to the next level happens inside the last eps
             assert np.all(lam >= fs.level_speed(band, l + 1))
             before = s <= heights[l + 1] - RAMP_EPS
@@ -312,7 +310,7 @@ def test_one_pass_per_band_locates_as_the_two_pass_loop(name):
 
 
 def test_window_fit_locates_once(fs, monkeypatch):
-    from flowcomp import field
+    from flowcomp import beltrami
     from flowcomp.beltrami import fit_window_polynomial
 
     calls = []
@@ -321,7 +319,7 @@ def test_window_fit_locates_once(fs, monkeypatch):
         calls.append(len(args[1]))
         return _locate(*args)
 
-    monkeypatch.setattr(field, "_locate", counted)
+    monkeypatch.setattr(beltrami, "_locate", counted)
     rep = fit_window_polynomial(fs, (0.0, 1.0, 0.0, 2.0), degree=3)
     assert calls == [48 * 48]
     assert rep["samples"] > 0

@@ -256,7 +256,7 @@ def test_bounded_verdict_stable_under_perturbation():
 
 
 def test_contraction_passes_below_speed_limit(incrementer):
-    lim = contraction_speed_limit(incrementer.m, 0, 0)
+    lim = contraction_speed_limit(0)
     rep = contraction_check(incrementer, lam=0.5 * lim, band=0, height=0, j=1)
     assert rep["ok"] and rep["worst_margin"] > 0.0
 
@@ -268,8 +268,8 @@ def test_contraction_fails_at_large_speed(incrementer):
 
 def test_contraction_deep_level(incrementer):
     # the admissible speed shrinks double-exponentially with the level
-    lim = contraction_speed_limit(incrementer.m, 1, 4)
-    assert lim < contraction_speed_limit(incrementer.m, 0, 0)
+    lim = contraction_speed_limit(1 + 4)
+    assert lim < contraction_speed_limit(0)
     rep = contraction_check(incrementer, lam=0.5 * lim, band=1, height=4, j=2)
     assert rep["ok"]
 
