@@ -178,7 +178,7 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
 
 def write_manifest(outdir: Path, sub: str, settings: dict, artifacts: list):
     """Everything needed to reproduce the run, as flat `key = value` lines."""
-    if sub == "estimate":
+    if sub == "estimate":  # it reads no machine and no setting but these two
         rows = [("machine.name", "none"), ("machine.digest", "none"),
                 ("budget.C", settings["C"]), ("budget.sb", settings["sb"])]
     else:
@@ -266,7 +266,7 @@ def cmd_simulate(settings, outdir, artifacts):
     vpath = outdir / "verdicts.csv"
     write_csv(vpath, ["input", "verdict"], verdicts)
     artifacts.append(vpath.name)
-    return 1 if (unresolved and settings.get("fail_on_unresolved")) else 0
+    return 1 if (unresolved and settings["fail_on_unresolved"]) else 0
 
 
 def _oracle_verdict(machine, config, lmax):
