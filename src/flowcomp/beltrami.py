@@ -227,12 +227,9 @@ def assemble_beltrami(v: SeriesField3D) -> SeriesField3D:
     """u = (curl v + lam v)/(2 lam), truncated at order K - 1."""
     cv = _series_curl(v)
     half = Fraction(1, 2) / v.lam
-    out = []
-    for k in range(cv.K + 1):
-        out.append(tuple(
-            (cv.coeffs[k][c] + v.lam * v.coeffs[k][c]) * half for c in range(3)
-        ))
-    return SeriesField3D(v.lam, cv.K, tuple(out))
+    out = tuple(tuple((cv.coeffs[k][c] + v.lam * v.coeffs[k][c]) * half for c in range(3))
+                for k in range(cv.K + 1))
+    return SeriesField3D(v.lam, cv.K, out)
 
 
 def _series_div(v: SeriesField3D):
@@ -253,28 +250,15 @@ def residuals(u: SeriesField3D, v: SeriesField3D, F: Poly2, lam) -> dict:
     plane restriction u|_{z=0} must equal (F_x, F_y, 0) exactly.
     """
     lam = Fraction(lam)
-    cu = _series_curl(u)
+    cu, div = _series_curl(u), _series_div(v)
     check_to = v.K - 2
-    curl_order = None
-    for k in range(min(cu.K + 1, check_to + 1)):
-        res = tuple(cu.coeffs[k][c] - lam * u.coeffs[k][c] for c in range(3))
-        if any(not p.is_zero() for p in res):
-            curl_order = k
-            break
-    div = _series_div(v)
-    div_order = None
-    for k in range(min(len(div), check_to + 1)):
-        if not div[k].is_zero():
-            div_order = k
-            break
-    plane_ok = (
-        u.coeffs[0][0] == F.dx()
-        and u.coeffs[0][1] == F.dy()
-        and u.coeffs[0][2].is_zero()
-    )
+    curl_bad = (k for k in range(min(cu.K + 1, check_to + 1))
+                if any(cu.coeffs[k][c] != lam * u.coeffs[k][c] for c in range(3)))
+    div_bad = (k for k in range(min(len(div), check_to + 1)) if not div[k].is_zero())
+    plane_ok = u.coeffs[0][0] == F.dx() and u.coeffs[0][1] == F.dy() and u.coeffs[0][2].is_zero()
     return {
-        "curl_residual_order": curl_order,  # None: clean through K - 2
-        "div_residual_order": div_order,
+        "curl_residual_order": next(curl_bad, None),  # None: clean through K - 2
+        "div_residual_order": next(div_bad, None),
         "plane_restriction_ok": plane_ok,
         "checked_through": check_to,
     }
@@ -359,11 +343,13 @@ def fit_window_polynomial(fs, window, degree: int) -> dict:
 
 
 def series_rows(v: SeriesField3D):
-    """Rows (k, component, i, j, numerator, denominator) for the dump."""
+    """Rows (k, component, i, j, numerator, denominator) for the dump, each
+    coefficient in lowest terms, as `Poly2.c` has it."""
     rows = []
     for k, vec in enumerate(v.coeffs):
-        for c in range(3):
-            for (i, j), val in sorted(vec[c].c.items()):
-                rows.append((k, c, i, j, val.numerator, val.denominator))
+        for c, p in enumerate(vec):
+            for (i, j), n in sorted(p._n.items()):
+                g = math.gcd(n, p._d)
+                rows.append((k, c, i, j, n // g, p._d // g))
     return rows
 

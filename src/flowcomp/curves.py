@@ -97,6 +97,27 @@ class BumpProfile:
                              np.minimum(np.maximum(sigma, RAMP_EPS), 1.0 - RAMP_EPS))
         return inner + np.maximum(np.asarray(sigma) - (1.0 - RAMP_EPS), 0.0)
 
+    @cached_property
+    def ramp_time(self) -> float:
+        """RAMP_EPS times the integral of beta over [0, 1]: a ramp's time per slowness step."""
+        return RAMP_EPS * float(self.beta_integral(1.0))
+
+    @cached_property
+    def level_rows(self):
+        """`LevelSpeed`'s 4001-node grid of [0, 1], with beta and beta' on it."""
+        grid = np.linspace(0.0, 1.0, 4001)
+        return grid, self.beta(grid), self.dbeta(grid)
+
+    @cached_property
+    def arc_rows(self):
+        """The arc-length grid's nodes sigma = k/_ARC_CELLS of one unit height, the
+        mask of those inside the ramp, and beta, beta' and the curvature factor
+        1/sigma^2 - 1/(1 - sigma)^2 on the masked ones."""
+        sigma = np.arange(_ARC_CELLS) / _ARC_CELLS
+        mid = (sigma > RAMP_EPS) & (sigma < 1.0 - RAMP_EPS)
+        sm = sigma[mid]
+        return sigma, mid, self.beta(sm), self.dbeta(sm), 1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2
+
 
 _PROFILE: BumpProfile | None = None
 
@@ -217,21 +238,20 @@ class CurveFamily:
         """(u, s, ds/du, du/ds, lambda) on the arc-length grid, u in [-1, l_max + 1],
         whose `_ARC_CELLS` cells per unit height put u = 0 and every anchor on a
         node.  s(u) and u(s) interpolate the nodes with these exact slopes.
-        Every height holds the same nodes sigma = k/_ARC_CELLS, so the ramp is
-        evaluated on them once and scaled per height, as `lambda_eval` would."""
+        Every height holds the same nodes sigma = k/_ARC_CELLS, so the ramp's rows
+        on them (`BumpProfile.arc_rows`) are scaled per height, as `lambda_eval` would."""
         n_cells = _ARC_CELLS * (self.l_max + 2)
         u_grid = np.linspace(-1.0, self.l_max + 1, n_cells + 1)
-        _, sigma, mid = self._ramp(u_grid[_ARC_CELLS:2 * _ARC_CELLS])  # height 0
-        sm, profile = sigma[mid], bump_profile()
+        sigma, mid, beta, dbeta, bend = bump_profile().arc_rows
         # one row per unit height from u = -1, where the curve stands at x[0]
         anchors = np.concatenate([self.x[:1], self.x])
         xl, xr = anchors[:-1, None], anchors[1:, None]
         dx = xr - xl
         val = np.where(sigma >= 1.0 - RAMP_EPS, xr, xl)
         d1, d2 = np.zeros(val.shape), np.zeros(val.shape)
-        val[:, mid] = xl + profile.beta(sm) * dx
-        d1[:, mid] = profile.dbeta(sm) * dx
-        d2[:, mid] = d1[:, mid] * (1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2)
+        val[:, mid] = xl + beta * dx
+        d1[:, mid] = dbeta * dx
+        d2[:, mid] = d1[:, mid] * bend
         val, d1, d2 = (np.append(a, end) for a, end in zip((val, d1, d2), (self.x[-1], 0.0, 0.0)))
         w = np.sqrt(1.0 + d1**2)
         s_arr = hermite_cumulative(u_grid, w, d1 * d2 / w)

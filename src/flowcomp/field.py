@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -144,8 +144,6 @@ class LevelSpeed:
     level.
     """
 
-    _GRID = np.linspace(0.0, 1.0, 4001)
-
     def __init__(self, fs: FieldSpec, band: int):
         self.anchors = np.asarray(fs.curve(band).arc_heights, dtype=float)
         self.levels = np.array([fs.level_speed(band, l) for l in range(len(self.anchors))])
@@ -153,9 +151,9 @@ class LevelSpeed:
         # slowness step at the next anchor; none past the last one
         self._dslow = np.append(np.diff(self._slow), 0.0)
         self._next = np.append(self.anchors[1:], np.inf)
-        ramp = RAMP_EPS * float(bump_profile().beta_integral(1.0))
-        seg = np.diff(self.anchors) * self._slow[:-1] + self._dslow[:-1] * ramp
+        seg = np.diff(self.anchors) * self._slow[:-1] + self._dslow[:-1] * bump_profile().ramp_time
         self._anchor_time = np.concatenate([[0.0], np.cumsum(seg)])
+        self._vals, self._cum = [], []  # the potential's ramp rows, built as read
 
     def _locate(self, s):
         k = np.minimum(np.maximum(np.searchsorted(self.anchors, s, side="right") - 1, 0),
@@ -168,25 +166,38 @@ class LevelSpeed:
         return 1.0 / (self._slow[k] + self._dslow[k] * bump_profile().beta(sigma))
 
     def time_to(self, s):
-        """Flow time from s = 0 to s along the curve; array friendly."""
+        """Flow time from s = 0 to s along the curve; array friendly.  The ramp term
+        is added only where sigma > RAMP_EPS: below, the integral of beta is 0."""
         k, sigma = self._locate(s)
-        return (self._anchor_time[k] + (s - self.anchors[k]) * self._slow[k]
-                + self._dslow[k] * RAMP_EPS * bump_profile().beta_integral(sigma))
+        t = self._anchor_time[k] + (s - self.anchors[k]) * self._slow[k]
+        ramp, beta_integral = sigma > RAMP_EPS, bump_profile().beta_integral
+        if np.ndim(t) == 0:
+            return t + self._dslow[k] * RAMP_EPS * beta_integral(sigma) if ramp else t
+        if ramp.any():
+            k, sigma = k[ramp], sigma[ramp]
+            t[ramp] += self._dslow[k] * RAMP_EPS * beta_integral(sigma)
+        return t
 
     def time(self, s_a, s_b):
         """Flow time from s_a to s_b, the integral of 1/lambda_i."""
         return self.time_to(s_b) - self.time_to(s_a)
 
-    @cached_property
-    def _potential_tables(self):
-        """Row k of vals: lambda/lambda_k = 1/(1 + (r - 1) beta) over the ramp before
-        anchor k + 1; of cum: its integral.  at_anchor: the potential at each anchor."""
-        profile = bump_profile()
-        r1 = self._slow[1:, None] / self._slow[:-1, None] - 1.0
-        vals = 1.0 / (1.0 + r1 * profile.beta(self._GRID))
-        cum = hermite_cumulative(self._GRID, vals, -r1 * profile.dbeta(self._GRID) * vals * vals)
-        seg = (np.diff(self.anchors) - RAMP_EPS + RAMP_EPS * cum[:, -1]) * self.levels[:-1]
-        return vals, cum, np.concatenate([[0.0], np.cumsum(seg)])
+    def _potential_tables(self, k: int):
+        """(vals, cum, at_anchor) with rows 0..k at least.  Row j of vals:
+        lambda/lambda_j = 1/(1 + (r - 1) beta) over the ramp before anchor j + 1; of
+        cum: its integral.  at_anchor: the potential at the anchors the rows reach.
+        Rows are built when a read first needs them, each as the whole table has it."""
+        n = len(self._cum)
+        if k >= n:
+            grid, beta, dbeta = bump_profile().level_rows
+            r1 = self._slow[n + 1:k + 2, None] / self._slow[n:k + 1, None] - 1.0
+            vals = 1.0 / (1.0 + r1 * beta)
+            self._vals.extend(vals)
+            self._cum.extend(hermite_cumulative(grid, vals, -r1 * dbeta * vals * vals))
+            ends = RAMP_EPS * np.array([c[-1] for c in self._cum])
+            seg = (np.diff(self.anchors[:k + 2]) - RAMP_EPS + ends) * self.levels[:k + 1]
+            self._at_anchor = np.concatenate([[0.0], np.cumsum(seg)])
+        return self._vals, self._cum, self._at_anchor
 
     def potential(self, s):
         """Lambda_i(s): the integral of lambda_i from 0 to s; array friendly."""
@@ -194,11 +205,13 @@ class LevelSpeed:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         k, sigma = self._locate(s)
         lam = self.levels[k]
-        vals, cum, at_anchor = self._potential_tables
+        # the ramp reads the row of its own level, at_anchor the rows below it
+        vals, cum, at_anchor = self._potential_tables(min(k.max(initial=0), len(self.anchors) - 2))
         out = at_anchor[k] + lam * (np.minimum(s, self._next[k] - RAMP_EPS) - self.anchors[k])
+        grid = bump_profile().level_rows[0]
         for kk in np.unique(k[sigma > 0.0]).tolist():
             m = (k == kk) & (sigma > 0.0)
-            ramp = hermite_eval(self._GRID, cum[kk], vals[kk], np.minimum(sigma[m], 1.0))
+            ramp = hermite_eval(grid, cum[kk], vals[kk], np.minimum(sigma[m], 1.0))
             out[m] += RAMP_EPS * lam[m] * ramp
         return float(out[0]) if scalar else out
 

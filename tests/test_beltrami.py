@@ -284,6 +284,22 @@ def test_series_matches_plain_fraction_reference(lam, K):
 # -- exports ----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("lam", [1, 2])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_series_rows_match_the_fraction_rows(degree, lam):
+    # each numerator reduced by its gcd with the common denominator, against
+    # the rows of the reduced Fractions of `Poly2.c`
+    rng = np.random.default_rng(degree)
+    coeffs = {(i, j): Fraction(round(float(rng.normal(scale=10.0)) * 2**40), 2**40)
+              for i in range(degree + 1) for j in range(degree + 1 - i)}
+    for w in beltrami_from_potential(Poly2(coeffs), lam, K=20):
+        rows = [(k, c, i, j, val.numerator, val.denominator)
+                for k, vec in enumerate(w.coeffs) for c in range(3)
+                for (i, j), val in sorted(vec[c].c.items())]
+        assert series_rows(w) == rows and len(rows) > degree
+        assert all(type(r[4]) is int and type(r[5]) is int and r[5] > 0 for r in rows)
+
+
 def test_series_rows_roundtrip_values():
     v = extend_series(cauchy_data(X, 1), 1, 6)
     rows = series_rows(v)

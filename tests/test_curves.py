@@ -368,9 +368,30 @@ def test_hull_prefilter_keeps_the_bound_below_and_the_held_set():
     assert total >= 100_000
 
 
-@pytest.mark.parametrize("l_max", [1, 3, 9, 40])
+def reference_arc_maps(curve):
+    """`_arc_maps` with the ramp evaluated for this curve alone, on its own grid."""
+    u_grid = np.linspace(-1.0, curve.l_max + 1, _ARC_CELLS * (curve.l_max + 2) + 1)
+    _, sigma, mid = curve._ramp(u_grid[_ARC_CELLS:2 * _ARC_CELLS])
+    sm, profile = sigma[mid], bump_profile()
+    anchors = np.concatenate([curve.x[:1], curve.x])
+    xl, xr = anchors[:-1, None], anchors[1:, None]
+    dx = xr - xl
+    val = np.where(sigma >= 1.0 - RAMP_EPS, xr, xl)
+    d1, d2 = np.zeros(val.shape), np.zeros(val.shape)
+    val[:, mid] = xl + profile.beta(sm) * dx
+    d1[:, mid] = profile.dbeta(sm) * dx
+    d2[:, mid] = d1[:, mid] * (1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2)
+    val, d1, d2 = (np.append(a, end) for a, end in zip((val, d1, d2), (curve.x[-1], 0.0, 0.0)))
+    w = np.sqrt(1.0 + d1**2)
+    s_arr = hermite_cumulative(u_grid, w, d1 * d2 / w)
+    s_arr -= s_arr[_ARC_CELLS]
+    return u_grid, s_arr, w, 1.0 / w, val
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 3, 9, 40, 250])
 def test_arc_maps_match_lambda_eval_on_their_grid(l_max):
-    # the tabulated ramp gives every node the bits `lambda_eval` gives it
+    # the shared ramp rows give every node the bits `lambda_eval` gives it,
+    # and those of the ramp evaluated for each curve on its own grid
     machines = [load_machine(path) for path in sorted(MACHINES.glob("*.tm"))]
     for k, machine in enumerate(machines + [random_machine(400 + l_max)]):
         curve = CurveFamily(machine, k % 3, l_max)
@@ -379,8 +400,9 @@ def test_arc_maps_match_lambda_eval_on_their_grid(l_max):
         w = np.sqrt(1.0 + d1**2)
         s = hermite_cumulative(u, w, d1 * d2 / w)
         s -= s[_ARC_CELLS]
-        for got, want in zip(curve._arc_maps, (u, s, w, 1.0 / w, val)):
-            assert got.tobytes() == want.tobytes(), machine.name
+        for got, want, old in zip(curve._arc_maps, (u, s, w, 1.0 / w, val),
+                                  reference_arc_maps(curve)):
+            assert got.tobytes() == want.tobytes() == old.tobytes(), machine.name
 
 
 def test_far_point_is_off_the_chart():

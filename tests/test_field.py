@@ -6,7 +6,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from flowcomp.curves import RAMP_EPS, RHO0, ChartError
+from flowcomp.curves import (RAMP_EPS, RHO0, ChartError, bump_profile, hermite_cumulative,
+                             hermite_eval)
 from scipy.integrate import quad
 
 from flowcomp.field import (
@@ -193,6 +194,112 @@ def test_ramp_potential_matches_mpmath(fs):
             ref = RAMP_EPS * mp.quad(lam, [0, lo, min(sigma, 0.5), sigma])
             got = speed.potential(start + RAMP_EPS * sigma) - speed.potential(start)
             assert abs(got - ref) < 1e-13 * ref, sigma
+
+
+# -- the old whole-table forms, kept as references ---------------------------
+
+
+def reference_potential(speed, s):
+    """Lambda_i(s) from every ramp row of the band, built at once."""
+    profile, grid = bump_profile(), np.linspace(0.0, 1.0, 4001)
+    r1 = speed._slow[1:, None] / speed._slow[:-1, None] - 1.0
+    vals = 1.0 / (1.0 + r1 * profile.beta(grid))
+    cum = hermite_cumulative(grid, vals, -r1 * profile.dbeta(grid) * vals * vals)
+    seg = (np.diff(speed.anchors) - RAMP_EPS + RAMP_EPS * cum[:, -1]) * speed.levels[:-1]
+    at_anchor = np.concatenate([[0.0], np.cumsum(seg)])
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    k, sigma = speed._locate(s)
+    lam = speed.levels[k]
+    out = at_anchor[k] + lam * (np.minimum(s, speed._next[k] - RAMP_EPS) - speed.anchors[k])
+    for kk in np.unique(k[sigma > 0.0]).tolist():
+        m = (k == kk) & (sigma > 0.0)
+        ramp = hermite_eval(grid, cum[kk], vals[kk], np.minimum(sigma[m], 1.0))
+        out[m] += RAMP_EPS * lam[m] * ramp
+    return out
+
+
+def reference_time_to(speed, s):
+    """The flow time with the ramp term evaluated at every point."""
+    k, sigma = speed._locate(s)
+    return (speed._anchor_time[k] + (s - speed.anchors[k]) * speed._slow[k]
+            + speed._dslow[k] * RAMP_EPS * bump_profile().beta_integral(sigma))
+
+
+def points_across_the_anchors(speed, n=4000):
+    """Arc lengths from below s = 0 to past the last anchor: a uniform grid,
+    each anchor and ramp start, points an ulp away, and points across each ramp."""
+    a = speed.anchors
+    ramps = a[1:] - RAMP_EPS
+    sigma = np.array([1.0 / 4001.0, RAMP_EPS, 0.011, 0.03, 0.06, 0.3, 0.7, 0.99, 0.995])
+    s = np.concatenate([np.linspace(-0.5, a[-1] + 0.5, n), a, ramps, np.nextafter(a, -np.inf),
+                        np.nextafter(a, np.inf), np.nextafter(ramps, np.inf),
+                        (ramps[:, None] + RAMP_EPS * sigma).ravel()])
+    return np.sort(s)
+
+
+@pytest.mark.parametrize("l_max", [9, 20])
+@pytest.mark.parametrize("n_bands", [1, 2, 3])
+def test_potential_rows_built_as_read_match_the_whole_table(n_bands, l_max):
+    machine = load_machine(MACHINES / "right_filler.tm")
+    for band in range(n_bands):
+        speed = FieldSpec(machine, n_bands, l_max).speed(band)
+        s = points_across_the_anchors(speed)
+        want = reference_potential(speed, s)
+        for stop in np.linspace(0, len(s), 12).astype(int)[1:]:  # growing prefixes
+            assert np.array_equal(speed.potential(s[:stop]), want[:stop])
+        assert len(speed._cum) == len(speed.anchors) - 1
+        scalars = FieldSpec(machine, n_bands, l_max).speed(band)
+        for x, w in list(zip(s, want))[::7]:  # ascending, so the rows grow one at a time
+            got = scalars.potential(x)
+            assert type(got) is float and got == w, x
+        assert np.array_equal(speed.potential(np.array([])), np.array([]))
+
+
+@pytest.mark.parametrize("name", ["incrementer", "right_filler", "spinner"])
+def test_time_to_skips_the_ramp_only_where_it_is_zero(name):
+    fs = FieldSpec(load_machine(MACHINES / f"{name}.tm"), n_bands=2, l_max=9)
+    for band in range(2):
+        speed = fs.speed(band)
+        s = points_across_the_anchors(speed)
+        assert np.array_equal(speed.time_to(s), reference_time_to(speed, s))
+        for x in s[::11]:
+            got, want = speed.time_to(x), reference_time_to(speed, x)
+            assert type(got) is type(want) and got == want, x
+
+
+def test_off_curve_flow_times_match_the_ramp_everywhere(monkeypatch):
+    # an off-curve start bisects `time_to` with scalars in `crossing_times`
+    from flowcomp.field import LevelSpeed
+    from flowcomp.simulate import integrate_chart
+
+    fs = FieldSpec(load_machine(MACHINES / "incrementer.tm"), n_bands=2, l_max=6)
+    scalars, time_to = [], LevelSpeed.time_to
+
+    def counted(speed, s):
+        scalars.append(np.ndim(s) == 0)
+        return time_to(speed, s)
+
+    def flow():
+        return [(ev, rows) for band in range(2)
+                for ev, rows in integrate_chart(fs, band, (0.2, 0.01), None, 6)]
+
+    monkeypatch.setattr(LevelSpeed, "time_to", counted)
+    got = flow()
+    assert sum(scalars) >= 60  # the bisection's reads
+    monkeypatch.setattr(LevelSpeed, "time_to", reference_time_to)
+    want = flow()
+    assert len(got) == len(want) == 12
+    for (ev, rows), (ev_ref, rows_ref) in zip(got, want):
+        assert ev == ev_ref and rows == rows_ref
+
+
+def test_window_fit_builds_only_the_rows_it_reads():
+    # the extend3d window at --lmax 8 reads heights 0 to 2: three ramp rows, not ten
+    from flowcomp.beltrami import fit_window_polynomial
+
+    fs = FieldSpec(load_machine(MACHINES / "right_filler.tm"), n_bands=1, l_max=8)
+    fit_window_polynomial(fs, (0.0, 1.0, 0.0, 2.0), degree=3)
+    assert 1 <= len(fs.speed(0)._cum) <= 3 < len(fs.speed(0).anchors) - 1
 
 
 def test_plane_field_zero_off_bands(fs):

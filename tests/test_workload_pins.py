@@ -4,7 +4,7 @@ The first 9 ops of `perfbench/workloads.generate(workload, seed=1)` are run
 through the CLI in a temporary directory, and everything they leave is hashed:
 each op's exit code and stdout, then its output files by name.  The work
 directory's path is replaced by a placeholder, so the digest does not depend
-on where the test runs.  A speed-up of the `lift` or `verify` path must keep
+on where the test runs.  A speed-up of the `lift`, `perturb` or `verify` path must keep
 every one of these bytes.  `workloads.py` is read, never written.
 """
 
@@ -23,6 +23,7 @@ WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py
 
 PINS = {
     "lift": "2d3830ab9ccc8d63eca9d33e5b4715ef683e39bff98f86f1e0946f2e9649874e",
+    "perturb": "a78ef8433b06a5ceeb22c8f3405f6c9a50c2ee59f1dad290a2bddfde712a32f3",
     "verify": "c0702721fdd7d909f4c768952e6221c34628188308f7af933cb78269ad5424cb",
 }
 
