@@ -23,7 +23,6 @@ from .curves import RAMP_EPS, CurveFamily, flat, hermite_cumulative, interval_bo
 from .field import ErrorSchedule, FieldSpec
 from .logmag import FIX, LN2_FIX, LogMagnitude
 from .machine import MachineSpec
-from .simulate import crossing_times
 
 # forcing quadrature: points, and the window half-width in units of the
 # peak's width (the integrand is below e^-98 of its peak outside)
@@ -194,14 +193,16 @@ def contraction_check(machine: MachineSpec, lam: float, band: int, height: int,
 
     Starts at arc length s^i_l with ln|rho(0)| = ln A_{i,l} - j ln2 and
     flows ds/dt = lam/(1 - kappa(s) rho(t)) with the exact decay
-    rho(t) = rho(0) e^{-t}; the probe times, where |s - s^i_{l+1}| < RAMP_EPS,
-    come from `crossing_times` with the slowness integral (b - a)/lam.  At
-    each probe the claim ln|rho(t)| < ln A_{i,l+1} - (j+1) ln2 is checked in
-    exact log arithmetic.  Returns a report with the worst margin
-    (positive = pass).
+    rho(t) = rho(0) e^{-t}.  The probe times, where |s - s^i_{l+1}| < RAMP_EPS,
+    are the slowness integral (s - s^i_l)/lam: curvature moves them by less
+    than |rho(0)| max|kappa| < 15 A_{i,l} < 1e-10.  At each probe the claim
+    ln|rho(t)| < ln A_{i,l+1} - (j+1) ln2 is checked in exact log arithmetic.
+    Returns a report with the worst margin (positive = pass).
     """
     if j < 1:
         raise ValueError("j must be >= 1")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"speed {lam} is not positive and finite")
     curve = CurveFamily(machine, band, height + 1)
     m = machine.m
     w0 = interval_bound_log(m, band, height) - LogMagnitude(j * LN2_FIX, 0.0)
@@ -209,8 +210,7 @@ def contraction_check(machine: MachineSpec, lam: float, band: int, height: int,
     s_lo = float(curve.arc_heights[height])
     s_hi = float(curve.arc_heights[height + 1])
     targets = s_hi + np.linspace(-0.9 * RAMP_EPS, 0.9 * RAMP_EPS, _CONTRACTION_PROBES)
-    times = crossing_times(curve, lambda a, b: (b - a) / lam, s_lo,
-                           math.exp(w0.ln()), targets, (targets - s_lo) / lam)
+    times = (targets - s_lo) / lam
     probes = []
     worst = math.inf
     for s, t in zip(targets.tolist(), times.tolist()):

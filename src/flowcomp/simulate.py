@@ -3,11 +3,11 @@
 Integration happens in chart coordinates.  The normal coordinate rho decays
 exactly like rho(0)e^{-t} plus a perturbation-forced part, and both live at
 scales that underflow doubles, so rho is carried as a sign plus LogMagnitude.
-The flow time to any arc length s is closed-form (`crossing_times`): the
-integral of the per-level slowness, corrected by an exponentially weighted
-integral of the curvature while rho is visible at double precision.  At each
-arc-length anchor the crossing is classified against the encoded interval of
-the corresponding machine configuration, entirely in log space.
+The flow time to any arc length s is the integral of the per-level slowness,
+since a start lies on the straight piece below the first ramp
+(`integrate_chart`).  At each arc-length anchor the crossing is classified
+against the encoded interval of the corresponding machine configuration,
+entirely in log space.
 
 `integrate_chart` yields the crossings one height at a time, and a verdict
 driver reads them only as far as its verdict needs: reading stops the flow.
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import CHART_HALF_WIDTH
+from .curves import CHART_HALF_WIDTH, RAMP_EPS
 from .field import FieldSpec
 from .logmag import LogMagnitude, signed_log_add
 from .machine import Configuration, TapeBoundedSpec, encode
@@ -31,13 +31,8 @@ from .machine import Configuration, TapeBoundedSpec, encode
 LN_CHART_LIMIT = math.log(CHART_HALF_WIDTH)
 CLASSIFY_GUARD = 1e-9
 
-# below this log-magnitude, rho has no effect on the s-equation at double
-# precision (|kappa*rho| < 1e-85)
-_RHO_FLOAT_FLOOR = -200.0
 # arc-length spacing of the trajectory sample rows
 _SAMPLE_DS = 0.05
-# flow-time step of the curvature quadrature in `crossing_times`
-_QUAD_DT = 0.01
 
 
 class ConfinementError(RuntimeError):
@@ -105,54 +100,6 @@ class HaltingSetSpec:
 # chart integration
 
 
-def _exp_weights(h):
-    """Weights (left, right) of the exact integral of a linear function times
-    e^{-tau} over [0, h]: the integral of e^{-tau} minus, and plus, that of
-    (tau/h) e^{-tau}, the latter by its series below h = 1e-4."""
-    decay = -np.expm1(-h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        right = np.where(h > 1e-4, (decay - h * np.exp(-h)) / h,
-                         h / 2.0 - h * h / 3.0 + h**3 / 8.0)
-    return decay - right, right
-
-
-def crossing_times(curve, time_of, s0: float, rho0: float, s, T) -> np.ndarray:
-    """Flow times from s0 to each arc length of the ascending array s.
-
-    Along the chart flow rho(t) = rho0 e^{-t} exactly.  With T(s) =
-    time_of(s0, s), the integral of the slowness 1/lambda, the s-equation
-    ds/dt = lambda/(1 - kappa rho) reads dt/dT = 1 - kappa rho0 e^{-t},
-    which is linear in W = e^t, so
-
-        t(s) = T(s) + ln(1 - rho0 I(s)),  I(s) = int_0^T(s) kappa e^{-T'} dT'.
-
-    I takes kappa piecewise linear in T between nodes about `_QUAD_DT` apart
-    and integrates each piece against e^{-T'} exactly (exponential time
-    differencing).  It is cut off where ln|rho| falls below
-    `_RHO_FLOAT_FLOOR`; past that, rho does not reach the s-equation at
-    double precision and t - T stays constant.  T holds T(s) at each s.
-    """
-    t_cut = math.log(abs(rho0)) - _RHO_FLOAT_FLOOR if rho0 != 0.0 else 0.0
-    if t_cut <= 0.0:
-        return T
-    # nodes run from s0 to where T reaches t_cut (or to the last s), and
-    # include every requested s before that
-    lo, hi = s0, float(s[-1])
-    if T[-1] > t_cut:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if time_of(s0, mid) > t_cut else (mid, hi)
-    n = math.ceil(min(t_cut, T[-1]) / _QUAD_DT)
-    nodes = np.union1d(np.linspace(s0, hi, n + 1), s[s < hi])
-    t_nodes = time_of(s0, nodes)
-    kappa = curve.kappa_at_arclength(nodes)
-    left, right = _exp_weights(np.diff(t_nodes))
-    pieces = np.exp(-t_nodes[:-1]) * (left * kappa[:-1] + right * kappa[1:])
-    I = np.concatenate([[0.0], np.cumsum(pieces)])
-    I_at_s = I[np.minimum(np.searchsorted(nodes, s), len(nodes) - 1)]
-    return T + np.log1p(-rho0 * I_at_s)
-
-
 def _sample_grid(s0: float, s_target: float) -> np.ndarray:
     """Arc lengths of a segment's rows: one every `_SAMPLE_DS` from s0, then
     s_target; their count ignores the last bit of the length."""
@@ -160,25 +107,22 @@ def _sample_grid(s0: float, s_target: float) -> np.ndarray:
     return np.append(np.arange(s0, s_target, _SAMPLE_DS)[:n], s_target)
 
 
-def integrate_segment(fs: FieldSpec, band: int, height: int, s0: float,
-                      t0: float, rho, perturbation, samples):
-    """Advance from s0 to anchor `height`; returns (t1, rho at t1, sample rows).
+def integrate_segment(fs: FieldSpec, band: int, height: int, t0: float, rho,
+                      perturbation, samples):
+    """Advance to anchor `height`; returns (t1, rho at t1, sample rows).
 
-    The crossing time and the times of the sample rows, one every
-    `_SAMPLE_DS` of arc, come from `crossing_times` with the band's
-    closed-form slowness integral.  `samples` is (grid, T): the rows' arc
-    lengths, the last one the anchor's, and their slowness integrals from s0.
+    `samples` is (grid, T): the rows' arc lengths, one every `_SAMPLE_DS`
+    from the segment's start and the last one the anchor's, and their flow
+    times from that start, the slowness integral (see `integrate_chart`).
     The decay of rho by the elapsed time is carried in the fixed-point part
     of its magnitude, and the perturbation's forcing is added by its exact
     exponential integral: the segment passes the whole support of box
     (band, height - 1) and no other.  rho is the (sign, LogMagnitude) pair
     that `signed_log_add` takes and returns.
     """
-    grid, T = samples
+    grid, times = samples
     sign, w = rho
     ln0 = w.ln()
-    times = crossing_times(fs.curve(band), fs.speed(band).time, s0,
-                           sign * math.exp(ln0), grid, T)
     dur = float(times[-1])
     t1 = t0 + dur
 
@@ -207,14 +151,21 @@ def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int):
     """Yield (EventRecord, sample rows) of the chart flow from `start`, one
     height at a time from 1 to `l_max`; reading stops the flow.
 
-    `start` is (s0, rho0) with s0 below arc length 1/4 and rho0 a float; a
-    bad start raises on the first read, before any segment is integrated.
+    `start` is (s0, rho0), both finite, with s0 below RAMP_EPS: on the
+    straight piece below the first ramp.  A bad start raises on the first
+    read, before any segment is integrated.
+
+    With rho = rho0 e^{-t} and T the slowness integral, ds/dt =
+    lambda/(1 - kappa rho) gives t = T + ln(1 - rho0 int kappa e^{-T} dT).
+    That is T to the last bit: kappa = 0 until sigma = RAMP_EPS, and past it
+    |rho0| < 1/16 and level speeds below `contraction_speed_limit(0)` keep
+    |rho0 int kappa e^{-T} dT| below e^-74, under half an ulp of T.
     """
     s0, rho0 = start
     # s(u) >= u, so such a start lies below every bump support, and each
     # height is one segment from the anchor below it
-    if s0 >= 0.25:
-        raise ValueError(f"start at arc length {s0} is not below 1/4")
+    if not (-math.inf < s0 < RAMP_EPS and math.isfinite(rho0)):
+        raise ValueError(f"start {start} is not a finite point below arc length {RAMP_EPS}")
     rho = ((0, LogMagnitude.zero()) if rho0 == 0.0 else
            (1 if rho0 > 0 else -1, LogMagnitude.from_ln(math.log(abs(rho0)))))
     if rho[0] != 0 and rho[1] >= LN_CHART_LIMIT:
@@ -226,8 +177,7 @@ def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int):
         a, b = s0 if l == 1 else heights[l - 1], heights[l]
         grid = _sample_grid(a, b)  # its first node is a
         T = fs.speed(band).time_to(grid)
-        t, rho, rows = integrate_segment(fs, band, l, a, t, rho, perturbation,
-                                         (grid, T - T[0]))
+        t, rho, rows = integrate_segment(fs, band, l, t, rho, perturbation, (grid, T - T[0]))
         yield EventRecord(band, l, t, b, *rho, classify_crossing(fs, band, l, rho)), rows
 
 

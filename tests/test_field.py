@@ -267,32 +267,6 @@ def test_time_to_skips_the_ramp_only_where_it_is_zero(name):
             assert type(got) is type(want) and got == want, x
 
 
-def test_off_curve_flow_times_match_the_ramp_everywhere(monkeypatch):
-    # an off-curve start bisects `time_to` with scalars in `crossing_times`
-    from flowcomp.field import LevelSpeed
-    from flowcomp.simulate import integrate_chart
-
-    fs = FieldSpec(load_machine(MACHINES / "incrementer.tm"), n_bands=2, l_max=6)
-    scalars, time_to = [], LevelSpeed.time_to
-
-    def counted(speed, s):
-        scalars.append(np.ndim(s) == 0)
-        return time_to(speed, s)
-
-    def flow():
-        return [(ev, rows) for band in range(2)
-                for ev, rows in integrate_chart(fs, band, (0.2, 0.01), None, 6)]
-
-    monkeypatch.setattr(LevelSpeed, "time_to", counted)
-    got = flow()
-    assert sum(scalars) >= 60  # the bisection's reads
-    monkeypatch.setattr(LevelSpeed, "time_to", reference_time_to)
-    want = flow()
-    assert len(got) == len(want) == 12
-    for (ev, rows), (ev_ref, rows_ref) in zip(got, want):
-        assert ev == ev_ref and rows == rows_ref
-
-
 def test_window_fit_builds_only_the_rows_it_reads():
     # the extend3d window at --lmax 8 reads heights 0 to 2: three ramp rows, not ten
     from flowcomp.beltrami import fit_window_polynomial

@@ -177,7 +177,7 @@ def test_forcing_matches_mpmath_at_level_5(fs, schedule):
     p = sample_perturbation(schedule, seed=3)
     a, b = (float(s) for s in fs.curve(0).arc_heights[5:7])
     grid = _sample_grid(a, b)
-    _, (rho_sign, rho_ln), _ = integrate_segment(fs, 0, 6, a, 0.0, (0, LogMagnitude.zero()),
+    _, (rho_sign, rho_ln), _ = integrate_segment(fs, 0, 6, 0.0, (0, LogMagnitude.zero()),
                                                  p, (grid, fs.speed(0).time(a, grid)))
     sign, ln_rho = _mp_forced_rho(fs, 0, 5, p.bumps[(0, 5)])
     assert rho_sign == sign
@@ -277,6 +277,12 @@ def test_contraction_deep_level(incrementer):
 def test_contraction_rejects_bad_j(incrementer):
     with pytest.raises(ValueError):
         contraction_check(incrementer, lam=1e-5, band=0, height=0, j=0)
+
+
+@pytest.mark.parametrize("lam", [0.0, -1e-5, math.nan, math.inf])
+def test_contraction_rejects_a_speed_not_positive_and_finite(incrementer, lam):
+    with pytest.raises(ValueError):
+        contraction_check(incrementer, lam=lam, band=0, height=0, j=1)
 
 
 # -- resource estimates -----------------------------------------------------

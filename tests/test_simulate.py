@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from flowcomp import simulate
+from flowcomp.curves import RAMP_EPS
 from flowcomp.field import FieldSpec, error_schedule
 from flowcomp.logmag import LogMagnitude
 from flowcomp.machine import (
@@ -27,7 +28,6 @@ from flowcomp.simulate import (
     SimulationVerdict,
     _sample_grid,
     classify_crossing,
-    crossing_times,
     event_rows,
     format_verdict,
     integrate_chart,
@@ -129,7 +129,7 @@ def test_segment_rows_do_not_depend_on_the_last_bit_of_its_length(fs):
     counts = []
     for length in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)):
         grid = _sample_grid(0.0, length)
-        _, _, rows = integrate_segment(fs, 0, 1, 0.0, 0.0, rho, None,
+        _, _, rows = integrate_segment(fs, 0, 1, 0.0, rho, None,
                                        (grid, fs.speed(0).time(0.0, grid)))
         counts.append(len(rows))
         assert [s for _, s, _, _ in rows[:-1]] == np.arange(0.0, 1.0, 0.05).tolist()
@@ -137,22 +137,19 @@ def test_segment_rows_do_not_depend_on_the_last_bit_of_its_length(fs):
 
 
 def reference_times(fs, traj, start):
-    """Sample and event times of a run rebuilt one segment at a time, from
-    the band's slowness integral speed.time(s0, grid) and `crossing_times`,
-    each segment starting from the previous event's rho."""
-    curve, speed = fs.curve(traj.band), fs.speed(traj.band)
+    """Sample and event times of a run rebuilt one segment at a time from
+    the band's slowness integral speed.time(s0, grid)."""
+    speed = fs.speed(traj.band)
     s0, t0 = start[0], 0.0
-    rho = (1, LogMagnitude.from_ln(math.log(start[1]))) if start[1] else (0, LogMagnitude.zero())
     samples, events = [], []
     for ev in traj.events:
         n = max(1, math.ceil((ev.s - s0) / simulate._SAMPLE_DS - 1e-9))
         grid = np.append(np.arange(s0, ev.s, simulate._SAMPLE_DS)[:n], ev.s)
-        rho0 = rho[0] * math.exp(rho[1].ln())
-        times = crossing_times(curve, speed.time, s0, rho0, grid, speed.time(s0, grid))
+        times = speed.time(s0, grid)
         samples += (t0 + times).tolist()
         t0 += float(times[-1])
         events.append(t0)
-        s0, rho = ev.s, (ev.rho_sign, ev.rho_ln)
+        s0 = ev.s
     return samples, events
 
 
@@ -160,7 +157,7 @@ def reference_times(fs, traj, start):
 def test_batched_slowness_matches_per_segment_reference(fs, case):
     start, pert, reads = (0.0, 0.0), None, None
     if case in ("off_curve", "perturbed"):
-        start = (0.2, 0.01)
+        start = (RAMP_EPS / 2, 0.01)
     if case == "perturbed":
         pert = sample_perturbation(error_schedule(fs), seed=4)
     if case == "early_stop":
@@ -171,9 +168,11 @@ def test_batched_slowness_matches_per_segment_reference(fs, case):
     assert [t for t, _, _, _ in traj.samples] == samples
     assert [e.t for e in traj.events] == events
     if start[1] != 0.0:
-        # the curvature correction moves every row after the start
-        s = np.array([s for _, s, _, _ in traj.samples[1:20]])
-        assert np.all(np.array(samples[1:20]) != fs.speed(0).time(start[0], s))
+        # rho0 does not move the flow time: every row up to the first crossing
+        # is the slowness integral from the start
+        first = [(t, s) for t, s, _, _ in traj.samples if s <= traj.events[0].s]
+        t, s = np.array(first).T
+        assert np.array_equal(t, fs.speed(0).time(start[0], s))
 
 
 def test_a_read_that_stops_at_height_one_integrates_only_its_grid(fs, monkeypatch):
@@ -203,11 +202,20 @@ def test_confinement_error_on_bad_start(fs, segments):
     assert segments == []
 
 
-@pytest.mark.parametrize("s0", [0.25, 0.3])
-def test_start_at_or_above_a_quarter_is_rejected(fs, s0):
-    # a start there could lie inside box 0's bump support
+@pytest.mark.parametrize("s0, rho0", [(RAMP_EPS, 0.0), (0.2, 0.0), (0.25, 0.0), (0.3, 0.0),
+                                      (math.nan, 0.0), (-math.inf, 0.0), (0.0, math.nan)])
+def test_start_off_the_straight_piece_or_not_finite_is_rejected(fs, segments, s0, rho0):
+    # at or past RAMP_EPS the curve may bend while rho is visible in a double
     with pytest.raises(ValueError):
-        next(integrate_chart(fs, 0, (s0, 0.0), None, L_MAX))
+        next(integrate_chart(fs, 0, (s0, rho0), None, L_MAX))
+    with pytest.raises(ValueError):
+        simulate_input(fs, 0, None, L_MAX, start=(s0, rho0))
+    assert segments == []
+
+
+def test_start_just_below_ramp_eps_is_accepted(fs):
+    traj = chart(fs, (math.nextafter(RAMP_EPS, 0.0), 0.01), l_max=1)
+    assert [e.height for e in traj.events] == [1]
 
 
 def test_classify_center_and_miss(fs):
@@ -408,7 +416,7 @@ def test_export_rows(fs):
 
 
 def test_trajectory_rows_name_the_next_height(fs):
-    traj = chart(fs, (0.2, 0.0))
+    traj = chart(fs, (RAMP_EPS / 2, 0.0))
     traj.samples.append((1e9, traj.events[-1].s + 1.0, 0, 0.0))  # past the last anchor
     want = [next((e.height for e in traj.events if e.s >= s), -1)
             for _, s, _, _ in traj.samples]
@@ -438,31 +446,18 @@ def _solver_times(curve, speed, s0, rho0, targets):
 
 
 @pytest.mark.parametrize("machine", ["incrementer", "right_filler"])
-def test_crossing_times_match_solver(request, monkeypatch, machine):
-    fs = FieldSpec(request.getfixturevalue(machine), n_bands=2, l_max=2)
-    for band, rho0 in itertools.product((0, 1), (0.03, -0.03)):
-        curve, speed = fs.curve(band), fs.speed(band)
-        s0 = float(curve.arclength_of_param(0.25))  # mid-ramp, near the largest |kappa|
-        # through the float-visible transient of rho, past it, and the anchor
-        transient = s0 + float(speed(s0)) * np.array([0.5, 2.0, 8.0, 30.0, 120.0])
-        targets = np.append(transient, curve.arc_heights[1])
-        T = speed.time(s0, targets)
-        got = crossing_times(curve, speed.time, s0, rho0, targets, T)
-        assert np.all(np.abs(got - T) > 1e-3)
-        assert np.all(np.abs(got - _solver_times(curve, speed, s0, rho0, targets)) < 1e-9)
-        monkeypatch.setattr(simulate, "_QUAD_DT", simulate._QUAD_DT / 2.0)
-        finer = crossing_times(curve, speed.time, s0, rho0, targets, T)
-        monkeypatch.undo()
-        # the quadrature error is O(step^2), about 2e-12 time units at the
-        # default step: below 1e-12 relative from a few time units on
-        assert np.all(np.abs(finer - got)[2:] < 1e-12 * got[2:])
-        assert np.all(np.abs(finer - got) < 1e-11)
-
-
-def test_crossing_times_without_rho_are_the_slowness_integral(fs):
-    curve, speed = fs.curve(0), fs.speed(0)
-    s = np.linspace(0.1, 2.5, 7)
-    want = speed.time(0.05, s)
-    assert np.array_equal(crossing_times(curve, speed.time, 0.05, 0.0, s, want), want)
-    # rho below the float floor no longer reaches the s-equation
-    assert np.array_equal(crossing_times(curve, speed.time, 0.05, 1e-90, s, want), want)
+def test_flow_times_on_the_straight_piece_match_solver(request, machine):
+    # kappa is zero below RAMP_EPS, and rho has decayed past what the curve's
+    # bend could show in a double by the time it bends
+    m = request.getfixturevalue(machine)
+    starts = (-0.9, -RAMP_EPS / 2, 0.0, math.nextafter(RAMP_EPS, 0.0))
+    for lambda_frac in (0.5, 0.999):
+        fs = FieldSpec(m, n_bands=3, l_max=2, lambda_frac=lambda_frac)
+        for band, s0, rho0 in itertools.product(range(3), starts, (0.0624, -0.0624)):
+            curve, speed = fs.curve(band), fs.speed(band)
+            # through rho's float-visible life, across the ramp, and the anchor
+            transient = s0 + float(speed(s0)) * np.array([0.5, 2.0, 8.0, 30.0, 120.0])
+            ramp = curve.arclength_of_param(np.array([0.02, 0.05, 0.25, 0.5, 0.9]))
+            targets = np.unique(np.concatenate([transient, ramp, curve.arc_heights[1:2]]))
+            want = _solver_times(curve, speed, s0, rho0, targets)
+            assert np.array_equal(speed.time(s0, targets), want), (band, s0, rho0)
