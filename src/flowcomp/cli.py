@@ -42,21 +42,27 @@ from .simulate import (
 from .sphere import delta_threshold, discrete_orbit_verdict
 
 ENV_PREFIX = "FLOWCOMP_"
+SERIES_ORDER = 20  # terms of extend3d's Beltrami series
+MACHINE_RUNS = ("compile", "simulate", "verify", "perturb", "extend3d", "sphere")
 
-# Every setting resolves flag > FLOWCOMP_<NAME> > config key > default on every
-# subcommand, but has a flag only on its owner's parser (None: on all of them).
-# name: (type, default, help, owner)
+# name: (type, default, help, readers, manifest key).  A setting exists only on its
+# readers, the subcommands that read it: there it has a flag, resolves flag >
+# FLOWCOMP_<NAME> > config key > default (a bool is a switch set by its flag alone),
+# passes CHECKS and is recorded in manifest.txt under its key (None: no artifact moves).
 SETTINGS = {
-    "inputs": (int, 3, "number of enumerated inputs", None),
-    "lmax": (int, 8, "height budget", None),
-    "seed": (int, 0, "base random seed", None),
+    "machine": (str, "", "machine description file", MACHINE_RUNS, None),
+    "inputs": (int, 3, "number of enumerated inputs", MACHINE_RUNS, "budget.inputs"),
+    "lmax": (int, 8, "height budget", MACHINE_RUNS, "budget.l_max"),
+    "seed": (int, 0, "base random seed", ("perturb",), "seed.base"),
     "lambda_frac": (float, 0.5, "flow speed as a fraction of each level's "
-                                "contraction speed limit", None),
-    "out": (str, "out", "output directory", None),
-    "trials": (int, 5, "perturbations per input", "perturb"),
-    "degree": (int, 3, "fit polynomial degree", "extend3d"),
-    "sb": (float, 2.0, "space bound", "estimate"),
-    "C": (float, 1.0, "estimator constant", "estimate"),
+                                "contraction speed limit", MACHINE_RUNS, "constant.lambda_frac"),
+    "out": (str, "out", "output directory", (*MACHINE_RUNS, "estimate"), None),
+    "trials": (int, 5, "perturbations per input", ("perturb",), "budget.trials"),
+    "degree": (int, 3, "fit polynomial degree", ("extend3d",), "budget.degree"),
+    "sb": (float, 2.0, "space bound", ("estimate",), "budget.sb"),
+    "C": (float, 1.0, "estimator constant", ("estimate",), "budget.C"),
+    "fail_on_unresolved": (bool, False, "exit 1 when any verdict is UNRESOLVED",
+                           ("simulate",), None),
 }
 
 
@@ -65,7 +71,7 @@ SETTINGS = {
 
 
 def read_config(path: str) -> dict:
-    """Flat `key = value` file; blank lines and `#` comments ignored."""
+    """Flat `setting = value` file; blank lines and `#` comments ignored."""
     out = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -73,51 +79,60 @@ def read_config(path: str) -> dict:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected `key = value`")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in SETTINGS:
+            raise ValueError(f"{path}:{lineno}: key `{key}` names no setting")
+        out[key] = value
     return out
 
 
-def _check_ranges(settings: dict):
-    """Reject out-of-range values as usage errors, before any work starts."""
-    for ok, message in (
-            (settings["inputs"] >= 1, "--inputs must be at least 1"),
-            (settings["trials"] >= 1, "--trials must be at least 1"),
-            (settings["lmax"] >= 1, "--lmax must be at least 1"),
-            (settings["seed"] >= 0, "--seed must be at least 0"),
-            (0.0 < settings["lambda_frac"] < 1.0, "--lambda-frac must be in (0, 1)"),
-            (settings["degree"] >= 1, "--degree must be at least 1"),
-            (settings["sb"] >= 1.0, "--sb must be at least 1"),
-            (settings["C"] > 0.0, "--C must be positive"),
-            (not settings["C"] * settings["sb"] > MAX_NESTED,
-             f"--C times --sb must be at most {MAX_NESTED:g}")):
-        if not ok:
-            raise ValueError(message)
+def _below_float_ceiling(inputs: int, lmax: int, lambda_frac: float) -> bool:
+    """Check the field `_build` makes (heights 0 to lmax + 1); raise its own message."""
     try:
-        check_height_budget(*_field_shape(settings), settings["lambda_frac"])
+        return check_height_budget(inputs, lmax + 1, lambda_frac) is None
     except ValueError as e:
-        raise ValueError(f"--inputs {settings['inputs']} with --lmax {settings['lmax']}: {e}; "
+        raise ValueError(f"--inputs {inputs} with --lmax {lmax}: {e}; "
                          "deeper levels leave the float range") from None
 
 
+# Usage errors in the order reported, each checked where every setting it names
+# is read: (settings, test of their values, message with them as format fields)
+CHECKS = (
+    (("inputs",), lambda n: n >= 1, "--inputs must be at least 1"),
+    (("trials",), lambda n: n >= 1, "--trials must be at least 1"),
+    (("lmax",), lambda n: n >= 1, "--lmax must be at least 1"),
+    (("seed",), lambda n: n >= 0, "--seed must be at least 0"),
+    (("lambda_frac",), lambda f: 0.0 < f < 1.0, "--lambda-frac must be in (0, 1)"),
+    (("degree",), lambda n: n >= 1, "--degree must be at least 1"),
+    (("sb",), lambda sb: sb >= 1.0, "--sb must be at least 1"),
+    (("C",), lambda C: C > 0.0, "--C must be positive"),
+    (("C", "sb"), lambda C, sb: not C * sb > MAX_NESTED,
+     f"--C times --sb must be at most {MAX_NESTED:g}"),
+    (("inputs", "lmax", "lambda_frac"), _below_float_ceiling, ""),
+    (("machine",), lambda path: path != "", "--machine is required"),
+    (("machine",), lambda path: Path(path).is_file(), "machine file {} not found"),
+)
+
+
 def resolve(args: argparse.Namespace) -> dict:
-    """Merge flag/env/config/default values into one settings dict; an
-    out-of-range value, a machine path that names no file or a missing
-    machine where the subcommand needs one is a ValueError."""
+    """The settings that `args.subcommand` reads, resolved, typed and checked (or a ValueError)."""
     config = read_config(args.config) if args.config else {}
     settings = {}
-    for key, (kind, default, _, _) in SETTINGS.items():
-        sources = (getattr(args, key, None), os.environ.get(ENV_PREFIX + key.upper()),
-                   config.get(key))
-        settings[key] = kind(next((v for v in sources if v is not None), default))
-    _check_ranges(settings)
-    settings["fail_on_unresolved"] = getattr(args, "fail_on_unresolved", False)
-    machine = args.machine or os.environ.get(ENV_PREFIX + "MACHINE") or config.get("machine")
-    if machine and not Path(machine).is_file():
-        raise ValueError(f"machine file {machine} not found")
-    if not machine and args.subcommand != "estimate":
-        raise ValueError("--machine is required")
-    settings["machine"] = machine
+    for key, (kind, default, _, readers, _) in SETTINGS.items():
+        if args.subcommand not in readers:
+            continue
+        env = ENV_PREFIX + key.upper()
+        sources = ((getattr(args, key), None), (os.environ.get(env), env),
+                   (config.get(key), f"{args.config}: key `{key}`"))
+        value, source = next((s for s in sources if s[0] is not None), (default, None))
+        try:
+            settings[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"{source}: expected {kind.__name__}, got {value!r}") from None
+    for names, ok, message in CHECKS:
+        values = [settings[key] for key in names if key in settings]
+        if len(values) == len(names) and not ok(*values):
+            raise ValueError(message.format(*values))
     return settings
 
 
@@ -177,29 +192,21 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
 
 
 def write_manifest(outdir: Path, sub: str, settings: dict, artifacts: list):
-    """Everything needed to reproduce the run, as flat `key = value` lines."""
-    if sub == "estimate":  # it reads no machine and no setting but these two
-        rows = [("machine.name", "none"), ("machine.digest", "none"),
-                ("budget.C", settings["C"]), ("budget.sb", settings["sb"])]
-    else:
+    """Everything needed to reproduce the run, as flat `key = value` lines: the
+    machine and fixed geometry where a machine is read, then the settings read."""
+    head, rows = [], {SETTINGS[k][4]: v for k, v in settings.items() if SETTINGS[k][4]}
+    if "machine" in settings:
         machine = Path(settings["machine"])
-        rows = [
-            ("machine.name", machine.stem),
-            ("machine.digest", hashlib.sha256(machine.read_bytes()).hexdigest()),
-            ("constant.C", settings["C"]),
-            ("constant.eps", RAMP_EPS),
-            # the top speed: the sphere time step; every level runs below it
-            ("constant.lambda", settings["lambda_frac"] * LAMBDA0),
-            ("constant.lambda_frac", settings["lambda_frac"]),
-            ("constant.rho0", RHO0),
-            ("seed.base", settings["seed"]),
-            ("budget.degree", settings["degree"]),
-            ("budget.inputs", settings["inputs"]),
-            ("budget.l_max", settings["lmax"]),
-            ("budget.series_order", 20),
-            ("budget.trials", settings["trials"]),
-        ]
-    rows = [("subcommand", sub), ("version", __version__), *rows,
+        head = [("machine.name", machine.stem),
+                ("machine.digest", hashlib.sha256(machine.read_bytes()).hexdigest())]
+        rows |= {"constant.eps": RAMP_EPS, "constant.rho0": RHO0,
+                 # the top speed: the sphere time step; every level runs below it
+                 "constant.lambda": settings["lambda_frac"] * LAMBDA0}
+    if "degree" in settings:
+        rows["budget.series_order"] = SERIES_ORDER
+    groups = ("constant", "seed", "budget")
+    rows = [("subcommand", sub), ("version", __version__), *head,
+            *sorted(rows.items(), key=lambda row: (groups.index(row[0].split(".")[0]), row[0])),
             *(("artifact", name) for name in artifacts)]
     (outdir / "manifest.txt").write_text("".join(
         f"{k} = {v!r}\n" if isinstance(v, float) else f"{k} = {v}\n" for k, v in rows))
@@ -209,15 +216,10 @@ def write_manifest(outdir: Path, sub: str, settings: dict, artifacts: list):
 # subcommands
 
 
-def _field_shape(settings: dict) -> tuple[int, int]:
-    """The (n_bands, l_max) of the field a run builds, for `_build` and `_check_ranges`."""
-    return settings["inputs"], settings["lmax"] + 1
-
-
 def _build(settings: dict):
     machine = load_machine(settings["machine"])
-    n_bands, l_max = _field_shape(settings)
-    fs = FieldSpec(machine, n_bands=n_bands, l_max=l_max, lambda_frac=settings["lambda_frac"])
+    fs = FieldSpec(machine, n_bands=settings["inputs"], l_max=settings["lmax"] + 1,
+                   lambda_frac=settings["lambda_frac"])
     return machine, fs
 
 
@@ -266,7 +268,7 @@ def cmd_simulate(settings, outdir, artifacts):
     vpath = outdir / "verdicts.csv"
     write_csv(vpath, ["input", "verdict"], verdicts)
     artifacts.append(vpath.name)
-    return 1 if (unresolved and settings["fail_on_unresolved"]) else 0
+    return 1 if (settings["fail_on_unresolved"] and unresolved) else 0
 
 
 def _oracle_verdict(machine, config, lmax):
@@ -321,7 +323,7 @@ def cmd_extend3d(settings, outdir, artifacts):
     window = (0.0, 1.0, 0.0, float(min(settings["lmax"], 2)))
     report = fit_window_polynomial(fs, window, settings["degree"])
     F = report["F"]
-    v, u = beltrami_from_potential(F, 1, K=20)
+    v, u = beltrami_from_potential(F, 1, K=SERIES_ORDER)
     res = residuals(u, v, F, 1)
     lines = [
         f"window = {window}",
@@ -411,14 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--machine", help="machine description file")
         p.add_argument("--config", help="flat key = value settings file")
-        for key, (kind, _, text, owner) in SETTINGS.items():
-            if owner in (None, name):
-                p.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
-        if name == "simulate":
-            p.add_argument("--fail-on-unresolved", action="store_true",
-                           help="exit 1 when any verdict is UNRESOLVED")
+        for key, (kind, _, text, readers, _) in SETTINGS.items():
+            if name in readers:
+                p.add_argument("--" + key.replace("_", "-"), help=text, **(
+                    {"action": "store_true"} if kind is bool else {"type": kind}))
     return parser
 
 

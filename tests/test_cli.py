@@ -304,13 +304,13 @@ def test_compile_artifacts(tmp_path, capsys):
 # every subcommand's
 HELP = {
     None: "7ce0b42c5cc94a6efdc1d94ac2afe727638bff8af022308314c2c19cb00e5729",
-    "compile": "c5d9ea9c354377ee53bc5ba8c17198cde163d8d0deb37f4165de34b3a7f99910",
-    "simulate": "03c9bee8f3521b10cbe614a1a7762e2e5a86422618b8224f70c5c39ef4e0a01f",
-    "verify": "393a62fece64b85f704ce354063784e831231b4a206e57fb5b7c6c7d5d336f45",
-    "perturb": "15cd320c4c4b155747d8717597e19f36ae24b5b0d29c9508fb9a92f1388eb4f6",
-    "extend3d": "ede5bf7cda18d51d9d8efc274cb2b4e326ec3e6681ed3ca7533bb83d5bb38dfd",
-    "sphere": "8079cff2dec6fdb905b637c7a9e68c3491d76a39e25caf1a25474ee851880535",
-    "estimate": "0e471e8e8b73bbe919e95cb0840dfef2e549330bf9da78e7b32467238329150d",
+    "compile": "1998d5493a6fa83a2c71ba70ddec2604a99b8a231acea808fd7d86f448bcff79",
+    "simulate": "210b0b4799ed52599a27c9757ee44cd23ff9b8f1a412e0313ea23f4e8a290ca3",
+    "verify": "b131dda90f6dd1718efaf027546d19d1b4a94579e04bcbdb7d5ecb514624f005",
+    "perturb": "f07987f3cf843deff87d7bcba6e286db946676a4e834dd186a222fb221d03af9",
+    "extend3d": "9bce0bc50bd28e0c5a783fede27b5567c3ce138d9f796c04f818959661a370c6",
+    "sphere": "43826d2ecb24341696e210ed0519470ea5b038be5180f82410e4469210563b09",
+    "estimate": "cdf1d50190b9ec8c37996ca748932c1beeb5eaf8b88c779ca8d9e56c49500232",
 }
 
 
@@ -325,50 +325,62 @@ def test_help_text_is_pinned(capsys, monkeypatch):
 
 
 def test_estimate_manifest(tmp_path, capsys):
+    # estimate reads no machine, so its manifest names none
     from flowcomp import __version__
 
     assert run("estimate", "--sb", "3", "--out", str(tmp_path)) == 0
     assert (tmp_path / "manifest.txt").read_text() == (
         f"subcommand = estimate\nversion = {__version__}\n"
-        "machine.name = none\nmachine.digest = none\n"
         "budget.C = 1.0\nbudget.sb = 3.0\nartifact = estimate.txt\n")
     capsys.readouterr()
 
 
 def test_manifest_records_config_and_env(tmp_path, capsys, monkeypatch):
-    # inputs and lmax from --config, seed from the environment, the rest defaults
+    # inputs from --config, lmax from the environment, the rest defaults; verify
+    # reads no seed, so FLOWCOMP_SEED is neither checked nor recorded
     from flowcomp import __version__
 
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"machine = {INC}\ninputs = 2\nlmax = 3\n")
+    cfg.write_text(f"machine = {INC}\ninputs = 2\n")
+    monkeypatch.setenv("FLOWCOMP_LMAX", "3")
     monkeypatch.setenv("FLOWCOMP_SEED", "11")
     assert run("verify", "--config", str(cfg), "--out", str(tmp_path / "v")) == 0
     digest = hashlib.sha256(Path(INC).read_bytes()).hexdigest()
     assert (tmp_path / "v" / "manifest.txt").read_text() == (
         f"subcommand = verify\nversion = {__version__}\n"
         f"machine.name = incrementer\nmachine.digest = {digest}\n"
-        "constant.C = 1.0\nconstant.eps = 0.01\nconstant.lambda = 0.000562583616298279\n"
-        "constant.lambda_frac = 0.5\nconstant.rho0 = 0.03125\nseed.base = 11\n"
-        "budget.degree = 3\nbudget.inputs = 2\nbudget.l_max = 3\n"
-        "budget.series_order = 20\nbudget.trials = 5\nartifact = verify.csv\n")
+        "constant.eps = 0.01\nconstant.lambda = 0.000562583616298279\n"
+        "constant.lambda_frac = 0.5\nconstant.rho0 = 0.03125\n"
+        "budget.inputs = 2\nbudget.l_max = 3\nartifact = verify.csv\n")
     capsys.readouterr()
 
 
 def test_setting_without_a_flag_is_range_checked(tmp_path, capsys, monkeypatch):
-    # verify has no --trials, but FLOWCOMP_TRIALS still resolves and is checked
+    # only where it is read: verify has no --trials and ignores FLOWCOMP_TRIALS
     monkeypatch.setenv("FLOWCOMP_TRIALS", "0")
-    assert run("verify", "--machine", INC, "--out", str(tmp_path / "v")) == 2
+    assert run("verify", "--machine", INC, "--inputs", "1", "--lmax", "2",
+               "--out", str(tmp_path / "v")) == 0
+    assert "budget.trials" not in (tmp_path / "v" / "manifest.txt").read_text()
+    capsys.readouterr()
+    assert run("perturb", "--machine", INC, "--out", str(tmp_path / "p")) == 2
     assert capsys.readouterr().err == "error: --trials must be at least 1\n"
-    assert not (tmp_path / "v").exists()
+    assert not (tmp_path / "p").exists()
 
 
-def test_negative_seed_is_a_usage_error(tmp_path, capsys):
-    # numpy refuses a negative seed; every subcommand rejects one before any work
-    for sub in ("perturb", "verify", "estimate"):
-        machine = () if sub == "estimate" else ("--machine", INC)
-        assert run(sub, *machine, "--seed", "-5", "--out", str(tmp_path / sub)) == 2, sub
-        assert capsys.readouterr().err == "error: --seed must be at least 0\n"
-        assert not (tmp_path / sub).exists()
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # numpy refuses a negative seed; perturb, which reads it, rejects one
+    # before any work, and the subcommands that read no seed ignore it
+    assert run("perturb", "--machine", INC, "--seed", "-5", "--out", str(tmp_path / "p")) == 2
+    assert capsys.readouterr().err == "error: --seed must be at least 0\n"
+    assert not (tmp_path / "p").exists()
+    monkeypatch.setenv("FLOWCOMP_SEED", "-5")
+    for sub in ("verify", "estimate"):
+        machine = () if sub == "estimate" else ("--machine", INC, "--lmax", "2")
+        assert run(sub, *machine, "--out", str(tmp_path / sub)) == 0, sub
+        with pytest.raises(SystemExit) as e:
+            run(sub, *machine, "--seed", "-5", "--out", str(tmp_path / sub))
+        assert e.value.code == 2  # and it has no --seed flag
+    capsys.readouterr()
 
 
 def test_out_that_is_no_directory_is_a_usage_error(tmp_path, capsys):
@@ -379,3 +391,73 @@ def test_out_that_is_no_directory_is_a_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
     assert taken.read_text() == "x"
+
+
+@pytest.mark.parametrize("var, value, sub", [
+    ("FLOWCOMP_SB", "14", "verify"),  # C times s_b past 13, where no s_b is read
+    ("FLOWCOMP_LMAX", "400", "estimate"),  # past the float ceiling
+    ("FLOWCOMP_MACHINE", "/nope", "estimate"),
+    ("FLOWCOMP_DEGREE", "x", "sphere"),
+    ("FLOWCOMP_FAIL_ON_UNRESOLVED", "1", "simulate"),  # a switch: its flag alone sets it
+])
+def test_unread_settings_are_ignored(tmp_path, capsys, monkeypatch, var, value, sub):
+    monkeypatch.setenv(var, value)
+    machine = () if sub == "estimate" else ("--machine", SPIN, "--inputs", "1", "--lmax", "2")
+    assert run(sub, *machine, "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+
+
+def test_bad_env_value_names_the_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FLOWCOMP_LMAX", "abc")
+    assert run("verify", "--machine", INC, "--out", str(tmp_path / "v")) == 2
+    assert capsys.readouterr().err == "error: FLOWCOMP_LMAX: expected int, got 'abc'\n"
+    assert not (tmp_path / "v").exists()
+
+
+def test_bad_config_value_names_the_file_and_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda_frac = 0.5\ninputs = x\n")
+    assert run("verify", "--machine", INC, "--config", str(cfg), "--out", str(tmp_path / "v")) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: key `inputs`: expected int, got 'x'\n"
+    assert not (tmp_path / "v").exists()
+
+
+def test_config_key_must_name_a_setting(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"machine = {INC}\nlmx = 50\n")
+    assert run("verify", "--config", str(cfg), "--out", str(tmp_path / "v")) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: key `lmx` names no setting\n"
+    assert not (tmp_path / "v").exists()
+    # one file serves several subcommands: a setting verify does not read is
+    # allowed there, and neither checked nor recorded
+    cfg.write_text(f"machine = {INC}\nlmax = 2\ntrials = 0\nsb = 99\n")
+    assert run("verify", "--config", str(cfg), "--out", str(tmp_path / "v")) == 0
+    manifest = (tmp_path / "v" / "manifest.txt").read_text()
+    assert "budget.l_max = 2" in manifest and "trials" not in manifest and "sb" not in manifest
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sub", ["compile", "simulate", "verify", "perturb", "extend3d",
+                                 "sphere", "estimate"])
+def test_readers_column_is_what_each_subcommand_reads(tmp_path, capsys, monkeypatch, sub):
+    # main and the handler read the resolved settings through a mapping that
+    # records each key; the manifest writer gets a plain copy, since it records
+    # whatever it is given
+    from flowcomp import cli
+
+    read = set()
+
+    class Recorded(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    resolve, write_manifest = cli.resolve, cli.write_manifest
+    monkeypatch.setattr(cli, "resolve", lambda args: Recorded(resolve(args)))
+    monkeypatch.setattr(cli, "write_manifest",
+                        lambda outdir, name, settings, artifacts:
+                        write_manifest(outdir, name, dict(settings), artifacts))
+    machine = () if sub == "estimate" else ("--machine", INC, "--inputs", "1", "--lmax", "2")
+    assert run(sub, *machine, "--out", str(tmp_path)) == 0
+    assert read == {key for key, row in cli.SETTINGS.items() if sub in row[3]}
+    capsys.readouterr()

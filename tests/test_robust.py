@@ -285,6 +285,58 @@ def test_contraction_rejects_a_speed_not_positive_and_finite(incrementer, lam):
         contraction_check(incrementer, lam=lam, band=0, height=0, j=1)
 
 
+# (band, height, j, speed): below the speed limit at levels 0 and 5, and the
+# failing case at 100 times the base speed
+CONTRACTION_CASES = pytest.mark.parametrize("band, height, j, lam", [
+    (0, 0, 1, 0.5 * contraction_speed_limit(0)),
+    (1, 4, 2, 0.5 * contraction_speed_limit(5)),
+    (0, 1, 1, 100.0 * LAMBDA0)], ids=["level0", "level5", "too_fast"])
+
+
+@CONTRACTION_CASES
+def test_contraction_probe_times_match_solver(incrementer, band, height, j, lam):
+    # the docstring's ODE ds/dt = lam/(1 - kappa(s) rho0 e^{-t}) from s^i_l,
+    # integrated for the distance travelled, each probe time an event
+    from scipy.integrate import solve_ivp
+
+    rep = contraction_check(incrementer, lam, band, height, j)
+    curve = CurveFamily(incrementer, band, height + 1)
+    s_lo = float(curve.arc_heights[height])
+    ln_a = interval_bound_log(incrementer.m, band, height)
+    rho0 = math.exp(ln_a.ln() - j * math.log(2.0))
+
+    def rhs(t, y):
+        kappa = float(curve.curvature(curve.param_of_arclength(s_lo + y[0])))
+        return [lam / (1.0 - kappa * rho0 * math.exp(-t))]
+
+    targets = [s for s, _, _ in rep["probes"]]
+    events = [lambda t, y, d=s - s_lo: y[0] - d for s in targets]
+    sol = solve_ivp(rhs, (0.0, 2.0 * (targets[-1] - s_lo) / lam), [0.0], events=events,
+                    rtol=1e-10, atol=1e-14)
+    want = [float(te[0]) for te in sol.t_events]
+    got = [t for _, t, _ in rep["probes"]]
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+@CONTRACTION_CASES
+def test_contraction_margins_match_closed_form(incrementer, band, height, j, lam):
+    # margin = ln A_{i,l+1} - (j+1) ln2 - (ln A_{i,l} - j ln2 - t), with
+    # ln A_{i,l} = -(m+4) ln2 - 10^(i+l+1) ln15 in 50-digit arithmetic
+    mpmath = pytest.importorskip("mpmath")
+    m = incrementer.m
+
+    def ln_a(level):
+        return -(m + 4) * mpmath.log(2) - 10 ** (level + 1) * mpmath.log(15)
+
+    rep = contraction_check(incrementer, lam, band, height, j)
+    for _, t, margin in rep["probes"]:
+        with mpmath.workdps(50):
+            want = (ln_a(band + height + 1) - (j + 1) * mpmath.log(2)
+                    - (ln_a(band + height) - j * mpmath.log(2) - mpmath.mpf(t)))
+        assert abs(margin - want) <= 1e-13 * max(abs(want), t), (t, margin, want)
+    assert rep["worst_margin"] == min(margin for _, _, margin in rep["probes"])
+
+
 # -- resource estimates -----------------------------------------------------
 
 

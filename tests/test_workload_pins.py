@@ -22,9 +22,9 @@ from flowcomp.cli import main
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 PINS = {
-    "lift": "2d3830ab9ccc8d63eca9d33e5b4715ef683e39bff98f86f1e0946f2e9649874e",
-    "perturb": "a78ef8433b06a5ceeb22c8f3405f6c9a50c2ee59f1dad290a2bddfde712a32f3",
-    "verify": "c0702721fdd7d909f4c768952e6221c34628188308f7af933cb78269ad5424cb",
+    "lift": "89cc3f9311ec27bd4eb7ac00734b6b23b37eaa106037706a18727378e56dcc93",
+    "perturb": "437b21f1da0d236a0e8ccb5fc23df8f7ba1e8bd5c586a12a2bac7310155fa700",
+    "verify": "6c3d4cff27fcb350bf564f0f6d668a11e4ae794ffb1db826f20a256cba580ec0",
 }
 
 
