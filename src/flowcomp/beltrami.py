@@ -3,9 +3,11 @@
 The planar gradient of a polynomial F on {z = 0} is Cauchy data for the
 vector Helmholtz equation; matching powers of z gives a two-step recursion
 for the series coefficients, which are bivariate polynomials with exact
-rational coefficients.  The Beltrami field is u = (curl v + lam*v)/(2 lam),
-whose curl-eigenvalue and divergence residuals vanish identically through
-the certifiable truncation order.
+rational coefficients.  The normal derivative in the data, (lam F_y,
+-lam F_x, -Laplacian F), is the one that curl u = lam u and div u = 0 force
+on {z = 0}, so the series is itself Beltrami: (curl v + lam v)/(2 lam) = v
+through order K - 1, and the lift u is v's terms through that order.
+`residuals` certifies curl u = lam u and div v = 0 exactly on every lift.
 """
 
 from __future__ import annotations
@@ -153,11 +155,6 @@ class Poly2:
 Vec3 = tuple  # (Poly2, Poly2, Poly2)
 
 
-def _vec(a=None, b=None, c=None) -> Vec3:
-    z = Poly2.zero()
-    return (a or z, b or z, c or z)
-
-
 @dataclass(frozen=True)
 class SeriesField3D:
     """Vector field Sum_k a_k(x, y) z^k, coefficients exact."""
@@ -187,8 +184,8 @@ def cauchy_data(F: Poly2, lam) -> tuple[Vec3, Vec3]:
     lam = Fraction(lam)
     if lam == 0:
         raise ValueError("the curl eigenvalue must be nonzero")
-    a0 = _vec(F.dx(), F.dy(), None)
-    a1 = _vec(F.dy() * lam, F.dx() * (-lam), F.laplacian() * Fraction(-1))
+    a0 = (F.dx(), F.dy(), Poly2())
+    a1 = (F.dy() * lam, F.dx() * (-lam), F.laplacian() * Fraction(-1))
     return a0, a1
 
 
@@ -200,50 +197,26 @@ def extend_series(data: tuple[Vec3, Vec3], lam, K: int) -> SeriesField3D:
     lam2 = lam * lam
     coeffs = [data[0], data[1]]
     for k in range(K - 1):
-        nxt = _vec(*[
-            (lam2 * coeffs[k][c] + coeffs[k][c].laplacian())
-            * Fraction(-1, (k + 1) * (k + 2))
-            for c in range(3)
-        ])
-        coeffs.append(nxt)
+        coeffs.append(tuple((lam2 * a + a.laplacian()) * Fraction(-1, (k + 1) * (k + 2))
+                            for a in coeffs[k]))
     return SeriesField3D(lam, K, tuple(coeffs))
 
 
 def _series_curl(v: SeriesField3D) -> SeriesField3D:
     """curl of a z-series; loses one z-order."""
-    out = []
-    for k in range(v.K):
-        v1, v2, v3 = v.coeffs[k]
-        n1, n2, _ = v.coeffs[k + 1]
-        out.append((
-            v3.dy() - n2 * (k + 1),
-            n1 * (k + 1) - v3.dx(),
-            v2.dx() - v1.dy(),
-        ))
-    return SeriesField3D(v.lam, v.K - 1, tuple(out))
-
-
-def assemble_beltrami(v: SeriesField3D) -> SeriesField3D:
-    """u = (curl v + lam v)/(2 lam), truncated at order K - 1."""
-    cv = _series_curl(v)
-    half = Fraction(1, 2) / v.lam
-    out = tuple(tuple((cv.coeffs[k][c] + v.lam * v.coeffs[k][c]) * half for c in range(3))
-                for k in range(cv.K + 1))
-    return SeriesField3D(v.lam, cv.K, out)
+    return SeriesField3D(v.lam, v.K - 1, tuple(
+        (a[2].dy() - n[1] * (k + 1), n[0] * (k + 1) - a[2].dx(), a[1].dx() - a[0].dy())
+        for k, (a, n) in enumerate(zip(v.coeffs, v.coeffs[1:]))))
 
 
 def _series_div(v: SeriesField3D):
     """Coefficients of div v, defined through order K - 1."""
-    out = []
-    for k in range(v.K):
-        v1, v2, _ = v.coeffs[k]
-        n3 = v.coeffs[k + 1][2]
-        out.append(v1.dx() + v2.dy() + n3 * (k + 1))
-    return out
+    return [a[0].dx() + a[1].dy() + n[2] * (k + 1)
+            for k, (a, n) in enumerate(zip(v.coeffs, v.coeffs[1:]))]
 
 
 def residuals(u: SeriesField3D, v: SeriesField3D, F: Poly2, lam) -> dict:
-    """Exact residual report for the assembled field.
+    """Exact residual report for the lift u of F and its series v.
 
     curl u - lam u and div v must vanish coefficient-wise through order
     K - 2 (one order is lost to curl, one to the certification), and the
@@ -265,9 +238,10 @@ def residuals(u: SeriesField3D, v: SeriesField3D, F: Poly2, lam) -> dict:
 
 
 def beltrami_from_potential(F: Poly2, lam, K: int = 20) -> tuple[SeriesField3D, SeriesField3D]:
-    """Convenience: (v, u) with u the Beltrami lift of the potential F."""
+    """(v, u): the Helmholtz series v of F and its Beltrami lift u, the
+    terms of v through order K - 1 (see the module docstring)."""
     v = extend_series(cauchy_data(F, lam), lam, K)
-    return v, assemble_beltrami(v)
+    return v, SeriesField3D(v.lam, K - 1, v.coeffs[:K])
 
 
 # ---------------------------------------------------------------------------

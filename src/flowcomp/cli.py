@@ -45,10 +45,18 @@ ENV_PREFIX = "FLOWCOMP_"
 SERIES_ORDER = 20  # terms of extend3d's Beltrami series
 MACHINE_RUNS = ("compile", "simulate", "verify", "perturb", "extend3d", "sphere")
 
+
+def switch(value) -> bool:
+    """A switch setting: True from its flag, or `0` or `1` from elsewhere."""
+    if value not in (True, False, "0", "1"):
+        raise ValueError(value)
+    return value in (True, "1")
+
+
 # name: (type, default, help, readers, manifest key).  A setting exists only on its
 # readers, the subcommands that read it: there it has a flag, resolves flag >
-# FLOWCOMP_<NAME> > config key > default (a bool is a switch set by its flag alone),
-# passes CHECKS and is recorded in manifest.txt under its key (None: no artifact moves).
+# FLOWCOMP_<NAME> > config key > default, passes CHECKS and is recorded in
+# manifest.txt under its key (None: no artifact moves).
 SETTINGS = {
     "machine": (str, "", "machine description file", MACHINE_RUNS, None),
     "inputs": (int, 3, "number of enumerated inputs", MACHINE_RUNS, "budget.inputs"),
@@ -61,7 +69,7 @@ SETTINGS = {
     "degree": (int, 3, "fit polynomial degree", ("extend3d",), "budget.degree"),
     "sb": (float, 2.0, "space bound", ("estimate",), "budget.sb"),
     "C": (float, 1.0, "estimator constant", ("estimate",), "budget.C"),
-    "fail_on_unresolved": (bool, False, "exit 1 when any verdict is UNRESOLVED",
+    "fail_on_unresolved": (switch, False, "exit 1 when any verdict is UNRESOLVED",
                            ("simulate",), None),
 }
 
@@ -417,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (kind, _, text, readers, _) in SETTINGS.items():
             if name in readers:
                 p.add_argument("--" + key.replace("_", "-"), help=text, **(
-                    {"action": "store_true"} if kind is bool else {"type": kind}))
+                    {"action": "store_true", "default": None} if kind is switch
+                    else {"type": kind}))
     return parser
 
 

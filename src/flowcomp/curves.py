@@ -31,6 +31,8 @@ _ARC_CELLS = 256
 # cells above and below a point's own whose boxes can come within the chart
 # half-width of it, and one more for round-off in the nodes
 _REACH = int(CHART_HALF_WIDTH * _ARC_CELLS) + 1
+# points per block of `BandChart._distance_bound`'s (block, 2 _REACH + 1) box scan
+_BOX_BLOCK = 4096
 
 
 class ChartError(ValueError):
@@ -283,6 +285,16 @@ def interval_bound_log(m: int, i: int, l: int) -> LogMagnitude:
     return LogMagnitude(-((m + 4) * LN2_FIX + 10 ** (i + l + 1) * LN15_FIX), 0.0)
 
 
+def window_reduce(ufunc, a, width: int):
+    """ufunc (np.minimum or np.maximum) over each `width` consecutive entries of a,
+    exactly: over spans doubled up to the largest power of two p <= width, then
+    over the two spans of p that cover each window."""
+    span = 1
+    while 2 * span <= width:
+        a, span = ufunc(a[:-span], a[span:]), 2 * span
+    return ufunc(a[:len(a) - (width - span)], a[width - span:])
+
+
 class BandChart:
     """Tubular (s, rho) coordinates of half-width 1/16 around a curve."""
 
@@ -330,33 +342,33 @@ class BandChart:
         monotone on each unit height, so the curve over a cell lies between its
         end values.  The end cells reach down and up without limit, as
         `_project` extends the curve vertically past its ends.  Then the hulls:
-        the least left and greatest right of the 2 `_REACH` + 1 boxes from each cell."""
+        the least left and greatest right of the 2 `_REACH` + 1 boxes from each
+        cell, by `window_reduce`."""
         u, *_, val = self.curve._arc_maps
         bottom, top = u[:-1].copy(), u[1:].copy()
         bottom[0], top[-1] = -np.inf, np.inf
         boxes = bottom, top, np.minimum(val[:-1], val[1:]), np.maximum(val[:-1], val[1:])
         boxes = [np.pad(b, _REACH, mode="edge") for b in boxes]
-        windows = [np.lib.stride_tricks.sliding_window_view(b, 2 * _REACH + 1) for b in boxes[2:]]
-        return boxes + [windows[0].min(axis=1), windows[1].max(axis=1)]
+        return boxes + [window_reduce(np.minimum, boxes[2], 2 * _REACH + 1),
+                        window_reduce(np.maximum, boxes[3], 2 * _REACH + 1)]
 
     def _distance_bound(self, x, y):
         """A lower bound on the squared distance of each point to the curve:
         the least squared distance to the boxes of the cells within the
-        half-width of its height, a running minimum over the cell offsets.  A point
+        half-width of its height, gathered `_BOX_BLOCK` points at a time.  A point
         whose x-distance to its window's hull is past the half-width keeps that
         distance, below every box's, so the same points fall within the half-width."""
         bottom, top, left, right, hull_left, hull_right = self._cell_boxes
         k0 = np.searchsorted(top[_REACH:-_REACH], y)  # the cell of each height
         best = (x - np.minimum(np.maximum(x, hull_left[k0]), hull_right[k0])) ** 2
-        near = best < CHART_HALF_WIDTH**2
-        x, y, k0 = x[near], y[near], k0[near]
-        near_best = np.full(x.shape, np.inf)
-        for j in range(2 * _REACH + 1):
-            k = k0 + j  # cell k0 + j - _REACH, in the padded boxes
-            dx = x - np.minimum(np.maximum(x, left[k]), right[k])
-            dy = y - np.minimum(np.maximum(y, bottom[k]), top[k])
-            np.minimum(near_best, dx * dx + dy * dy, out=near_best)
-        best[near] = near_best
+        near = np.flatnonzero(best < CHART_HALF_WIDTH**2)
+        offsets = np.arange(2 * _REACH + 1)  # cells k0 - _REACH.., in the padded boxes
+        for block in np.split(near, range(_BOX_BLOCK, len(near), _BOX_BLOCK)):
+            k = k0[block, None] + offsets
+            xb, yb = x[block, None], y[block, None]
+            dx = xb - np.minimum(np.maximum(xb, left[k]), right[k])
+            dy = yb - np.minimum(np.maximum(yb, bottom[k]), top[k])
+            best[block] = (dx * dx + dy * dy).min(axis=1)
         return best
 
     def _project(self, x, y):
@@ -390,5 +402,6 @@ def curve_records(curve: CurveFamily):
     while s_vals[-1] + ds <= s_max:
         s_vals.append(s_vals[-1] + ds)
     u = curve.param_of_arclength(np.array(s_vals))
-    x, y = curve.point(u)
-    return list(zip(s_vals, x.tolist(), y.tolist(), curve.curvature(u).tolist()))
+    x, d1, d2 = curve.lambda_eval(u)
+    kappa = -d2 / np.sqrt(1.0 + d1 * d1) ** 3  # as `CurveFamily.frame` has it
+    return list(zip(s_vals, x.tolist(), (u + 0.0).tolist(), kappa.tolist()))

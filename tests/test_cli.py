@@ -398,13 +398,45 @@ def test_out_that_is_no_directory_is_a_usage_error(tmp_path, capsys):
     ("FLOWCOMP_LMAX", "400", "estimate"),  # past the float ceiling
     ("FLOWCOMP_MACHINE", "/nope", "estimate"),
     ("FLOWCOMP_DEGREE", "x", "sphere"),
-    ("FLOWCOMP_FAIL_ON_UNRESOLVED", "1", "simulate"),  # a switch: its flag alone sets it
+    ("FLOWCOMP_FAIL_ON_UNRESOLVED", "yes", "verify"),  # simulate's switch, bad value and all
 ])
 def test_unread_settings_are_ignored(tmp_path, capsys, monkeypatch, var, value, sub):
     monkeypatch.setenv(var, value)
     machine = () if sub == "estimate" else ("--machine", SPIN, "--inputs", "1", "--lmax", "2")
     assert run(sub, *machine, "--out", str(tmp_path)) == 0
     capsys.readouterr()
+
+
+def test_switch_resolves_like_every_setting(tmp_path, capsys, monkeypatch):
+    # fail_on_unresolved: flag > FLOWCOMP_FAIL_ON_UNRESOLVED > config key > off,
+    # read from the environment and the config as 0 or 1; spinner never halts
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fail_on_unresolved = 1\n")
+    base = ("simulate", "--machine", SPIN, "--inputs", "1", "--lmax", "3", "--out", str(tmp_path))
+    assert run(*base) == 0
+    assert run(*base, "--config", str(cfg)) == 1
+    monkeypatch.setenv("FLOWCOMP_FAIL_ON_UNRESOLVED", "0")
+    assert run(*base, "--config", str(cfg)) == 0
+    assert run(*base, "--config", str(cfg), "--fail-on-unresolved") == 1
+    monkeypatch.setenv("FLOWCOMP_FAIL_ON_UNRESOLVED", "1")
+    assert run(*base) == 1
+    assert "fail_on_unresolved" not in (tmp_path / "manifest.txt").read_text()
+    capsys.readouterr()
+
+
+def test_bad_switch_value_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # anything but 0 or 1 from the config or the environment names its source
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("fail_on_unresolved = yes\n")
+    argv = ("simulate", "--machine", SPIN, "--config", str(cfg), "--out", str(tmp_path / "s"))
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: key `fail_on_unresolved`: expected switch, got 'yes'\n")
+    monkeypatch.setenv("FLOWCOMP_FAIL_ON_UNRESOLVED", "true")
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == (
+        "error: FLOWCOMP_FAIL_ON_UNRESOLVED: expected switch, got 'true'\n")
+    assert not (tmp_path / "s").exists()
 
 
 def test_bad_env_value_names_the_variable(tmp_path, capsys, monkeypatch):

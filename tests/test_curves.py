@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from flowcomp.curves import (
     _ARC_CELLS,
+    _BOX_BLOCK,
     _REACH,
     CHART_HALF_WIDTH,
     RAMP_EPS,
@@ -19,6 +20,7 @@ from flowcomp.curves import (
     flat,
     hermite_cumulative,
     interval_bound_log,
+    window_reduce,
 )
 from flowcomp.field import cutoff
 from flowcomp.machine import MachineSpec, load_machine
@@ -366,6 +368,49 @@ def test_hull_prefilter_keeps_the_bound_below_and_the_held_set():
         assert np.array_equal(fast[held], full[held]), machine.name
         total += n
     assert total >= 100_000
+
+
+def sliding_hulls(ch):
+    """The hulls as `sliding_window_view` min and max over each window of boxes."""
+    width = 2 * _REACH + 1
+    left, right = ch._cell_boxes[2:4]
+    return (np.lib.stride_tricks.sliding_window_view(left, width).min(axis=1),
+            np.lib.stride_tricks.sliding_window_view(right, width).max(axis=1))
+
+
+def test_hulls_match_sliding_window_min_and_max():
+    rng = np.random.default_rng(41)
+    machines = [load_machine(path) for path in sorted(MACHINES.glob("*.tm"))]
+    machines += [random_machine(seed) for seed in range(500, 509)]
+    for k, machine in enumerate(machines):
+        ch = BandChart(CurveFamily(machine, k % 3, int(rng.integers(1, 13))))
+        for got, want in zip(ch._cell_boxes[4:], sliding_hulls(ch)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), machine.name
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 35, 64])
+def test_window_reduce_matches_sliding_windows(width):
+    rng = np.random.default_rng(width)
+    for n in (width, width + 1, 300):
+        a = rng.normal(size=n)
+        a[rng.integers(0, n, n // 4)] = 0.5  # ties
+        windows = np.lib.stride_tricks.sliding_window_view(a, width)
+        assert window_reduce(np.minimum, a, width).tobytes() == windows.min(axis=1).tobytes()
+        assert window_reduce(np.maximum, a, width).tobytes() == windows.max(axis=1).tobytes()
+
+
+def test_box_scan_over_several_blocks_matches_the_full_bound():
+    # every point within the half-width of the curve, so all are scanned box by
+    # box, in three blocks
+    rng = np.random.default_rng(29)
+    curve = CurveFamily(load_machine(MACHINES / "incrementer.tm"), 1, 10)
+    ch = BandChart(curve)
+    n = 2 * _BOX_BLOCK + 123
+    s = curve.arclength_of_param(rng.uniform(-0.5, curve.l_max + 1.0, n))
+    x, y = ch.chart_to_plane(s, rng.uniform(-0.0624, 0.0624, n))
+    fast, full = ch._distance_bound(x, y), full_box_bound(ch, x, y)
+    assert np.all(full < CHART_HALF_WIDTH**2)
+    assert fast.tobytes() == full.tobytes()
 
 
 def reference_arc_maps(curve):

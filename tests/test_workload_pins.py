@@ -1,6 +1,7 @@
 """sha256 pins of the benchmark's first ops: files, stdout and exit codes.
 
-The first 9 ops of `perfbench/workloads.generate(workload, seed=1)` are run
+The first 9 ops of `perfbench/workloads.generate(workload, seed=1)`, and the
+first 30 `lift` ops of the held-out seed 7919, are run
 through the CLI in a temporary directory, and everything they leave is hashed:
 each op's exit code and stdout, then its output files by name.  The work
 directory's path is replaced by a placeholder, so the digest does not depend
@@ -26,6 +27,7 @@ PINS = {
     "perturb": "437b21f1da0d236a0e8ccb5fc23df8f7ba1e8bd5c586a12a2bac7310155fa700",
     "verify": "6c3d4cff27fcb350bf564f0f6d668a11e4ae794ffb1db826f20a256cba580ec0",
 }
+HELD_OUT_LIFT = "5322152188938da428eded59fcbb168058a5fb613efa6d7c2ef039450a3c2a20"
 
 
 def load_workloads():
@@ -37,10 +39,10 @@ def load_workloads():
     return sys.modules[name]
 
 
-def digest_first_ops(workload: str, work: Path, capsys, n: int = 9) -> str:
+def digest_first_ops(workload: str, work: Path, capsys, n: int = 9, seed: int = 1) -> str:
     h = hashlib.sha256()
     place = str(work).encode()
-    for op in itertools.islice(load_workloads().generate(workload, 1, work), n):
+    for op in itertools.islice(load_workloads().generate(workload, seed, work), n):
         rc = main(op.argv)
         out = capsys.readouterr().out.encode()
         h.update(b"op %d %s exit %r\n" % (op.index, op.sub.encode(), rc))
@@ -57,3 +59,9 @@ def test_first_benchmark_ops_are_pinned(workload, tmp_path, capsys, monkeypatch)
     for var in [v for v in os.environ if v.startswith("FLOWCOMP_")]:
         monkeypatch.delenv(var)
     assert digest_first_ops(workload, tmp_path, capsys) == PINS[workload]
+
+
+def test_held_out_lift_ops_are_pinned(tmp_path, capsys, monkeypatch):
+    for var in [v for v in os.environ if v.startswith("FLOWCOMP_")]:
+        monkeypatch.delenv(var)
+    assert digest_first_ops("lift", tmp_path, capsys, n=30, seed=7919) == HELD_OUT_LIFT
