@@ -288,6 +288,22 @@ def test_perturb_agrees(tmp_path, capsys):
     capsys.readouterr()
 
 
+# sha256 of `perturb` on the spinner, 2 inputs, 60 heights, 3 trials: exit code,
+# stdout and every file, with the output directory's path replaced
+PERTURB_SPINNER_60 = "966f95c2957c79d598c8bb52b495b37f63989e883f1af2177db2b4a879055bdd"
+
+
+def test_perturb_to_height_60_is_pinned(tmp_path, capsys):
+    rc = run("perturb", "--machine", SPIN, "--inputs", "2", "--lmax", "60",
+             "--trials", "3", "--out", str(tmp_path))
+    place = str(tmp_path).encode()
+    h = hashlib.sha256(b"exit %d\n" % rc)
+    h.update(capsys.readouterr().out.encode().replace(place, b"<out>"))
+    for p in sorted(tmp_path.iterdir()):
+        h.update(b"\n" + p.name.encode() + b"\n" + p.read_bytes().replace(place, b"<out>"))
+    assert h.hexdigest() == PERTURB_SPINNER_60
+
+
 def test_compile_artifacts(tmp_path, capsys):
     out = tmp_path / "k"
     assert run("compile", "--machine", INC, "--inputs", "1", "--lmax", "3",

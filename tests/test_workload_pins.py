@@ -1,7 +1,7 @@
 """sha256 pins of the benchmark's first ops: files, stdout and exit codes.
 
 The first 9 ops of `perfbench/workloads.generate(workload, seed=1)`, and the
-first 30 `lift` ops of the held-out seed 7919, are run
+first 30 `lift` and 90 `perturb` ops of the held-out seed 7919, are run
 through the CLI in a temporary directory, and everything they leave is hashed:
 each op's exit code and stdout, then its output files by name.  The work
 directory's path is replaced by a placeholder, so the digest does not depend
@@ -28,6 +28,7 @@ PINS = {
     "verify": "6c3d4cff27fcb350bf564f0f6d668a11e4ae794ffb1db826f20a256cba580ec0",
 }
 HELD_OUT_LIFT = "5322152188938da428eded59fcbb168058a5fb613efa6d7c2ef039450a3c2a20"
+HELD_OUT_PERTURB = "c6952731095467a019426cffd07a4fd62d2c0e568f3f9740d76bc8e5af97ff99"
 
 
 def load_workloads():
@@ -65,3 +66,9 @@ def test_held_out_lift_ops_are_pinned(tmp_path, capsys, monkeypatch):
     for var in [v for v in os.environ if v.startswith("FLOWCOMP_")]:
         monkeypatch.delenv(var)
     assert digest_first_ops("lift", tmp_path, capsys, n=30, seed=7919) == HELD_OUT_LIFT
+
+
+def test_held_out_perturb_ops_are_pinned(tmp_path, capsys, monkeypatch):
+    for var in [v for v in os.environ if v.startswith("FLOWCOMP_")]:
+        monkeypatch.delenv(var)
+    assert digest_first_ops("perturb", tmp_path, capsys, n=90, seed=7919) == HELD_OUT_PERTURB
