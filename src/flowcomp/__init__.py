@@ -22,7 +22,7 @@ from .simulate import (
     simulate_bounded,
     simulate_input,
 )
-from .sphere import damp_and_push, delta_threshold, discrete_orbit_verdict
+from .sphere import delta_threshold, discrete_orbit_verdict
 
 __all__ = [
     "Configuration",
@@ -35,7 +35,6 @@ __all__ = [
     "TapeBoundedSpec",
     "beltrami_from_potential",
     "contraction_check",
-    "damp_and_push",
     "delta_threshold",
     "discrete_orbit_verdict",
     "encode",

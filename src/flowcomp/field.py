@@ -31,7 +31,7 @@ from .curves import (
     hermite_eval,
     interval_bound_log,
 )
-from .logmag import LN2, LogMagnitude, lm_min
+from .logmag import FIX, LN2, LogMagnitude, lm_min
 from .machine import MachineSpec
 
 LAMBDA0 = 1.0 / (320.0 * math.log(15.0) + 32.0 * math.log(2.0))
@@ -112,6 +112,7 @@ class FieldSpec:
         self.lam = lambda_frac * LAMBDA0
         self._charts: dict[int, BandChart] = {}
         self._speeds: dict[int, LevelSpeed] = {}
+        self._kernels: dict[tuple[int, int], tuple] = {}
 
     def level_speed(self, band: int, height: int) -> float:
         """Flow speed on band `band` from height `height` to the next."""
@@ -124,6 +125,13 @@ class FieldSpec:
 
     def curve(self, band: int) -> CurveFamily:
         return self.chart(band).curve
+
+    def forcing_kernel(self, band: int, l: int):
+        """(A, B, ln_scale): a bump of peak 1 and unit direction (d_x, d_y) in box
+        (band, l) adds e^ln_scale (d_y A - d_x B) to rho by anchor l + 1."""
+        if (band, l) not in self._kernels:
+            self._kernels[(band, l)] = _forcing_kernel(self, band, l)
+        return self._kernels[(band, l)]
 
     def chart(self, band: int) -> BandChart:
         if not 0 <= band < self.n_bands:
@@ -214,6 +222,96 @@ class LevelSpeed:
             ramp = hermite_eval(grid, cum[kk], vals[kk], np.minimum(sigma[m], 1.0))
             out[m] += RAMP_EPS * lam[m] * ramp
         return float(out[0]) if scalar else out
+
+
+# Taylor terms of the forcing kernel's G in eps: against 48 terms (right_filler,
+# lambda_frac 0.9) 16 leave 3.4e-11 nats, 20 leave 1.4e-14 and 24 leave 1.8e-15
+_KERNEL_TERMS = 24
+
+
+def _series_exp(a):
+    """Taylor coefficients of e^a from those of a: n f_n = sum_k k a_k f_(n-k)."""
+    f, ka = np.zeros(len(a)), np.arange(len(a)) * a
+    f[0] = math.exp(a[0])
+    for n in range(1, len(a)):
+        f[n] = ka[1:n + 1] @ f[n - 1::-1] / n
+    return f
+
+
+def _series_pow(a, p: float):
+    """Taylor coefficients of a^p, a_0 > 0, by J. C. P. Miller's recurrence
+    n a_0 f_n = sum_k ((p + 1) k - n) a_k f_(n-k)."""
+    f, k = np.zeros(len(a)), np.arange(len(a))
+    f[0] = a[0] ** p
+    for n in range(1, len(a)):
+        f[n] = ((p + 1.0) * k[1:n + 1] - n) * a[1:n + 1] @ f[n - 1::-1] / (n * a[0])
+    return f
+
+
+@cache
+def _edge_slope_ratio():
+    """Taylor coefficients in delta of lambda'(u - delta)/lambda'(u) at a support's top
+    edge, sigma = 3/4 on every curve: ln flat(sigma(1 - sigma)) = -1/sigma - 1/(1 - sigma)."""
+    n = np.arange(_KERNEL_TERMS)
+    return _series_exp(-((4.0 / 3.0) ** (n + 1) + 4.0 * (-4.0) ** n) * (n > 0))
+
+
+def _bessel_k_ratios(z: float):
+    """ln(K_1(z) e^z sqrt(2z/pi)) and K_(n+1)(z)/K_1(z), n < _KERNEL_TERMS, for z > 40:
+    K_0 and K_1 by 30 terms of their large-z expansions (DLMF 10.40.2), the last
+    below 1e-27 at z = 44, then the stable upward recurrence K_(n+1) = K_(n-1) + (2n/z) K_n."""
+    k = np.arange(1, 31)
+    terms = np.cumprod((np.array([[0.0], [4.0]]) - (2 * k - 1) ** 2) / (8.0 * k * z), axis=1)
+    k0, k1 = 1.0 + terms.sum(axis=1)
+    ratios = [k0 / k1, 1.0]
+    for n in range(1, _KERNEL_TERMS):
+        ratios.append(ratios[-2] + 2.0 * n / z * ratios[-1])
+    return math.log(k1), np.array(ratios[1:])
+
+
+def _forcing_kernel(fs: FieldSpec, band: int, l: int):
+    """`FieldSpec.forcing_kernel` in closed form.
+
+    d(rho)/dt = -rho + P . n, and over the support the flow runs at the level
+    speed lam, so at depth delta below the support's top edge the bump adds by
+    anchor l + 1 the integral of e^(-T_top)/lam (both bumps) (d_y lambda' - d_x)
+    e^(-K(delta)/lam) d(delta), T_top the time from the edge to the anchor and K
+    the arc length from the edge.  With w = sqrt(1 + lambda'^2) at the edge and
+    c = w/lam that is e^(3/4 - 1/(8 delta) - c delta) (d_y lambda' - d_x) G(delta),
+    G smooth: the x-bump e^(1 - 1/(4t(1 - t))), t = x - 2 band + 1/4, times
+    e^(-delta/(2(1 - 2 delta))) and e^(-(K - w delta)/lam).  In eps = delta/delta*,
+    delta* = (8c)^(-1/2), the exponent is -z cosh ln eps, z = sqrt(c/2), so eps^n
+    integrates to 2 K_(n+1)(z) over (0, inf) (DLMF 10.32.9); past delta = 1/2 it
+    is below e^(-z^2).  -z is carried exactly, from the floats' exact ratios.
+    """
+    curve, speed = fs.curve(band), fs.speed(band)
+    u_top, lam = l + 0.75, float(speed.levels[l])
+    x_top, slope_top, _ = curve.lambda_eval(u_top)
+    w = math.sqrt(1.0 + slope_top * slope_top)
+    n = np.arange(_KERNEL_TERMS)
+    # Taylor series in delta: lambda', the arc speed sqrt(1 + lambda'^2) and t, t' = -lambda'
+    ratio = _edge_slope_ratio()
+    slope = slope_top * ratio
+    arc_speed = _series_pow(np.convolve(slope, slope)[:_KERNEL_TERMS] + (n == 0), 0.5)
+    t = np.concatenate([[x_top - 2 * band + 0.25], -slope[:-1] / n[1:]])
+    # ln G but its arc term: the x-bump's log and -delta/(2(1 - 2 delta))
+    ln_g = (n == 0) - 0.25 * _series_pow(t - np.convolve(t, t)[:_KERNEL_TERMS], -1.0)
+    ln_g[1:] -= 2.0 ** (n[1:] - 2)
+    # to eps: delta^n scales by delta*^n, and (K - w delta)/lam by delta*^2/lam = 1/(8w)
+    ln_c = math.log(w) - math.log(lam)
+    powers = math.exp(-0.5 * (math.log(8.0) + ln_c)) ** n
+    ln_g *= powers
+    ln_g[2:] -= arc_speed[1:-1] / n[2:] * powers[:-2] / (8.0 * w)
+    g = _series_exp(ln_g)
+    ln_k1, ratios = _bessel_k_ratios(math.exp(0.5 * (ln_c - LN2)))
+    a = slope_top * (np.convolve(ratio * powers, g)[:_KERNEL_TERMS] @ ratios)
+    # e^(3/4) 2 delta* K_1(z)/lam e^(-T_top), K_1(z) = sqrt(pi/(2z)) e^(-z) e^ln_k1
+    (w_n, w_d), (lam_n, lam_d) = w.as_integer_ratio(), lam.as_integer_ratio()
+    z_fix = math.isqrt(FIX * FIX * w_n * lam_d // (2 * w_d * lam_n))
+    t_top = float(speed.time(curve.arclength_of_param(u_top), curve.arc_heights[l + 1]))
+    off = (0.75 + 0.5 * math.log(math.pi) - 0.75 * LN2 - 0.75 * math.log(w)
+           - 0.25 * math.log(lam) + ln_k1)
+    return a, g @ ratios, LogMagnitude(-z_fix, off) - LogMagnitude.fixed(t_top)
 
 
 def _locate(fs: FieldSpec, x, y):

@@ -5,9 +5,8 @@ Perturbations are finite sums of compactly supported smooth bumps, one per
 box, with amplitudes drawn below the error-schedule caps.  The amplitudes
 live far below double precision, so they are carried as signed log
 magnitudes; only the bump shape is evaluated in floating point.  What a bump
-adds to the normal coordinate of a trajectory is an exponentially weighted
-integral of its shape along the curve, evaluated in log space around its
-peak (`PerturbationSpec.forcing`).
+adds to the normal coordinate of a trajectory is its amplitude times the
+closed-form kernel of its box (`FieldSpec.forcing_kernel`).
 """
 
 from __future__ import annotations
@@ -19,15 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import RAMP_EPS, CurveFamily, flat, hermite_cumulative, interval_bound_log
+from .curves import RAMP_EPS, CurveFamily, flat, interval_bound_log
 from .field import ErrorSchedule, FieldSpec
 from .logmag import FIX, LN2_FIX, LogMagnitude
 from .machine import MachineSpec
 
-# forcing quadrature: points, and the window half-width in units of the
-# peak's width (the integrand is below e^-98 of its peak outside)
-_FORCING_POINTS = 401
-_FORCING_HALF_WIDTH = 14.0
 # contraction certificate: probes at |s - s^i_{l+1}| <= 0.9 RAMP_EPS
 _CONTRACTION_PROBES = 11
 
@@ -36,12 +31,6 @@ def _bump01(t):
     """Smooth bump on (0, 1), peak value 1 at t = 1/2: e * flat(4t(1 - t))."""
     t = np.asarray(t, dtype=float)
     return math.e * flat(4.0 * t * (1.0 - t))
-
-
-def _ln_bump(x):
-    """ln(e * flat(x)) for x > 0: the log of `_bump01` in x = 4t(1 - t),
-    which the forcing needs where the bump itself underflows."""
-    return 1.0 - 1.0 / x
 
 
 @dataclass(frozen=True)
@@ -114,69 +103,18 @@ class PerturbationSpec:
         return sign, bump.amplitude + math.log(shape * abs(dot))
 
     def forcing(self, fs: FieldSpec, band: int, l: int):
-        """(sign, ln|rho|) box (band, l) adds to the normal coordinate by
-        anchor l + 1, on a segment that enters below the box's support.
-
-        Along the curve d(rho)/dt = -rho + P . n, so the bump adds, at the
-        time t1 the flow reaches the anchor,
-
-            amplitude * integral of shape * (dir . n) * e^{-(t1 - t)} dt
-
-        over its whole support l + 1/4 < u < l + 3/4.  There the flow runs at
-        the constant level speed lam_l, so with delta = l + 3/4 - u the
-        distance below the support's top edge, t1 - t = T_top + K(delta)/lam_l,
-        where T_top is the closed-form time from the top edge to the anchor
-        and K(delta) the arc length over delta: the Hermite rule on the
-        window's own nodes from delta = 0, with dK/d(delta) = w and its slope
-        -lambda' lambda''/w.  The bump's log falls like -1/(8 delta) towards
-        its edge and the kernel's like -c delta, c = w_top/lam_l, so the
-        integrand peaks near delta* = 1/sqrt(8c), where its curvature in
-        ln(delta) is 1/(4 delta*).  It is summed in ln(delta) on a window of
-        +-14 widths around delta* with the peak's log factored out, so the
-        amplitude's own underflow does not reach it.  The integral's log is
-        near -sqrt(c/2) and each node's ln_mag carries float rounding of that
-        size: at the default speed the sign holds at every height, but the
-        log is within 0.01 nats of an mpmath reference only up to band +
-        height 26 (0.2-1.7 nats at 27-30, 2e2 at 33), and from band + height
-        50 the node step is below the float spacing of ln(delta*), the sum
-        reads zero and the box forces nothing.
-        """
+        """(sign, ln|rho|) box (band, l) adds to the normal coordinate by anchor
+        l + 1, on a segment that enters below the box's support: the amplitude
+        times the box's closed-form kernel, `FieldSpec.forcing_kernel`."""
         bump = self.bumps.get((band, l))
         if bump is None:
             return 0, LogMagnitude.zero()
-        curve = fs.curve(band)
-        speed = fs.speed(band)
-        u_top = l + 0.75
-        lam = float(speed.levels[l])
-        _, d_top, _ = curve.lambda_eval(u_top)
-        d_peak = 1.0 / math.sqrt(8.0 * math.sqrt(1.0 + d_top * d_top) / lam)
-        half = _FORCING_HALF_WIDTH * math.sqrt(4.0 * d_peak)
-        z_hi = min(math.log(d_peak) + half, math.log(0.5))  # up to the whole support
-        z_lo = min(math.log(d_peak) - half, z_hi - 2.0 * half)
-        z = np.linspace(z_lo, z_hi, _FORCING_POINTS)
-        nodes = np.concatenate([[0.0], np.exp(z)])  # delta = 0, then the window
-        x, d1, d2 = curve.lambda_eval(u_top - nodes)
-        w = np.sqrt(1.0 + d1 * d1)
-        arc = hermite_cumulative(nodes, w, -d1 * d2 / w)[1:]
-        x, d1, w, delta = x[1:], d1[1:], w[1:], nodes[1:]
-        dot = (bump.direction[1] * d1 - bump.direction[0]) / w
-        tx = x - 2 * band + 0.25
-        with np.errstate(divide="ignore"):
-            # ln bump01(1 - 2 delta): x = 4t(1 - t) written in delta, so
-            # that no 1 - (1 - 2 delta) cancels when delta is ~1e-15
-            ln_bump_y = _ln_bump(8.0 * delta * (1.0 - 2.0 * delta))
-        ln_mag = (_ln_bump(4.0 * tx * (1.0 - tx)) + ln_bump_y
-                  + np.log(w) - arc / lam + z)
-        peak = float(np.max(ln_mag))
-        vals = dot * np.exp(ln_mag - peak)
-        total = float(np.sum(vals[1:] + vals[:-1])) * 0.5 * (z[1] - z[0])
+        a, b, ln_scale = fs.forcing_kernel(band, l)
+        total = bump.direction[1] * a - bump.direction[0] * b
         if total == 0.0:
             return 0, LogMagnitude.zero()
-        t_top = float(speed.time(float(curve.arclength_of_param(u_top)),
-                                 float(curve.arc_heights[l + 1])))
-        ln_rest = math.log(abs(total)) - math.log(lam)
         return (bump.sign * (1 if total > 0 else -1),
-                bump.amplitude - LogMagnitude.fixed(t_top) + LogMagnitude.fixed(peak) + ln_rest)
+                bump.amplitude + ln_scale + math.log(abs(total)))
 
 
 def sample_perturbation(schedule: ErrorSchedule, seed: int) -> PerturbationSpec:

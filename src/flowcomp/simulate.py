@@ -115,8 +115,8 @@ def integrate_segment(fs: FieldSpec, band: int, height: int, t0: float, rho,
     from the segment's start and the last one the anchor's, and their flow
     times from that start, the slowness integral (see `integrate_chart`).
     The decay of rho by the elapsed time is carried in the fixed-point part
-    of its magnitude, and the perturbation's forcing is added by its exact
-    exponential integral: the segment passes the whole support of box
+    of its magnitude, and the perturbation's forcing is added in closed form
+    (`PerturbationSpec.forcing`): the segment passes the whole support of box
     (band, height - 1) and no other.  rho is the (sign, LogMagnitude) pair
     that `signed_log_add` takes and returns.
     """

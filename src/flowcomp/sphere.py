@@ -5,7 +5,8 @@ point sets, only reparametrizing time) and pushed through inverse
 stereographic projection; the north pole becomes an added zero.  The factors
 are a rapidly decaying damping and lam/lambda_i(s), which runs every level
 of the field at the top speed lam, so a height takes about the same time at
-every level.
+every level.  The verdict rests on the time warp along the curve alone, and
+no S^2 field evaluator is kept.
 Computation survives as the time-delta map: below the threshold
 delta0 = RAMP_EPS/(32 lam) the discrete orbit cannot skip a height band, so box
 visits — and with them the verdicts — match the continuous flow.  The
@@ -21,29 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .curves import _ARC_CELLS, RAMP_EPS, hermite_cumulative
-from .field import FieldSpec, _chart_field, _locate
+from .field import FieldSpec
 from .simulate import HaltingSetSpec, check_budget, read_verdict
 
-NORTH = (0.0, 0.0, 1.0)
-_POLE_TOL = 1e-12
 DAMPING_SCALE = 64.0
-
-
-def stereographic(x, y):
-    """Plane to unit sphere; the north pole is the point at infinity."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r2 = x * x + y * y
-    d = 1.0 + r2
-    return np.stack([2.0 * x / d, 2.0 * y / d, (r2 - 1.0) / d], axis=-1)
-
-
-def stereographic_push(x: float, y: float, vx: float, vy: float):
-    """Differential of the plane-to-sphere map applied to (vx, vy): with
-    d = 1 + x^2 + y^2 and dot = x vx + y vy, 2 (vx, vy, 0)/d - 4 dot (x, y, -1)/d^2."""
-    d = 1.0 + x * x + y * y
-    k = 4.0 * (x * vx + y * vy) / (d * d)
-    return np.array([2.0 * vx / d - k * x, 2.0 * vy / d - k * y, k])
 
 
 def damping(x, y):
@@ -54,24 +36,6 @@ def damping(x, y):
     the working window so the time reparametrization stays benign.
     """
     return np.exp(1.0 - np.exp(np.sqrt(1.0 + x * x + y * y) / DAMPING_SCALE))
-
-
-def damp_and_push(fs: FieldSpec):
-    """Evaluator for the sphere field: 3-vector at a unit 3-vector point."""
-
-    def sphere_field(p):
-        p = np.asarray(p, dtype=float)
-        if p[2] >= 1.0 - _POLE_TOL:
-            return np.zeros(3)
-        x, y = float(p[0] / (1.0 - p[2])), float(p[1] / (1.0 - p[2]))
-        band, s, rho = _locate(fs, x, y)
-        vx, vy = map(float, _chart_field(fs, band, s, rho))
-        if vx == 0.0 and vy == 0.0:
-            return np.zeros(3)
-        g = float(damping(x, y)) * fs.lam / float(fs.speed(int(band))(s))
-        return stereographic_push(x, y, g * vx, g * vy)
-
-    return sphere_field
 
 
 def delta_threshold(lam: float) -> float:

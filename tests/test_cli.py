@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from flowcomp.cli import main, read_config
-from flowcomp.field import height_ceiling
+from flowcomp.field import FieldSpec, height_ceiling
 
 ROOT = Path(__file__).resolve().parent.parent
 INC = str(ROOT / "machines" / "incrementer.tm")
@@ -302,6 +302,20 @@ def test_perturb_to_height_60_is_pinned(tmp_path, capsys):
     for p in sorted(tmp_path.iterdir()):
         h.update(b"\n" + p.name.encode() + b"\n" + p.read_bytes().replace(place, b"<out>"))
     assert h.hexdigest() == PERTURB_SPINNER_60
+
+
+def test_only_perturbed_runs_build_forcing_kernels(tmp_path, capsys, monkeypatch):
+    def refuse(self, band, l):
+        raise AssertionError(f"forcing kernel of box ({band}, {l}) built")
+
+    monkeypatch.setattr(FieldSpec, "forcing_kernel", refuse)
+    for sub in ("compile", "simulate", "verify", "sphere", "extend3d"):
+        assert run(sub, "--machine", INC, "--inputs", "2", "--lmax", "3",
+                   "--out", str(tmp_path / sub)) == 0, sub
+    with pytest.raises(AssertionError, match="forcing kernel"):
+        run("perturb", "--machine", INC, "--inputs", "1", "--lmax", "3", "--trials", "1",
+            "--out", str(tmp_path / "perturb"))
+    capsys.readouterr()
 
 
 def test_compile_artifacts(tmp_path, capsys):

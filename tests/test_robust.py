@@ -5,10 +5,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowcomp import robust
 from flowcomp.curves import RAMP_EPS, CurveFamily, interval_bound_log
-from flowcomp.field import LAMBDA0, FieldSpec, contraction_speed_limit, error_schedule
-from flowcomp.logmag import LN2_FIX, LogMagnitude
+from flowcomp.field import (
+    LAMBDA0,
+    FieldSpec,
+    contraction_speed_limit,
+    error_schedule,
+    height_ceiling,
+)
+from flowcomp.logmag import FIX, LN2_FIX, LogMagnitude
 from flowcomp.machine import MachineSpec, TapeBoundedSpec, load_machine
 from flowcomp.robust import (
     PerturbationSpec,
@@ -201,7 +206,7 @@ def test_perturbed_run_makes_no_arc_length_inversion(fs, schedule, monkeypatch):
 
 # sha256 of every forced crossing (t, rho sign, ln|rho| fixed and float
 # parts) of the incrementer and right_filler, 2 bands, l_max 6, seeds 0-4
-FORCED_CROSSINGS_SHA256 = "2d250d22e8d99b17f400bbcbebe9def93e4a9b0709427ae6b981cf7ccc170c2b"
+FORCED_CROSSINGS_SHA256 = "ff28152d9895c1c4c0014059e2b2e4992de7583460680e656c297bcfeefa9609"
 
 
 def test_forced_crossings_are_pinned(incrementer):
@@ -219,21 +224,97 @@ def test_forced_crossings_are_pinned(incrementer):
     assert digest == FORCED_CROSSINGS_SHA256
 
 
-@pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
-def test_forcing_converges_in_its_window(incrementer, frac, monkeypatch):
-    # every box of bands 0-2 up to band + height 11: the 401-point window
-    # against 3,201 points on a wider one (half-width 20 peak widths)
-    fs3 = FieldSpec(incrementer, n_bands=3, l_max=11, lambda_frac=frac)
-    sched = error_schedule(fs3)
-    perts = [sample_perturbation(sched, seed) for seed in range(3)]
-    keys = sorted(sched.thresholds)
-    coarse = [p.forcing(fs3, *key) for p in perts for key in keys]
-    monkeypatch.setattr(robust, "_FORCING_POINTS", 3201)
-    monkeypatch.setattr(robust, "_FORCING_HALF_WIDTH", 20.0)
-    fine = [p.forcing(fs3, *key) for p in perts for key in keys]
-    for (sign, ln_rho), (fine_sign, fine_ln) in zip(coarse, fine):
-        assert sign == fine_sign != 0
-        assert abs(ln_rho.diff_ln(fine_ln)) < 5e-9
+def _mp_forcing_error(p, fs, band, l):
+    """(sign, reference sign, error in nats) of `p.forcing(fs, band, l)` against
+    mpmath, both less the amplitude and e^(-T_top), which they carry alike.
+
+    The reference takes the program's floats: the level speed lam, the time
+    T_top from the support's top edge to the anchor, and at the edge x and
+    lambda', whose speed w is the float sqrt(1 + lambda'^2).  Below the edge,
+    at depth delta, lambda' is the ramp's closed form flat(sigma(1 - sigma))
+    scaled to the edge, and x and K(delta) - w delta, K the arc length, its
+    integrals by 8-point Gauss-Legendre.  The integrand is
+    (d_y lambda' - d_x) times both bumps times e^(-K/lam), in v = ln(delta/delta*),
+    delta* = (8c)^(-1/2), c = w/lam, where the bumps' -1/(8 delta) and the
+    kernel's -c delta make -z cosh v, z = sqrt(c/2): that is evaluated in mpmath,
+    at 40 + (band + l)/2 digits, since z reaches 1e151.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    bump = p.bumps[(band, l)]
+    sign, ln_rho = p.forcing(fs, band, l)
+    curve, speed = fs.curve(band), fs.speed(band)
+    u_top = l + 0.75
+    x_top, slope_top, _ = curve.lambda_eval(u_top)
+    t_top = float(speed.time(float(curve.arclength_of_param(u_top)),
+                             float(curve.arc_heights[l + 1])))
+    gl_nodes, gl_weights = (a.tolist() for a in np.polynomial.legendre.leggauss(8))
+    with mp.workdps(40 + (band + l) // 2):
+        lam = mp.mpf(float(speed.levels[l]))
+        w = mp.mpf(math.sqrt(1.0 + slope_top * slope_top))
+        w_exact = mp.sqrt(1 + mp.mpf(slope_top) ** 2)
+        d_x, d_y = (mp.mpf(d) for d in bump.direction)
+        c = w / lam
+        d_star, z = 1 / mp.sqrt(8 * c), mp.sqrt(c / 2)
+
+        def slope(delta):
+            sigma = mp.mpf(3) / 4 - delta
+            return slope_top * mp.exp(mp.mpf(16) / 3 - 1 / (sigma * (1 - sigma)))
+
+        def integrand(v):
+            delta = d_star * mp.exp(v)
+            x, arc = mp.mpf(x_top), mp.mpf(0)  # x and K - w delta
+            for node, weight in zip(gl_nodes, gl_weights) if slope_top else ():
+                d1 = slope(delta * (1 + mp.mpf(node)) / 2)
+                x -= delta / 2 * weight * d1
+                arc += delta / 2 * weight * (mp.sqrt(1 + d1 * d1) - w_exact)
+            t = x - 2 * band + mp.mpf(1) / 4
+            e = (mp.mpf(7) / 4 - 1 / (4 * t * (1 - t)) - delta / (2 * (1 - 2 * delta))
+                 - arc / lam - 2 * z * mp.sinh(v / 2) ** 2)
+            return (d_y * slope(delta) - d_x) * mp.exp(e + v)
+
+        # out to e^-50 of the peak; tanh-sinh drops terms below 10^-dps, so
+        # the integrand is kept near 1 and delta*, e^-z and the width outside
+        width = 2 * mp.asinh(mp.sqrt(50 / z))
+        top = min(width, -mp.log(2 * d_star))  # delta <= 1/2
+        total = mp.quad(lambda r: integrand(width * r), [-1, top / width])
+        ref = mp.log(width * d_star * abs(total)) - z - mp.log(lam)
+        rest = ln_rho - bump.amplitude + LogMagnitude.fixed(t_top)
+        err = float(mp.mpf(rest.fix) / FIX + rest.off - ref)
+    return sign, bump.sign * (1 if total > 0 else -1), err
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.1])
+def test_forcing_matches_mpmath_on_a_vertical_curve_to_the_ceiling(frac):
+    # the spinner's band-0 curve is vertical: lambda' = 0 and K(delta) = delta
+    fs1 = FieldSpec(load_machine(MACHINES / "spinner.tm"), n_bands=1, l_max=301,
+                    lambda_frac=frac)
+    p = sample_perturbation(error_schedule(fs1), seed=0)
+    for l in (0, 12, 26, 50, 150, 300):
+        sign, ref_sign, err = _mp_forcing_error(p, fs1, 0, l)
+        assert sign == ref_sign != 0 and abs(err) < 1e-9, (l, err)
+
+
+def test_forcing_matches_mpmath_on_a_moving_curve():
+    # two states taking turns on a blank tape: lambda' = -+0.17 on band 0 and
+    # -+0.057 on band 1 at every support's top edge
+    alt = MachineSpec("alt", 3, 1, 3, {(q, d): (3 - q, d, 0) for q in (1, 2) for d in range(10)})
+    fs2 = FieldSpec(alt, n_bands=2, l_max=40)
+    assert abs(fs2.curve(0).lambda_eval(40.75)[1]) == pytest.approx(0.1717, abs=1e-4)
+    p = sample_perturbation(error_schedule(fs2), seed=1)
+    for band, l in ((0, 0), (0, 3), (1, 12), (0, 40)):
+        sign, ref_sign, err = _mp_forcing_error(p, fs2, band, l)
+        assert sign == ref_sign != 0 and abs(err) < 1e-9, (band, l, err)
+
+
+def test_every_box_forces_up_to_the_float_ceiling():
+    # bands 0-2 of right_filler, every box up to band + height 299
+    fs3 = FieldSpec(load_machine(MACHINES / "right_filler.tm"), n_bands=3,
+                    l_max=height_ceiling(0.5) - 3)
+    p = sample_perturbation(error_schedule(fs3), seed=0)
+    for key in p.bumps:
+        sign, ln_rho = p.forcing(fs3, *key)
+        assert sign != 0 and not ln_rho.is_zero, key
 
 
 def test_bounded_verdict_stable_under_perturbation():

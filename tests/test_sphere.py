@@ -7,18 +7,10 @@ from scipy.integrate import quad
 
 from flowcomp import sphere
 from flowcomp.curves import RAMP_EPS, CurveFamily
-from flowcomp.field import FieldSpec, field_eval_plane
+from flowcomp.field import FieldSpec
 from flowcomp.machine import MachineSpec, load_machine
 from flowcomp.simulate import HaltingSetSpec, simulate_input
-from flowcomp.sphere import (
-    NORTH,
-    damp_and_push,
-    damping,
-    delta_threshold,
-    discrete_orbit_verdict,
-    stereographic,
-    stereographic_push,
-)
+from flowcomp.sphere import damping, delta_threshold, discrete_orbit_verdict
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -30,63 +22,12 @@ def fs():
     return FieldSpec(inc, n_bands=1, l_max=4)
 
 
-def test_stereographic_roundtrip():
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-5, 5, 100)
-    y = rng.uniform(-5, 5, 100)
-    p = stereographic(x, y)
-    assert np.allclose(np.sum(p * p, axis=-1), 1.0, atol=1e-12)
-    xb, yb = p[:, 0] / (1.0 - p[:, 2]), p[:, 1] / (1.0 - p[:, 2])
-    assert np.max(np.abs(xb - x)) < 1e-12
-    assert np.max(np.abs(yb - y)) < 1e-12
-
-
-def test_origin_maps_to_south_pole():
-    assert np.allclose(stereographic(0.0, 0.0), [0.0, 0.0, -1.0])
-
-
-def test_push_matches_finite_differences():
-    h = 1e-6
-    for x, y, vx, vy in [(0.3, -0.7, 1.0, 0.0), (2.0, 1.5, -0.4, 0.9)]:
-        got = stereographic_push(x, y, vx, vy)
-        fd = (stereographic(x + h * vx, y + h * vy)
-              - stereographic(x - h * vx, y - h * vy)) / (2 * h)
-        assert np.max(np.abs(got - fd)) < 1e-8
-
-
-def test_push_is_tangent():
-    p = stereographic(1.2, -0.4)
-    v = stereographic_push(1.2, -0.4, 0.3, 0.7)
-    assert abs(float(np.dot(p, v))) < 1e-12
-
-
 def test_damping_profile_properties():
     r = np.linspace(0.0, 300.0, 400)
     vals = damping(r, np.zeros_like(r))
     assert np.all(vals > 0.0) and np.all(vals < 1.0)
     assert np.all(np.diff(vals) < 0.0)  # strictly decreasing in radius
     assert float(damping(0.0, 0.0)) == pytest.approx(math.exp(1.0 - math.exp(1.0 / 64.0)))
-
-
-def test_sphere_field_vanishes_at_pole_and_off_band(fs):
-    Y = damp_and_push(fs)
-    assert np.allclose(Y(np.array(NORTH)), 0.0)
-    # a point far from every band maps to a zero of the planar field
-    p = stereographic(0.9, -3.0)
-    assert field_eval_plane(fs, 0.9, -3.0) == (0.0, 0.0)
-    assert np.allclose(Y(p), 0.0)
-
-
-def test_sphere_field_is_damped_push(fs):
-    Y = damp_and_push(fs)
-    x, y = (float(v) for v in fs.curve(0).point(0.5))
-    vx, vy = field_eval_plane(fs, x, y)
-    assert (vx, vy) != (0.0, 0.0)
-    # damping times lam/lambda_0(s): every level runs at the top speed
-    s = float(fs.curve(0).arclength_of_param(0.5))
-    g = float(damping(x, y)) * fs.lam / float(fs.speed(0)(s))
-    want = stereographic_push(x, y, g * vx, g * vy)
-    assert np.allclose(Y(stereographic(x, y)), want, atol=1e-15)
 
 
 def test_delta_threshold_algebra():
