@@ -9,6 +9,7 @@ import pytest
 
 from flowcomp.cli import main, read_config
 from flowcomp.field import FieldSpec, height_ceiling
+from flowcomp.machine import enumerate_inputs, load_machine, trajectory
 
 ROOT = Path(__file__).resolve().parent.parent
 INC = str(ROOT / "machines" / "incrementer.tm")
@@ -213,19 +214,62 @@ GOLDEN = {
 }
 
 
+# sha256 of right_filler's `compile` at --inputs 2 --lmax 5: two bands, so the
+# field grid spans both and the band loop writes two curves and plots
+GOLDEN_RF_COMPILE = {
+    "curve_0.csv": "fdd3e5187b8b3838770ff2f677e2ae84fdc71803ea06fc2f3c8982854f6257da",
+    "curve_0.svg": "5a31b85bea14e7c6bf1cfb7815c7fa03c1d9c3fff6b4f337f83b0a1011d266c8",
+    "curve_1.csv": "259fa69bc35153de0372cef7c6b96e950fcdbeaa51445d2b64a3792799433e22",
+    "curve_1.svg": "4b8ce55bfeba2de94edd993aa6bdc306d10d0d85b265bec1d3561aad7ab24c03",
+    "field_grid.csv": "f04ea5353b6e923ba27173f711d7e34da169b6b3cdf9b049edae2a942e9b2018",
+    "manifest.txt": "496c2c8ad101280acfaf47f8d4e5bc903b6b42c12c2e95f4776d486082b9de3a",
+}
+
+
 def test_deterministic_artifacts(tmp_path, capsys):
-    golden = {}
-    for argv in (("simulate", "--inputs", "2", "--lmax", "3"),
-                 ("compile", "--inputs", "1", "--lmax", "3"),
-                 ("extend3d", "--inputs", "1", "--lmax", "3", "--degree", "3")):
-        a, b = tmp_path / argv[0] / "a", tmp_path / argv[0] / "b"
+    golden, rf = {}, {}
+    for machine, argv, seen, names in (
+            (INC, ("simulate", "--inputs", "2", "--lmax", "3"), golden, GOLDEN),
+            (INC, ("compile", "--inputs", "1", "--lmax", "3"), golden, GOLDEN),
+            (INC, ("extend3d", "--inputs", "1", "--lmax", "3", "--degree", "3"), golden, GOLDEN),
+            (RF, ("compile", "--inputs", "2", "--lmax", "5"), rf, GOLDEN_RF_COMPILE)):
+        run_dir = tmp_path / f"{Path(machine).stem}_{argv[0]}"
+        a, b = run_dir / "a", run_dir / "b"
         for out in (a, b):
-            assert run(*argv, "--machine", INC, "--out", str(out)) == 0
+            assert run(*argv, "--machine", machine, "--out", str(out)) == 0
         da, db = digest_dir(a), digest_dir(b)
         # manifests name different output dirs is not the case: paths are relative
         assert da == db, argv[0]
-        golden.update((name, d) for name, d in da.items() if name in GOLDEN)
+        seen.update((name, d) for name, d in da.items() if name in names)
     assert golden == GOLDEN
+    assert rf == GOLDEN_RF_COMPILE
+    capsys.readouterr()
+
+
+# sha256 of right_filler's `simulate` at --inputs 1 --lmax 24, whose tape
+# integer grows to 24 nines, past 2^64
+SIMULATE_RF_24 = {
+    "events_0.csv": "fec9bfe915d581c73cd25826fa39addf1142cfa65e98b8f92c17ec538eaf2c89",
+    "manifest.txt": "a592819480b82e6a85892a0ad940c7730ae7337b8b1b04ccc349a7db20814d41",
+    "trajectory_0.csv": "6c10fd07ff278d58f056142dcf87acb531827a3eea2e414d277c95def00d923d",
+    "trajectory_0.svg": "90f68a8c1604ecd286ec91f2cdfdf8ac5ad20ea7433e2a4f2343d2bda5546c21",
+    "verdicts.csv": "ce659db8763864dd0abf9d63cfcdebacf92a1d665f86b87d533797a15eb1671c",
+}
+
+
+def test_large_tape_integers_reach_the_event_log(tmp_path, capsys):
+    assert run("simulate", "--machine", RF, "--inputs", "1", "--lmax", "24",
+               "--out", str(tmp_path)) == 0
+    machine = load_machine(RF)
+    [(_, c0, _)] = enumerate_inputs(machine, 1)
+    configs = trajectory(machine, c0, 24)
+    rows = [r.split(",") for r in (tmp_path / "events_0.csv").read_text().splitlines()[1:]]
+    assert [(int(l), cls) for _, l, cls, *_ in rows] == [(l, "InsideBox") for l in range(1, 25)]
+    # every digit of q, r and s, exactly as the machine steps them
+    assert [tuple(map(int, row[3:6])) for row in rows] == [
+        (c.q, c.r, c.s) for c in configs[1:]]
+    assert configs[24].s == int("9" * 24) > 2**64
+    assert digest_dir(tmp_path) == SIMULATE_RF_24
     capsys.readouterr()
 
 

@@ -1,12 +1,13 @@
 """sha256 pins of the benchmark's first ops: files, stdout and exit codes.
 
 The first 9 ops of `perfbench/workloads.generate(workload, seed=1)`, and the
-first 30 `lift` and 90 `perturb` ops of the held-out seed 7919, are run
-through the CLI in a temporary directory, and everything they leave is hashed:
-each op's exit code and stdout, then its output files by name.  The work
-directory's path is replaced by a placeholder, so the digest does not depend
-on where the test runs.  A speed-up of the `lift`, `perturb` or `verify` path must keep
-every one of these bytes.  `workloads.py` is read, never written.
+first 30 `lift`, 90 `perturb` and 90 `verify` ops of the held-out seed 7919,
+are run through the CLI in a temporary directory, and everything they leave is
+hashed: each op's exit code and stdout, then its output files by name.  The
+work directory's path is replaced by a placeholder, so the digest does not
+depend on where the test runs.  A speed-up of the `lift`, `perturb` or
+`verify` path must keep every one of these bytes.  `workloads.py` is read,
+never written.
 """
 
 import hashlib
@@ -29,6 +30,7 @@ PINS = {
 }
 HELD_OUT_LIFT = "5322152188938da428eded59fcbb168058a5fb613efa6d7c2ef039450a3c2a20"
 HELD_OUT_PERTURB = "c6952731095467a019426cffd07a4fd62d2c0e568f3f9740d76bc8e5af97ff99"
+HELD_OUT_VERIFY = "a825aa84d0cbc435352bca817634b32117bca4ebcafebeac2a6c53e5d56052a7"
 
 
 def load_workloads():
@@ -72,3 +74,9 @@ def test_held_out_perturb_ops_are_pinned(tmp_path, capsys, monkeypatch):
     for var in [v for v in os.environ if v.startswith("FLOWCOMP_")]:
         monkeypatch.delenv(var)
     assert digest_first_ops("perturb", tmp_path, capsys, n=90, seed=7919) == HELD_OUT_PERTURB
+
+
+def test_held_out_verify_ops_are_pinned(tmp_path, capsys, monkeypatch):
+    for var in [v for v in os.environ if v.startswith("FLOWCOMP_")]:
+        monkeypatch.delenv(var)
+    assert digest_first_ops("verify", tmp_path, capsys, n=90, seed=7919) == HELD_OUT_VERIFY
