@@ -10,7 +10,6 @@ codes: 0 on success, 1 when a verification fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import math
@@ -24,13 +23,7 @@ from . import __version__
 from .beltrami import beltrami_from_potential, fit_window_polynomial, residuals, series_rows
 from .curves import RAMP_EPS, RHO0, curve_records
 from .field import LAMBDA0, FieldSpec, check_height_budget, error_schedule, field_eval_plane
-from .machine import (
-    Halted,
-    MachineError,
-    enumerate_inputs,
-    load_machine,
-    run,
-)
+from .machine import Halted, MachineError, enumerate_inputs, read_machine, run
 from .robust import MAX_NESTED, resource_estimate, sample_perturbation
 from .simulate import (
     SimulationVerdict,
@@ -148,11 +141,13 @@ def resolve(args: argparse.Namespace) -> dict:
 # artifact writers
 
 
-def write_csv(path: Path, header, rows):
-    with path.open("w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+def write_csv(path: Path, header, fmt: str, rows):
+    """The header, then each row tuple through the %-template `fmt`, in one write.
+    No field holds a comma, a quote or a line break, so this is the text that
+    `csv.writer(lineterminator="\\n")` writes of the rows as `fmt` formats them."""
+    fmt += "\n"
+    path.write_text(",".join(header) + "\n" + "".join([fmt % row for row in rows]),
+                    newline="")
 
 
 def svg_trajectory(path: Path, curve, traj, l_max: int):
@@ -165,9 +160,8 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
     x0, x1 = 2 * band - 0.6, 2 * band + 1.6
     y0, y1 = -0.6, l_max + 0.6
     W, H = 440, 40 * (l_max + 2)
-    sx = lambda x: (x - x0) / (x1 - x0) * W
+    sx = lambda x: (x - x0) / (x1 - x0) * W  # on floats and arrays alike
     sy = lambda y: H - (y - y0) / (y1 - y0) * H
-    f = lambda v: f"{v:.3f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}" '
         f'viewBox="0 0 {W} {H}">',
@@ -176,37 +170,29 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
     for l in range(min(l_max, len(curve.x) - 1) + 1):
         cx, cy = float(curve.x[l]), float(l)
         half = max(math.exp(min(curve.points[l].ln_half_width().ln(), 0.0)), 0.02)
-        parts.append(
-            f'<rect x="{f(sx(cx - half))}" y="{f(sy(cy) - 4)}" '
-            f'width="{f(sx(cx + half) - sx(cx - half))}" height="8" '
-            'fill="none" stroke="#cc3333" stroke-width="1"/>'
-        )
-    pts = []
-    if traj is not None and traj.samples:
+        parts.append('<rect x="%.3f" y="%.3f" width="%.3f" height="8" fill="none" '
+                     'stroke="#cc3333" stroke-width="1"/>'
+                     % (sx(cx - half), sy(cy) - 4, sx(cx + half) - sx(cx - half)))
+    if traj is not None and len(traj.samples) >= 2:
         px, py = curve.point(curve.param_of_arclength(np.array([r[1] for r in traj.samples])))
-        pts = [f"{f(sx(a))},{f(sy(b))}" for a, b in zip(px.tolist(), py.tolist())]
-    if len(pts) >= 2:
-        parts.append(
-            f'<polyline points="{" ".join(pts)}" fill="none" '
-            'stroke="#3355cc" stroke-width="1.5"/>'
-        )
-    spx, spy = curve.point(0.0)
-    parts.append(
-        f'<circle cx="{f(sx(float(spx)))}" cy="{f(sy(float(spy)))}" r="3" '
-        'fill="#3355cc"/>'
-    )
+        xy = np.column_stack((sx(px), sy(py))).ravel().tolist()
+        parts.append(f'<polyline points="{" ".join(["%.3f,%.3f"] * len(px)) % tuple(xy)}" '
+                     'fill="none" stroke="#3355cc" stroke-width="1.5"/>')
+    # the start: lambda is flat at sigma = 0, so the curve's point there is (x[0], 0)
+    parts.append('<circle cx="%.3f" cy="%.3f" r="3" fill="#3355cc"/>'
+                 % (sx(float(curve.x[0])), sy(0.0)))
     parts.append("</svg>")
     path.write_text("\n".join(parts) + "\n")
 
 
-def write_manifest(outdir: Path, sub: str, settings: dict, artifacts: list):
+def write_manifest(outdir: Path, sub: str, settings: dict, artifacts: list, source: bytes):
     """Everything needed to reproduce the run, as flat `key = value` lines: the
-    machine and fixed geometry where a machine is read, then the settings read."""
+    machine, by the bytes it was parsed from, and fixed geometry where a machine
+    is read, then the settings read."""
     head, rows = [], {SETTINGS[k][4]: v for k, v in settings.items() if SETTINGS[k][4]}
     if "machine" in settings:
-        machine = Path(settings["machine"])
-        head = [("machine.name", machine.stem),
-                ("machine.digest", hashlib.sha256(machine.read_bytes()).hexdigest())]
+        head = [("machine.name", Path(settings["machine"]).stem),
+                ("machine.digest", hashlib.sha256(source).hexdigest())]
         rows |= {"constant.eps": RAMP_EPS, "constant.rho0": RHO0,
                  # the top speed: the sphere time step; every level runs below it
                  "constant.lambda": settings["lambda_frac"] * LAMBDA0}
@@ -224,20 +210,18 @@ def write_manifest(outdir: Path, sub: str, settings: dict, artifacts: list):
 # subcommands
 
 
-def _build(settings: dict):
-    machine = load_machine(settings["machine"])
-    fs = FieldSpec(machine, n_bands=settings["inputs"], l_max=settings["lmax"] + 1,
-                   lambda_frac=settings["lambda_frac"])
-    return machine, fs
+def _build(settings: dict, machine) -> FieldSpec:
+    return FieldSpec(machine, n_bands=settings["inputs"], l_max=settings["lmax"] + 1,
+                     lambda_frac=settings["lambda_frac"])
 
 
-def cmd_compile(settings, outdir, artifacts):
-    _, fs = _build(settings)
+def cmd_compile(settings, machine, outdir, artifacts):
+    fs = _build(settings, machine)
     for band in range(fs.n_bands):
         curve = fs.curve(band)
         path = outdir / f"curve_{band}.csv"
-        write_csv(path, ["s", "x", "y", "kappa"],
-                  [tuple(f"{v:.12g}" for v in r) for r in curve_records(curve)])
+        write_csv(path, ["s", "x", "y", "kappa"], "%.12g,%.12g,%.12g,%.12g",
+                  curve_records(curve))
         artifacts.append(path.name)
         svg = outdir / f"curve_{band}.svg"
         svg_trajectory(svg, curve, None, settings["lmax"])
@@ -246,17 +230,17 @@ def cmd_compile(settings, outdir, artifacts):
     step = 0.25
     ny = int((settings["lmax"] + 2) / step)
     nx = int((2 * fs.n_bands + 1) / step)
-    pts = [(-0.5 + ix * step, -1.0 + iy * step) for iy in range(ny + 1) for ix in range(nx + 1)]
-    vx, vy = field_eval_plane(fs, *zip(*pts))
-    rows = [(f"{x:.4f}", f"{y:.4f}", f"{a:.12g}", f"{b:.12g}")
-            for (x, y), a, b in zip(pts, vx.tolist(), vy.tolist())]
-    write_csv(grid, ["x", "y", "vx", "vy"], rows)
+    x = np.tile(-0.5 + np.arange(nx + 1) * step, ny + 1)  # row by row, x fastest
+    y = np.repeat(-1.0 + np.arange(ny + 1) * step, nx + 1)
+    vx, vy = field_eval_plane(fs, x, y)
+    write_csv(grid, ["x", "y", "vx", "vy"], "%.4f,%.4f,%.12g,%.12g",
+              zip(x.tolist(), y.tolist(), vx.tolist(), vy.tolist()))
     artifacts.append(grid.name)
     return 0
 
 
-def cmd_simulate(settings, outdir, artifacts):
-    _, fs = _build(settings)
+def cmd_simulate(settings, machine, outdir, artifacts):
+    fs = _build(settings, machine)
     verdicts = []
     unresolved = False
     for idx in range(settings["inputs"]):
@@ -265,16 +249,15 @@ def cmd_simulate(settings, outdir, artifacts):
         verdicts.append((idx, format_verdict(verdict)))
         tpath = outdir / f"trajectory_{idx}.csv"
         write_csv(tpath, ["t", "s", "rho_sign", "ln_abs_rho", "band", "l_next"],
-                  [(f"{t:.12g}", f"{s:.12g}", sign, f"{lr:.12g}", b, ln)
-                   for t, s, sign, lr, b, ln in trajectory_rows(traj)])
+                  "%.12g,%.12g,%d,%.12g,%d,%d", trajectory_rows(traj))
         epath = outdir / f"events_{idx}.csv"
         write_csv(epath, ["band", "l", "class", "q", "r", "s", "t"],
-                  [r[:6] + (f"{r[6]:.12g}",) for r in event_rows(traj)])
+                  "%d,%d,%s,%s,%s,%s,%.12g", event_rows(traj))
         spath = outdir / f"trajectory_{idx}.svg"
         svg_trajectory(spath, fs.curve(idx), traj, settings["lmax"])
         artifacts.extend([tpath.name, epath.name, spath.name])
     vpath = outdir / "verdicts.csv"
-    write_csv(vpath, ["input", "verdict"], verdicts)
+    write_csv(vpath, ["input", "verdict"], "%d,%s", verdicts)
     artifacts.append(vpath.name)
     return 1 if (settings["fail_on_unresolved"] and unresolved) else 0
 
@@ -286,8 +269,8 @@ def _oracle_verdict(machine, config, lmax):
     return format_verdict(SimulationVerdict("UNRESOLVED", budget=lmax))
 
 
-def cmd_verify(settings, outdir, artifacts):
-    machine, fs = _build(settings)
+def cmd_verify(settings, machine, outdir, artifacts):
+    fs = _build(settings, machine)
     rows = []
     ok = True
     for idx, config, _ in enumerate_inputs(machine, settings["inputs"]):
@@ -298,13 +281,13 @@ def cmd_verify(settings, outdir, artifacts):
         ok &= agree
         rows.append((idx, oracle, flow, "agree" if agree else "DISAGREE"))
     path = outdir / "verify.csv"
-    write_csv(path, ["input", "oracle", "flow", "status"], rows)
+    write_csv(path, ["input", "oracle", "flow", "status"], "%d,%s,%s,%s", rows)
     artifacts.append(path.name)
     return 0 if ok else 1
 
 
-def cmd_perturb(settings, outdir, artifacts):
-    _, fs = _build(settings)
+def cmd_perturb(settings, machine, outdir, artifacts):
+    fs = _build(settings, machine)
     schedule = error_schedule(fs)
     rows = []
     ok = True
@@ -321,13 +304,14 @@ def cmd_perturb(settings, outdir, artifacts):
             ok &= agree
             rows.append((idx, seed, baseline, got, "agree" if agree else "DISAGREE"))
     path = outdir / "perturb.csv"
-    write_csv(path, ["input", "seed", "baseline", "perturbed", "status"], rows)
+    write_csv(path, ["input", "seed", "baseline", "perturbed", "status"],
+              "%d,%d,%s,%s,%s", rows)
     artifacts.append(path.name)
     return 0 if ok else 1
 
 
-def cmd_extend3d(settings, outdir, artifacts):
-    _, fs = _build(settings)
+def cmd_extend3d(settings, machine, outdir, artifacts):
+    fs = _build(settings, machine)
     window = (0.0, 1.0, 0.0, float(min(settings["lmax"], 2)))
     report = fit_window_polynomial(fs, window, settings["degree"])
     F = report["F"]
@@ -351,7 +335,7 @@ def cmd_extend3d(settings, outdir, artifacts):
     rpath.write_text("\n".join(lines) + "\n")
     spath = outdir / "series.csv"
     write_csv(spath, ["k", "component", "i", "j", "numerator", "denominator"],
-              series_rows(u))
+              "%d,%d,%d,%d,%d,%d", series_rows(u))
     artifacts.extend([rpath.name, spath.name])
     lift_ok = (res["curl_residual_order"] is None
                and res["div_residual_order"] is None
@@ -359,8 +343,8 @@ def cmd_extend3d(settings, outdir, artifacts):
     return 0 if lift_ok else 1
 
 
-def cmd_sphere(settings, outdir, artifacts):
-    _, fs = _build(settings)
+def cmd_sphere(settings, machine, outdir, artifacts):
+    fs = _build(settings, machine)
     delta = delta_threshold(fs.lam) / 2.0
     rows = []
     ok = True
@@ -369,17 +353,17 @@ def cmd_sphere(settings, outdir, artifacts):
         disc, _, orbit = discrete_orbit_verdict(fs, idx, None, delta, settings["lmax"])
         agree = format_verdict(cont) == format_verdict(disc) and not orbit.band_gaps
         ok &= agree
-        rows.append((idx, f"{delta:.12g}", format_verdict(cont), format_verdict(disc),
+        rows.append((idx, delta, format_verdict(cont), format_verdict(disc),
                      orbit.iterates, len(orbit.band_gaps),
                      "agree" if agree else "DISAGREE"))
     path = outdir / "sphere.csv"
-    write_csv(path, ["input", "delta", "continuous", "discrete",
-                     "iterates", "band_gaps", "status"], rows)
+    write_csv(path, ["input", "delta", "continuous", "discrete", "iterates", "band_gaps",
+                     "status"], "%d,%.12g,%s,%s,%d,%d,%s", rows)
     artifacts.append(path.name)
     return 0 if ok else 1
 
 
-def cmd_estimate(settings, outdir, artifacts):
+def cmd_estimate(settings, machine, outdir, artifacts):
     est = resource_estimate(settings["sb"], settings["C"])
     digits = est.fixed_digits()  # the threshold's fixed part is -fix
     text = "\n".join([
@@ -439,10 +423,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    artifacts = []
+    artifacts, machine, source = [], None, b""
     try:
-        status = COMMANDS[args.subcommand][0](settings, outdir, artifacts)
-        write_manifest(outdir, args.subcommand, settings, artifacts)
+        if "machine" in settings:  # read once: the bytes parsed are the bytes hashed
+            machine, source = read_machine(settings["machine"])
+        status = COMMANDS[args.subcommand][0](settings, machine, outdir, artifacts)
+        write_manifest(outdir, args.subcommand, settings, artifacts, source)
     except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, MachineError) else 1

@@ -348,7 +348,7 @@ class BandChart:
         bottom, top = u[:-1].copy(), u[1:].copy()
         bottom[0], top[-1] = -np.inf, np.inf
         boxes = bottom, top, np.minimum(val[:-1], val[1:]), np.maximum(val[:-1], val[1:])
-        boxes = [np.pad(b, _REACH, mode="edge") for b in boxes]
+        boxes = [np.concatenate((b[:1].repeat(_REACH), b, b[-1:].repeat(_REACH))) for b in boxes]
         return boxes + [window_reduce(np.minimum, boxes[2], 2 * _REACH + 1),
                         window_reduce(np.maximum, boxes[3], 2 * _REACH + 1)]
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 from .logmag import LogMagnitude
 
@@ -309,9 +310,17 @@ def parse_machine(text: str, name: str = "<string>") -> MachineSpec:
         raise MachineError(f"{name}: {exc}") from None
 
 
+def read_machine(path) -> tuple[MachineSpec, bytes]:
+    """The machine a file describes, and the bytes it was parsed from."""
+    data = Path(path).read_bytes()
+    try:
+        return parse_machine(data.decode("utf-8"), name=str(path)), data
+    except UnicodeDecodeError as exc:
+        raise MachineError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_machine(path) -> MachineSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse_machine(fh.read(), name=str(path))
+    return read_machine(path)[0]
 
 
 def format_machine(spec: MachineSpec) -> str:

@@ -294,12 +294,95 @@ def test_large_extend3d_artifacts(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
-    # the runtime needs only numpy; scipy serves the reference tests
-    code = "import sys, flowcomp.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    # the runtime needs only numpy; scipy serves the reference tests, and the
+    # tables are written without the csv module
+    code = ("import sys, flowcomp.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy') or m == 'csv'])")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+# one table of each shape the CLI writes: (header, template, rows), the rows as
+# the subcommands hand them over, with floats, ints past 2^64, the empty fields
+# of a Miss and verdict strings with spaces
+TABLES = {
+    "curve": (["s", "x", "y", "kappa"], "%.12g,%.12g,%.12g,%.12g",
+              [(0.0, 0.1 + 0.2, -1e-300, 2.0**70), (0.05, -0.0, math.pi * 1e15, -1 / 3)]),
+    "field_grid": (["x", "y", "vx", "vy"], "%.4f,%.4f,%.12g,%.12g",
+                   [(-0.5, -1.0, 0.0, -0.0), (1.25, 7.75, 1e-320, -12345.678901234567)]),
+    "trajectory": (["t", "s", "rho_sign", "ln_abs_rho", "band", "l_next"],
+                   "%.12g,%.12g,%d,%.12g,%d,%d",
+                   [(0.0, 0.0, 0, -math.inf, 0, 1), (395.018448937, 0.05, -1, -1e6 / 7, 2, -1)]),
+    "events": (["band", "l", "class", "q", "r", "s", "t"], "%d,%d,%s,%s,%s,%s,%.12g",
+               [(0, 24, "InsideBox", 1, 0, int("9" * 24), 9.14719179039e26),
+                (1, 3, "Miss", "", "", "", 12.5),
+                (0, 1, "InsideBox", 3, 2**64 + 1, 10**40, 1e-5)]),
+    "verdicts": (["input", "verdict"], "%d,%s", [(0, "HALTED 1 0 0 0"), (1, "UNRESOLVED 24")]),
+    "verify": (["input", "oracle", "flow", "status"], "%d,%s,%s,%s",
+               [(0, "HALTED 2 10 0 3", "HALTED 2 10 0 3", "agree"),
+                (1, "UNRESOLVED 8", "HALTED 1 0 0 0", "DISAGREE")]),
+    "perturb": (["input", "seed", "baseline", "perturbed", "status"], "%d,%d,%s,%s,%s",
+                [(2, 2004, "UNRESOLVED 60", "UNRESOLVED 60", "agree")]),
+    "series": (["k", "component", "i", "j", "numerator", "denominator"], "%d,%d,%d,%d,%d,%d",
+               [(0, 2, 3, 1, -(3**90), 2**120), (19, 0, 0, 0, 1, 1)]),
+    "sphere": (["input", "delta", "continuous", "discrete", "iterates", "band_gaps", "status"],
+               "%d,%.12g,%s,%s,%d,%d,%s",
+               [(0, 5e-05, "HALTED 1 1 0 0", "HALTED 1 1 0 0", 2**70, 0, "agree")]),
+    "empty": (["input", "verdict"], "%d,%s", []),
+}
+
+
+@pytest.mark.parametrize("table", TABLES)
+def test_write_csv_writes_what_csv_writer_writes(tmp_path, table):
+    import csv
+
+    from flowcomp.cli import write_csv
+
+    header, fmt, rows = TABLES[table]
+    # the csv path took each float as an f-string of the template's spec, and
+    # every other field as it was
+    specs = fmt.split(",")
+    formatted = [tuple(format(v, f[1:]) if "." in f else v for f, v in zip(specs, row))
+                 for row in rows]
+    with (tmp_path / "ref.csv").open("w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(formatted)
+    write_csv(tmp_path / "new.csv", header, fmt, rows)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_undecodable_machine_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.tm"
+    bad.write_bytes(b"machine x\nstates 2\n\xff\xfe\n")
+    assert run("verify", "--machine", str(bad), "--out", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "UTF-8" in err
+
+
+def test_manifest_digest_is_of_the_bytes_parsed(tmp_path, capsys, monkeypatch):
+    # the file is replaced after it is read: the manifest hashes what was compiled
+    from flowcomp import machine
+
+    tm = tmp_path / "inc.tm"
+    tm.write_bytes(Path(INC).read_bytes())
+    parsed = []
+    parse = machine.parse_machine
+
+    def parse_then_replace(text, name):
+        parsed.append(text.encode())
+        tm.write_text("machine other\nstates 1\nstart 1\nhalt 1\n")
+        return parse(text, name)
+
+    monkeypatch.setattr(machine, "parse_machine", parse_then_replace)
+    assert run("verify", "--machine", str(tm), "--inputs", "1", "--lmax", "2",
+               "--out", str(tmp_path / "v")) == 0
+    assert parsed == [Path(INC).read_bytes()]
+    digest = hashlib.sha256(parsed[0]).hexdigest()
+    assert f"machine.digest = {digest}\n" in (tmp_path / "v" / "manifest.txt").read_text()
+    capsys.readouterr()
 
 
 def test_config_file_and_env_override(tmp_path, capsys, monkeypatch):
@@ -561,8 +644,8 @@ def test_readers_column_is_what_each_subcommand_reads(tmp_path, capsys, monkeypa
     resolve, write_manifest = cli.resolve, cli.write_manifest
     monkeypatch.setattr(cli, "resolve", lambda args: Recorded(resolve(args)))
     monkeypatch.setattr(cli, "write_manifest",
-                        lambda outdir, name, settings, artifacts:
-                        write_manifest(outdir, name, dict(settings), artifacts))
+                        lambda outdir, name, settings, *rest:
+                        write_manifest(outdir, name, dict(settings), *rest))
     machine = () if sub == "estimate" else ("--machine", INC, "--inputs", "1", "--lmax", "2")
     assert run(sub, *machine, "--out", str(tmp_path)) == 0
     assert read == {key for key, row in cli.SETTINGS.items() if sub in row[3]}
