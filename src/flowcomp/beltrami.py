@@ -252,6 +252,10 @@ def beltrami_from_potential(F: Poly2, lam, K: int = 20) -> tuple[SeriesField3D, 
 _FIT_GRID = 48
 
 
+class FitError(ValueError):
+    """A fit degree with more monomials than the window keeps samples."""
+
+
 def _least_squares_fit(xs, ys, values, gx, gy, degree: int):
     """(F, sup value error, l2 value error, sup gradient error) of the
     least-squares polynomial of total degree `degree` through the samples,
@@ -260,7 +264,8 @@ def _least_squares_fit(xs, ys, values, gx, gy, degree: int):
     float noise."""
     monos = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
     if len(xs) < len(monos):
-        raise ValueError("window intersects too little of the bands for this degree")
+        raise FitError(f"degree {degree} has {len(monos)} monomials, more than the "
+                       f"{len(xs)} samples the window keeps")
     A = np.column_stack([xs**i * ys**j for i, j in monos])
     sol, *_ = np.linalg.lstsq(A, values, rcond=None)
     F = Poly2({m: Fraction(round(float(c) * 2**40), 2**40) for m, c in zip(monos, sol)})

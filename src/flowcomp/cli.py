@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .beltrami import beltrami_from_potential, fit_window_polynomial, residuals, series_rows
+from .beltrami import (FitError, beltrami_from_potential, fit_window_polynomial, residuals,
+                       series_rows)
 from .curves import RAMP_EPS, RHO0, curve_records
 from .field import LAMBDA0, FieldSpec, check_height_budget, error_schedule, field_eval_plane
 from .machine import Halted, MachineError, enumerate_inputs, read_machine, run
@@ -109,6 +110,9 @@ CHECKS = (
     (("C",), lambda C: C > 0.0, "--C must be positive"),
     (("C", "sb"), lambda C, sb: not C * sb > MAX_NESTED,
      f"--C times --sb must be at most {MAX_NESTED:g}"),
+    # the norm bound C e^(e^(e^(C sb))) exceeds 1, so it has a ln ln; C sb <= MAX_NESTED
+    (("C", "sb"), lambda C, sb: C >= 1.0 or math.exp(C * sb) > math.log(-math.log(C)),
+     "--C {} with --sb {} puts the norm bound at most 1, where it has no ln ln"),
     (("inputs", "lmax", "lambda_frac"), _below_float_ceiling, ""),
     (("machine",), lambda path: path != "", "--machine is required"),
     (("machine",), lambda path: Path(path).is_file(), "machine file {} not found"),
@@ -431,7 +435,7 @@ def main(argv=None) -> int:
         write_manifest(outdir, args.subcommand, settings, artifacts, source)
     except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, MachineError) else 1
+        return 2 if isinstance(exc, (MachineError, FitError)) else 1
     return status
 
 

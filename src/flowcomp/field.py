@@ -31,12 +31,11 @@ from .curves import (
     hermite_eval,
     interval_bound_log,
 )
-from .logmag import FIX, LN2, LogMagnitude, lm_min
+from .logmag import FIX, LN2, LN8, LN15, LogMagnitude, lm_min
 from .machine import MachineSpec
 
-LAMBDA0 = 1.0 / (320.0 * math.log(15.0) + 32.0 * math.log(2.0))
+LAMBDA0 = 1.0 / (320.0 * LN15 + 32.0 * LN2)
 GAMMA0 = 4.0 * LAMBDA0 / 31.0
-LN8 = 3.0 * LN2
 # scale of the perturbation amplitude caps below the schedule's thresholds
 EPS0 = 0.1
 
@@ -58,7 +57,7 @@ def contraction_speed_limit(level: int) -> float:
     9*10^(level+1) ln15, so the admissible speed shrinks double-exponentially
     with the level.
     """
-    drop = 9 * 10 ** (level + 1) * math.log(15.0) + LN2
+    drop = 9 * 10 ** (level + 1) * LN15 + LN2
     return (1.0 - RAMP_EPS) / (16.0 * drop)
 
 
@@ -299,7 +298,7 @@ def _forcing_kernel(fs: FieldSpec, band: int, l: int):
     ln_g[1:] -= 2.0 ** (n[1:] - 2)
     # to eps: delta^n scales by delta*^n, and (K - w delta)/lam by delta*^2/lam = 1/(8w)
     ln_c = math.log(w) - math.log(lam)
-    powers = math.exp(-0.5 * (math.log(8.0) + ln_c)) ** n
+    powers = math.exp(-0.5 * (LN8 + ln_c)) ** n
     ln_g *= powers
     ln_g[2:] -= arc_speed[1:-1] / n[2:] * powers[:-2] / (8.0 * w)
     g = _series_exp(ln_g)

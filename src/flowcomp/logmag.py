@@ -33,6 +33,8 @@ LN5_FIX = 1609437912434100374600759333226
 LN15_FIX = LN3_FIX + LN5_FIX
 
 LN2 = 0.6931471805599453
+LN8 = 3.0 * LN2  # math.log(8.0), bit for bit
+LN15 = math.log(15.0)
 
 
 def _int_to_float(n: int) -> float:

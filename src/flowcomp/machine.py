@@ -311,10 +311,10 @@ def parse_machine(text: str, name: str = "<string>") -> MachineSpec:
 
 
 def read_machine(path) -> tuple[MachineSpec, bytes]:
-    """The machine a file describes, and the bytes it was parsed from."""
+    """The machine a file describes, and the bytes it was parsed from, a leading BOM too."""
     data = Path(path).read_bytes()
     try:
-        return parse_machine(data.decode("utf-8"), name=str(path)), data
+        return parse_machine(data.decode("utf-8-sig"), name=str(path)), data
     except UnicodeDecodeError as exc:
         raise MachineError(f"{path}: not UTF-8 text: {exc}") from None
 

@@ -197,9 +197,13 @@ class ResourceEstimate:
         return LogMagnitude(-self.ln_h1.fix, self.ln_h1.off)
 
     def lnln_h1(self) -> float:
-        """ln ln of the norm bound; exactly e^{C s_b} when C = 1."""
-        return math.log(math.log(self.C) + math.exp(self.inner)) if self.inner < 700 \
-            else self.inner  # ln(lnC + e^y) -> y for huge y
+        """ln ln of the norm bound; exactly e^{C s_b} when C = 1.  A bound of at
+        most 1, which C < 1 allows, has no ln ln: a ValueError."""
+        if self.inner >= 700:
+            return self.inner  # ln(lnC + e^y) -> y for huge y
+        if (ln_h1 := math.log(self.C) + math.exp(self.inner)) <= 0.0:
+            raise ValueError(f"the norm bound e^{ln_h1:.6g} is at most 1: it has no ln ln")
+        return math.log(ln_h1)
 
     def fixed_digits(self) -> int:
         """Decimal digits of ln_h1.fix = floor(e^inner 10^30): floor(q) + 31

@@ -167,6 +167,37 @@ ln_norm_bound_fixed_digits = 95
 """
 
 
+def test_estimate_with_a_norm_bound_at_most_1_is_a_usage_error(tmp_path, capsys):
+    # ln C + e^(e^(C sb)) = -1.86: the bound is below 1 and has no ln ln
+    assert run("estimate", "--C", "0.01", "--sb", "1", "--out", str(tmp_path / "a")) == 2
+    err = capsys.readouterr().err
+    assert "--C 0.01 with --sb 1.0" in err and "at most 1" in err
+    # ln ln = -0.33: the bound exceeds 1, so its ln ln is printed
+    assert run("estimate", "--C", "0.1", "--sb", "1", "--out", str(tmp_path / "b")) == 0
+    assert capsys.readouterr().out == ESTIMATE_C01
+    # C sb = 13 is checked without exponentiating twice
+    assert run("estimate", "--C", "0.001", "--sb", "13000", "--out", str(tmp_path / "c")) == 0
+    capsys.readouterr()
+
+
+ESTIMATE_C01 = """space_bound = 1.0
+C = 0.1
+inner_exponent = 1.10517091808
+lnln_norm_bound = -0.332462641869
+ln_threshold_offset = -2.30258509299
+ln_threshold_fixed_digits = 31
+ln_norm_bound_fixed_digits = 31
+"""
+
+
+def test_extend3d_degree_above_the_kept_samples_is_a_usage_error(tmp_path, capsys):
+    # degree 10 has 66 monomials; the window keeps 63 samples of the bands
+    assert run("extend3d", "--machine", INC, "--degree", "10",
+               "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "degree 10 has 66 monomials" in err and "63 samples" in err
+
+
 def test_estimate_digit_counts(tmp_path, capsys, monkeypatch, estimate_sb10):
     from flowcomp import cli
 
@@ -293,15 +324,30 @@ def test_large_extend3d_artifacts(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_cli_import_loads_no_scipy():
-    # the runtime needs only numpy; scipy serves the reference tests, and the
-    # tables are written without the csv module
-    code = ("import sys, flowcomp.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy') or m == 'csv'])")
+def _fresh_modules(module: str, prefixes: tuple) -> list:
+    """The loaded modules named with one of `prefixes` after importing `module`
+    in a fresh interpreter, sorted."""
+    code = (f"import sys, {module}; "
+            f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs only numpy; scipy serves the reference tests, and the
+    # tables are written without the csv module
+    assert _fresh_modules("flowcomp.cli", ("scipy", "csv")) == []
+
+
+def test_package_import_loads_only_the_module_asked_for():
+    # the package holds no re-exports, so the machine model loads without numpy
+    assert _fresh_modules("flowcomp.machine", ("numpy",)) == []
+    # the driver loads all nine modules, which the perfbench tracer patches
+    assert _fresh_modules("flowcomp.cli", ("flowcomp.",)) == [
+        f"flowcomp.{m}" for m in ("beltrami", "cli", "curves", "field", "logmag", "machine",
+                                  "robust", "simulate", "sphere")]
 
 
 # one table of each shape the CLI writes: (header, template, rows), the rows as
@@ -352,6 +398,20 @@ def test_write_csv_writes_what_csv_writer_writes(tmp_path, table):
         w.writerows(formatted)
     write_csv(tmp_path / "new.csv", header, fmt, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_machine_file_with_a_byte_order_mark_verifies_like_the_plain_one(tmp_path, capsys):
+    bom = tmp_path / "incrementer.tm"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(INC).read_bytes())
+    assert load_machine(bom) == load_machine(INC)
+    assert run("verify", "--machine", INC, "--out", str(tmp_path / "plain")) == 0
+    assert run("verify", "--machine", str(bom), "--out", str(tmp_path / "bom")) == 0
+    assert ((tmp_path / "bom" / "verify.csv").read_bytes()
+            == (tmp_path / "plain" / "verify.csv").read_bytes())
+    # the digest is of the file's bytes, the mark included
+    digest = hashlib.sha256(bom.read_bytes()).hexdigest()
+    assert f"machine.digest = {digest}\n" in (tmp_path / "bom" / "manifest.txt").read_text()
+    capsys.readouterr()
 
 
 def test_undecodable_machine_is_a_usage_error(tmp_path, capsys):

@@ -429,6 +429,14 @@ def test_resource_nested_forms():
     assert r.ln_eps.ln() == pytest.approx(-math.exp(math.e), rel=1e-12)
 
 
+def test_norm_bound_at_most_1_has_no_lnln():
+    # C < 1 is accepted and its digits are defined, but ln C + e^(e^(C s_b)) < 0
+    r = resource_estimate(1.0, 0.01)
+    assert r.fixed_digits() == 31
+    with pytest.raises(ValueError, match="at most 1"):
+        r.lnln_h1()
+
+
 def test_resource_monotone():
     rs = [resource_estimate(s, 1.0) for s in (1.0, 2.0, 3.0, 5.0)]
     for a, b in zip(rs, rs[1:]):
