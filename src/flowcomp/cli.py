@@ -73,9 +73,14 @@ SETTINGS = {
 
 
 def read_config(path: str) -> dict:
-    """Flat `setting = value` file; blank lines and `#` comments ignored."""
+    """Flat `setting = value` file of UTF-8 text, a leading BOM too; blank lines
+    and `#` comments ignored."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
     out = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -36,7 +36,7 @@ _BOX_BLOCK = 4096
 
 
 class ChartError(ValueError):
-    """Point outside the tubular chart."""
+    """Chart point at or past the half-width 1/16."""
 
 
 def flat(x):
@@ -175,12 +175,9 @@ class CurveFamily:
     # -- ramp evaluation ----------------------------------------------------
 
     def lambda_eval(self, u):
-        """(lambda, lambda', lambda'') at parameter u; array friendly."""
-        u = np.asarray(u, dtype=float)
+        """(lambda, lambda', lambda'') at the parameters of the array u."""
         if np.any(u > self.l_max + 1 + 1e-12):
             raise ValueError("parameter beyond stored anchors")
-        scalar = u.ndim == 0
-        u = np.atleast_1d(u)
         l, sigma, mid = self._ramp(u)
         xl = self.x[l]
         xr = self.x[l + 1]
@@ -195,8 +192,6 @@ class CurveFamily:
             val[mid] = xl[mid] + profile.beta(sm) * dx[mid]
             d1[mid] = g
             d2[mid] = g * (1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2)
-        if scalar:
-            return float(val[0]), float(d1[0]), float(d2[0])
         return val, d1, d2
 
     def _ramp(self, u):
@@ -218,10 +213,10 @@ class CurveFamily:
 
     def point(self, u):
         val, _, _ = self.lambda_eval(u)
-        return val, np.asarray(u, dtype=float) + 0.0
+        return val, u + 0.0
 
     def frame(self, u):
-        """(tangent, normal, curvature, speed) at parameter u; array friendly.
+        """(tangent, normal, curvature, speed) at the parameters of the array u.
         The curvature is -lambda''/w^3 with the speed w = sqrt(1 + lambda'^2)."""
         _, d1, d2 = self.lambda_eval(u)
         w = np.sqrt(1.0 + d1 * d1)
@@ -266,13 +261,13 @@ class CurveFamily:
 
     def param_of_arclength(self, s):
         u_grid, s_arr, _, dudS, _ = self._arc_maps
-        u = np.asarray(hermite_eval(s_arr, u_grid, dudS, s), dtype=float)
+        u = hermite_eval(s_arr, u_grid, dudS, s)
         hi = self.l_max + 1.0
         # polish the interpolated guess against the forward map
         for _ in range(3):
             speed = np.sqrt(1.0 + self._slope(u) ** 2)
             u = np.minimum(np.maximum(u - (self.arclength_of_param(u) - s) / speed, -1.0), hi)
-        return float(u) if u.ndim == 0 else u
+        return u
 
     def kappa_at_arclength(self, s):
         return self.curvature(self.param_of_arclength(s))
@@ -302,22 +297,18 @@ class BandChart:
         self.curve = curve
 
     def chart_to_plane(self, s, rho):
-        """(x, y) of chart points; array friendly.  Any |rho| >= 1/16 raises ChartError."""
+        """(x, y) of the chart points (s, rho), arrays.  Any |rho| >= 1/16 raises ChartError."""
         if np.any(np.abs(rho) >= CHART_HALF_WIDTH):
             raise ChartError(f"|rho| = {np.max(np.abs(rho))} outside the chart")
         u = self.curve.param_of_arclength(s)
         x, y = self.curve.point(u)
         _, normal, _, _ = self.curve.frame(u)
-        x, y = x + rho * normal[0], y + rho * normal[1]
-        return (float(x), float(y)) if np.ndim(x) == 0 else (x, y)
+        return x + rho * normal[0], y + rho * normal[1]
 
     def plane_to_chart(self, x, y):
-        """(s, rho) of plane points; array friendly.  A single point beyond the
-        half-width raises ChartError; in arrays such points get NaN.  Only points
-        that `_distance_bound` puts within the half-width are projected."""
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        scalar = x.ndim == 0
-        x, y = np.atleast_1d(x, y)
+        """(s, rho) of the plane points (x, y), 1-D arrays; NaN at points beyond
+        the half-width.  Only points that `_distance_bound` puts within the
+        half-width are projected."""
         held = self._distance_bound(x, y) < CHART_HALF_WIDTH**2
         xh, yh = x[held], y[held]
         u = self._project(xh, yh)
@@ -327,10 +318,6 @@ class BandChart:
         on = np.abs(rho) < CHART_HALF_WIDTH
         held[held] = on
         s, rho = self.curve.arclength_of_param(u[on]), rho[on]
-        if scalar:
-            if not held[0]:
-                raise ChartError(f"point ({x[0]}, {y[0]}) farther than 1/16 from the curve")
-            return float(s[0]), float(rho[0])
         out = np.full((2,) + x.shape, np.nan)
         out[:, held] = s, rho
         return out[0], out[1]

@@ -23,7 +23,6 @@ from .curves import (
     RAMP_EPS,
     RHO0,
     BandChart,
-    ChartError,
     CurveFamily,
     bump_profile,
     flat,
@@ -173,16 +172,15 @@ class LevelSpeed:
         return 1.0 / (self._slow[k] + self._dslow[k] * bump_profile().beta(sigma))
 
     def time_to(self, s):
-        """Flow time from s = 0 to s along the curve; array friendly.  The ramp term
-        is added only where sigma > RAMP_EPS: below, the integral of beta is 0."""
+        """Flow time from s = 0 to each arc length of the array s along the curve.
+        The ramp term is added only where sigma > RAMP_EPS: below, the integral
+        of beta is 0."""
         k, sigma = self._locate(s)
         t = self._anchor_time[k] + (s - self.anchors[k]) * self._slow[k]
-        ramp, beta_integral = sigma > RAMP_EPS, bump_profile().beta_integral
-        if np.ndim(t) == 0:
-            return t + self._dslow[k] * RAMP_EPS * beta_integral(sigma) if ramp else t
+        ramp = sigma > RAMP_EPS
         if ramp.any():
             k, sigma = k[ramp], sigma[ramp]
-            t[ramp] += self._dslow[k] * RAMP_EPS * beta_integral(sigma)
+            t[ramp] += self._dslow[k] * RAMP_EPS * bump_profile().beta_integral(sigma)
         return t
 
     def time(self, s_a, s_b):
@@ -207,9 +205,7 @@ class LevelSpeed:
         return self._vals, self._cum, self._at_anchor
 
     def potential(self, s):
-        """Lambda_i(s): the integral of lambda_i from 0 to s; array friendly."""
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
+        """Lambda_i(s): the integral of lambda_i from 0 to each arc length of the 1-D array s."""
         k, sigma = self._locate(s)
         lam = self.levels[k]
         # the ramp reads the row of its own level, at_anchor the rows below it
@@ -220,7 +216,7 @@ class LevelSpeed:
             m = (k == kk) & (sigma > 0.0)
             ramp = hermite_eval(grid, cum[kk], vals[kk], np.minimum(sigma[m], 1.0))
             out[m] += RAMP_EPS * lam[m] * ramp
-        return float(out[0]) if scalar else out
+        return out
 
 
 # Taylor terms of the forcing kernel's G in eps: against 48 terms (right_filler,
@@ -285,7 +281,7 @@ def _forcing_kernel(fs: FieldSpec, band: int, l: int):
     """
     curve, speed = fs.curve(band), fs.speed(band)
     u_top, lam = l + 0.75, float(speed.levels[l])
-    x_top, slope_top, _ = curve.lambda_eval(u_top)
+    x_top, slope_top, _ = (float(v[0]) for v in curve.lambda_eval(np.array([u_top])))
     w = math.sqrt(1.0 + slope_top * slope_top)
     n = np.arange(_KERNEL_TERMS)
     # Taylor series in delta: lambda', the arc speed sqrt(1 + lambda'^2) and t, t' = -lambda'
@@ -307,7 +303,8 @@ def _forcing_kernel(fs: FieldSpec, band: int, l: int):
     # e^(3/4) 2 delta* K_1(z)/lam e^(-T_top), K_1(z) = sqrt(pi/(2z)) e^(-z) e^ln_k1
     (w_n, w_d), (lam_n, lam_d) = w.as_integer_ratio(), lam.as_integer_ratio()
     z_fix = math.isqrt(FIX * FIX * w_n * lam_d // (2 * w_d * lam_n))
-    t_top = float(speed.time(curve.arclength_of_param(u_top), curve.arc_heights[l + 1]))
+    t_top = float(speed.time(curve.arclength_of_param(np.array([u_top])),
+                             curve.arc_heights[l + 1:l + 2])[0])
     off = (0.75 + 0.5 * math.log(math.pi) - 0.75 * LN2 - 0.75 * math.log(w)
            - 0.25 * math.log(lam) + ln_k1)
     return a, g @ ratios, LogMagnitude(-z_fix, off) - LogMagnitude.fixed(t_top)
@@ -354,9 +351,9 @@ def _chart_field(fs: FieldSpec, band, s, rho):
 
 
 def field_eval_plane(fs: FieldSpec, x, y):
-    """The Cartesian plane field (vx, vy); array friendly, zero off the charts."""
-    vx, vy = _chart_field(fs, *_locate(fs, x, y))
-    return (float(vx), float(vy)) if vx.ndim == 0 else (vx, vy)
+    """The Cartesian plane field (vx, vy) at the points of the arrays x, y, in
+    their shape; zero off the charts."""
+    return _chart_field(fs, *_locate(fs, x, y))
 
 
 def _chart_potential(fs: FieldSpec, band, s, rho):
@@ -369,13 +366,9 @@ def _chart_potential(fs: FieldSpec, band, s, rho):
 
 
 def potential_plane(fs: FieldSpec, x, y):
-    """Lambda_i(s) - rho^2/2 at plane points; array friendly.  A single point
-    outside every chart raises ChartError; in arrays such points get NaN."""
-    band, s, rho = _locate(fs, x, y)
-    if band.ndim == 0 and band < 0:
-        raise ChartError(f"({x}, {y}) outside every band chart")
-    out = _chart_potential(fs, band, s, rho)
-    return float(out) if out.ndim == 0 else out
+    """Lambda_i(s) - rho^2/2 at the points of the arrays x, y, in their shape;
+    NaN outside every chart."""
+    return _chart_potential(fs, *_locate(fs, x, y))
 
 
 def _sample_points(fs: FieldSpec, samples: int, seed: int, half_width):
@@ -477,7 +470,7 @@ class ErrorSchedule:
 
 def error_schedule(fs: FieldSpec) -> ErrorSchedule:
     """Thresholds eps^i_l = (M/(e^{M tau_il} - 1)) * min(eps/2, A_{i,l+1}/8)
-    for the boxes i + l <= l_max, with eps = RAMP_EPS.
+    for the boxes (i, l) of every band i and height l <= l_max, with eps = RAMP_EPS.
 
     M is `derivative_bound`, uniform across boxes, and tau_il the crossing-time
     budget of box (i, l): (max anchor gap + 1) / Gamma0 at the top speed, scaled
@@ -495,7 +488,7 @@ def error_schedule(fs: FieldSpec) -> ErrorSchedule:
     thresholds = {}
     taus = {}
     for i in range(fs.n_bands):
-        for l in range(fs.l_max + 1 - i):
+        for l in range(fs.l_max + 1):
             tau = tau_top * fs.lam / fs.level_speed(i, l + 1)
             mt = M * tau
             growth = LogMagnitude.fixed(mt) if mt > 50.0 else math.log(math.expm1(mt))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from flowcomp.cli import main, read_config
+from flowcomp.cli import build_parser, main, read_config, resolve
 from flowcomp.field import FieldSpec, height_ceiling
 from flowcomp.machine import enumerate_inputs, load_machine, trajectory
 
@@ -466,6 +466,24 @@ def test_read_config_rejects_garbage(tmp_path):
         read_config(str(p))
 
 
+def test_config_with_a_byte_order_mark_resolves_like_the_plain_one(tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"lmax = 3\ninputs = 2\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    argv = ["verify", "--machine", INC, "--out", str(tmp_path / "v"), "--config"]
+    parse = build_parser().parse_args
+    assert resolve(parse(argv + [str(marked)])) == resolve(parse(argv + [str(plain)]))
+    assert read_config(str(marked)) == {"lmax": "3", "inputs": "2"}
+
+
+def test_config_that_is_not_utf8_is_a_usage_error_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfel\x00m\x00a\x00x\x00 \x00=\x00 \x003\x00\n\x00")
+    assert run("verify", "--machine", INC, "--config", str(cfg), "--out", str(tmp_path / "v")) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "not UTF-8" in err
+
+
 def test_perturb_agrees(tmp_path, capsys):
     out = tmp_path / "p"
     assert run("perturb", "--machine", INC, "--inputs", "1", "--lmax", "3",
@@ -489,6 +507,25 @@ def test_perturb_to_height_60_is_pinned(tmp_path, capsys):
     for p in sorted(tmp_path.iterdir()):
         h.update(b"\n" + p.name.encode() + b"\n" + p.read_bytes().replace(place, b"<out>"))
     assert h.hexdigest() == PERTURB_SPINNER_60
+
+
+def test_perturb_flies_only_boxes_with_a_bump(tmp_path, capsys, monkeypatch):
+    # the schedule once stopped at band + height <= l_max, and this run of the
+    # spinner, which never halts, flew boxes (3, 5), (4, 4) and (4, 5) with no bump
+    from flowcomp.robust import PerturbationSpec
+
+    flown, forcing = [], PerturbationSpec.forcing
+
+    def recorded(self, fs, band, l):
+        flown.append(((band, l), self.schedule.thresholds))
+        return forcing(self, fs, band, l)
+
+    monkeypatch.setattr(PerturbationSpec, "forcing", recorded)
+    assert run("perturb", "--machine", SPIN, "--inputs", "5", "--lmax", "6",
+               "--out", str(tmp_path)) == 0
+    assert {box for box, _ in flown} >= {(3, 5), (4, 4), (4, 5)}
+    assert all(box in thresholds for box, thresholds in flown)
+    capsys.readouterr()
 
 
 def test_only_perturbed_runs_build_forcing_kernels(tmp_path, capsys, monkeypatch):

@@ -125,21 +125,21 @@ def test_band_translation(incrementer):
 
 def test_vertical_near_anchors(curve):
     eps = RAMP_EPS
-    for u in (0.0, eps / 2, 1.0 - eps / 2, 1.0, 2.0 + eps):
-        val, d1, d2 = curve.lambda_eval(u)
-        assert d1 == 0.0 and d2 == 0.0
-        assert val in (pytest.approx(curve.x[0]), pytest.approx(curve.x[1]))
+    val, d1, d2 = curve.lambda_eval(np.array([0.0, eps / 2, 1.0 - eps / 2, 1.0, 2.0 + eps]))
+    assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
+    for v in val.tolist():
+        assert v in (pytest.approx(curve.x[0]), pytest.approx(curve.x[1]))
 
 
 def test_lambda_derivative_matches_finite_difference(curve):
     h = 1e-6
-    for u in (0.3, 0.5, 0.62):
-        vm, dm, _ = curve.lambda_eval(u - h)
-        vp, dp, _ = curve.lambda_eval(u + h)
-        _, d1, d2 = curve.lambda_eval(u)
-        assert d1 == pytest.approx((vp - vm) / (2 * h), rel=1e-6, abs=1e-9)
-        # second derivative against the analytic first derivative
-        assert d2 == pytest.approx((dp - dm) / (2 * h), rel=1e-6, abs=1e-9)
+    u = np.array([0.3, 0.5, 0.62])
+    vm, dm, _ = curve.lambda_eval(u - h)
+    vp, dp, _ = curve.lambda_eval(u + h)
+    _, d1, d2 = curve.lambda_eval(u)
+    assert d1 == pytest.approx((vp - vm) / (2 * h), rel=1e-6, abs=1e-9)
+    # second derivative against the analytic first derivative
+    assert d2 == pytest.approx((dp - dm) / (2 * h), rel=1e-6, abs=1e-9)
 
 
 def test_curvature_bound(curve):
@@ -150,7 +150,7 @@ def test_curvature_bound(curve):
 
 def test_curvature_value_frozen(curve):
     # mid-ramp curvature of the first segment, frozen oracle
-    assert float(curve.curvature(0.3)) == pytest.approx(3.262197511240804, rel=1e-9)
+    assert curve.curvature(np.array([0.3]))[0] == pytest.approx(3.262197511240804, rel=1e-9)
 
 
 def test_arc_heights_monotone_and_gap_at_least_one(curve):
@@ -195,7 +195,7 @@ def quad_arc_heights(curve):
     """Reference: adaptive quadrature of the speed over each unit of height,
     split where the ramp starts and ends."""
     def speed(u):
-        return math.sqrt(1.0 + curve.lambda_eval(u)[1] ** 2)
+        return math.sqrt(1.0 + curve.lambda_eval(np.array([u]))[1][0] ** 2)
 
     gaps = [quad(speed, l, l + 1, points=[l + RAMP_EPS, l + 1 - RAMP_EPS],
                  epsabs=1e-13, epsrel=1e-13, limit=200)[0]
@@ -268,36 +268,27 @@ def test_interval_bound_log():
 
 def test_chart_roundtrip(curve):
     ch = BandChart(curve)
-    for s, rho in ((0.0, 0.0), (1.7, 0.01), (0.45, -0.03), (3.2, 0.055)):
-        x, y = ch.chart_to_plane(s, rho)
-        s2, rho2 = ch.plane_to_chart(x, y)
-        assert s2 == pytest.approx(s, abs=1e-10)
-        assert rho2 == pytest.approx(rho, abs=1e-12)
-    # arrays give the scalar calls' points bit for bit
-    rng = np.random.default_rng(2)
-    s = rng.uniform(-0.5, float(curve.arc_heights[-1]), 200)
-    rho = rng.uniform(-0.0624, 0.0624, 200)
-    x, y = ch.chart_to_plane(s, rho)
-    assert list(zip(x.tolist(), y.tolist())) == [
-        ch.chart_to_plane(a, b) for a, b in zip(s.tolist(), rho.tolist())]
-    assert all(type(v) is float for v in ch.chart_to_plane(1.0, 0.01))
+    s, rho = np.array([0.0, 1.7, 0.45, 3.2]), np.array([0.0, 0.01, -0.03, 0.055])
+    s2, rho2 = ch.plane_to_chart(*ch.chart_to_plane(s, rho))
+    assert s2 == pytest.approx(s, abs=1e-10)
+    assert rho2 == pytest.approx(rho, abs=1e-12)
 
 
 def test_chart_vertical_sign_convention(curve):
     # on a vertical piece the normal is (-1, 0): rho = -(x - x_l)
     ch = BandChart(curve)
     x_l = curve.x[2]
-    s, rho = ch.plane_to_chart(x_l + 0.02, 2.0)
-    assert rho == pytest.approx(-0.02)
-    assert s == pytest.approx(float(curve.arc_heights[2]), abs=1e-9)
+    s, rho = ch.plane_to_chart(np.array([x_l + 0.02]), np.array([2.0]))
+    assert rho[0] == pytest.approx(-0.02)
+    assert s[0] == pytest.approx(float(curve.arc_heights[2]), abs=1e-9)
 
 
 def test_chart_rejects_far_points(curve):
     ch = BandChart(curve)
+    s, rho = ch.plane_to_chart(np.array([curve.x[2] + 0.2]), np.array([2.0]))
+    assert np.isnan(s[0]) and np.isnan(rho[0])
     with pytest.raises(ChartError):
-        ch.plane_to_chart(curve.x[2] + 0.2, 2.0)
-    with pytest.raises(ChartError):
-        ch.chart_to_plane(1.0, 0.0626)
+        ch.chart_to_plane(np.array([1.0]), np.array([0.0626]))
     with pytest.raises(ChartError):
         ch.chart_to_plane(np.array([1.0, 2.0]), np.array([0.01, -0.0625]))
 
@@ -452,8 +443,8 @@ def test_far_point_is_off_the_chart():
     # Newton alone stops at s = 0.9957, rho = 0.0033 for this point, which is
     # 0.373 from the curve (nearest at u ~ 0.439)
     curve = CurveFamily(load_machine(MACHINES / "incrementer.tm"), 0, 9)
-    with pytest.raises(ChartError, match="farther than 1/16"):
-        BandChart(curve).plane_to_chart(0.0955, 0.1721)
+    s, rho = BandChart(curve).plane_to_chart(np.array([0.0955]), np.array([0.1721]))
+    assert np.isnan(s[0]) and np.isnan(rho[0])
     x, y = curve.point(np.linspace(-1.0, 10.0, 200001))
     assert np.min(np.hypot(x - 0.0955, y - 0.1721)) > 0.37
 
@@ -464,13 +455,13 @@ def test_points_past_the_ends_keep_their_chart():
     curve = CurveFamily(load_machine(MACHINES / "right_filler.tm"), 0, 9)
     ch = BandChart(curve)
     top, bottom = curve.x[-1], curve.x[0]
-    assert ch.plane_to_chart(top + 0.03, 10.5) == (curve.arc_heights[-1], -0.03)
-    assert ch.plane_to_chart(top - 0.05, 40.0) == (curve.arc_heights[-1], 0.05)
-    for x, y in ((bottom - 0.02, -3.0), (bottom + 0.06, -20.0), (bottom + 0.02, -1.02)):
-        s, rho = ch.plane_to_chart(x, y)
-        assert s == pytest.approx(y, abs=1e-12) and rho == pytest.approx(bottom - x, abs=1e-12)
-    with pytest.raises(ChartError):
-        ch.plane_to_chart(top + 0.07, 12.0)
+    s, rho = ch.plane_to_chart(np.array([top + 0.03, top - 0.05]), np.array([10.5, 40.0]))
+    assert s.tolist() == [curve.arc_heights[-1]] * 2 and rho.tolist() == [-0.03, 0.05]
+    x, y = np.array([bottom - 0.02, bottom + 0.06, bottom + 0.02]), np.array([-3.0, -20.0, -1.02])
+    s, rho = ch.plane_to_chart(x, y)
+    assert s == pytest.approx(y, abs=1e-12) and rho == pytest.approx(bottom - x, abs=1e-12)
+    s, rho = ch.plane_to_chart(np.array([top + 0.07]), np.array([12.0]))
+    assert np.isnan(s[0]) and np.isnan(rho[0])
 
 
 def test_points_far_below_the_start_are_projected_in_one_step():
@@ -478,11 +469,10 @@ def test_points_far_below_the_start_are_projected_in_one_step():
     # stopped 60 steps later at s = -30.75 for the point at height -40
     curve = CurveFamily(load_machine(MACHINES / "right_filler.tm"), 0, 9)
     ch = BandChart(curve)
-    bottom = curve.x[0]
-    for y in (-30.0, -40.0, -1000.0):
-        s, rho = ch.plane_to_chart(bottom + 0.02, y)
-        assert (s, rho) == (pytest.approx(y, abs=1e-12), pytest.approx(-0.02, abs=1e-12))
-    assert ch.plane_to_chart(bottom + 0.02, -1.0)[0] == -1.0
+    y = np.array([-30.0, -40.0, -1000.0, -1.0])
+    s, rho = ch.plane_to_chart(np.full(4, curve.x[0] + 0.02), y)
+    assert s == pytest.approx(y, abs=1e-12) and rho == pytest.approx(-0.02, abs=1e-12)
+    assert s[-1] == -1.0
 
 
 def test_curve_records(curve):

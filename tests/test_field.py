@@ -139,7 +139,7 @@ def test_crossing_time_is_integral_of_slowness(fs):
         points = [p for p in speed.anchors[1:] for p in (p - RAMP_EPS, p) if a < p < b]
         want = quad(lambda s: 1.0 / float(speed(s)), a, b, points=points or None,
                     epsrel=1e-13, limit=200)[0]
-        assert float(speed.time(a, b)) == pytest.approx(want, rel=1e-9)
+        assert speed.time(np.array([a]), np.array([b]))[0] == pytest.approx(want, rel=1e-9)
 
 
 def test_chart_speed_bounds(fs):
@@ -155,13 +155,13 @@ def test_chart_speed_bounds(fs):
 
 def test_chart_rejects_outside(fs):
     with pytest.raises(ChartError):
-        fs.chart(0).chart_to_plane(1.0, 1.0 / 16.0)
+        fs.chart(0).chart_to_plane(np.array([1.0]), np.array([1.0 / 16.0]))
     with pytest.raises(ChartError):
-        fs.chart(0).chart_to_plane(1.0, -0.07)
+        fs.chart(0).chart_to_plane(np.array([1.0]), np.array([-0.07]))
 
 
 def test_potential_values(fs):
-    assert fs.speed(0).potential(0.0) == 0.0
+    assert fs.speed(0).potential(np.zeros(1)).tolist() == [0.0]
     # the tangential part is the integral of lambda_0(s) along the curve
     speed = fs.speed(0)
     points = [p for p in speed.anchors[1:] for p in (p - RAMP_EPS, p) if p < 2.0]
@@ -192,7 +192,8 @@ def test_ramp_potential_matches_mpmath(fs):
 
         for sigma in (0.3, 1.0):
             ref = RAMP_EPS * mp.quad(lam, [0, lo, min(sigma, 0.5), sigma])
-            got = speed.potential(start + RAMP_EPS * sigma) - speed.potential(start)
+            end, begin = speed.potential(np.array([start + RAMP_EPS * sigma, start]))
+            got = end - begin
             assert abs(got - ref) < 1e-13 * ref, sigma
 
 
@@ -248,10 +249,9 @@ def test_potential_rows_built_as_read_match_the_whole_table(n_bands, l_max):
         for stop in np.linspace(0, len(s), 12).astype(int)[1:]:  # growing prefixes
             assert np.array_equal(speed.potential(s[:stop]), want[:stop])
         assert len(speed._cum) == len(speed.anchors) - 1
-        scalars = FieldSpec(machine, n_bands, l_max).speed(band)
-        for x, w in list(zip(s, want))[::7]:  # ascending, so the rows grow one at a time
-            got = scalars.potential(x)
-            assert type(got) is float and got == w, x
+        growing = FieldSpec(machine, n_bands, l_max).speed(band)
+        for k in range(0, len(s), 7):  # ascending, so the rows grow one at a time
+            assert growing.potential(s[k:k + 1]).tolist() == [want[k]], s[k]
         assert np.array_equal(speed.potential(np.array([])), np.array([]))
 
 
@@ -262,9 +262,6 @@ def test_time_to_skips_the_ramp_only_where_it_is_zero(name):
         speed = fs.speed(band)
         s = points_across_the_anchors(speed)
         assert np.array_equal(speed.time_to(s), reference_time_to(speed, s))
-        for x in s[::11]:
-            got, want = speed.time_to(x), reference_time_to(speed, x)
-            assert type(got) is type(want) and got == want, x
 
 
 def test_window_fit_builds_only_the_rows_it_reads():
@@ -277,17 +274,16 @@ def test_window_fit_builds_only_the_rows_it_reads():
 
 
 def test_plane_field_zero_off_bands(fs):
-    assert field_eval_plane(fs, 1.5, 2.0) == (0.0, 0.0)
-    assert field_eval_plane(fs, -3.0, 0.0) == (0.0, 0.0)
-    with pytest.raises(ChartError):
-        potential_plane(fs, 1.5, 2.0)
+    x, y = np.array([1.5, -3.0]), np.array([2.0, 0.0])
+    vx, vy = field_eval_plane(fs, x, y)
+    assert vx.tolist() == vy.tolist() == [0.0, 0.0]
+    assert np.all(np.isnan(potential_plane(fs, x, y)))
 
 
 def test_plane_field_vertical_piece(fs):
-    x0 = float(fs.curve(0).x[2])
-    fx, fy = field_eval_plane(fs, x0, 2.0)
-    assert fx == pytest.approx(0.0, abs=1e-12)
-    assert fy == pytest.approx(fs.level_speed(0, 2))
+    fx, fy = field_eval_plane(fs, fs.curve(0).x[2:3], np.array([2.0]))
+    assert fx[0] == pytest.approx(0.0, abs=1e-12)
+    assert fy[0] == pytest.approx(fs.level_speed(0, 2))
 
 
 def _plane_cloud(fs, seed=11):
@@ -309,30 +305,19 @@ def _plane_cloud(fs, seed=11):
     return np.concatenate(xs), np.concatenate(ys)
 
 
-def test_plane_points_array_path_matches_scalar_calls(fs):
+def test_plane_points_off_every_chart_get_nan(fs):
     x, y = _plane_cloud(fs)
     band, s, rho = _locate(fs, x, y)
-    assert 0 < np.count_nonzero(band < 0) < len(x)
-    assert np.all(np.isnan(s[band < 0]) & np.isnan(rho[band < 0]))
+    off = band < 0
+    assert 0 < np.count_nonzero(off) < len(x)
+    assert np.all(np.isnan(s[off]) & np.isnan(rho[off]))
     vx, vy = field_eval_plane(fs, x, y)
     pot = potential_plane(fs, x, y)
-    charts = [fs.chart(i).plane_to_chart(x, y) for i in range(fs.n_bands)]
-    for k, (xk, yk) in enumerate(zip(x.tolist(), y.tolist())):
-        assert _locate(fs, xk, yk) == (band[k], s[k], rho[k]) or band[k] < 0
-        assert field_eval_plane(fs, xk, yk) == (vx[k], vy[k])
-        if band[k] < 0:
-            assert (vx[k], vy[k]) == (0.0, 0.0) and np.isnan(pot[k])
-            with pytest.raises(ChartError, match="outside every band chart"):
-                potential_plane(fs, xk, yk)
-        else:
-            assert potential_plane(fs, xk, yk) == pot[k]
-        for i, (ci_s, ci_rho) in enumerate(charts):
-            if np.isnan(ci_s[k]):
-                assert np.isnan(ci_rho[k])
-                with pytest.raises(ChartError, match="farther than 1/16"):
-                    fs.chart(i).plane_to_chart(xk, yk)
-            else:
-                assert fs.chart(i).plane_to_chart(xk, yk) == (ci_s[k], ci_rho[k])
+    assert np.all((vx[off] == 0.0) & (vy[off] == 0.0) & np.isnan(pot[off]))
+    assert not np.any(np.isnan(pot[~off]))
+    for i in range(fs.n_bands):
+        ci_s, ci_rho = fs.chart(i).plane_to_chart(x, y)
+        assert np.array_equal(np.isnan(ci_s), np.isnan(ci_rho))
 
 
 @pytest.mark.parametrize("name", ["incrementer", "right_filler", "spinner"])
@@ -404,18 +389,6 @@ def test_window_fit_locates_once(fs, monkeypatch):
     rep = fit_window_polynomial(fs, (0.0, 1.0, 0.0, 2.0), degree=3)
     assert calls == [48 * 48]
     assert rep["samples"] > 0
-
-
-def test_plane_points_scalar_types(fs):
-    x0 = float(fs.curve(0).x[2])
-    s, rho = fs.chart(0).plane_to_chart(x0 + 0.02, 2.0)
-    assert type(s) is float and type(rho) is float
-    vx, vy = field_eval_plane(fs, x0 + 0.02, 2.0)
-    assert type(vx) is float and type(vy) is float
-    assert type(potential_plane(fs, x0 + 0.02, 2.0)) is float
-    assert _locate(fs, x0 + 0.02, 2.0) == (0, s, rho)
-    band, s_off, rho_off = _locate(fs, 1.5, 2.0)
-    assert band == -1 and math.isnan(s_off) and math.isnan(rho_off)
 
 
 def test_gradient_identity(fs):

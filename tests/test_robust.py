@@ -139,8 +139,9 @@ def _mp_forced_rho(fs, band, l, bump):
                     [s_top, s_end - RAMP_EPS, s_end])
 
     def ln_shape_and_dot(s):
-        u = float(curve.param_of_arclength(float(s)))
-        x, d1, _ = curve.lambda_eval(u)
+        u = curve.param_of_arclength(np.array([float(s)]))
+        x, d1, _ = (v[0] for v in curve.lambda_eval(u))
+        u = u[0]
         dot = (bump.direction[1] * d1 - bump.direction[0]) / math.sqrt(1 + d1 * d1)
         tx = mp.mpf(x) - 2 * band + mp.mpf(1) / 4
         ty = 2 * (mp.mpf(u) - l - mp.mpf(1) / 4)
@@ -183,7 +184,7 @@ def test_forcing_matches_mpmath_at_level_5(fs, schedule):
     a, b = (float(s) for s in fs.curve(0).arc_heights[5:7])
     grid = _sample_grid(a, b)
     _, (rho_sign, rho_ln), _ = integrate_segment(fs, 0, 6, 0.0, (0, LogMagnitude.zero()),
-                                                 p, (grid, fs.speed(0).time(a, grid)))
+                                                 p, (grid, fs.speed(0).time(np.array([a]), grid)))
     sign, ln_rho = _mp_forced_rho(fs, 0, 5, p.bumps[(0, 5)])
     assert rho_sign == sign
     assert rho_ln.ln() == pytest.approx(ln_rho, abs=0.01)
@@ -245,9 +246,9 @@ def _mp_forcing_error(p, fs, band, l):
     sign, ln_rho = p.forcing(fs, band, l)
     curve, speed = fs.curve(band), fs.speed(band)
     u_top = l + 0.75
-    x_top, slope_top, _ = curve.lambda_eval(u_top)
-    t_top = float(speed.time(float(curve.arclength_of_param(u_top)),
-                             float(curve.arc_heights[l + 1])))
+    x_top, slope_top, _ = (float(v[0]) for v in curve.lambda_eval(np.array([u_top])))
+    t_top = float(speed.time(curve.arclength_of_param(np.array([u_top])),
+                             curve.arc_heights[l + 1:l + 2])[0])
     gl_nodes, gl_weights = (a.tolist() for a in np.polynomial.legendre.leggauss(8))
     with mp.workdps(40 + (band + l) // 2):
         lam = mp.mpf(float(speed.levels[l]))
@@ -300,7 +301,7 @@ def test_forcing_matches_mpmath_on_a_moving_curve():
     # -+0.057 on band 1 at every support's top edge
     alt = MachineSpec("alt", 3, 1, 3, {(q, d): (3 - q, d, 0) for q in (1, 2) for d in range(10)})
     fs2 = FieldSpec(alt, n_bands=2, l_max=40)
-    assert abs(fs2.curve(0).lambda_eval(40.75)[1]) == pytest.approx(0.1717, abs=1e-4)
+    assert abs(fs2.curve(0).lambda_eval(np.array([40.75]))[1][0]) == pytest.approx(0.1717, abs=1e-4)
     p = sample_perturbation(error_schedule(fs2), seed=1)
     for band, l in ((0, 0), (0, 3), (1, 12), (0, 40)):
         sign, ref_sign, err = _mp_forcing_error(p, fs2, band, l)
@@ -387,7 +388,7 @@ def test_contraction_probe_times_match_solver(incrementer, band, height, j, lam)
     rho0 = math.exp(ln_a.ln() - j * math.log(2.0))
 
     def rhs(t, y):
-        kappa = float(curve.curvature(curve.param_of_arclength(s_lo + y[0])))
+        kappa = float(curve.curvature(curve.param_of_arclength(np.array([s_lo + y[0]])))[0])
         return [lam / (1.0 - kappa * rho0 * math.exp(-t))]
 
     targets = [s for s, _, _ in rep["probes"]]

@@ -130,7 +130,7 @@ def test_segment_rows_do_not_depend_on_the_last_bit_of_its_length(fs):
     for length in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)):
         grid = _sample_grid(0.0, length)
         _, _, rows = integrate_segment(fs, 0, 1, 0.0, rho, None,
-                                       (grid, fs.speed(0).time(0.0, grid)))
+                                       (grid, fs.speed(0).time(np.zeros(1), grid)))
         counts.append(len(rows))
         assert [s for _, s, _, _ in rows[:-1]] == np.arange(0.0, 1.0, 0.05).tolist()
     assert counts == [21, 21, 21]
@@ -145,7 +145,7 @@ def reference_times(fs, traj, start):
     for ev in traj.events:
         n = max(1, math.ceil((ev.s - s0) / simulate._SAMPLE_DS - 1e-9))
         grid = np.append(np.arange(s0, ev.s, simulate._SAMPLE_DS)[:n], ev.s)
-        times = speed.time(s0, grid)
+        times = speed.time(np.array([s0]), grid)
         samples += (t0 + times).tolist()
         t0 += float(times[-1])
         events.append(t0)
@@ -172,7 +172,7 @@ def test_batched_slowness_matches_per_segment_reference(fs, case):
         # is the slowness integral from the start
         first = [(t, s) for t, s, _, _ in traj.samples if s <= traj.events[0].s]
         t, s = np.array(first).T
-        assert np.array_equal(t, fs.speed(0).time(start[0], s))
+        assert np.array_equal(t, fs.speed(0).time(np.array([start[0]]), s))
 
 
 def test_a_read_that_stops_at_height_one_integrates_only_its_grid(fs, monkeypatch):
@@ -437,12 +437,13 @@ def _solver_times(curve, speed, s0, rho0, targets):
     from scipy.integrate import solve_ivp
 
     def rhs(s, c):
-        t = float(speed.time(s0, s)) + c[0]
-        return [-float(curve.kappa_at_arclength(s)) * rho0 * math.exp(-t) / float(speed(s))]
+        s = np.array([s])
+        t = speed.time(np.array([s0]), s)[0] + c[0]
+        return [-curve.kappa_at_arclength(s)[0] * rho0 * math.exp(-t) / speed(s)[0]]
 
     sol = solve_ivp(rhs, (s0, targets[-1]), [0.0], method="DOP853", t_eval=targets,
                     rtol=1e-13, atol=1e-14)
-    return speed.time(s0, targets) + sol.y[0]
+    return speed.time(np.array([s0]), targets) + sol.y[0]
 
 
 @pytest.mark.parametrize("machine", ["incrementer", "right_filler"])
@@ -456,8 +457,8 @@ def test_flow_times_on_the_straight_piece_match_solver(request, machine):
         for band, s0, rho0 in itertools.product(range(3), starts, (0.0624, -0.0624)):
             curve, speed = fs.curve(band), fs.speed(band)
             # through rho's float-visible life, across the ramp, and the anchor
-            transient = s0 + float(speed(s0)) * np.array([0.5, 2.0, 8.0, 30.0, 120.0])
+            transient = s0 + speed(np.array([s0])) * np.array([0.5, 2.0, 8.0, 30.0, 120.0])
             ramp = curve.arclength_of_param(np.array([0.02, 0.05, 0.25, 0.5, 0.9]))
             targets = np.unique(np.concatenate([transient, ramp, curve.arc_heights[1:2]]))
             want = _solver_times(curve, speed, s0, rho0, targets)
-            assert np.array_equal(speed.time(s0, targets), want), (band, s0, rho0)
+            assert np.array_equal(speed.time(np.array([s0]), targets), want), (band, s0, rho0)

@@ -216,7 +216,7 @@ def quadrature_warp(fs, band, l_max):
     curve = fs.curve(band)
 
     def slowness(u):
-        x, d1, _ = curve.lambda_eval(u)
+        x, d1, _ = (v[0] for v in curve.lambda_eval(np.array([u])))
         return math.sqrt(1.0 + d1 * d1) / (fs.lam * float(damping(x, u)))
 
     cuts = [c for l in range(l_max) for c in (l, l + RAMP_EPS, l + 0.5, l + 1 - RAMP_EPS)]

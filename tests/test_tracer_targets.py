@@ -85,3 +85,28 @@ def test_orbit_iterate_count_is_the_one_the_tracer_reads(tmp_path):
         counts = Counter()
         load_tracer()._orbit_iterates(counts, None, result)
         assert counts["sphere.iterates"] == count
+
+
+def test_counter_hooks_run_and_repeat_on_perturb_extend3d_and_compile(tmp_path):
+    # the hooks on lambda_eval, signed_log_add and the Beltrami lift run here,
+    # not only in the benchmark: every op exits 0 under the tracer, every
+    # metric is reported, and the exact counts repeat from run to run
+    tracer = load_tracer()
+    ops = [["perturb", "--machine", str(MACHINE), "--inputs", "2", "--lmax", "3",
+            "--trials", "1"],
+           ["extend3d", "--machine", str(MACHINE), "--lmax", "3"],
+           ["compile", "--machine", str(MACHINE), "--inputs", "1", "--lmax", "3"]]
+    runs = []
+    for k in range(2):
+        with tracer.Tracer() as t:
+            t.op_id, t.active = 0, True
+            for argv in ops:
+                assert main(argv + ["--out", str(tmp_path / f"{argv[0]}_{k}")]) == 0, argv
+            t.active = False
+            runs.append(t.metrics(0.0))
+    first, second = runs
+    assert list(first) == [name for name, _, _ in tracer.PER_LAYER]
+    assert {name: first[name] for name in tracer.EXACT_COUNTS} == \
+        {name: second[name] for name in tracer.EXACT_COUNTS}
+    assert first["curves.lambda_eval.points"] > 0 and first["beltrami.terms"] > 0
+    assert first["logmag.signed_log_add.calls"] > 0
