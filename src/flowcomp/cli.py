@@ -194,6 +194,13 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
     path.write_text("\n".join(parts) + "\n")
 
 
+def write_agreement(path: Path, header, fmt: str, rows) -> int:
+    """`write_csv` of rows whose last field is whether their verdicts agree,
+    written `agree` or `DISAGREE`: 1 if any row disagrees, else 0."""
+    write_csv(path, header, fmt, [(*row[:-1], "agree" if row[-1] else "DISAGREE") for row in rows])
+    return 0 if all(row[-1] for row in rows) else 1
+
+
 def write_manifest(outdir: Path, sub: str, settings: dict, artifacts: list, source: bytes):
     """Everything needed to reproduce the run, as flat `key = value` lines: the
     machine, by the bytes it was parsed from, and fixed geometry where a machine
@@ -224,31 +231,25 @@ def _build(settings: dict, machine) -> FieldSpec:
                      lambda_frac=settings["lambda_frac"])
 
 
-def cmd_compile(settings, machine, outdir, artifacts):
+def cmd_compile(settings, machine, out):
     fs = _build(settings, machine)
     for band in range(fs.n_bands):
         curve = fs.curve(band)
-        path = outdir / f"curve_{band}.csv"
-        write_csv(path, ["s", "x", "y", "kappa"], "%.12g,%.12g,%.12g,%.12g",
+        write_csv(out(f"curve_{band}.csv"), ["s", "x", "y", "kappa"], "%.12g,%.12g,%.12g,%.12g",
                   curve_records(curve))
-        artifacts.append(path.name)
-        svg = outdir / f"curve_{band}.svg"
-        svg_trajectory(svg, curve, None, settings["lmax"])
-        artifacts.append(svg.name)
-    grid = outdir / "field_grid.csv"
+        svg_trajectory(out(f"curve_{band}.svg"), curve, None, settings["lmax"])
     step = 0.25
     ny = int((settings["lmax"] + 2) / step)
     nx = int((2 * fs.n_bands + 1) / step)
     x = np.tile(-0.5 + np.arange(nx + 1) * step, ny + 1)  # row by row, x fastest
     y = np.repeat(-1.0 + np.arange(ny + 1) * step, nx + 1)
     vx, vy = field_eval_plane(fs, x, y)
-    write_csv(grid, ["x", "y", "vx", "vy"], "%.4f,%.4f,%.12g,%.12g",
+    write_csv(out("field_grid.csv"), ["x", "y", "vx", "vy"], "%.4f,%.4f,%.12g,%.12g",
               zip(x.tolist(), y.tolist(), vx.tolist(), vy.tolist()))
-    artifacts.append(grid.name)
     return 0
 
 
-def cmd_simulate(settings, machine, outdir, artifacts):
+def cmd_simulate(settings, machine, out):
     fs = _build(settings, machine)
     verdicts = []
     unresolved = False
@@ -256,18 +257,13 @@ def cmd_simulate(settings, machine, outdir, artifacts):
         verdict, _, traj = simulate_input(fs, idx, None, settings["lmax"])
         unresolved |= verdict.kind == "UNRESOLVED"
         verdicts.append((idx, format_verdict(verdict)))
-        tpath = outdir / f"trajectory_{idx}.csv"
-        write_csv(tpath, ["t", "s", "rho_sign", "ln_abs_rho", "band", "l_next"],
+        write_csv(out(f"trajectory_{idx}.csv"),
+                  ["t", "s", "rho_sign", "ln_abs_rho", "band", "l_next"],
                   "%.12g,%.12g,%d,%.12g,%d,%d", trajectory_rows(traj))
-        epath = outdir / f"events_{idx}.csv"
-        write_csv(epath, ["band", "l", "class", "q", "r", "s", "t"],
+        write_csv(out(f"events_{idx}.csv"), ["band", "l", "class", "q", "r", "s", "t"],
                   "%d,%d,%s,%s,%s,%s,%.12g", event_rows(traj))
-        spath = outdir / f"trajectory_{idx}.svg"
-        svg_trajectory(spath, fs.curve(idx), traj, settings["lmax"])
-        artifacts.extend([tpath.name, epath.name, spath.name])
-    vpath = outdir / "verdicts.csv"
-    write_csv(vpath, ["input", "verdict"], "%d,%s", verdicts)
-    artifacts.append(vpath.name)
+        svg_trajectory(out(f"trajectory_{idx}.svg"), fs.curve(idx), traj, settings["lmax"])
+    write_csv(out("verdicts.csv"), ["input", "verdict"], "%d,%s", verdicts)
     return 1 if (settings["fail_on_unresolved"] and unresolved) else 0
 
 
@@ -278,28 +274,22 @@ def _oracle_verdict(machine, config, lmax):
     return format_verdict(SimulationVerdict("UNRESOLVED", budget=lmax))
 
 
-def cmd_verify(settings, machine, outdir, artifacts):
+def cmd_verify(settings, machine, out):
     fs = _build(settings, machine)
     rows = []
-    ok = True
     for idx, config, _ in enumerate_inputs(machine, settings["inputs"]):
         verdict, _, _ = simulate_input(fs, idx, None, settings["lmax"])
         flow = format_verdict(verdict)
         oracle = _oracle_verdict(machine, config, settings["lmax"])
-        agree = flow == oracle
-        ok &= agree
-        rows.append((idx, oracle, flow, "agree" if agree else "DISAGREE"))
-    path = outdir / "verify.csv"
-    write_csv(path, ["input", "oracle", "flow", "status"], "%d,%s,%s,%s", rows)
-    artifacts.append(path.name)
-    return 0 if ok else 1
+        rows.append((idx, oracle, flow, flow == oracle))
+    return write_agreement(out("verify.csv"), ["input", "oracle", "flow", "status"],
+                           "%d,%s,%s,%s", rows)
 
 
-def cmd_perturb(settings, machine, outdir, artifacts):
+def cmd_perturb(settings, machine, out):
     fs = _build(settings, machine)
     schedule = error_schedule(fs)
     rows = []
-    ok = True
     for idx in range(settings["inputs"]):
         base, _, _ = simulate_input(fs, idx, None, settings["lmax"])
         baseline = format_verdict(base)
@@ -309,17 +299,13 @@ def cmd_perturb(settings, machine, outdir, artifacts):
             verdict, _, _ = simulate_input(fs, idx, None, settings["lmax"],
                                            perturbation=pert)
             got = format_verdict(verdict)
-            agree = got == baseline
-            ok &= agree
-            rows.append((idx, seed, baseline, got, "agree" if agree else "DISAGREE"))
-    path = outdir / "perturb.csv"
-    write_csv(path, ["input", "seed", "baseline", "perturbed", "status"],
-              "%d,%d,%s,%s,%s", rows)
-    artifacts.append(path.name)
-    return 0 if ok else 1
+            rows.append((idx, seed, baseline, got, got == baseline))
+    return write_agreement(out("perturb.csv"),
+                           ["input", "seed", "baseline", "perturbed", "status"],
+                           "%d,%d,%s,%s,%s", rows)
 
 
-def cmd_extend3d(settings, machine, outdir, artifacts):
+def cmd_extend3d(settings, machine, out):
     fs = _build(settings, machine)
     window = (0.0, 1.0, 0.0, float(min(settings["lmax"], 2)))
     report = fit_window_polynomial(fs, window, settings["degree"])
@@ -340,39 +326,31 @@ def cmd_extend3d(settings, machine, outdir, artifacts):
         f"plane_restriction_ok = {res['plane_restriction_ok']}",
         f"checked_through = {res['checked_through']}",
     ]
-    rpath = outdir / "extend3d.txt"
-    rpath.write_text("\n".join(lines) + "\n")
-    spath = outdir / "series.csv"
-    write_csv(spath, ["k", "component", "i", "j", "numerator", "denominator"],
+    out("extend3d.txt").write_text("\n".join(lines) + "\n")
+    write_csv(out("series.csv"), ["k", "component", "i", "j", "numerator", "denominator"],
               "%d,%d,%d,%d,%d,%d", series_rows(u))
-    artifacts.extend([rpath.name, spath.name])
     lift_ok = (res["curl_residual_order"] is None
                and res["div_residual_order"] is None
                and res["plane_restriction_ok"])
     return 0 if lift_ok else 1
 
 
-def cmd_sphere(settings, machine, outdir, artifacts):
+def cmd_sphere(settings, machine, out):
     fs = _build(settings, machine)
     delta = delta_threshold(fs.lam) / 2.0
     rows = []
-    ok = True
     for idx in range(settings["inputs"]):
         cont, _, _ = simulate_input(fs, idx, None, settings["lmax"])
         disc, _, orbit = discrete_orbit_verdict(fs, idx, None, delta, settings["lmax"])
-        agree = format_verdict(cont) == format_verdict(disc) and not orbit.band_gaps
-        ok &= agree
-        rows.append((idx, delta, format_verdict(cont), format_verdict(disc),
-                     orbit.iterates, len(orbit.band_gaps),
-                     "agree" if agree else "DISAGREE"))
-    path = outdir / "sphere.csv"
-    write_csv(path, ["input", "delta", "continuous", "discrete", "iterates", "band_gaps",
-                     "status"], "%d,%.12g,%s,%s,%d,%d,%s", rows)
-    artifacts.append(path.name)
-    return 0 if ok else 1
+        cont, disc = format_verdict(cont), format_verdict(disc)
+        rows.append((idx, delta, cont, disc, orbit.iterates, len(orbit.band_gaps),
+                     cont == disc and not orbit.band_gaps))
+    return write_agreement(out("sphere.csv"), ["input", "delta", "continuous", "discrete",
+                                               "iterates", "band_gaps", "status"],
+                           "%d,%.12g,%s,%s,%d,%d,%s", rows)
 
 
-def cmd_estimate(settings, machine, outdir, artifacts):
+def cmd_estimate(settings, machine, out):
     est = resource_estimate(settings["sb"], settings["C"])
     digits = est.fixed_digits()  # the threshold's fixed part is -fix
     text = "\n".join([
@@ -384,9 +362,7 @@ def cmd_estimate(settings, machine, outdir, artifacts):
         f"ln_threshold_fixed_digits = {digits}",
         f"ln_norm_bound_fixed_digits = {digits}",
     ])
-    path = outdir / "estimate.txt"
-    path.write_text(text + "\n")
-    artifacts.append(path.name)
+    out("estimate.txt").write_text(text + "\n")
     print(text)
     return 0
 
@@ -433,10 +409,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     artifacts, machine, source = [], None, b""
+
+    def out(name: str) -> Path:
+        """The path of the artifact `name`, listed in the manifest in the order asked for."""
+        artifacts.append(name)
+        return outdir / name
+
     try:
         if "machine" in settings:  # read once: the bytes parsed are the bytes hashed
             machine, source = read_machine(settings["machine"])
-        status = COMMANDS[args.subcommand][0](settings, machine, outdir, artifacts)
+        status = COMMANDS[args.subcommand][0](settings, machine, out)
         write_manifest(outdir, args.subcommand, settings, artifacts, source)
     except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

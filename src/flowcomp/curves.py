@@ -209,18 +209,18 @@ class CurveFamily:
         return d1
 
     def curvature(self, u):
-        return self.frame(u)[2]
+        return self.frame(u)[3]
 
     def point(self, u):
         val, _, _ = self.lambda_eval(u)
         return val, u + 0.0
 
     def frame(self, u):
-        """(tangent, normal, curvature, speed) at the parameters of the array u.
+        """(point, tangent, normal, curvature, speed) at the parameters of the array u.
         The curvature is -lambda''/w^3 with the speed w = sqrt(1 + lambda'^2)."""
-        _, d1, d2 = self.lambda_eval(u)
+        val, d1, d2 = self.lambda_eval(u)
         w = np.sqrt(1.0 + d1 * d1)
-        return (d1 / w, 1.0 / w), (-1.0 / w, d1 / w), -d2 / w**3, w
+        return (val, u + 0.0), (d1 / w, 1.0 / w), (-1.0 / w, d1 / w), -d2 / w**3, w
 
     # -- arc length ---------------------------------------------------------
 
@@ -300,9 +300,7 @@ class BandChart:
         """(x, y) of the chart points (s, rho), arrays.  Any |rho| >= 1/16 raises ChartError."""
         if np.any(np.abs(rho) >= CHART_HALF_WIDTH):
             raise ChartError(f"|rho| = {np.max(np.abs(rho))} outside the chart")
-        u = self.curve.param_of_arclength(s)
-        x, y = self.curve.point(u)
-        _, normal, _, _ = self.curve.frame(u)
+        (x, y), _, normal, _, _ = self.curve.frame(self.curve.param_of_arclength(s))
         return x + rho * normal[0], y + rho * normal[1]
 
     def plane_to_chart(self, x, y):
@@ -312,9 +310,8 @@ class BandChart:
         held = self._distance_bound(x, y) < CHART_HALF_WIDTH**2
         xh, yh = x[held], y[held]
         u = self._project(xh, yh)
-        gx, d1, _ = self.curve.lambda_eval(u)
-        w = np.sqrt(1.0 + d1 * d1)  # the normal (-1, lambda')/w of `CurveFamily.frame`
-        rho = (xh - gx) * (-1.0 / w) + (yh - u) * (d1 / w)
+        (gx, _), _, normal, _, _ = self.curve.frame(u)
+        rho = (xh - gx) * normal[0] + (yh - u) * normal[1]
         on = np.abs(rho) < CHART_HALF_WIDTH
         held[held] = on
         s, rho = self.curve.arclength_of_param(u[on]), rho[on]
@@ -388,7 +385,5 @@ def curve_records(curve: CurveFamily):
     s_vals = [0.0]
     while s_vals[-1] + ds <= s_max:
         s_vals.append(s_vals[-1] + ds)
-    u = curve.param_of_arclength(np.array(s_vals))
-    x, d1, d2 = curve.lambda_eval(u)
-    kappa = -d2 / np.sqrt(1.0 + d1 * d1) ** 3  # as `CurveFamily.frame` has it
-    return list(zip(s_vals, x.tolist(), (u + 0.0).tolist(), kappa.tolist()))
+    (x, y), _, _, kappa, _ = curve.frame(curve.param_of_arclength(np.array(s_vals)))
+    return list(zip(s_vals, x.tolist(), y.tolist(), kappa.tolist()))

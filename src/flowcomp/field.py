@@ -343,7 +343,7 @@ def _chart_field(fs: FieldSpec, band, s, rho):
     for i in np.unique(band[on]).tolist():
         m = on & (band == i)
         curve = fs.curve(i)
-        tangent, normal, kappa, _ = curve.frame(curve.param_of_arclength(s[m]))
+        _, tangent, normal, kappa, _ = curve.frame(curve.param_of_arclength(s[m]))
         a = fs.speed(i)(s[m]) / (1.0 - kappa * rho[m])
         vx[m] = chi[m] * (a * tangent[0] - rho[m] * normal[0])
         vy[m] = chi[m] * (a * tangent[1] - rho[m] * normal[1])

@@ -26,7 +26,7 @@ import numpy as np
 from .curves import CHART_HALF_WIDTH, RAMP_EPS
 from .field import FieldSpec
 from .logmag import LogMagnitude, signed_log_add
-from .machine import Configuration, TapeBoundedSpec, encode
+from .machine import Configuration, TapeBoundedSpec
 
 LN_CHART_LIMIT = math.log(CHART_HALF_WIDTH)
 CLASSIFY_GUARD = 1e-9
@@ -62,7 +62,7 @@ class ChartTrajectory:
 
 @dataclass(frozen=True)
 class SimulationVerdict:
-    kind: str  # HALTED | LOOP | OOM | LEFT_WINDOW | UNRESOLVED
+    kind: str  # HALTED | LOOP | OOM | UNRESOLVED
     config: Configuration | None = None
     height: int | None = None
     budget: int | None = None
@@ -140,10 +140,10 @@ def integrate_segment(fs: FieldSpec, band: int, height: int, t0: float, rho,
 def classify_crossing(fs: FieldSpec, band: int, height: int, rho):
     """The box's Configuration iff ln|rho| is below the encoded-interval
     half-width, else MISS; rho is a (sign, LogMagnitude) pair."""
-    c = fs.curve(band).configs[height]
+    curve = fs.curve(band)
     sign, w = rho
-    if sign == 0 or w.diff_ln(encode(c).ln_half_width()) < -CLASSIFY_GUARD:
-        return c
+    if sign == 0 or w.diff_ln(curve.points[height].ln_half_width()) < -CLASSIFY_GUARD:
+        return curve.configs[height]
     return MISS
 
 

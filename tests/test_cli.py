@@ -277,6 +277,32 @@ def test_deterministic_artifacts(tmp_path, capsys):
     capsys.readouterr()
 
 
+# sha256 of each subcommand's manifest.txt on the incrementer at --inputs 2
+# --lmax 3 (estimate reads no machine: its defaults); this pins the order of
+# the artifact lines, simulate's per-input trajectory, events and plot included
+MANIFESTS = {
+    "compile": "0595b04ace29397461ff798219dfe10952de3f0f52299eca7a80a843b2c22418",
+    "simulate": "ac01c076bcdf481fb404b6c01d6718350a17e7d296b3818b48eb2479046e6442",
+    "verify": "3651b989114a6ac42b4d2826e4547dbe3d7fcdc71cbded83d9dbdabc27926ad2",
+    "perturb": "6451a8c0834cebd99404cd72fc5d4fb782b48c9e94a60af7e0412204739e0f08",
+    "extend3d": "b904f3df52066f9c51bdbf37e315985f2a1effb159909997fae21d1893bf93bc",
+    "sphere": "25d27a19e6a9726a6b03df848c19de3bb7df18de0199e57b232e919098653353",
+    "estimate": "3bcb04ee328c4b2168315f75a49dcc6e171b44af4bf7f20d833d9634f0c7bc9d",
+}
+
+
+@pytest.mark.parametrize("sub", MANIFESTS)
+def test_every_manifest_is_pinned_and_names_every_file_written(tmp_path, capsys, sub):
+    flags = () if sub == "estimate" else ("--machine", INC, "--inputs", "2", "--lmax", "3")
+    assert run(sub, *flags, "--out", str(tmp_path)) == 0
+    manifest = (tmp_path / "manifest.txt").read_text()
+    assert hashlib.sha256(manifest.encode()).hexdigest() == MANIFESTS[sub], manifest
+    named = [line[len("artifact = "):] for line in manifest.splitlines()
+             if line.startswith("artifact = ")]
+    assert sorted(named) == sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.txt")
+    capsys.readouterr()
+
+
 # sha256 of right_filler's `simulate` at --inputs 1 --lmax 24, whose tape
 # integer grows to 24 nines, past 2^64
 SIMULATE_RF_24 = {
@@ -398,6 +424,18 @@ def test_write_csv_writes_what_csv_writer_writes(tmp_path, table):
         w.writerows(formatted)
     write_csv(tmp_path / "new.csv", header, fmt, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("table", ["verify", "perturb", "sphere"])
+def test_write_agreement_spells_the_status_and_fails_on_any_disagreement(tmp_path, table):
+    from flowcomp.cli import write_agreement, write_csv
+
+    header, fmt, rows = TABLES[table]
+    status = [(*row[:-1], row[-1] == "agree") for row in rows]
+    write_csv(tmp_path / "ref.csv", header, fmt, rows)
+    code = write_agreement(tmp_path / "new.csv", header, fmt, status)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert code == (0 if all(row[-1] == "agree" for row in rows) else 1)
 
 
 def test_machine_file_with_a_byte_order_mark_verifies_like_the_plain_one(tmp_path, capsys):

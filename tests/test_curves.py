@@ -274,6 +274,25 @@ def test_chart_roundtrip(curve):
     assert rho2 == pytest.approx(rho, abs=1e-12)
 
 
+def test_chart_to_plane_evaluates_lambda_once(curve, monkeypatch):
+    # the point and the normal come from one frame: one lambda_eval per call
+    calls = []
+    lambda_eval = CurveFamily.lambda_eval
+
+    def counting(self, u):
+        calls.append(len(u))
+        return lambda_eval(self, u)
+
+    monkeypatch.setattr(CurveFamily, "lambda_eval", counting)
+    s, rho = np.array([0.0, 1.7, 0.45, 3.2]), np.array([0.0, 0.01, -0.03, 0.055])
+    x, y = BandChart(curve).chart_to_plane(s, rho)
+    assert calls == [4]
+    u = curve.param_of_arclength(s)
+    val, d1, _ = lambda_eval(curve, u)
+    w = np.sqrt(1.0 + d1 * d1)
+    assert (x == val + rho * (-1.0 / w)).all() and (y == u + rho * (d1 / w)).all()
+
+
 def test_chart_vertical_sign_convention(curve):
     # on a vertical piece the normal is (-1, 0): rho = -(x - x_l)
     ch = BandChart(curve)

@@ -93,7 +93,7 @@ def chart_components(fs, s, rho):
     s, rho = np.array([s]), np.array([rho])
     vx, vy = _chart_field(fs, np.zeros(1, dtype=int), s, rho)
     curve = fs.curve(0)
-    (tx, ty), (nx, ny), _, _ = curve.frame(curve.param_of_arclength(s))
+    _, (tx, ty), (nx, ny), _, _ = curve.frame(curve.param_of_arclength(s))
     return (vx * tx + vy * ty).item(), (vx * nx + vy * ny).item()
 
 
