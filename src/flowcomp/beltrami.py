@@ -298,8 +298,7 @@ def fit_window_polynomial(fs, window, degree: int) -> dict:
     fvals = _chart_potential(fs, *located)
     gx, gy = _chart_field(fs, *located)
     F, sup_val, l2_val, sup_grad = _least_squares_fit(xs, ys, fvals, gx, gy, degree)
-    schedule = error_schedule(fs)
-    lns = [th.ln() for (i, l), th in schedule.thresholds.items()
+    lns = [th.ln() for (i, l), th in error_schedule(fs).items()
            if x0 <= 2 * i + 1 and 2 * i <= x1 and y0 <= l + 1.25 and l - 0.25 <= y1]
     ln_threshold = min(lns) if lns else -math.inf
     certified = sup_grad == 0.0 or (

@@ -74,12 +74,12 @@ SETTINGS = {
 
 def read_config(path: str) -> dict:
     """Flat `setting = value` file of UTF-8 text, a leading BOM too; blank lines
-    and `#` comments ignored."""
+    and `#` comments ignored; each key at most once."""
     try:
         text = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
-    out = {}
+    out, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -89,6 +89,10 @@ def read_config(path: str) -> dict:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in SETTINGS:
             raise ValueError(f"{path}:{lineno}: key `{key}` names no setting")
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: key `{key}` given again, "
+                             f"first on line {first[key]}")
+        first[key] = lineno
         out[key] = value
     return out
 

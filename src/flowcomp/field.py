@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -30,13 +29,11 @@ from .curves import (
     hermite_eval,
     interval_bound_log,
 )
-from .logmag import FIX, LN2, LN8, LN15, LogMagnitude, lm_min
+from .logmag import FIX, LN2, LN8, LN15, LogMagnitude
 from .machine import MachineSpec
 
 LAMBDA0 = 1.0 / (320.0 * LN15 + 32.0 * LN2)
 GAMMA0 = 4.0 * LAMBDA0 / 31.0
-# scale of the perturbation amplitude caps below the schedule's thresholds
-EPS0 = 0.1
 
 
 def cutoff(t):
@@ -455,44 +452,29 @@ def derivative_bound(fs: FieldSpec) -> float:
     return (tt + s1) / 2.0 + math.hypot((s1 - tt) / 2.0, off)
 
 
-@dataclass(frozen=True)
-class ErrorSchedule:
-    """Admissible per-box perturbation thresholds, in log magnitude form."""
+def error_schedule(fs: FieldSpec) -> dict:
+    """Thresholds {(i, l): ln eps^i_l} for the boxes (i, l) of every band i and
+    height l <= l_max, where
 
-    M: float  # uniform derivative bound over the boxes
-    thresholds: dict = field(repr=False)  # (band, height) -> LogMagnitude
-    taus: dict = field(repr=False)  # (band, height) -> crossing-time bound
-
-    def cap(self, band: int, height: int) -> LogMagnitude:
-        """Amplitude cap EPS0 * threshold for perturbation sampling."""
-        return self.thresholds[(band, height)] + math.log(EPS0)
-
-
-def error_schedule(fs: FieldSpec) -> ErrorSchedule:
-    """Thresholds eps^i_l = (M/(e^{M tau_il} - 1)) * min(eps/2, A_{i,l+1}/8)
-    for the boxes (i, l) of every band i and height l <= l_max, with eps = RAMP_EPS.
+        eps^i_l = (M/(e^{M tau_il} - 1)) * min(eps/2, A_{i,l+1}/8),  eps = RAMP_EPS.
 
     M is `derivative_bound`, uniform across boxes, and tau_il the crossing-time
     budget of box (i, l): (max anchor gap + 1) / Gamma0 at the top speed, scaled
     by the ratio of the top speed to the slowest level speed in the box, that of
-    height l + 1.  M*tau_il reaches ~1e30, so it is carried in the fixed-point
-    part; above 50, ln(e^{M tau} - 1) is M*tau to double precision.
+    height l + 1.  The min is always A/8: ln(A_{i,l+1}/8) < -276 while
+    ln(eps/2) = -5.3.  And the -1 is below double precision: M >= 4.077 (the
+    cutoff's own sup), 1/Gamma0 > 6,800 and the speed ratio exceeds 44, so
+    M tau > 1e6.  So ln eps^i_l = ln(A_{i,l+1}/8) + ln M - M tau_il, with M tau_il
+    (up to ~1e300 at the height ceiling) carried in the fixed-point part.
     """
     M = derivative_bound(fs)
     max_gap = max(
         float(np.max(np.diff(fs.curve(i).arc_heights))) for i in range(fs.n_bands)
     )
     tau_top = (max_gap + 1.0) / GAMMA0
-    ln_eps_half = LogMagnitude.from_ln(math.log(RAMP_EPS / 2.0))
     m = fs.machine.m
-    thresholds = {}
-    taus = {}
-    for i in range(fs.n_bands):
-        for l in range(fs.l_max + 1):
-            tau = tau_top * fs.lam / fs.level_speed(i, l + 1)
-            mt = M * tau
-            growth = LogMagnitude.fixed(mt) if mt > 50.0 else math.log(math.expm1(mt))
-            branch = lm_min(ln_eps_half, interval_bound_log(m, i, l + 1) - LN8)
-            thresholds[(i, l)] = branch + math.log(M) - growth
-            taus[(i, l)] = tau
-    return ErrorSchedule(M, thresholds, taus)
+    return {
+        (i, l): interval_bound_log(m, i, l + 1) - LN8 + math.log(M)
+        - LogMagnitude.fixed(M * (tau_top * fs.lam / fs.level_speed(i, l + 1)))
+        for i in range(fs.n_bands) for l in range(fs.l_max + 1)
+    }

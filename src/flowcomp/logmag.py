@@ -14,7 +14,7 @@ never touch the fixed-point part; comparisons between two magnitudes
 subtract the integer parts exactly, so magnitudes that share the same
 structural origin compare correctly even when both are around e**-(1e21).
 Offsets that are themselves huge (elapsed flow time and the M*tau of the
-error schedule, up to ~1e30) go into the fixed-point part through
+error schedule, up to ~1e300) go into the fixed-point part through
 `LogMagnitude.fixed`, so they never swamp the small float offsets.
 """
 
@@ -125,10 +125,6 @@ def _coerce(x) -> LogMagnitude:
     if isinstance(x, LogMagnitude):
         return x
     return LogMagnitude.from_ln(float(x))
-
-
-def lm_min(a: LogMagnitude, b: LogMagnitude) -> LogMagnitude:
-    return a if a <= b else b
 
 
 def signed_log_add(

@@ -52,7 +52,8 @@ class MachineSpec:
         for (q, sym), (q2, sym2, shift) in self.rules.items():
             if q == self.q_halt:
                 raise MachineError("rules must not be stored for the halting state")
-            if not (1 <= q2 <= self.m and sym in ALPHABET and sym2 in ALPHABET):
+            if not (1 <= q <= self.m and 1 <= q2 <= self.m and sym in ALPHABET
+                    and sym2 in ALPHABET):
                 raise MachineError(f"bad rule {(q, sym)} -> {(q2, sym2, shift)}")
             if shift not in (-1, 0, 1):
                 raise MachineError(f"bad shift {shift}")

@@ -19,10 +19,12 @@ from functools import cached_property
 import numpy as np
 
 from .curves import RAMP_EPS, CurveFamily, flat, interval_bound_log
-from .field import ErrorSchedule, FieldSpec
+from .field import FieldSpec
 from .logmag import FIX, LN2_FIX, LogMagnitude
 from .machine import MachineSpec
 
+# scale of the perturbation amplitude caps below the schedule's thresholds
+EPS0 = 0.1
 # contraction certificate: probes at |s - s^i_{l+1}| <= 0.9 RAMP_EPS
 _CONTRACTION_PROBES = 11
 
@@ -51,10 +53,9 @@ class PerturbationSpec:
     the x-factor of the shape is at least e^(-1/3).
     """
 
-    def __init__(self, schedule: ErrorSchedule, seed: int):
-        self.schedule = schedule
+    def __init__(self, schedule: dict, seed: int):
         self.seed = seed
-        keys = sorted(schedule.thresholds)
+        keys = sorted(schedule)
         # per box (amplitude fraction, sign, angle), each as low + (high - low) r,
         # which is how rng.uniform(low, high) forms it, bit for bit
         draws = np.random.default_rng(seed).random((len(keys), 3)).tolist()
@@ -63,7 +64,7 @@ class PerturbationSpec:
             theta = 2.0 * math.pi * r_angle
             self.bumps[key] = _BoxBump(
                 1 if r_sign < 0.5 else -1,
-                schedule.cap(*key) + math.log(1e-3 + (1.0 - 1e-3) * r_amp),
+                schedule[key] + math.log(EPS0) + math.log(1e-3 + (1.0 - 1e-3) * r_amp),
                 (math.cos(theta), math.sin(theta)),
             )
 
@@ -81,14 +82,6 @@ class PerturbationSpec:
         if shape <= 0.0:
             return None
         return bump, shape
-
-    def magnitude(self, x: float, y: float) -> LogMagnitude:
-        """ln |P(x, y)|; zero magnitude outside every bump support."""
-        hit = self._locate(x, y)
-        if hit is None:
-            return LogMagnitude.zero()
-        bump, shape = hit
-        return bump.amplitude + math.log(shape)
 
     def normal_component(self, x: float, y: float, nx: float, ny: float):
         """(sign, ln|P . n|) of the forcing along a unit normal."""
@@ -117,7 +110,7 @@ class PerturbationSpec:
                 bump.amplitude + ln_scale + math.log(abs(total)))
 
 
-def sample_perturbation(schedule: ErrorSchedule, seed: int) -> PerturbationSpec:
+def sample_perturbation(schedule: dict, seed: int) -> PerturbationSpec:
     return PerturbationSpec(schedule, seed)
 
 

@@ -504,6 +504,24 @@ def test_read_config_rejects_garbage(tmp_path):
         read_config(str(p))
 
 
+def test_config_key_given_twice_is_a_usage_error_naming_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lmax = 3\ninputs = 1\n\nlmax = 5\n")
+    with pytest.raises(ValueError, match=r"run.cfg:4: key `lmax` given again, first on line 1"):
+        read_config(str(cfg))
+    out = tmp_path / "v"
+    assert run("verify", "--machine", INC, "--config", str(cfg), "--out", str(out)) == 2
+    assert "run.cfg:4" in capsys.readouterr().err and not out.exists()
+
+
+def test_rule_from_a_state_outside_the_machine_is_a_usage_error(tmp_path, capsys):
+    tm = tmp_path / "bad.tm"
+    tm.write_text(Path(INC).read_text() + "rule 7 0 -> 1 0 S0\n")
+    assert run("verify", "--machine", str(tm), "--inputs", "1", "--lmax", "2",
+               "--out", str(tmp_path / "v")) == 2
+    assert "bad rule (7, 0)" in capsys.readouterr().err
+
+
 def test_config_with_a_byte_order_mark_resolves_like_the_plain_one(tmp_path):
     plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
     plain.write_bytes(b"lmax = 3\ninputs = 2\n")
@@ -555,14 +573,14 @@ def test_perturb_flies_only_boxes_with_a_bump(tmp_path, capsys, monkeypatch):
     flown, forcing = [], PerturbationSpec.forcing
 
     def recorded(self, fs, band, l):
-        flown.append(((band, l), self.schedule.thresholds))
+        flown.append(((band, l), self.bumps))
         return forcing(self, fs, band, l)
 
     monkeypatch.setattr(PerturbationSpec, "forcing", recorded)
     assert run("perturb", "--machine", SPIN, "--inputs", "5", "--lmax", "6",
                "--out", str(tmp_path)) == 0
     assert {box for box, _ in flown} >= {(3, 5), (4, 4), (4, 5)}
-    assert all(box in thresholds for box, thresholds in flown)
+    assert all(box in bumps for box, bumps in flown)
     capsys.readouterr()
 
 

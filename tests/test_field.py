@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from flowcomp.curves import (RAMP_EPS, RHO0, ChartError, bump_profile, hermite_cumulative,
-                             hermite_eval)
+                             hermite_eval, interval_bound_log)
 from scipy.integrate import quad
 
 from flowcomp.field import (
     GAMMA0,
     LAMBDA0,
-    ErrorSchedule,
     FieldSpec,
+    check_height_budget,
     contraction_speed_limit,
     cutoff,
     derivative_bound,
@@ -28,11 +28,19 @@ from flowcomp.field import (
     _locate,
     _sample_points,
 )
-from flowcomp.logmag import LogMagnitude
+from flowcomp.logmag import FIX, LogMagnitude
+from flowcomp.robust import EPS0
 from flowcomp.machine import MachineSpec, load_machine
 from test_curves import random_machine
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
+
+
+def crossing_time(fs, i, l):
+    """tau_il of the error schedule: (max anchor gap + 1) / Gamma0 at the top
+    speed, scaled by the top speed over that of height l + 1."""
+    gap = max(float(np.max(np.diff(fs.curve(b).arc_heights))) for b in range(fs.n_bands))
+    return (gap + 1.0) / GAMMA0 * fs.lam / fs.level_speed(i, l + 1)
 
 
 def make_machine(q2, sym_of, shift, name="t"):
@@ -71,12 +79,13 @@ def test_height_ceiling_is_where_the_floats_end(frac):
     speed = fs.speed(0)
     assert speed.levels[-1] >= sys.float_info.min
     assert np.all(np.isfinite(speed.time_to(speed.anchors)))
-    sched = error_schedule(fs)
-    tau = max(sched.taus.values())  # that of level k
-    assert math.isfinite(sched.M * tau)
+    mt = derivative_bound(fs) * crossing_time(fs, 0, k - 1)  # that of level k
+    assert math.isfinite(mt)
+    base = interval_bound_log(machine.m, 0, k) - LogMagnitude.fixed(mt)
+    assert error_schedule(fs)[(0, k - 1)].fix == base.fix
     # one level deeper, the speed is subnormal or M tau overflows
     step = contraction_speed_limit(k + 1) / contraction_speed_limit(k)
-    assert speed.levels[-1] * step < sys.float_info.min or not math.isfinite(sched.M * tau / step)
+    assert speed.levels[-1] * step < sys.float_info.min or not math.isfinite(mt / step)
 
 
 def test_cutoff_shape():
@@ -419,56 +428,78 @@ def schedule(fs):
 
 
 def test_schedule_monotone(schedule):
-    assert schedule.thresholds[(0, 1)] < schedule.thresholds[(0, 0)]
-    assert schedule.thresholds[(1, 1)] < schedule.thresholds[(1, 0)]
+    assert schedule[(0, 1)] < schedule[(0, 0)]
+    assert schedule[(1, 1)] < schedule[(1, 0)]
     # depends only on i + l through the interval bound
-    d = schedule.thresholds[(0, 1)].diff_ln(schedule.thresholds[(1, 0)])
+    d = schedule[(0, 1)].diff_ln(schedule[(1, 0)])
     assert d == pytest.approx(0.0, abs=1e-9)
 
 
 def test_schedule_positive(schedule):
-    for th in schedule.thresholds.values():
+    for th in schedule.values():
         assert not th.is_zero
         assert th > LogMagnitude.zero()
 
 
 def test_schedule_formula(schedule, fs):
     # min always lands on the interval branch here: ln(A/8) << ln(eps/2)
-    from flowcomp.curves import interval_bound_log
-
-    th = schedule.thresholds[(0, 0)]
+    M = derivative_bound(fs)
+    th = schedule[(0, 0)]
     expected = (
         interval_bound_log(fs.machine.m, 0, 1)
-        + (math.log(schedule.M) - schedule.M * schedule.taus[(0, 0)] - 3 * math.log(2))
+        + (math.log(M) - M * crossing_time(fs, 0, 0) - 3 * math.log(2))
     )
     assert th.diff_ln(expected) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_schedule_per_box_crossing_time(schedule, fs):
-    # each box's budget is the top-speed one scaled to its slowest level
-    ratio = schedule.taus[(0, 2)] / schedule.taus[(0, 1)]
-    assert ratio == pytest.approx(fs.level_speed(0, 2) / fs.level_speed(0, 3))
-    assert schedule.taus[(0, 1)] == pytest.approx(schedule.taus[(1, 0)])
+    # each box's budget is the top-speed one scaled to its slowest level;
     # M*tau ~ 3e9 here: carried in the fixed-point part, the float offsets
     # ln M and ln 8 survive it exactly
-    from flowcomp.curves import interval_bound_log
-
-    mt = LogMagnitude.fixed(schedule.M * schedule.taus[(1, 2)])
-    base = interval_bound_log(fs.machine.m, 1, 3) - mt
-    d = schedule.thresholds[(1, 2)].diff_ln(base)
-    assert d == pytest.approx(math.log(schedule.M) - 3 * math.log(2), abs=1e-12)
+    M = derivative_bound(fs)
+    for i, l in schedule:
+        mt = LogMagnitude.fixed(M * crossing_time(fs, i, l))
+        base = interval_bound_log(fs.machine.m, i, l + 1) - mt
+        d = schedule[(i, l)].diff_ln(base)
+        assert d == pytest.approx(math.log(M) - 3 * math.log(2), abs=1e-12), (i, l)
 
 
 def test_schedule_cap_scaling(schedule):
-    d = schedule.cap(0, 0).diff_ln(schedule.thresholds[(0, 0)])
+    d = (schedule[(0, 0)] + math.log(EPS0)).diff_ln(schedule[(0, 0)])
     assert d == pytest.approx(math.log(0.1))
 
 
 def test_envelope(schedule):
     # ln eps <= -e^r, the decay envelope at C = 1, with r the radius of the
     # box's farthest corner
-    for (i, l), th in schedule.thresholds.items():
+    for (i, l), th in schedule.items():
         assert th <= LogMagnitude.from_ln(-math.exp(math.hypot(2 * i + 1, l + 1.25)))
+
+
+@pytest.mark.parametrize("frac", [0.001, 0.5, 0.999])
+@pytest.mark.parametrize("name", ["incrementer", "right_filler", "spinner"])
+def test_schedule_is_the_full_formula_to_the_ceiling(name, frac):
+    # the schedule drops the min and the -1 of eps^i_l = (M/(e^{M tau} - 1))
+    # * min(eps/2, A_{i,l+1}/8): at every box up to the deepest level the
+    # height budget admits, A/8 is the min and M tau is past 1e6
+    l_max = height_ceiling(frac) - 2
+    check_height_budget(2, l_max, frac)
+    with pytest.raises(ValueError):
+        check_height_budget(2, l_max + 1, frac)
+    fs = FieldSpec(load_machine(MACHINES / f"{name}.tm"), 2, l_max, lambda_frac=frac)
+    M = derivative_bound(fs)
+    schedule = error_schedule(fs)
+    assert sorted(schedule) == [(i, l) for i in range(2) for l in range(l_max + 1)]
+    for (i, l), th in schedule.items():
+        mt = M * crossing_time(fs, i, l)
+        a = interval_bound_log(fs.machine.m, i, l + 1)
+        assert mt > 1e6 and a - math.log(8.0) < math.log(RAMP_EPS / 2), (i, l)
+        with mp.workdps(60):  # M tau is a double; its log(expm1) is within e^-1e6 of it
+            growth = mp.log(mp.expm1(mt))
+        with mp.workdps(len(str(abs(th.fix))) + 20):
+            ln_a = mp.mpf(a.fix) / FIX + a.off
+            ref = min(mp.log(mp.mpf(RAMP_EPS) / 2), ln_a - mp.log(8)) + mp.log(M) - growth
+            assert abs(mp.mpf(th.fix) / FIX + th.off - ref) < 1e-9, (i, l)
 
 
 def _jacobian_norms(fs, x, y, h=1e-5):
@@ -525,7 +556,7 @@ def test_error_schedule_locates_no_plane_point(monkeypatch):
 
     monkeypatch.setattr(field, "_locate", counted)
     fs = FieldSpec(load_machine(str(MACHINES / "right_filler.tm")), n_bands=2, l_max=6)
-    assert error_schedule(fs).M == derivative_bound(fs)
+    assert sorted(error_schedule(fs)) == [(i, l) for i in range(2) for l in range(7)]
     assert calls == []
 
 

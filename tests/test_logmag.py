@@ -9,7 +9,6 @@ from flowcomp.logmag import (
     LN3_FIX,
     LN5_FIX,
     LogMagnitude,
-    lm_min,
     signed_log_add,
 )
 
@@ -91,12 +90,6 @@ def test_signed_log_add_drops_negligible():
     tiny = LogMagnitude.from_ln(-800.0)
     sign, mag = signed_log_add(1, big, -1, tiny)
     assert sign == 1 and mag.ln() == 0.0
-
-
-def test_min_max():
-    a = LogMagnitude.from_ln(-1.0)
-    b = LogMagnitude.from_ln(-2.0)
-    assert lm_min(a, b) is b
 
 
 @given(

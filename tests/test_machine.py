@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from flowcomp.machine import (
     format_machine,
     interval_of,
     parse_machine,
+    read_machine,
     run,
     run_bounded,
     step,
@@ -224,6 +226,23 @@ def test_names_that_would_not_survive_the_round_trip_are_refused():
     for name in ("", " lead", "trail\t", "a#b", "two\nlines", "a\rb", "a\u2028b"):
         with pytest.raises(ValueError):
             format_machine(dataclasses.replace(spec, name=name))
+
+
+def test_shipped_machines_are_the_text_format_machine_writes():
+    # a hand edit the parser reads differently from the pins shows here
+    paths = sorted((Path(__file__).resolve().parent.parent / "machines").glob("*.tm"))
+    assert [p.stem for p in paths] == ["incrementer", "right_filler", "spinner"]
+    for path in paths:
+        spec, data = read_machine(path)
+        assert format_machine(spec).encode() == data, path.name
+
+
+def test_rule_from_a_state_outside_the_machine_is_refused():
+    with pytest.raises(MachineError, match=r"bad rule \(7, 0\)"):
+        parse_machine(GOOD + "rule 7 0 -> 1 0 S0\n")
+    rules = {(1, d): (2, d, 0) for d in range(10)} | {(0, 0): (1, 0, 0)}
+    with pytest.raises(MachineError, match=r"bad rule \(0, 0\)"):
+        MachineSpec("t", 2, 1, 2, rules)
 
 
 def test_parse_missing_rule():
