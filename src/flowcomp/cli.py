@@ -24,15 +24,9 @@ from .beltrami import (FitError, beltrami_from_potential, fit_window_polynomial,
                        series_rows)
 from .curves import RAMP_EPS, RHO0, curve_records
 from .field import LAMBDA0, FieldSpec, check_height_budget, error_schedule, field_eval_plane
-from .machine import Halted, MachineError, enumerate_inputs, read_machine, run
+from .machine import UNRESOLVED, MachineError, enumerate_inputs, read_machine, run
 from .robust import MAX_NESTED, resource_estimate, sample_perturbation
-from .simulate import (
-    SimulationVerdict,
-    event_rows,
-    format_verdict,
-    simulate_input,
-    trajectory_rows,
-)
+from .simulate import event_rows, format_verdict, simulate_input, trajectory_rows
 from .sphere import delta_threshold, discrete_orbit_verdict
 
 ENV_PREFIX = "FLOWCOMP_"
@@ -259,8 +253,8 @@ def cmd_simulate(settings, machine, out):
     unresolved = False
     for idx in range(settings["inputs"]):
         verdict, _, traj = simulate_input(fs, idx, None, settings["lmax"])
-        unresolved |= verdict.kind == "UNRESOLVED"
-        verdicts.append((idx, format_verdict(verdict)))
+        unresolved |= verdict is UNRESOLVED
+        verdicts.append((idx, format_verdict(verdict, settings["lmax"])))
         write_csv(out(f"trajectory_{idx}.csv"),
                   ["t", "s", "rho_sign", "ln_abs_rho", "band", "l_next"],
                   "%.12g,%.12g,%d,%.12g,%d,%d", trajectory_rows(traj))
@@ -271,21 +265,14 @@ def cmd_simulate(settings, machine, out):
     return 1 if (settings["fail_on_unresolved"] and unresolved) else 0
 
 
-def _oracle_verdict(machine, config, lmax):
-    result = run(machine, config, lmax)
-    if isinstance(result, Halted):
-        return format_verdict(SimulationVerdict("HALTED", result.config, result.steps))
-    return format_verdict(SimulationVerdict("UNRESOLVED", budget=lmax))
-
-
 def cmd_verify(settings, machine, out):
     fs = _build(settings, machine)
-    rows = []
+    lmax, rows = settings["lmax"], []
     for idx, config, _ in enumerate_inputs(machine, settings["inputs"]):
-        verdict, _, _ = simulate_input(fs, idx, None, settings["lmax"])
-        flow = format_verdict(verdict)
-        oracle = _oracle_verdict(machine, config, settings["lmax"])
-        rows.append((idx, oracle, flow, flow == oracle))
+        verdict, _, _ = simulate_input(fs, idx, None, lmax)
+        oracle = run(machine, config, lmax)
+        rows.append((idx, format_verdict(oracle, lmax), format_verdict(verdict, lmax),
+                     verdict == oracle))
     return write_agreement(out("verify.csv"), ["input", "oracle", "flow", "status"],
                            "%d,%s,%s,%s", rows)
 
@@ -293,17 +280,15 @@ def cmd_verify(settings, machine, out):
 def cmd_perturb(settings, machine, out):
     fs = _build(settings, machine)
     schedule = error_schedule(fs)
-    rows = []
+    lmax, rows = settings["lmax"], []
     for idx in range(settings["inputs"]):
-        base, _, _ = simulate_input(fs, idx, None, settings["lmax"])
-        baseline = format_verdict(base)
+        base, _, _ = simulate_input(fs, idx, None, lmax)
+        baseline = format_verdict(base, lmax)
         for trial in range(settings["trials"]):
             seed = settings["seed"] + 1000 * idx + trial
             pert = sample_perturbation(schedule, seed)
-            verdict, _, _ = simulate_input(fs, idx, None, settings["lmax"],
-                                           perturbation=pert)
-            got = format_verdict(verdict)
-            rows.append((idx, seed, baseline, got, got == baseline))
+            verdict, _, _ = simulate_input(fs, idx, None, lmax, perturbation=pert)
+            rows.append((idx, seed, baseline, format_verdict(verdict, lmax), verdict == base))
     return write_agreement(out("perturb.csv"),
                            ["input", "seed", "baseline", "perturbed", "status"],
                            "%d,%d,%s,%s,%s", rows)
@@ -342,13 +327,12 @@ def cmd_extend3d(settings, machine, out):
 def cmd_sphere(settings, machine, out):
     fs = _build(settings, machine)
     delta = delta_threshold(fs.lam) / 2.0
-    rows = []
+    lmax, rows = settings["lmax"], []
     for idx in range(settings["inputs"]):
-        cont, _, _ = simulate_input(fs, idx, None, settings["lmax"])
-        disc, _, orbit = discrete_orbit_verdict(fs, idx, None, delta, settings["lmax"])
-        cont, disc = format_verdict(cont), format_verdict(disc)
-        rows.append((idx, delta, cont, disc, orbit.iterates, len(orbit.band_gaps),
-                     cont == disc and not orbit.band_gaps))
+        cont, _, _ = simulate_input(fs, idx, None, lmax)
+        disc, _, orbit = discrete_orbit_verdict(fs, idx, None, delta, lmax)
+        rows.append((idx, delta, format_verdict(cont, lmax), format_verdict(disc, lmax),
+                     orbit.iterates, len(orbit.band_gaps), cont == disc and not orbit.band_gaps))
     return write_agreement(out("sphere.csv"), ["input", "delta", "continuous", "discrete",
                                                "iterates", "band_gaps", "status"],
                            "%d,%.12g,%s,%s,%d,%d,%s", rows)

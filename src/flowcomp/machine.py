@@ -241,7 +241,7 @@ def enumerate_inputs(
     while len(out) < count:
         val, r, s = heapq.heappop(heap)
         c = Configuration(spec.q0, r, s)
-        out.append((len(out), c, encode(c, spec.q0)))
+        out.append((len(out), c, encode(c)))
         for r2, s2, v2 in ((r + 1, s, val * 3), (r, s + 1, val * 5)):
             if (r2, s2) not in seen:
                 seen.add((r2, s2))
@@ -249,8 +249,8 @@ def enumerate_inputs(
     return out
 
 
-def encode(c: Configuration, q: int | None = None) -> EncodedPoint:
-    return EncodedPoint(c.q if q is None else q, c.r, c.s)
+def encode(c: Configuration) -> EncodedPoint:
+    return EncodedPoint(c.q, c.r, c.s)
 
 
 def interval_of(p: EncodedPoint, band: int) -> tuple[Fraction, Fraction]:
@@ -269,17 +269,20 @@ def parse_machine(text: str, name: str = "<string>") -> MachineSpec:
     """Parse the line-oriented machine format.
 
     machine <name> / states <m> / start <q0> / halt <q_halt> /
-    rule <q> <sym> -> <q'> <sym'> <S+1|S0|S-1>
+    rule <q> <sym> -> <q'> <sym'> <S+1|S0|S-1>; each directive but `rule` at most once.
     """
     mname = None
     m = q0 = q_halt = None
-    rules = {}
+    rules, first = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         try:
+            if first.setdefault(parts[0], lineno) != lineno and parts[0] != "rule":
+                raise MachineError(f"directive `{parts[0]}` given again, "
+                                   f"first on line {first[parts[0]]}")
             if parts[0] == "machine":  # the name is the rest of the line
                 mname = line.split(None, 1)[1]
             elif parts[0] == "states":

@@ -11,8 +11,11 @@ entirely in log space.
 
 `integrate_chart` yields the crossings one height at a time, and a verdict
 driver reads them only as far as its verdict needs: reading stops the flow.
-Every driver takes a height budget l_max in 1..fs.l_max (`check_budget`), so
-an UNRESOLVED verdict's budget is the number of heights flown.
+Every driver takes a height budget l_max in 1..fs.l_max (`check_budget`), and
+returns a verdict in `machine.run`'s own types: Halted(config, height),
+OutOfMemory(height), LOOP or UNRESOLVED.  So flow and machine compare with
+`==`, and the budget that `format_verdict` writes with UNRESOLVED is the
+number of heights flown.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from .curves import CHART_HALF_WIDTH, RAMP_EPS
 from .field import FieldSpec
 from .logmag import LogMagnitude, signed_log_add
-from .machine import Configuration, TapeBoundedSpec
+from .machine import LOOP, UNRESOLVED, Configuration, Halted, OutOfMemory, TapeBoundedSpec
 
 LN_CHART_LIMIT = math.log(CHART_HALF_WIDTH)
 CLASSIFY_GUARD = 1e-9
@@ -60,20 +63,14 @@ class ChartTrajectory:
     samples: list = field(default_factory=list)  # (t, s, rho_sign, ln|rho|)
 
 
-@dataclass(frozen=True)
-class SimulationVerdict:
-    kind: str  # HALTED | LOOP | OOM | UNRESOLVED
-    config: Configuration | None = None
-    height: int | None = None
-    budget: int | None = None
-
-
-def format_verdict(v: SimulationVerdict) -> str:
-    if v.kind == "HALTED":
-        return f"HALTED {v.config.q} {v.config.r} {v.config.s} {v.height}"
-    if v.kind == "UNRESOLVED":
-        return f"UNRESOLVED {v.budget}"
-    return v.kind
+def format_verdict(result, budget: int) -> str:
+    """The text of a flow's or `machine.run`'s verdict over `budget` heights."""
+    if isinstance(result, Halted):
+        c = result.config
+        return f"HALTED {c.q} {c.r} {c.s} {result.steps}"
+    if result is UNRESOLVED:
+        return f"UNRESOLVED {budget}"
+    return "OOM" if isinstance(result, OutOfMemory) else "LOOP"
 
 
 @dataclass(frozen=True)
@@ -191,19 +188,19 @@ def check_budget(fs: FieldSpec, l_max: int):
         raise ValueError(f"height budget {l_max} outside 1..{fs.l_max}")
 
 
-def read_verdict(visits, q_halt: int, constraint: HaltingSetSpec | None, budget: int):
+def read_verdict(visits, q_halt: int, constraint: HaltingSetSpec | None):
     """(verdict, hit) of ordered (height, Configuration) visits.
 
-    HALTED at the first halting visit, after which nothing is read: halting
-    configurations are fixed by the transition.  Else UNRESOLVED at `budget`.
+    Halted at the first halting visit, after which nothing is read: halting
+    configurations are fixed by the transition.  Else UNRESOLVED.
     hit: some visit read lies in the constrained halting family.
     """
     hit = False
     for height, c in visits:
         hit |= constraint is not None and constraint.matches(c)
         if c.q == q_halt:
-            return SimulationVerdict("HALTED", c, height), hit
-    return SimulationVerdict("UNRESOLVED", budget=budget), hit
+            return Halted(c, height), hit
+    return UNRESOLVED, hit
 
 
 def simulate_input(fs: FieldSpec, input_index: int, constraint: HaltingSetSpec | None,
@@ -226,7 +223,7 @@ def simulate_input(fs: FieldSpec, input_index: int, constraint: HaltingSetSpec |
             if isinstance(ev.classification, Configuration):
                 yield ev.height, ev.classification
 
-    verdict, hit = read_verdict(visits(), fs.machine.q_halt, constraint, l_max)
+    verdict, hit = read_verdict(visits(), fs.machine.q_halt, constraint)
     return verdict, hit, traj
 
 
@@ -235,9 +232,9 @@ def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
     """Three-case verdict for a tape-bounded machine read off the flow.
 
     Order of precedence at each crossing: a box whose configuration needs
-    more tape than the bound gives OOM; a halting box gives HALTED; leaving
-    the window of radius `window` before either gives LOOP (the trajectory
-    escapes to infinity without ever reaching a distinguished box).
+    more tape than the bound gives OutOfMemory; a halting box gives Halted;
+    leaving the window of radius `window` before either gives LOOP (the
+    trajectory escapes to infinity without ever reaching a distinguished box).
     """
     check_budget(fs, l_max)
     if bounded.base != fs.machine:
@@ -245,17 +242,17 @@ def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
     q_halt = fs.machine.q_halt
     c0 = fs.curve(input_index).configs[0]
     if c0.q == q_halt:
-        return SimulationVerdict("HALTED", c0, 0)
+        return Halted(c0, 0)
     for ev, _ in integrate_chart(fs, input_index, (0.0, 0.0), perturbation, l_max):
         c = ev.classification
         if isinstance(c, Configuration):
             if c.tape_size() > bounded.tape_size:
-                return SimulationVerdict("OOM", height=ev.height)
+                return OutOfMemory(ev.height)
             if c.q == q_halt:
-                return SimulationVerdict("HALTED", c, ev.height)
+                return Halted(c, ev.height)
         if math.hypot(float(fs.curve(ev.band).x[ev.height]), ev.height) > window:
-            return SimulationVerdict("LOOP", height=ev.height)
-    return SimulationVerdict("UNRESOLVED", budget=l_max)
+            return LOOP
+    return UNRESOLVED
 
 
 # ---------------------------------------------------------------------------

@@ -128,5 +128,5 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
                 orbit.band_gaps.append(l)
 
     # read lazily, so the orbit's lists end at the halting height
-    verdict, hit = read_verdict(visited(), fs.machine.q_halt, constraint, l_max)
+    verdict, hit = read_verdict(visited(), fs.machine.q_halt, constraint)
     return verdict, hit, orbit

@@ -29,7 +29,6 @@ from flowcomp.field import (
 )
 from flowcomp.logmag import LN2_FIX, LogMagnitude
 from flowcomp.machine import (
-    LOOP,
     Configuration,
     EncodedPoint,
     Halted,
@@ -51,7 +50,6 @@ from flowcomp.robust import (
 )
 from flowcomp.simulate import (
     HaltingSetSpec,
-    format_verdict,
     simulate_bounded,
     simulate_input,
 )
@@ -257,22 +255,15 @@ def test_criterion_06_oracle_equivalence(suite):
     t0 = time.time()
     mismatches = []
     for case in suite:
-        want_hit = isinstance(case.oracle, Halted)
-        if want_hit:
-            agree = (case.verdict.kind == "HALTED"
-                     and case.verdict.height == case.oracle.steps
-                     and case.verdict.config == case.oracle.config
-                     and case.hit)
-        else:
-            agree = case.verdict.kind == "UNRESOLVED" and not case.hit
-        if not agree:
+        if case.verdict != case.oracle or case.hit != isinstance(case.oracle, Halted):
             mismatches.append((case.machine.name, case.index, "input"))
         bounded = _bounded_spec(case.machine)
         got = simulate_bounded(case.fs, bounded, case.index, int(WINDOW) + 2, WINDOW)
         oracle = run_bounded(bounded, case.config, 500)
-        want = ("LOOP" if oracle is LOOP
-                else "OOM" if isinstance(oracle, OutOfMemory) else "HALTED")
-        if got.kind != want:
+        # OutOfMemory counts differ: the flow's is the height of the first box
+        # whose tape spans more than the bound, the machine's the step that
+        # would move the head past it
+        if got != oracle and not type(got) is type(oracle) is OutOfMemory:
             mismatches.append((case.machine.name, case.index, "bounded"))
     elapsed = time.time() - t0
     ok = not mismatches and elapsed < 120.0
@@ -288,12 +279,12 @@ def test_criterion_07_perturbation_robustness(suite):
     unconfined = 0
     for case in suite:
         schedule = error_schedule(case.fs)
-        base = (format_verdict(case.verdict), case.hit)
+        base = (case.verdict, case.hit)
         for trial in range(20):
             pert = sample_perturbation(schedule, 10_000 + 100 * trial + case.index)
             verdict, hit, traj = simulate_input(
                 case.fs, case.index, case.constraint, L_MAX, perturbation=pert)
-            if (format_verdict(verdict), hit) != base:
+            if (verdict, hit) != base:
                 changed.append((case.machine.name, case.index, trial))
             quarter = LogMagnitude(2 * LN2_FIX, 0.0)
             for e in traj.events:
@@ -371,7 +362,7 @@ def test_criterion_10_sphere_time_delta_map(suite):
         delta = delta_threshold(case.fs.lam) / 2.0
         verdict, hit, orbit = discrete_orbit_verdict(
             case.fs, case.index, case.constraint, delta, L_MAX)
-        if hit != case.hit or verdict.kind != case.verdict.kind:
+        if hit != case.hit or verdict != case.verdict:
             mismatches.append((case.machine.name, case.index))
         gaps += len(orbit.band_gaps)
     elapsed = time.time() - t0

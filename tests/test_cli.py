@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -522,6 +523,15 @@ def test_rule_from_a_state_outside_the_machine_is_a_usage_error(tmp_path, capsys
     assert "bad rule (7, 0)" in capsys.readouterr().err
 
 
+def test_machine_directive_given_twice_is_a_usage_error(tmp_path, capsys):
+    # the second `start` once won silently: the run went ahead with q0 = 1
+    tm = tmp_path / "twice.tm"
+    tm.write_text(Path(INC).read_text() + "start 1\n")
+    assert run("verify", "--machine", str(tm), "--inputs", "1", "--lmax", "2",
+               "--out", str(tmp_path / "v")) == 2
+    assert "twice.tm:15: directive `start` given again, first on line 3" in capsys.readouterr().err
+
+
 def test_config_with_a_byte_order_mark_resolves_like_the_plain_one(tmp_path):
     plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
     plain.write_bytes(b"lmax = 3\ninputs = 2\n")
@@ -563,6 +573,34 @@ def test_perturb_to_height_60_is_pinned(tmp_path, capsys):
     for p in sorted(tmp_path.iterdir()):
         h.update(b"\n" + p.name.encode() + b"\n" + p.read_bytes().replace(place, b"<out>"))
     assert h.hexdigest() == PERTURB_SPINNER_60
+
+
+# sha256 of the README's `flowcomp ...` examples run in order from the repository
+# root: each command line, exit code and stdout, then every file written, with the
+# output directory's path replaced
+README_EXAMPLES = "4c8d34fb73878d5888e07d68f24214f58babb0642081809d5ee9bc2dc27ffdc7"
+
+
+def test_readme_examples_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the examples name machines/*.tm relative to it
+    block = (ROOT / "README.md").read_text().split("```sh\n")[2].split("```")[0]
+    lines = [line for line in block.splitlines() if line.startswith("flowcomp ")]
+    assert len(lines) == 6, block
+    place = str(tmp_path).encode()
+    h = hashlib.sha256()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        at = argv.index("--out") + 1
+        argv[at] = str(tmp_path / argv[at])
+        rc = run(*argv)
+        assert rc == 0, line
+        h.update(b"%s\nexit %d\n" % (line.encode(), rc))
+        h.update(capsys.readouterr().out.encode().replace(place, b"<out>"))
+    for p in sorted(tmp_path.rglob("*")):
+        if p.is_file():
+            h.update(b"\n" + str(p.relative_to(tmp_path)).encode() + b"\n"
+                     + p.read_bytes().replace(place, b"<out>"))
+    assert h.hexdigest() == README_EXAMPLES
 
 
 def test_perturb_flies_only_boxes_with_a_bump(tmp_path, capsys, monkeypatch):

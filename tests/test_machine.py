@@ -256,6 +256,15 @@ def test_parse_duplicate_rule():
         parse_machine(GOOD + "rule 1 9 -> 1 9 S0\n")
 
 
+@pytest.mark.parametrize("line, first", [("machine other", 1), ("states 3", 2),
+                                         ("start 1", 3), ("halt 1", 4)])
+def test_parse_directive_given_twice_names_both_lines(line, first):
+    # the last one once won: `start 1` set q0, `machine other` renamed the machine
+    with pytest.raises(MachineError, match=f"^<string>:16: directive `{line.split()[0]}` "
+                                           f"given again, first on line {first}$"):
+        parse_machine(GOOD + line + "\n")
+
+
 def test_parse_bad_shift():
     with pytest.raises(MachineError, match="shift"):
         parse_machine(GOOD.replace("rule 1 9 -> 2 0 S0", "rule 1 9 -> 2 0 S+2"))

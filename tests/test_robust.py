@@ -115,7 +115,7 @@ def test_verdict_stable_under_perturbation(fs, schedule):
     for seed in range(5):
         p = sample_perturbation(schedule, seed)
         v, hit, traj = simulate_input(fs, 0, hs, 5, perturbation=p)
-        assert (v.kind, hit) == (base.kind, base_hit)
+        assert (v, hit) == (base, base_hit)
         # confinement: every crossing well inside the quarter-interval bound
         for e in traj.events:
             if e.rho_sign == 0:

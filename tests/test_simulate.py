@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from flowcomp import simulate
 from flowcomp.curves import RAMP_EPS
@@ -10,11 +11,13 @@ from flowcomp.field import FieldSpec, error_schedule
 from flowcomp.logmag import LogMagnitude
 from flowcomp.machine import (
     LOOP,
+    UNRESOLVED,
     Configuration,
     Halted,
     MachineSpec,
     OutOfMemory,
     TapeBoundedSpec,
+    enumerate_inputs,
     run,
     run_bounded,
 )
@@ -25,7 +28,6 @@ from flowcomp.simulate import (
     ConfinementError,
     EventRecord,
     HaltingSetSpec,
-    SimulationVerdict,
     _sample_grid,
     classify_crossing,
     event_rows,
@@ -38,6 +40,7 @@ from flowcomp.simulate import (
     trajectory_rows,
 )
 from flowcomp.sphere import delta_threshold, discrete_orbit_verdict
+from test_machine import machine_specs
 
 
 def mk(q2, f, shift, name):
@@ -238,7 +241,7 @@ def test_classify_quarter_interval_bound(fs):
 def test_simulate_halting_and_hit(fs, incrementer):
     hs = HaltingSetSpec.from_digits(2, {0: 1})
     v, hit, _ = simulate_input(fs, 0, hs, L_MAX)
-    assert v.kind == "HALTED" and v.height == 1 and hit
+    assert type(v) is Halted and v.steps == 1 and hit
     oracle = run(incrementer, Configuration(1, 0, 0), 20)
     assert isinstance(oracle, Halted) and oracle.config.r == v.config.r
 
@@ -246,20 +249,21 @@ def test_simulate_halting_and_hit(fs, incrementer):
 def test_simulate_mismatched_constraint(fs):
     hs = HaltingSetSpec.from_digits(2, {0: 5})
     v, hit, _ = simulate_input(fs, 0, hs, L_MAX)
-    assert v.kind == "HALTED" and not hit
+    assert type(v) is Halted and not hit
 
 
 def test_simulate_second_input(fs):
     # input 1 has tape digit 1 at the head; output digit is 2
     hs = HaltingSetSpec.from_digits(2, {0: 2})
     v, hit, _ = simulate_input(fs, 1, hs, L_MAX)
-    assert v.kind == "HALTED" and hit
+    assert type(v) is Halted and hit
 
 
 def test_simulate_looping(spinner):
     fss = FieldSpec(spinner, n_bands=1, l_max=6)
-    v, hit, _ = simulate_input(fss, 0, HaltingSetSpec.from_digits(2, {0: 0}), L_MAX)
-    assert v.kind == "UNRESOLVED" and v.budget == 5 and not hit
+    v, hit, traj = simulate_input(fss, 0, HaltingSetSpec.from_digits(2, {0: 0}), L_MAX)
+    assert v is UNRESOLVED and len(traj.events) == L_MAX == 5 and not hit
+    assert format_verdict(v, L_MAX) == "UNRESOLVED 5"
 
 
 def test_read_verdict_stops_at_the_first_halting_visit():
@@ -271,16 +275,16 @@ def test_read_verdict_stops_at_the_first_halting_visit():
         raise AssertionError("read past the halting visit")
 
     hs = HaltingSetSpec.from_digits(2, {0: 1})
-    assert read_verdict(visits(), 2, hs, 9) == (SimulationVerdict("HALTED", halt, 2), True)
-    assert read_verdict(visits(), 2, None, 9) == (SimulationVerdict("HALTED", halt, 2), False)
+    assert read_verdict(visits(), 2, hs) == (Halted(halt, 2), True)
+    assert read_verdict(visits(), 2, None) == (Halted(halt, 2), False)
 
 
-def test_read_verdict_unresolved_carries_its_budget():
+def test_read_verdict_unresolved_still_reports_a_hit():
     seen = [(1, Configuration(1, 5, 0)), (2, Configuration(1, 7, 0))]
     hs = HaltingSetSpec.from_digits(1, {0: 5})
     # a visit in the constrained family sets hit without halting
-    assert read_verdict(iter(seen), 2, hs, 7) == (SimulationVerdict("UNRESOLVED", budget=7), True)
-    assert read_verdict(iter([]), 2, hs, 3) == (SimulationVerdict("UNRESOLVED", budget=3), False)
+    assert read_verdict(iter(seen), 2, hs) == (UNRESOLVED, True)
+    assert read_verdict(iter([]), 2, hs) == (UNRESOLVED, False)
 
 
 def test_bounded_three_cases(incrementer, spinner, right_filler):
@@ -290,13 +294,14 @@ def test_bounded_three_cases(incrementer, spinner, right_filler):
         (spinner, TapeBoundedSpec(spinner, -2, 2)),
         (right_filler, TapeBoundedSpec(right_filler, -1, 1)),
     ]
-    kinds = {Halted: "HALTED", OutOfMemory: "OOM"}
     for machine, bnd in cases:
         fsb = FieldSpec(machine, n_bands=1, l_max=6)
         got = simulate_bounded(fsb, bnd, 0, 6, window)
         oracle = run_bounded(bnd, Configuration(machine.q0, 0, 0), 200)
-        want = "LOOP" if oracle is LOOP else kinds[type(oracle)]
-        assert got.kind == want, machine.name
+        # OutOfMemory's counts differ: the flow's is the height of the first box
+        # whose tape spans more than the bound, the machine's the step that
+        # would move the head past it
+        assert got == oracle or type(got) is type(oracle) is OutOfMemory, machine.name
 
 
 def test_bounded_halt_height_matches_oracle_steps(incrementer):
@@ -304,14 +309,14 @@ def test_bounded_halt_height_matches_oracle_steps(incrementer):
     fsb = FieldSpec(incrementer, n_bands=1, l_max=6)
     got = simulate_bounded(fsb, bnd, 0, 6, 10.0)
     oracle = run_bounded(bnd, Configuration(1, 0, 0), 100)
-    assert got.kind == "HALTED" and got.height == oracle.steps
+    assert type(got) is Halted and got == oracle
 
 
 def test_start_in_the_halting_state_halts_at_height_0():
     halted = MachineSpec("h", 1, 1, 1, {})
     fs = FieldSpec(halted, n_bands=1, l_max=3)
     c0 = Configuration(1, 0, 0)
-    want = SimulationVerdict("HALTED", c0, 0)
+    want = Halted(c0, 0)
     v, hit, traj = simulate_input(fs, 0, HaltingSetSpec.from_digits(1, {0: 0}), 3)
     assert (v, hit) == (want, True)
     assert traj.events == traj.samples == []  # no segment is integrated
@@ -339,11 +344,24 @@ def test_every_driver_rejects_a_budget_beyond_the_field(spinner):
 
 def test_a_full_budget_reads_the_same_from_flow_and_orbit(spinner):
     fss = FieldSpec(spinner, n_bands=1, l_max=3)
-    want = SimulationVerdict("UNRESOLVED", budget=3)
+    want = UNRESOLVED
     v, _, traj = simulate_input(fss, 0, None, 3)
-    assert v == want and len(traj.events) == 3
+    assert v is want and len(traj.events) == 3 and format_verdict(v, 3) == "UNRESOLVED 3"
     delta = delta_threshold(fss.lam) / 2.0
     assert discrete_orbit_verdict(fss, 0, None, delta, 3)[0] == want
+
+
+@settings(deadline=None)
+@given(machine_specs())
+def test_the_flow_is_the_machine_on_drawn_machines(spec):
+    # every shift and 1-4 states, over 24 heights: the flow, the sphere's
+    # time-delta orbit and direct execution give one verdict
+    fs = FieldSpec(spec, n_bands=2, l_max=25)
+    delta = delta_threshold(fs.lam) / 2.0
+    for idx, config, _ in enumerate_inputs(spec, 2):
+        want = run(spec, config, 24)
+        assert simulate_input(fs, idx, None, 24)[0] == want
+        assert discrete_orbit_verdict(fs, idx, None, delta, 24)[0] == want
 
 
 def chain(k):
@@ -356,26 +374,29 @@ def chain(k):
 def test_reading_stops_the_flow_at_the_halting_height(k, segments):
     fsk = FieldSpec(chain(k), n_bands=1, l_max=6)
     v, _, traj = simulate_input(fsk, 0, None, 6)
-    assert (v.kind, v.height) == ("HALTED", k)
+    assert (type(v), v.steps) == (Halted, k)
     assert segments == list(range(1, k + 1)) and len(traj.events) == k
     segments.clear()
     v = simulate_bounded(fsk, TapeBoundedSpec(fsk.machine, -2, 2), 0, 6, 50.0)
-    assert (v.kind, v.height) == ("HALTED", k) and segments == list(range(1, k + 1))
+    assert (type(v), v.steps) == (Halted, k) and segments == list(range(1, k + 1))
 
 
 def test_bounded_oom_and_loop_stop_the_flow(spinner, right_filler, segments):
-    for machine, bnd, kind in ((right_filler, TapeBoundedSpec(right_filler, -1, 1), "OOM"),
-                               (spinner, TapeBoundedSpec(spinner, -2, 2), "LOOP")):
+    # right_filler's tape spans 4 > 3 cells at height 4; the spinner's anchors
+    # sit at x = 0.5, so hypot(0.5, l) first leaves the window 4.5 at height 5
+    for machine, bnd, want, stop in (
+            (right_filler, TapeBoundedSpec(right_filler, -1, 1), OutOfMemory(4), 4),
+            (spinner, TapeBoundedSpec(spinner, -2, 2), LOOP, 5)):
         segments.clear()
         v = simulate_bounded(FieldSpec(machine, n_bands=1, l_max=6), bnd, 0, 6, 4.5)
-        assert v.kind == kind and v.height < 6
-        assert segments == list(range(1, v.height + 1))
+        assert v == want
+        assert segments == list(range(1, stop + 1))
 
 
 def test_a_start_that_halts_integrates_no_segment(segments):
     fs0 = FieldSpec(chain(0), n_bands=1, l_max=3)
-    assert simulate_input(fs0, 0, None, 3)[0].height == 0
-    assert simulate_bounded(fs0, TapeBoundedSpec(fs0.machine, -2, 2), 0, 3, 10.0).height == 0
+    assert simulate_input(fs0, 0, None, 3)[0].steps == 0
+    assert simulate_bounded(fs0, TapeBoundedSpec(fs0.machine, -2, 2), 0, 3, 10.0).steps == 0
     assert segments == []
 
 
@@ -384,7 +405,7 @@ def test_small_window_never_wrong_halted(spinner):
     fss = FieldSpec(spinner, n_bands=1, l_max=3)
     bnd = TapeBoundedSpec(spinner, -2, 2)
     got = simulate_bounded(fss, bnd, 0, 3, 50.0)
-    assert got.kind == "UNRESOLVED"
+    assert got is UNRESOLVED
 
 
 def test_halting_set_spec():
@@ -400,10 +421,10 @@ def test_halting_set_spec():
 
 
 def test_format_verdict():
-    assert format_verdict(SimulationVerdict("LOOP")) == "LOOP"
-    assert format_verdict(SimulationVerdict("UNRESOLVED", budget=7)) == "UNRESOLVED 7"
-    v = SimulationVerdict("HALTED", Configuration(2, 1, 0), 3)
-    assert format_verdict(v) == "HALTED 2 1 0 3"
+    assert format_verdict(LOOP, 7) == "LOOP"
+    assert format_verdict(OutOfMemory(4), 7) == "OOM"
+    assert format_verdict(UNRESOLVED, 7) == "UNRESOLVED 7"
+    assert format_verdict(Halted(Configuration(2, 1, 0), 3), 7) == "HALTED 2 1 0 3"
 
 
 def test_export_rows(fs):

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from flowcomp import sphere
 from flowcomp.curves import RAMP_EPS, CurveFamily
 from flowcomp.field import FieldSpec
-from flowcomp.machine import MachineSpec, load_machine
+from flowcomp.machine import UNRESOLVED, Halted, MachineSpec, load_machine
 from flowcomp.simulate import HaltingSetSpec, simulate_input
 from flowcomp.sphere import damping, delta_threshold, discrete_orbit_verdict
 
@@ -50,8 +50,7 @@ def test_discrete_orbit_matches_continuous(fs):
     cont_v, cont_hit, _ = simulate_input(fs, 0, hs, 3)
     d0 = delta_threshold(fs.lam)
     disc_v, disc_hit, orbit = discrete_orbit_verdict(fs, 0, hs, d0 / 2.0, 3)
-    assert disc_v.kind == cont_v.kind == "HALTED"
-    assert disc_v.height == cont_v.height
+    assert type(cont_v) is Halted and disc_v == cont_v
     assert disc_hit == cont_hit
     assert orbit.band_gaps == []
     assert orbit.visited_heights[0] == 1
@@ -63,7 +62,7 @@ def test_discrete_orbit_visits_every_band(fs):
     fss = FieldSpec(spin, n_bands=1, l_max=4)
     d0 = delta_threshold(fss.lam)
     v, hit, orbit = discrete_orbit_verdict(fss, 0, None, d0 / 2.0, 3)
-    assert v.kind == "UNRESOLVED" and not hit
+    assert v is UNRESOLVED and not hit
     assert orbit.visited_heights == [1, 2, 3]
     assert orbit.band_gaps == []
 
