@@ -252,7 +252,7 @@ def cmd_simulate(settings, machine, out):
     verdicts = []
     unresolved = False
     for idx in range(settings["inputs"]):
-        verdict, _, traj = simulate_input(fs, idx, None, settings["lmax"])
+        verdict, _, traj = simulate_input(fs, idx, None, settings["lmax"], samples=True)
         unresolved |= verdict is UNRESOLVED
         verdicts.append((idx, format_verdict(verdict, settings["lmax"])))
         write_csv(out(f"trajectory_{idx}.csv"),

@@ -113,10 +113,11 @@ class BumpProfile:
     @cached_property
     def arc_rows(self):
         """The arc-length grid's nodes sigma = k/_ARC_CELLS of one unit height, the
-        mask of those inside the ramp, and beta, beta' and the curvature factor
-        1/sigma^2 - 1/(1 - sigma)^2 on the masked ones."""
+        slice of those inside the ramp, one run, and beta, beta' and the curvature
+        factor 1/sigma^2 - 1/(1 - sigma)^2 on it."""
         sigma = np.arange(_ARC_CELLS) / _ARC_CELLS
-        mid = (sigma > RAMP_EPS) & (sigma < 1.0 - RAMP_EPS)
+        inside = np.flatnonzero((sigma > RAMP_EPS) & (sigma < 1.0 - RAMP_EPS))
+        mid = slice(inside[0], inside[-1] + 1)
         sm = sigma[mid]
         return sigma, mid, self.beta(sm), self.dbeta(sm), 1.0 / sm**2 - 1.0 / (1.0 - sm) ** 2
 
@@ -232,7 +233,7 @@ class CurveFamily:
 
     @cached_property
     def _arc_maps(self):
-        """(u, s, ds/du, du/ds, lambda) on the arc-length grid, u in [-1, l_max + 1],
+        """(u, s, ds/du, du/ds, lambda, lambda') on the arc-length grid, u in [-1, l_max + 1],
         whose `_ARC_CELLS` cells per unit height put u = 0 and every anchor on a
         node.  s(u) and u(s) interpolate the nodes with these exact slopes.
         Every height holds the same nodes sigma = k/_ARC_CELLS, so the ramp's rows
@@ -253,14 +254,14 @@ class CurveFamily:
         w = np.sqrt(1.0 + d1**2)
         s_arr = hermite_cumulative(u_grid, w, d1 * d2 / w)
         s_arr -= s_arr[_ARC_CELLS]  # anchor s(0) = 0 exactly
-        return u_grid, s_arr, w, 1.0 / w, val
+        return u_grid, s_arr, w, 1.0 / w, val, d1
 
     def arclength_of_param(self, u):
-        u_grid, s_arr, w, _, _ = self._arc_maps
+        u_grid, s_arr, w, *_ = self._arc_maps
         return hermite_eval(u_grid, s_arr, w, u)
 
     def param_of_arclength(self, s):
-        u_grid, s_arr, _, dudS, _ = self._arc_maps
+        u_grid, s_arr, _, dudS, *_ = self._arc_maps
         u = hermite_eval(s_arr, u_grid, dudS, s)
         hi = self.l_max + 1.0
         # polish the interpolated guess against the forward map
@@ -328,7 +329,7 @@ class BandChart:
         `_project` extends the curve vertically past its ends.  Then the hulls:
         the least left and greatest right of the 2 `_REACH` + 1 boxes from each
         cell, by `window_reduce`."""
-        u, *_, val = self.curve._arc_maps
+        u, *_, val, _ = self.curve._arc_maps
         bottom, top = u[:-1].copy(), u[1:].copy()
         bottom[0], top[-1] = -np.inf, np.inf
         boxes = bottom, top, np.minimum(val[:-1], val[1:]), np.maximum(val[:-1], val[1:])

@@ -180,6 +180,13 @@ class LevelSpeed:
             t[ramp] += self._dslow[k] * RAMP_EPS * bump_profile().beta_integral(sigma)
         return t
 
+    def anchor_times(self, s0: float) -> list:
+        """[time_to(s0), time_to(anchor 1), ...] to the bit, for s0 below RAMP_EPS
+        on level 0's straight piece; at an anchor sigma < -99 adds no ramp term."""
+        times = self._anchor_time.tolist()
+        times[0] += (s0 - float(self.anchors[0])) * float(self._slow[0])
+        return times
+
     def time(self, s_a, s_b):
         """Flow time from s_a to s_b, the integral of 1/lambda_i."""
         return self.time_to(s_b) - self.time_to(s_a)

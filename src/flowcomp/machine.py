@@ -71,28 +71,6 @@ class Configuration:
             return (self.r // 10**pos) % 10
         return (self.s // 10 ** (-pos - 1)) % 10
 
-    def tape_size(self) -> int:
-        """Positions spanned by the outermost nonzero symbols, inclusive."""
-        if self.r == 0 and self.s == 0:
-            return 0
-        if self.s > 0:
-            lo = -len(str(self.s))
-        else:
-            lo = _lowest_nonzero_pos(self.r)
-        if self.r > 0:
-            hi = len(str(self.r)) - 1
-        else:
-            hi = -1 - _lowest_nonzero_pos(self.s)
-        return hi - lo + 1
-
-
-def _lowest_nonzero_pos(n: int) -> int:
-    pos = 0
-    while n % 10 == 0:
-        n //= 10
-        pos += 1
-    return pos
-
 
 @dataclass(frozen=True, slots=True)
 class TapeBoundedSpec:
@@ -104,9 +82,12 @@ class TapeBoundedSpec:
         if not (self.b_minus <= 0 < self.b_plus):
             raise MachineError("bounds must satisfy b- <= 0 < b+")
 
-    @property
-    def tape_size(self) -> int:
-        return self.b_plus - self.b_minus + 1
+    def check_input(self, c0: Configuration):
+        """MachineError if the input tape already reaches past a bound."""
+        if c0.s > 0 and -len(str(c0.s)) < self.b_minus:
+            raise MachineError("input tape exceeds the left bound")
+        if c0.r > 0 and len(str(c0.r)) - 1 > self.b_plus:
+            raise MachineError("input tape exceeds the right bound")
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,10 +186,7 @@ def run_bounded(spec: TapeBoundedSpec, c0: Configuration, max_steps: int):
     forbidden-position check is done in absolute coordinates.
     """
     base = spec.base
-    if c0.s > 0 and -len(str(c0.s)) < spec.b_minus:
-        raise MachineError("input tape exceeds the left bound")
-    if c0.r > 0 and len(str(c0.r)) - 1 > spec.b_plus:
-        raise MachineError("input tape exceeds the right bound")
+    spec.check_input(c0)
     c, h = c0, 0
     seen = {(c.q, c.r, c.s, h)}
     for k in range(max_steps + 1):

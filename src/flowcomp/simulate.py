@@ -104,25 +104,21 @@ def _sample_grid(s0: float, s_target: float) -> np.ndarray:
     return np.append(np.arange(s0, s_target, _SAMPLE_DS)[:n], s_target)
 
 
-def integrate_segment(fs: FieldSpec, band: int, height: int, t0: float, rho,
-                      perturbation, samples):
-    """Advance to anchor `height`; returns (t1, rho at t1, sample rows).
+def integrate_segment(fs: FieldSpec, band: int, height: int, t0: float, dur: float, rho,
+                      perturbation, samples=None):
+    """Advance by the flow time `dur` to anchor `height`; returns (t1, rho at
+    t1, sample rows).
 
-    `samples` is (grid, T): the rows' arc lengths, one every `_SAMPLE_DS`
-    from the segment's start and the last one the anchor's, and their flow
-    times from that start, the slowness integral (see `integrate_chart`).
+    `samples`, if given, is (grid, times): the rows' arc lengths, one every
+    `_SAMPLE_DS` from the segment's start and the last one the anchor's, and
+    their flow times from that start.  Without it there are no rows.
     The decay of rho by the elapsed time is carried in the fixed-point part
     of its magnitude, and the perturbation's forcing is added in closed form
     (`PerturbationSpec.forcing`): the segment passes the whole support of box
     (band, height - 1) and no other.  rho is the (sign, LogMagnitude) pair
     that `signed_log_add` takes and returns.
     """
-    grid, times = samples
     sign, w = rho
-    ln0 = w.ln()
-    dur = float(times[-1])
-    t1 = t0 + dur
-
     out = sign, w - LogMagnitude.fixed(dur)
     if perturbation is not None:
         out = signed_log_add(*out, *perturbation.forcing(fs, band, height - 1))
@@ -130,8 +126,12 @@ def integrate_segment(fs: FieldSpec, band: int, height: int, t0: float, rho,
         raise ConfinementError(
             f"|rho| reached the chart boundary on band {band} at height {height}"
         )
-    return t1, out, [(t, s_, sign, ln0 - (t - t0))
-                     for t, s_ in zip((t0 + times).tolist(), grid.tolist())]
+    if samples is None:
+        return t0 + dur, out, []
+    grid, times = samples
+    ln0 = w.ln()
+    return t0 + dur, out, [(t, s_, sign, ln0 - (t - t0))
+                           for t, s_ in zip((t0 + times).tolist(), grid.tolist())]
 
 
 def classify_crossing(fs: FieldSpec, band: int, height: int, rho):
@@ -144,9 +144,11 @@ def classify_crossing(fs: FieldSpec, band: int, height: int, rho):
     return MISS
 
 
-def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int):
+def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int,
+                    samples: bool = False):
     """Yield (EventRecord, sample rows) of the chart flow from `start`, one
-    height at a time from 1 to `l_max`; reading stops the flow.
+    height at a time from 1 to `l_max`; reading stops the flow.  Only with
+    `samples` are rows built: a verdict reads the crossings alone.
 
     `start` is (s0, rho0), both finite, with s0 below RAMP_EPS: on the
     straight piece below the first ramp.  A bad start raises on the first
@@ -156,7 +158,8 @@ def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int):
     lambda/(1 - kappa rho) gives t = T + ln(1 - rho0 int kappa e^{-T} dT).
     That is T to the last bit: kappa = 0 until sigma = RAMP_EPS, and past it
     |rho0| < 1/16 and level speeds below `contraction_speed_limit(0)` keep
-    |rho0 int kappa e^{-T} dT| below e^-74, under half an ulp of T.
+    |rho0 int kappa e^{-T} dT| below e^-74, under half an ulp of T: a height
+    takes the difference of `LevelSpeed.anchor_times` at its ends.
     """
     s0, rho0 = start
     # s(u) >= u, so such a start lies below every bump support, and each
@@ -168,14 +171,18 @@ def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int):
     if rho[0] != 0 and rho[1] >= LN_CHART_LIMIT:
         raise ConfinementError("start outside the chart")
     heights = fs.curve(band).arc_heights.tolist()
+    speed = fs.speed(band)
+    anchor_t = speed.anchor_times(s0)
     t = 0.0
     for l in range(1, l_max + 1):
-        # each height's grid and slowness integral are built when it is read
-        a, b = s0 if l == 1 else heights[l - 1], heights[l]
-        grid = _sample_grid(a, b)  # its first node is a
-        T = fs.speed(band).time_to(grid)
-        t, rho, rows = integrate_segment(fs, band, l, t, rho, perturbation, (grid, T - T[0]))
-        yield EventRecord(band, l, t, b, *rho, classify_crossing(fs, band, l, rho)), rows
+        seg = None
+        if samples:  # each height's grid and slowness integral are built when it is read
+            grid = _sample_grid(s0 if l == 1 else heights[l - 1], heights[l])
+            T = speed.time_to(grid)
+            seg = grid, T - T[0]
+        t, rho, rows = integrate_segment(fs, band, l, t, anchor_t[l] - anchor_t[l - 1], rho,
+                                         perturbation, seg)
+        yield EventRecord(band, l, t, heights[l], *rho, classify_crossing(fs, band, l, rho)), rows
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +211,9 @@ def read_verdict(visits, q_halt: int, constraint: HaltingSetSpec | None):
 
 
 def simulate_input(fs: FieldSpec, input_index: int, constraint: HaltingSetSpec | None,
-                   l_max: int, perturbation=None, start=(0.0, 0.0)):
+                   l_max: int, perturbation=None, start=(0.0, 0.0), samples: bool = False):
     """Flow one enumerated input up to its first halting crossing within
-    `l_max` heights; returns (verdict, hit, traj).
+    `l_max` heights; returns (verdict, hit, traj), with rows if `samples`.
 
     `read_verdict` reads the visits lazily, from the start's own box (height
     0) on, and the flow advances only as far as it reads: a start that halts
@@ -217,7 +224,7 @@ def simulate_input(fs: FieldSpec, input_index: int, constraint: HaltingSetSpec |
 
     def visits():
         yield 0, fs.curve(input_index).configs[0]
-        for ev, rows in integrate_chart(fs, input_index, start, perturbation, l_max):
+        for ev, rows in integrate_chart(fs, input_index, start, perturbation, l_max, samples):
             traj.events.append(ev)
             traj.samples.extend(rows)
             if isinstance(ev.classification, Configuration):
@@ -231,22 +238,29 @@ def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
                      l_max: int, window: float, perturbation=None):
     """Three-case verdict for a tape-bounded machine read off the flow.
 
-    Order of precedence at each crossing: a box whose configuration needs
-    more tape than the bound gives OutOfMemory; a halting box gives Halted;
+    The head moves at each height by the shift of the box below's rule, as in
+    `run_bounded`.  Order of precedence at each crossing: a box the head
+    reaches past the bound gives OutOfMemory; a halting box gives Halted;
     leaving the window of radius `window` before either gives LOOP (the
-    trajectory escapes to infinity without ever reaching a distinguished box).
+    trajectory escapes to infinity without ever reaching a distinguished
+    box).  An input tape already past the bound raises MachineError.
     """
     check_budget(fs, l_max)
     if bounded.base != fs.machine:
         raise ValueError("field and bounded machine disagree")
-    q_halt = fs.machine.q_halt
-    c0 = fs.curve(input_index).configs[0]
-    if c0.q == q_halt:
-        return Halted(c0, 0)
+    rules, q_halt = fs.machine.rules, fs.machine.q_halt
+    configs = fs.curve(input_index).configs
+    bounded.check_input(configs[0])
+    if configs[0].q == q_halt:
+        return Halted(configs[0], 0)
+    head = 0
     for ev, _ in integrate_chart(fs, input_index, (0.0, 0.0), perturbation, l_max):
+        below = configs[ev.height - 1]
+        if below.q != q_halt:  # a halting box the flow missed makes no move
+            head += rules[(below.q, below.r % 10)][2]
         c = ev.classification
         if isinstance(c, Configuration):
-            if c.tape_size() > bounded.tape_size:
+            if not bounded.b_minus <= head <= bounded.b_plus:
                 return OutOfMemory(ev.height)
             if c.q == q_halt:
                 return Halted(c, ev.height)

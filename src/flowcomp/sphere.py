@@ -104,12 +104,12 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     if delta >= d0:
         raise ValueError(f"delta = {delta} not below the threshold {d0}")
     curve = fs.curve(input_index)
-    u, s, _, duds, val = (a[_ARC_CELLS:_ARC_CELLS * (l_max + 1) + 1] for a in curve._arc_maps)
+    u, s, _, duds, val, d1 = (a[_ARC_CELLS:_ARC_CELLS * (l_max + 1) + 1] for a in curve._arc_maps)
     # one node more, RAMP_EPS up the vertical piece above anchor l_max, where
     # (x, y)' = (0, 1); along the arc it is (lambda', 1)/w
     grid = np.append(s, s[-1] + RAMP_EPS)
     x, y = np.append(val, val[-1]), np.append(u, u[-1] + RAMP_EPS)
-    dx, dy = np.append(curve._slope(u) * duds, 0.0), np.append(duds, 1.0)
+    dx, dy = np.append(d1 * duds, 0.0), np.append(duds, 1.0)
     r = np.sqrt(1.0 + x * x + y * y)
     slow = 1.0 / (fs.lam * damping(x, y))
     dslow = slow * np.exp(r / DAMPING_SCALE) / DAMPING_SCALE * (x * dx + y * dy) / r

@@ -260,10 +260,7 @@ def test_criterion_06_oracle_equivalence(suite):
         bounded = _bounded_spec(case.machine)
         got = simulate_bounded(case.fs, bounded, case.index, int(WINDOW) + 2, WINDOW)
         oracle = run_bounded(bounded, case.config, 500)
-        # OutOfMemory counts differ: the flow's is the height of the first box
-        # whose tape spans more than the bound, the machine's the step that
-        # would move the head past it
-        if got != oracle and not type(got) is type(oracle) is OutOfMemory:
+        if got != oracle:
             mismatches.append((case.machine.name, case.index, "bounded"))
     elapsed = time.time() - t0
     ok = not mismatches and elapsed < 120.0

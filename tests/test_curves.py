@@ -438,7 +438,7 @@ def reference_arc_maps(curve):
     w = np.sqrt(1.0 + d1**2)
     s_arr = hermite_cumulative(u_grid, w, d1 * d2 / w)
     s_arr -= s_arr[_ARC_CELLS]
-    return u_grid, s_arr, w, 1.0 / w, val
+    return u_grid, s_arr, w, 1.0 / w, val, d1
 
 
 @pytest.mark.parametrize("l_max", [1, 2, 3, 9, 40, 250])
@@ -453,7 +453,7 @@ def test_arc_maps_match_lambda_eval_on_their_grid(l_max):
         w = np.sqrt(1.0 + d1**2)
         s = hermite_cumulative(u, w, d1 * d2 / w)
         s -= s[_ARC_CELLS]
-        for got, want, old in zip(curve._arc_maps, (u, s, w, 1.0 / w, val),
+        for got, want, old in zip(curve._arc_maps, (u, s, w, 1.0 / w, val, d1),
                                   reference_arc_maps(curve)):
             assert got.tobytes() == want.tobytes() == old.tobytes(), machine.name
 

@@ -75,15 +75,6 @@ def test_digit_and_from_digits():
     assert c.digit(5) == 0 and c.digit(-2) == 0
 
 
-def test_tape_size():
-    assert Configuration(1, 0, 0).tape_size() == 0
-    assert Configuration(1, 9, 0).tape_size() == 1
-    assert Configuration(1, 900, 0).tape_size() == 1
-    assert Configuration(1, 0, 9).tape_size() == 1
-    assert Configuration(1, 1, 1).tape_size() == 2
-    assert Configuration(1, 100, 10).tape_size() == 5
-
-
 # -- execution --------------------------------------------------------------
 
 

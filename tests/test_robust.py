@@ -25,7 +25,6 @@ from flowcomp.robust import (
 )
 from flowcomp.simulate import (
     HaltingSetSpec,
-    _sample_grid,
     integrate_chart,
     integrate_segment,
     simulate_bounded,
@@ -189,9 +188,8 @@ def test_forcing_matches_mpmath_at_level_5(fs, schedule):
     # below the support's edge and the forced rho is ~e^(-6.6e10)
     p = sample_perturbation(schedule, seed=3)
     a, b = (float(s) for s in fs.curve(0).arc_heights[5:7])
-    grid = _sample_grid(a, b)
-    _, (rho_sign, rho_ln), _ = integrate_segment(fs, 0, 6, 0.0, (0, LogMagnitude.zero()),
-                                                 p, (grid, fs.speed(0).time(np.array([a]), grid)))
+    dur = float(fs.speed(0).time(np.array([a]), np.array([b]))[0])
+    _, (rho_sign, rho_ln), _ = integrate_segment(fs, 0, 6, 0.0, dur, (0, LogMagnitude.zero()), p)
     sign, ln_rho = _mp_forced_rho(fs, 0, 5, p.bumps[(0, 5)])
     assert rho_sign == sign
     assert rho_ln.ln() == pytest.approx(ln_rho, abs=0.01)

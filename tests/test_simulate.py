@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowcomp import simulate
 from flowcomp.curves import RAMP_EPS
@@ -14,6 +15,7 @@ from flowcomp.machine import (
     UNRESOLVED,
     Configuration,
     Halted,
+    MachineError,
     MachineSpec,
     OutOfMemory,
     TapeBoundedSpec,
@@ -74,7 +76,7 @@ def chart(fs, start, perturbation=None, l_max=L_MAX, reads=None):
     """The first `reads` items of band 0's crossing stream (all by default),
     gathered into a ChartTrajectory."""
     traj = ChartTrajectory(0)
-    stream = integrate_chart(fs, 0, start, perturbation, l_max)
+    stream = integrate_chart(fs, 0, start, perturbation, l_max, samples=True)
     for ev, rows in itertools.islice(stream, reads):
         traj.events.append(ev)
         traj.samples.extend(rows)
@@ -132,8 +134,8 @@ def test_segment_rows_do_not_depend_on_the_last_bit_of_its_length(fs):
     counts = []
     for length in (math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0)):
         grid = _sample_grid(0.0, length)
-        _, _, rows = integrate_segment(fs, 0, 1, 0.0, rho, None,
-                                       (grid, fs.speed(0).time(np.zeros(1), grid)))
+        times = fs.speed(0).time(np.zeros(1), grid)
+        _, _, rows = integrate_segment(fs, 0, 1, 0.0, float(times[-1]), rho, None, (grid, times))
         counts.append(len(rows))
         assert [s for _, s, _, _ in rows[:-1]] == np.arange(0.0, 1.0, 0.05).tolist()
     assert counts == [21, 21, 21]
@@ -195,6 +197,60 @@ def test_a_read_that_stops_at_height_one_integrates_only_its_grid(fs, monkeypatc
     assert [e.height for e in traj.events] == [1]
     assert len(seen) == 1
     assert seen[0].tolist() == _sample_grid(0.0, float(heights[1])).tolist()
+
+
+def test_a_verdict_flow_builds_no_grid_and_one_segment_per_height(spinner, right_filler,
+                                                                  monkeypatch):
+    # without `samples` the flow times come from the anchors alone: no
+    # slowness integral on a grid, no rows, and one segment per height flown
+    from flowcomp.field import LevelSpeed
+
+    grids, seen = [], []
+    time_to, integrate = LevelSpeed.time_to, simulate.integrate_segment
+
+    def counted(fs, band, height, *args):
+        out = integrate(fs, band, height, *args)
+        seen.append((height, len(out[2])))
+        return out
+
+    monkeypatch.setattr(LevelSpeed, "time_to", lambda self, s: grids.append(s) or time_to(self, s))
+    monkeypatch.setattr(simulate, "integrate_segment", counted)
+    v, _, traj = simulate_input(FieldSpec(spinner, n_bands=1, l_max=6), 0, None, L_MAX)
+    assert v is UNRESOLVED and traj.samples == []
+    assert seen == [(l, 0) for l in range(1, L_MAX + 1)]
+    seen.clear()
+    bnd = TapeBoundedSpec(right_filler, -1, 1)
+    assert simulate_bounded(FieldSpec(right_filler, n_bands=1, l_max=6), bnd, 0, 6, 50.0) == \
+        OutOfMemory(2)
+    assert seen == [(1, 0), (2, 0)] and grids == []
+
+
+STARTS = [(0.0, 0.0), (RAMP_EPS / 2, 0.01), (-0.7, -0.02)]
+
+
+def assert_anchor_flow_is_the_sampled_flow(fs, l_max, seeds):
+    """Every band, start and perturbation: the crossings of the flow that
+    builds no rows equal, bit for bit, those of the flow that does."""
+    perturbations = [None] + [sample_perturbation(error_schedule(fs), seed) for seed in seeds]
+    for band, start, p in itertools.product(range(fs.n_bands), STARTS, perturbations):
+        sampled = [ev for ev, _ in integrate_chart(fs, band, start, p, l_max, samples=True)]
+        anchored = list(integrate_chart(fs, band, start, p, l_max))
+        assert [ev for ev, _ in anchored] == sampled, (band, start, p and p.seed)
+        assert all(rows == [] for _, rows in anchored)
+
+
+@pytest.mark.parametrize("machine", ["incrementer", "spinner", "right_filler"])
+@pytest.mark.parametrize("n_bands, l_max", [(1, 60), (2, 20), (3, 9)])
+def test_anchor_times_give_the_sampled_crossings(request, machine, n_bands, l_max):
+    fs = FieldSpec(request.getfixturevalue(machine), n_bands=n_bands, l_max=l_max)
+    assert_anchor_flow_is_the_sampled_flow(fs, l_max, seeds=(1, 7))
+
+
+@settings(deadline=None)
+@given(machine_specs(), st.integers(0, 2**16))
+def test_anchor_times_give_the_sampled_crossings_on_drawn_machines(spec, seed):
+    fs = FieldSpec(spec, n_bands=2, l_max=12)
+    assert_anchor_flow_is_the_sampled_flow(fs, 12, seeds=(seed,))
 
 
 def test_confinement_error_on_bad_start(fs, segments):
@@ -298,10 +354,7 @@ def test_bounded_three_cases(incrementer, spinner, right_filler):
         fsb = FieldSpec(machine, n_bands=1, l_max=6)
         got = simulate_bounded(fsb, bnd, 0, 6, window)
         oracle = run_bounded(bnd, Configuration(machine.q0, 0, 0), 200)
-        # OutOfMemory's counts differ: the flow's is the height of the first box
-        # whose tape spans more than the bound, the machine's the step that
-        # would move the head past it
-        assert got == oracle or type(got) is type(oracle) is OutOfMemory, machine.name
+        assert got == oracle, machine.name
 
 
 def test_bounded_halt_height_matches_oracle_steps(incrementer):
@@ -364,6 +417,24 @@ def test_the_flow_is_the_machine_on_drawn_machines(spec):
         assert discrete_orbit_verdict(fs, idx, None, delta, 24)[0] == want
 
 
+@settings(deadline=None)
+@given(machine_specs(), st.integers(-3, 0), st.integers(1, 3))
+def test_the_bounded_flow_is_run_bounded_on_drawn_machines(spec, b_minus, b_plus):
+    # out of memory on the move past a bound, or halted, at the machine's own
+    # step; where the machine loops the flow stays in the window and runs out
+    # of budget; an input tape past a bound raises on both sides
+    bnd = TapeBoundedSpec(spec, b_minus, b_plus)
+    fs = FieldSpec(spec, n_bands=3, l_max=25)
+    for idx, config, _ in enumerate_inputs(spec, 3):
+        try:
+            want = run_bounded(bnd, config, 24)
+        except MachineError:
+            with pytest.raises(MachineError):
+                simulate_bounded(fs, bnd, idx, 24, 1e12)
+            continue
+        assert simulate_bounded(fs, bnd, idx, 24, 1e12) == (UNRESOLVED if want is LOOP else want)
+
+
 def chain(k):
     """A machine that halts after k steps: state q steps to q + 1 up to k + 1."""
     return MachineSpec(f"chain{k}", k + 1, 1, k + 1,
@@ -382,10 +453,11 @@ def test_reading_stops_the_flow_at_the_halting_height(k, segments):
 
 
 def test_bounded_oom_and_loop_stop_the_flow(spinner, right_filler, segments):
-    # right_filler's tape spans 4 > 3 cells at height 4; the spinner's anchors
-    # sit at x = 0.5, so hypot(0.5, l) first leaves the window 4.5 at height 5
+    # right_filler's head moves right at every step, past b+ = 1 on the move
+    # into height 2; the spinner's anchors sit at x = 0.5, so hypot(0.5, l)
+    # first leaves the window 4.5 at height 5
     for machine, bnd, want, stop in (
-            (right_filler, TapeBoundedSpec(right_filler, -1, 1), OutOfMemory(4), 4),
+            (right_filler, TapeBoundedSpec(right_filler, -1, 1), OutOfMemory(2), 2),
             (spinner, TapeBoundedSpec(spinner, -2, 2), LOOP, 5)):
         segments.clear()
         v = simulate_bounded(FieldSpec(machine, n_bands=1, l_max=6), bnd, 0, 6, 4.5)

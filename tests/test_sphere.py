@@ -75,7 +75,8 @@ def test_orbit_iterates_monotone(fs):
 
 
 def test_warp_reads_the_curves_own_arc_length_nodes(fs, monkeypatch):
-    # the warp is built on `_arc_maps`: no arc-length inversion, no point
+    # the warp is built on `_arc_maps`: no arc-length inversion, no point, no
+    # slope evaluated again
     calls = []
 
     def counting(name, original):
@@ -84,7 +85,7 @@ def test_warp_reads_the_curves_own_arc_length_nodes(fs, monkeypatch):
             return original(self, *args)
         return wrapper
 
-    for name in ("param_of_arclength", "point"):
+    for name in ("param_of_arclength", "point", "_slope"):
         monkeypatch.setattr(CurveFamily, name, counting(name, getattr(CurveFamily, name)))
     discrete_orbit_verdict(fs, 0, None, delta_threshold(fs.lam) / 2.0, 4)
     assert calls == []

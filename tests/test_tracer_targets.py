@@ -9,6 +9,7 @@ tracer's source is read, never written.
 import csv
 import importlib
 import inspect
+import itertools
 import types
 from collections import Counter
 from functools import cached_property
@@ -110,3 +111,25 @@ def test_counter_hooks_run_and_repeat_on_perturb_extend3d_and_compile(tmp_path):
         {name: second[name] for name in tracer.EXACT_COUNTS}
     assert first["curves.lambda_eval.points"] > 0 and first["beltrami.terms"] > 0
     assert first["logmag.signed_log_add.calls"] > 0
+
+
+def test_first_verify_round_counts_are_pinned(tmp_path, capsys):
+    # the per-layer counts of seed 1's first round of `verify` ops, traced as
+    # the benchmark traces them; they repeat exactly, so rebuilt work shows
+    # here and not only in a timed run.  solver_steps counts the trajectory
+    # rows built: only `simulate` writes them
+    from test_workload_pins import load_workloads
+
+    tracer = load_tracer()
+    with tracer.Tracer() as t:
+        for op in itertools.islice(load_workloads().generate("verify", 1, tmp_path), 9):
+            t.op_id, t.active = op.index, True
+            rc = main(op.argv)
+            t.active = False
+            assert rc == 0, op.argv
+        values = t.metrics(0.0)
+    capsys.readouterr()
+    assert {name: values[name] for name in ("simulate.segments", "simulate.crossings",
+                                            "simulate.solver_steps", "sphere.iterates")} == {
+        "simulate.segments": 48, "simulate.crossings": 48,
+        "simulate.solver_steps": 350, "sphere.iterates": 168_705}
