@@ -158,52 +158,65 @@ LOOP = _Sentinel("Loop")
 UNRESOLVED = _Sentinel("Unresolved")
 
 
+def read_verdict(visits, spec: MachineSpec, constraint=None, bounded=None, escaped=None):
+    """(verdict, hit) of ordered (height, below, c) visits, read lazily: c is
+    the box at `height` (one the flow missed is no Configuration), `below` the
+    box under it (None at height 0).  In order: with the TapeBoundedSpec
+    `bounded` the head moves by the rule of a non-halting `below`, and a box c
+    past the bound is OutOfMemory(height); a halting box c is Halted(c,
+    height), and nothing more is read; escaped(height, c, head) true is LOOP;
+    the end of the visits is UNRESOLVED.  hit: some box c read lies in the
+    HaltingSetSpec `constraint`'s family."""
+    head, hit = 0, False
+    for height, below, c in visits:
+        if bounded is not None and below is not None and below.q != spec.q_halt:
+            head += spec.rules[(below.q, below.r % 10)][2]
+        if isinstance(c, Configuration):
+            hit |= constraint is not None and constraint.matches(c)
+            if bounded is not None and not bounded.b_minus <= head <= bounded.b_plus:
+                return OutOfMemory(height), hit
+            if c.q == spec.q_halt:
+                return Halted(c, height), hit
+        if escaped is not None and escaped(height, c, head):
+            return LOOP, hit
+    return UNRESOLVED, hit
+
+
+def _steps(spec: MachineSpec, c: Configuration, n: int):
+    """(k, c_(k-1), c_k) for k = 0..n, c_(-1) None; a step is taken when read."""
+    yield 0, None, c
+    for k in range(1, n + 1):
+        below, c = c, step(spec, c)
+        yield k, below, c
+
+
 def run(spec: MachineSpec, c0: Configuration, max_steps: int):
     """Direct execution: Halted(config, steps) or UNRESOLVED."""
-    c = c0
-    for k in range(max_steps + 1):
-        if c.q == spec.q_halt:
-            return Halted(c, k)
-        if k == max_steps:
-            break
-        c = step(spec, c)
-    return UNRESOLVED
+    return read_verdict(_steps(spec, c0, max_steps), spec)[0]
 
 
 def trajectory(spec: MachineSpec, c0: Configuration, n: int) -> list[Configuration]:
     """c0, Delta(c0), ..., Delta^n(c0)."""
-    out = [c0]
-    for _ in range(n):
-        out.append(step(spec, out[-1]))
-    return out
+    return [c for _, _, c in _steps(spec, c0, n)]
 
 
 def run_bounded(spec: TapeBoundedSpec, c0: Configuration, max_steps: int):
     """Bounded-tape execution with the halt / out-of-memory / loop split.
 
-    The head is fixed at position 0 of the shifting tape; the offset h tracks
-    where position 0 of the current tape sits in the input frame, so the
-    forbidden-position check is done in absolute coordinates.
+    The head is fixed at position 0 of the shifting tape; `read_verdict` tracks
+    its offset in the input frame to check the bounds, and a (configuration,
+    head) pair seen before is a LOOP.
     """
-    base = spec.base
     spec.check_input(c0)
-    c, h = c0, 0
-    seen = {(c.q, c.r, c.s, h)}
-    for k in range(max_steps + 1):
-        if c.q == base.q_halt:
-            return Halted(c, k)
-        if k == max_steps:
-            break
-        _, _, shift = base.rules[(c.q, c.r % 10)]
-        h2 = h + shift
-        if not spec.b_minus <= h2 <= spec.b_plus:
-            return OutOfMemory(k + 1)
-        c, h = step(base, c), h2
-        key = (c.q, c.r, c.s, h)
-        if key in seen:
-            return LOOP
-        seen.add(key)
-    return UNRESOLVED
+    seen = set()
+
+    def repeated(k, c, head):
+        n = len(seen)
+        seen.add((c, head))
+        return len(seen) == n
+
+    steps = _steps(spec.base, c0, max_steps)
+    return read_verdict(steps, spec.base, bounded=spec, escaped=repeated)[0]
 
 
 def enumerate_inputs(

@@ -10,12 +10,13 @@ against the encoded interval of the corresponding machine configuration,
 entirely in log space.
 
 `integrate_chart` yields the crossings one height at a time, and a verdict
-driver reads them only as far as its verdict needs: reading stops the flow.
-Every driver takes a height budget l_max in 1..fs.l_max (`check_budget`), and
-returns a verdict in `machine.run`'s own types: Halted(config, height),
-OutOfMemory(height), LOOP or UNRESOLVED.  So flow and machine compare with
-`==`, and the budget that `format_verdict` writes with UNRESOLVED is the
-number of heights flown.
+driver hands them as visits to `machine.read_verdict`, the one reader and
+policy that `machine.run` uses too; it reads only as far as its verdict
+needs, so reading stops the flow.  Every driver takes a height budget l_max
+in 1..fs.l_max (`check_budget`), and returns a verdict in `machine.run`'s own
+types: Halted(config, height), OutOfMemory(height), LOOP or UNRESOLVED.  So
+flow and machine compare with `==`, and the budget that `format_verdict`
+writes with UNRESOLVED is the number of heights flown.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import numpy as np
 from .curves import CHART_HALF_WIDTH, RAMP_EPS
 from .field import FieldSpec
 from .logmag import LogMagnitude, signed_log_add
-from .machine import LOOP, UNRESOLVED, Configuration, Halted, OutOfMemory, TapeBoundedSpec
+from .machine import (UNRESOLVED, Configuration, Halted, OutOfMemory, TapeBoundedSpec,
+                      read_verdict)
 
 LN_CHART_LIMIT = math.log(CHART_HALF_WIDTH)
 CLASSIFY_GUARD = 1e-9
@@ -195,42 +197,26 @@ def check_budget(fs: FieldSpec, l_max: int):
         raise ValueError(f"height budget {l_max} outside 1..{fs.l_max}")
 
 
-def read_verdict(visits, q_halt: int, constraint: HaltingSetSpec | None):
-    """(verdict, hit) of ordered (height, Configuration) visits.
-
-    Halted at the first halting visit, after which nothing is read: halting
-    configurations are fixed by the transition.  Else UNRESOLVED.
-    hit: some visit read lies in the constrained halting family.
-    """
-    hit = False
-    for height, c in visits:
-        hit |= constraint is not None and constraint.matches(c)
-        if c.q == q_halt:
-            return Halted(c, height), hit
-    return UNRESOLVED, hit
-
-
 def simulate_input(fs: FieldSpec, input_index: int, constraint: HaltingSetSpec | None,
                    l_max: int, perturbation=None, start=(0.0, 0.0), samples: bool = False):
     """Flow one enumerated input up to its first halting crossing within
     `l_max` heights; returns (verdict, hit, traj), with rows if `samples`.
 
-    `read_verdict` reads the visits lazily, from the start's own box (height
-    0) on, and the flow advances only as far as it reads: a start that halts
-    flows nowhere.
+    `machine.read_verdict` reads the visits lazily, from the start's own box
+    (height 0) on, and the flow advances only as far as it reads: a start
+    that halts flows nowhere.
     """
     check_budget(fs, l_max)
     traj = ChartTrajectory(input_index)
 
     def visits():
-        yield 0, fs.curve(input_index).configs[0]
+        yield 0, None, fs.curve(input_index).configs[0]
         for ev, rows in integrate_chart(fs, input_index, start, perturbation, l_max, samples):
             traj.events.append(ev)
             traj.samples.extend(rows)
-            if isinstance(ev.classification, Configuration):
-                yield ev.height, ev.classification
+            yield ev.height, None, ev.classification
 
-    verdict, hit = read_verdict(visits(), fs.machine.q_halt, constraint)
+    verdict, hit = read_verdict(visits(), fs.machine, constraint)
     return verdict, hit, traj
 
 
@@ -238,35 +224,29 @@ def simulate_bounded(fs: FieldSpec, bounded: TapeBoundedSpec, input_index: int,
                      l_max: int, window: float, perturbation=None):
     """Three-case verdict for a tape-bounded machine read off the flow.
 
-    The head moves at each height by the shift of the box below's rule, as in
-    `run_bounded`.  Order of precedence at each crossing: a box the head
-    reaches past the bound gives OutOfMemory; a halting box gives Halted;
-    leaving the window of radius `window` before either gives LOOP (the
-    trajectory escapes to infinity without ever reaching a distinguished
+    `machine.read_verdict` reads the crossings as it reads `run_bounded`'s
+    steps, passing the box below each: OutOfMemory past the bound, else
+    Halted, else LOOP at a crossing outside the window of radius `window` > 0
+    (the trajectory escapes to infinity without reaching a distinguished
     box).  An input tape already past the bound raises MachineError.
     """
     check_budget(fs, l_max)
+    if not window > 0:
+        raise ValueError(f"window {window} is not positive")
     if bounded.base != fs.machine:
         raise ValueError("field and bounded machine disagree")
-    rules, q_halt = fs.machine.rules, fs.machine.q_halt
-    configs = fs.curve(input_index).configs
-    bounded.check_input(configs[0])
-    if configs[0].q == q_halt:
-        return Halted(configs[0], 0)
-    head = 0
-    for ev, _ in integrate_chart(fs, input_index, (0.0, 0.0), perturbation, l_max):
-        below = configs[ev.height - 1]
-        if below.q != q_halt:  # a halting box the flow missed makes no move
-            head += rules[(below.q, below.r % 10)][2]
-        c = ev.classification
-        if isinstance(c, Configuration):
-            if not bounded.b_minus <= head <= bounded.b_plus:
-                return OutOfMemory(ev.height)
-            if c.q == q_halt:
-                return Halted(c, ev.height)
-        if math.hypot(float(fs.curve(ev.band).x[ev.height]), ev.height) > window:
-            return LOOP
-    return UNRESOLVED
+    curve = fs.curve(input_index)
+    bounded.check_input(curve.configs[0])
+
+    def visits():
+        yield 0, None, curve.configs[0]
+        for ev, _ in integrate_chart(fs, input_index, (0.0, 0.0), perturbation, l_max):
+            yield ev.height, curve.configs[ev.height - 1], ev.classification
+
+    def escaped(height, c, head):
+        return height > 0 and math.hypot(float(curve.x[height]), height) > window
+
+    return read_verdict(visits(), fs.machine, bounded=bounded, escaped=escaped)[0]
 
 
 # ---------------------------------------------------------------------------

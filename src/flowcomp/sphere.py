@@ -10,8 +10,9 @@ no S^2 field evaluator is kept.
 Computation survives as the time-delta map: below the threshold
 delta0 = RAMP_EPS/(32 lam) the discrete orbit cannot skip a height band, so box
 visits — and with them the verdicts — match the continuous flow.  The
-orbit's visits are read lazily by `read_verdict`, like the flow's crossings,
-over a height budget that `check_budget` holds to 1..fs.l_max.
+orbit's visits are read lazily by `machine.read_verdict`, the reader of the
+flow's crossings and of `machine.run`, over a height budget that
+`check_budget` holds to 1..fs.l_max.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import numpy as np
 
 from .curves import _ARC_CELLS, RAMP_EPS, hermite_cumulative
 from .field import FieldSpec
-from .simulate import HaltingSetSpec, check_budget, read_verdict
+from .machine import read_verdict
+from .simulate import HaltingSetSpec, check_budget
 
 DAMPING_SCALE = 64.0
 
@@ -101,8 +103,8 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     """
     check_budget(fs, l_max)
     d0 = delta_threshold(fs.lam)
-    if delta >= d0:
-        raise ValueError(f"delta = {delta} not below the threshold {d0}")
+    if not 0 < delta < d0:
+        raise ValueError(f"delta = {delta} not in (0, {d0}): positive, below the threshold")
     curve = fs.curve(input_index)
     u, s, _, duds, val, d1 = (a[_ARC_CELLS:_ARC_CELLS * (l_max + 1) + 1] for a in curve._arc_maps)
     # one node more, RAMP_EPS up the vertical piece above anchor l_max, where
@@ -119,14 +121,14 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     heights = curve.arc_heights
 
     def visited():
-        yield 0, curve.configs[0]  # the start's own box
+        yield 0, None, curve.configs[0]  # the start's own box
         for l in range(1, l_max + 1):
             if orbit.visits(float(heights[l])):
                 orbit.visited_heights.append(l)
-                yield l, curve.configs[l]
+                yield l, None, curve.configs[l]
             else:
                 orbit.band_gaps.append(l)
 
     # read lazily, so the orbit's lists end at the halting height
-    verdict, hit = read_verdict(visited(), fs.machine.q_halt, constraint)
+    verdict, hit = read_verdict(visited(), fs.machine, constraint)
     return verdict, hit, orbit

@@ -1,10 +1,13 @@
 import dataclasses
+import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from flowcomp import machine
 from flowcomp.machine import (
     LOOP,
     UNRESOLVED,
@@ -20,11 +23,13 @@ from flowcomp.machine import (
     interval_of,
     parse_machine,
     read_machine,
+    read_verdict,
     run,
     run_bounded,
     step,
     trajectory,
 )
+from flowcomp.simulate import HaltingSetSpec
 
 
 def uniform_machine(q2, sym_of, shift, m=2, q0=1, q_halt=2, name="t"):
@@ -115,6 +120,72 @@ def test_bounded_rejects_oversized_input(right_filler):
     spec = TapeBoundedSpec(right_filler, -1, 1)
     with pytest.raises(MachineError):
         run_bounded(spec, Configuration(1, 100, 0), 10)
+
+
+# -- the verdict reader ------------------------------------------------------
+
+
+def test_read_verdict_stops_at_the_first_halting_visit(incrementer):
+    halt = Configuration(2, 1, 0)
+
+    def visits():
+        yield 1, None, Configuration(1, 0, 0)
+        yield 2, None, halt
+        raise AssertionError("read past the halting visit")
+
+    hs = HaltingSetSpec.from_digits(2, {0: 1})
+    assert read_verdict(visits(), incrementer, hs) == (Halted(halt, 2), True)
+    assert read_verdict(visits(), incrementer, None) == (Halted(halt, 2), False)
+
+
+def test_read_verdict_unresolved_still_reports_a_hit(incrementer):
+    seen = [(1, None, Configuration(1, 5, 0)), (2, None, Configuration(1, 7, 0))]
+    hs = HaltingSetSpec.from_digits(1, {0: 5})
+    # a visit in the constrained family sets hit without halting
+    assert read_verdict(iter(seen), incrementer, hs) == (UNRESOLVED, True)
+    assert read_verdict(iter([]), incrementer, hs) == (UNRESOLVED, False)
+
+
+def test_read_verdict_reads_out_of_memory_before_halting():
+    # one move left, into the halting state: the box past b- = 0 halts too
+    spec = uniform_machine(2, lambda d: d, -1)
+    bnd = TapeBoundedSpec(spec, 0, 1)
+    c0 = Configuration(1, 0, 0)
+    c1 = step(spec, c0)
+    assert c1.q == spec.q_halt
+    visits = [(0, None, c0), (1, c0, c1)]
+    assert read_verdict(iter(visits), spec, None, bnd) == (OutOfMemory(1), False)
+    assert read_verdict(iter(visits), spec) == (Halted(c1, 1), False)
+    assert run_bounded(bnd, c0, 5) == OutOfMemory(1)
+
+
+def test_a_missed_box_moves_the_head_and_may_loop_but_never_halts_or_runs_out(
+        incrementer, right_filler):
+    # right_filler moves the head right at every step; from height 2 on it is
+    # past b+ = 1, but only at boxes the flow missed
+    bnd = TapeBoundedSpec(right_filler, -1, 1)
+    cs = trajectory(right_filler, Configuration(1, 0, 0), 3)
+    missed = [(0, None, cs[0])] + [(k, cs[k - 1], "Miss") for k in (1, 2, 3)]
+    heads = []
+
+    def escaped(k, c, head):
+        heads.append((k, c, head))
+        return False
+
+    assert read_verdict(iter(missed), right_filler, None, bnd, escaped) == (UNRESOLVED, False)
+    assert heads == [(0, cs[0], 0), (1, "Miss", 1), (2, "Miss", 2), (3, "Miss", 3)]
+    looped = read_verdict(iter(missed), right_filler, None, bnd, lambda k, c, head: head == 2)
+    assert looped == (LOOP, False)
+    # the head is read past the bound at the first box the flow crosses
+    assert read_verdict(iter(missed[:3] + [(3, cs[2], cs[3])]), right_filler, None, bnd) == (
+        OutOfMemory(3), False)
+    # a missed halting box neither halts, nor is hit, nor moves the head
+    inc = trajectory(incrementer, Configuration(1, 0, 0), 2)
+    assert inc[1].q == inc[2].q == incrementer.q_halt
+    hs = HaltingSetSpec.from_digits(2, {0: 1})
+    visits = [(0, None, inc[0]), (1, inc[0], "Miss"), (2, inc[1], "Miss")]
+    assert read_verdict(iter(visits), incrementer, hs, TapeBoundedSpec(incrementer, -1, 1),
+                        lambda k, c, head: False) == (UNRESOLVED, False)
 
 
 # -- encoding ---------------------------------------------------------------
@@ -264,3 +335,85 @@ def test_parse_bad_shift():
 def test_parse_reports_line_number():
     with pytest.raises(MachineError, match=":6:"):
         parse_machine(GOOD.replace("rule 1 0 -> 2 1 S0", "rule 1 zero -> 2 1 S0"))
+
+
+# -- references: the loops that `read_verdict` replaced ---------------------
+
+
+def reference_run(spec: MachineSpec, c0: Configuration, max_steps: int):
+    """Direct execution: Halted(config, steps) or UNRESOLVED."""
+    c = c0
+    for k in range(max_steps + 1):
+        if c.q == spec.q_halt:
+            return Halted(c, k)
+        if k == max_steps:
+            break
+        c = step(spec, c)
+    return UNRESOLVED
+
+
+def reference_trajectory(spec: MachineSpec, c0: Configuration, n: int) -> list[Configuration]:
+    """c0, Delta(c0), ..., Delta^n(c0)."""
+    out = [c0]
+    for _ in range(n):
+        out.append(step(spec, out[-1]))
+    return out
+
+
+def reference_run_bounded(spec: TapeBoundedSpec, c0: Configuration, max_steps: int):
+    """Bounded-tape execution with the halt / out-of-memory / loop split.
+
+    The head is fixed at position 0 of the shifting tape; the offset h tracks
+    where position 0 of the current tape sits in the input frame, so the
+    forbidden-position check is done in absolute coordinates.
+    """
+    base = spec.base
+    spec.check_input(c0)
+    c, h = c0, 0
+    seen = {(c.q, c.r, c.s, h)}
+    for k in range(max_steps + 1):
+        if c.q == base.q_halt:
+            return Halted(c, k)
+        if k == max_steps:
+            break
+        _, _, shift = base.rules[(c.q, c.r % 10)]
+        h2 = h + shift
+        if not spec.b_minus <= h2 <= spec.b_plus:
+            return OutOfMemory(k + 1)
+        c, h = step(base, c), h2
+        key = (c.q, c.r, c.s, h)
+        if key in seen:
+            return LOOP
+        seen.add(key)
+    return UNRESOLVED
+
+
+def counted(fn, *args):
+    """(fn(*args) or the MachineError it raises, the number of `step` calls)."""
+    calls, real = [], machine.step
+
+    def counting(spec, c):
+        calls.append(c)
+        return real(spec, c)
+
+    # the references call this module's `step`, the reader's stream the machine's
+    with mock.patch.object(machine, "step", counting), \
+            mock.patch.object(sys.modules[__name__], "step", counting):
+        try:
+            out = fn(*args)
+        except MachineError as exc:
+            out = type(exc)
+    return out, len(calls)
+
+
+@given(machine_specs(), st.integers(0, 40), st.integers(-3, 0), st.integers(1, 3))
+def test_the_reader_is_the_reference_loops_on_drawn_machines(spec, budget, b_minus, b_plus):
+    bnd = TapeBoundedSpec(spec, b_minus, b_plus)
+    for _, c0, _ in enumerate_inputs(spec, 3):
+        assert counted(run, spec, c0, budget) == counted(reference_run, spec, c0, budget)
+        assert counted(trajectory, spec, c0, budget) == counted(
+            reference_trajectory, spec, c0, budget)
+        (got, n), (want, n_ref) = (counted(run_bounded, bnd, c0, budget),
+                                   counted(reference_run_bounded, bnd, c0, budget))
+        # the stream takes the step out of bounds before the reader sees it
+        assert got == want and n == n_ref + isinstance(want, OutOfMemory)

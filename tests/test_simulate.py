@@ -36,7 +36,6 @@ from flowcomp.simulate import (
     format_verdict,
     integrate_chart,
     integrate_segment,
-    read_verdict,
     simulate_bounded,
     simulate_input,
     trajectory_rows,
@@ -322,27 +321,6 @@ def test_simulate_looping(spinner):
     assert format_verdict(v, L_MAX) == "UNRESOLVED 5"
 
 
-def test_read_verdict_stops_at_the_first_halting_visit():
-    halt = Configuration(2, 1, 0)
-
-    def visits():
-        yield 1, Configuration(1, 0, 0)
-        yield 2, halt
-        raise AssertionError("read past the halting visit")
-
-    hs = HaltingSetSpec.from_digits(2, {0: 1})
-    assert read_verdict(visits(), 2, hs) == (Halted(halt, 2), True)
-    assert read_verdict(visits(), 2, None) == (Halted(halt, 2), False)
-
-
-def test_read_verdict_unresolved_still_reports_a_hit():
-    seen = [(1, Configuration(1, 5, 0)), (2, Configuration(1, 7, 0))]
-    hs = HaltingSetSpec.from_digits(1, {0: 5})
-    # a visit in the constrained family sets hit without halting
-    assert read_verdict(iter(seen), 2, hs) == (UNRESOLVED, True)
-    assert read_verdict(iter([]), 2, hs) == (UNRESOLVED, False)
-
-
 def test_bounded_three_cases(incrementer, spinner, right_filler):
     window = 4.5
     cases = [
@@ -470,6 +448,16 @@ def test_a_start_that_halts_integrates_no_segment(segments):
     assert simulate_input(fs0, 0, None, 3)[0].steps == 0
     assert simulate_bounded(fs0, TapeBoundedSpec(fs0.machine, -2, 2), 0, 3, 10.0).steps == 0
     assert segments == []
+
+
+def test_bounded_window_must_be_positive(spinner):
+    # a NaN window could never give LOOP, and a negative one would at every crossing
+    fss = FieldSpec(spinner, n_bands=1, l_max=3)
+    bnd = TapeBoundedSpec(spinner, -2, 2)
+    for window in (-1.0, 0.0, math.nan, -math.inf):
+        with pytest.raises(ValueError, match=f"window {window}"):
+            simulate_bounded(fss, bnd, 0, 3, window)
+    assert simulate_bounded(fss, bnd, 0, 3, math.inf) is UNRESOLVED
 
 
 def test_small_window_never_wrong_halted(spinner):

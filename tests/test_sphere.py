@@ -43,6 +43,10 @@ def test_threshold_guard(fs):
         discrete_orbit_verdict(fs, 0, None, d0, 3)
     with pytest.raises(ValueError):
         discrete_orbit_verdict(fs, 0, None, 2.0 * d0, 3)
+    # the step must be a positive number, too
+    for delta in (-1.0, 0.0, -0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"delta = {delta} not in"):
+            discrete_orbit_verdict(fs, 0, None, delta, 3)
 
 
 def test_discrete_orbit_matches_continuous(fs):
