@@ -92,7 +92,7 @@ def read_config(path: str) -> dict:
 
 
 def _below_float_ceiling(inputs: int, lmax: int, lambda_frac: float) -> bool:
-    """Check the field `_build` makes (heights 0 to lmax + 1); raise its own message."""
+    """Check the field `main` builds (heights 0 to lmax + 1); raise its own message."""
     try:
         return check_height_budget(inputs, lmax + 1, lambda_frac) is None
     except ValueError as e:
@@ -118,7 +118,8 @@ CHECKS = (
      "--C {} with --sb {} puts the norm bound at most 1, where it has no ln ln"),
     (("inputs", "lmax", "lambda_frac"), _below_float_ceiling, ""),
     (("machine",), lambda path: path != "", "--machine is required"),
-    (("machine",), lambda path: Path(path).is_file(), "machine file {} not found"),
+    (("machine",), lambda path: Path(path).exists(), "machine file {} not found"),
+    (("machine",), lambda path: Path(path).is_file(), "machine file {} is not a file"),
 )
 
 
@@ -224,13 +225,7 @@ def write_manifest(outdir: Path, sub: str, settings: dict, artifacts: list, sour
 # subcommands
 
 
-def _build(settings: dict, machine) -> FieldSpec:
-    return FieldSpec(machine, n_bands=settings["inputs"], l_max=settings["lmax"] + 1,
-                     lambda_frac=settings["lambda_frac"])
-
-
-def cmd_compile(settings, machine, out):
-    fs = _build(settings, machine)
+def cmd_compile(settings, fs, out):
     for band in range(fs.n_bands):
         curve = fs.curve(band)
         write_csv(out(f"curve_{band}.csv"), ["s", "x", "y", "kappa"], "%.12g,%.12g,%.12g,%.12g",
@@ -247,8 +242,7 @@ def cmd_compile(settings, machine, out):
     return 0
 
 
-def cmd_simulate(settings, machine, out):
-    fs = _build(settings, machine)
+def cmd_simulate(settings, fs, out):
     verdicts = []
     unresolved = False
     for idx in range(settings["inputs"]):
@@ -265,20 +259,18 @@ def cmd_simulate(settings, machine, out):
     return 1 if (settings["fail_on_unresolved"] and unresolved) else 0
 
 
-def cmd_verify(settings, machine, out):
-    fs = _build(settings, machine)
+def cmd_verify(settings, fs, out):
     lmax, rows = settings["lmax"], []
-    for idx, config, _ in enumerate_inputs(machine, settings["inputs"]):
+    for idx, config, _ in enumerate_inputs(fs.machine, settings["inputs"]):
         verdict, _, _ = simulate_input(fs, idx, None, lmax)
-        oracle = run(machine, config, lmax)
+        oracle = run(fs.machine, config, lmax)
         rows.append((idx, format_verdict(oracle, lmax), format_verdict(verdict, lmax),
                      verdict == oracle))
     return write_agreement(out("verify.csv"), ["input", "oracle", "flow", "status"],
                            "%d,%s,%s,%s", rows)
 
 
-def cmd_perturb(settings, machine, out):
-    fs = _build(settings, machine)
+def cmd_perturb(settings, fs, out):
     schedule = error_schedule(fs)
     lmax, rows = settings["lmax"], []
     for idx in range(settings["inputs"]):
@@ -294,8 +286,7 @@ def cmd_perturb(settings, machine, out):
                            "%d,%d,%s,%s,%s", rows)
 
 
-def cmd_extend3d(settings, machine, out):
-    fs = _build(settings, machine)
+def cmd_extend3d(settings, fs, out):
     window = (0.0, 1.0, 0.0, float(min(settings["lmax"], 2)))
     report = fit_window_polynomial(fs, window, settings["degree"])
     F = report["F"]
@@ -324,8 +315,7 @@ def cmd_extend3d(settings, machine, out):
     return 0 if lift_ok else 1
 
 
-def cmd_sphere(settings, machine, out):
-    fs = _build(settings, machine)
+def cmd_sphere(settings, fs, out):
     delta = delta_threshold(fs.lam) / 2.0
     lmax, rows = settings["lmax"], []
     for idx in range(settings["inputs"]):
@@ -338,7 +328,7 @@ def cmd_sphere(settings, machine, out):
                            "%d,%.12g,%s,%s,%d,%d,%s", rows)
 
 
-def cmd_estimate(settings, machine, out):
+def cmd_estimate(settings, fs, out):
     est = resource_estimate(settings["sb"], settings["C"])
     digits = est.fixed_digits()  # the threshold's fixed part is -fix
     text = "\n".join([
@@ -396,7 +386,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    artifacts, machine, source = [], None, b""
+    artifacts, fs, source = [], None, b""
 
     def out(name: str) -> Path:
         """The path of the artifact `name`, listed in the manifest in the order asked for."""
@@ -406,7 +396,9 @@ def main(argv=None) -> int:
     try:
         if "machine" in settings:  # read once: the bytes parsed are the bytes hashed
             machine, source = read_machine(settings["machine"])
-        status = COMMANDS[args.subcommand][0](settings, machine, out)
+            fs = FieldSpec(machine, n_bands=settings["inputs"], l_max=settings["lmax"] + 1,
+                           lambda_frac=settings["lambda_frac"])
+        status = COMMANDS[args.subcommand][0](settings, fs, out)
         write_manifest(outdir, args.subcommand, settings, artifacts, source)
     except (OSError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -180,13 +180,6 @@ class LevelSpeed:
             t[ramp] += self._dslow[k] * RAMP_EPS * bump_profile().beta_integral(sigma)
         return t
 
-    def anchor_times(self, s0: float) -> list:
-        """[time_to(s0), time_to(anchor 1), ...] to the bit, for s0 below RAMP_EPS
-        on level 0's straight piece; at an anchor sigma < -99 adds no ramp term."""
-        times = self._anchor_time.tolist()
-        times[0] += (s0 - float(self.anchors[0])) * float(self._slow[0])
-        return times
-
     def time(self, s_a, s_b):
         """Flow time from s_a to s_b, the integral of 1/lambda_i."""
         return self.time_to(s_b) - self.time_to(s_a)
@@ -195,15 +188,13 @@ class LevelSpeed:
         """(vals, cum, at_anchor) with rows 0..k at least.  Row j of vals:
         lambda/lambda_j = 1/(1 + (r - 1) beta) over the ramp before anchor j + 1; of
         cum: its integral.  at_anchor: the potential at the anchors the rows reach.
-        Rows are built when a read first needs them, each as the whole table has it."""
-        n = len(self._cum)
-        if k >= n:
+        Rows 0..k are built as one table when a read first needs a row past those built."""
+        if k >= len(self._cum):
             grid, beta, dbeta = bump_profile().level_rows
-            r1 = self._slow[n + 1:k + 2, None] / self._slow[n:k + 1, None] - 1.0
-            vals = 1.0 / (1.0 + r1 * beta)
-            self._vals.extend(vals)
-            self._cum.extend(hermite_cumulative(grid, vals, -r1 * dbeta * vals * vals))
-            ends = RAMP_EPS * np.array([c[-1] for c in self._cum])
+            r1 = self._slow[1:k + 2, None] / self._slow[:k + 1, None] - 1.0
+            vals = self._vals = 1.0 / (1.0 + r1 * beta)
+            self._cum = hermite_cumulative(grid, vals, -r1 * dbeta * vals * vals)
+            ends = RAMP_EPS * self._cum[:, -1]
             seg = (np.diff(self.anchors[:k + 2]) - RAMP_EPS + ends) * self.levels[:k + 1]
             self._at_anchor = np.concatenate([[0.0], np.cumsum(seg)])
         return self._vals, self._cum, self._at_anchor

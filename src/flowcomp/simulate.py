@@ -4,10 +4,11 @@ Integration happens in chart coordinates.  The normal coordinate rho decays
 exactly like rho(0)e^{-t} plus a perturbation-forced part, and both live at
 scales that underflow doubles, so rho is carried as a sign plus LogMagnitude.
 The flow time to any arc length s is the integral of the per-level slowness,
-since a start lies on the straight piece below the first ramp
-(`integrate_chart`).  At each arc-length anchor the crossing is classified
-against the encoded interval of the corresponding machine configuration,
-entirely in log space.
+`LevelSpeed.time_to`, since a start lies on the straight piece below the first
+ramp (`integrate_chart`): one call gives a flow's times at its anchors, and
+`simulate` makes one more per height for its sample rows.  At each anchor the
+crossing is classified against the encoded interval of the corresponding
+machine configuration, entirely in log space.
 
 `integrate_chart` yields the crossings one height at a time, and a verdict
 driver hands them as visits to `machine.read_verdict`, the one reader and
@@ -161,7 +162,7 @@ def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int,
     That is T to the last bit: kappa = 0 until sigma = RAMP_EPS, and past it
     |rho0| < 1/16 and level speeds below `contraction_speed_limit(0)` keep
     |rho0 int kappa e^{-T} dT| below e^-74, under half an ulp of T: a height
-    takes the difference of `LevelSpeed.anchor_times` at its ends.
+    takes the difference of T at its ends, from one `LevelSpeed.time_to` call.
     """
     s0, rho0 = start
     # s(u) >= u, so such a start lies below every bump support, and each
@@ -174,7 +175,7 @@ def integrate_chart(fs: FieldSpec, band: int, start, perturbation, l_max: int,
         raise ConfinementError("start outside the chart")
     heights = fs.curve(band).arc_heights.tolist()
     speed = fs.speed(band)
-    anchor_t = speed.anchor_times(s0)
+    anchor_t = speed.time_to(np.array([s0, *heights[1:l_max + 1]])).tolist()
     t = 0.0
     for l in range(1, l_max + 1):
         seg = None

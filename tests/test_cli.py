@@ -99,6 +99,13 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         assert "space_bound = 2.0" in capsys.readouterr().out
 
 
+def test_machine_path_that_is_missing_or_no_file_is_a_usage_error(tmp_path, capsys):
+    for path, message in ((tmp_path / "missing.tm", "not found"),
+                          (ROOT / "machines", "is not a file")):
+        assert run("verify", "--machine", str(path), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: machine file {path} {message}\n"
+
+
 def test_malformed_machine_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.tm"
     bad.write_text("machine bad\nstates 2\nstart 1\nthis is not a rule\n")
@@ -328,6 +335,33 @@ def test_large_tape_integers_reach_the_event_log(tmp_path, capsys):
         (c.q, c.r, c.s) for c in configs[1:]]
     assert configs[24].s == int("9" * 24) > 2**64
     assert digest_dir(tmp_path) == SIMULATE_RF_24
+    capsys.readouterr()
+
+
+# machines that halt late, after several states and moves both ways: height
+# budget past the halt, and input 0's flow verdict; the late halters' tape
+# integers pass 2^53
+LATE_HALTERS = {"lin_rado_3": (22, "HALTED 4 111 11 21"),
+                "brady_4": (108, "HALTED 5 1111111111110 1 107"),
+                "late_left": (18, "HALTED 18 999999999999999990 0 17"),
+                "late_right": (18, "HALTED 18 0 99999999999999999 17")}
+
+
+@pytest.mark.parametrize("name", LATE_HALTERS)
+def test_shipped_late_halters_agree_on_every_row(tmp_path, capsys, name):
+    lmax, verdict = LATE_HALTERS[name]
+    runs = {"verify": ("verify.csv", ()), "sphere": ("sphere.csv", ()),
+            "simulate": ("verdicts.csv", ())}
+    if name.startswith("late_"):
+        runs["perturb"] = ("perturb.csv", ("--trials", "2"))
+    for sub, (table, extra) in runs.items():
+        assert run(sub, "--machine", str(ROOT / "machines" / f"{name}.tm"), "--inputs", "3",
+                   "--lmax", str(lmax), *extra, "--out", str(tmp_path / sub)) == 0, sub
+        rows = [r.split(",") for r in (tmp_path / sub / table).read_text().splitlines()[1:]]
+        assert len(rows) == 3 * (2 if sub == "perturb" else 1), sub
+        # the flow's verdict is the last column of `simulate` and the third of the rest
+        assert rows[0][-1 if sub == "simulate" else 2] == verdict, sub
+        assert sub == "simulate" or all(row[-1] == "agree" for row in rows), sub
     capsys.readouterr()
 
 

@@ -31,7 +31,10 @@ from flowcomp.field import (
 from flowcomp.logmag import FIX, LogMagnitude
 from flowcomp.robust import EPS0
 from flowcomp.machine import MachineSpec, load_machine
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_curves import random_machine
+from test_machine import machine_specs
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
 
@@ -235,6 +238,36 @@ def reference_time_to(speed, s):
             + speed._dslow[k] * RAMP_EPS * bump_profile().beta_integral(sigma))
 
 
+def reference_anchor_times(speed, s0: float) -> list:
+    """[time_to(s0), time_to(anchor 1), ...] as verdict flows once took them,
+    for s0 below RAMP_EPS on level 0's straight piece."""
+    times = speed._anchor_time.tolist()
+    times[0] += (s0 - float(speed.anchors[0])) * float(speed._slow[0])
+    return times
+
+
+class ReferenceRows:
+    """The potential's ramp rows as `LevelSpeed` once built them: appended as
+    reads climbed, with an offset into the rows already built."""
+
+    def __init__(self, speed):
+        self.anchors, self.levels, self._slow = speed.anchors, speed.levels, speed._slow
+        self._vals, self._cum = [], []
+
+    def _potential_tables(self, k: int):
+        n = len(self._cum)
+        if k >= n:
+            grid, beta, dbeta = bump_profile().level_rows
+            r1 = self._slow[n + 1:k + 2, None] / self._slow[n:k + 1, None] - 1.0
+            vals = 1.0 / (1.0 + r1 * beta)
+            self._vals.extend(vals)
+            self._cum.extend(hermite_cumulative(grid, vals, -r1 * dbeta * vals * vals))
+            ends = RAMP_EPS * np.array([c[-1] for c in self._cum])
+            seg = (np.diff(self.anchors[:k + 2]) - RAMP_EPS + ends) * self.levels[:k + 1]
+            self._at_anchor = np.concatenate([[0.0], np.cumsum(seg)])
+        return self._vals, self._cum, self._at_anchor
+
+
 def points_across_the_anchors(speed, n=4000):
     """Arc lengths from below s = 0 to past the last anchor: a uniform grid,
     each anchor and ramp start, points an ulp away, and points across each ramp."""
@@ -271,6 +304,31 @@ def test_time_to_skips_the_ramp_only_where_it_is_zero(name):
         speed = fs.speed(band)
         s = points_across_the_anchors(speed)
         assert np.array_equal(speed.time_to(s), reference_time_to(speed, s))
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+START = st.one_of(st.floats(-RAMP_EPS / 2, RAMP_EPS / 2, exclude_min=True, exclude_max=True),
+                  st.sampled_from([0.0, math.nextafter(RAMP_EPS, 0.0)]))
+
+
+@settings(deadline=None)
+@given(machine_specs(), st.integers(1, 3), st.integers(1, 12), START)
+def test_one_clock_and_one_pass_rows_are_the_old_paths_on_drawn_machines(spec, n_bands, l_max,
+                                                                         s0):
+    fs = FieldSpec(spec, n_bands, l_max)
+    for band in range(n_bands):
+        speed = fs.speed(band)
+        times = speed.time_to(np.array([s0, *speed.anchors[1:]]))
+        assert bits(times) == bits(reference_anchor_times(speed, s0))
+        ref, top = ReferenceRows(speed), len(speed.anchors) - 1
+        for level in (1, 3, top):  # reads that climb, each past the rows built
+            speed.potential(speed.anchors[[min(level, top)]])
+            want = ref._potential_tables(min(level, top - 1))
+            assert [bits(a) for a in (speed._vals, speed._cum, speed._at_anchor)] == \
+                [bits(a) for a in want]
 
 
 def test_window_fit_builds_only_the_rows_it_reads():

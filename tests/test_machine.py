@@ -293,7 +293,8 @@ def test_names_that_would_not_survive_the_round_trip_are_refused():
 def test_shipped_machines_are_the_text_format_machine_writes():
     # a hand edit the parser reads differently from the pins shows here
     paths = sorted((Path(__file__).resolve().parent.parent / "machines").glob("*.tm"))
-    assert [p.stem for p in paths] == ["incrementer", "right_filler", "spinner"]
+    assert [p.stem for p in paths] == ["brady_4", "incrementer", "late_left", "late_right",
+                                       "lin_rado_3", "right_filler", "spinner"]
     for path in paths:
         spec, data = read_machine(path)
         assert format_machine(spec).encode() == data, path.name

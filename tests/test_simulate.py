@@ -180,7 +180,8 @@ def test_batched_slowness_matches_per_segment_reference(fs, case):
 
 
 def test_a_read_that_stops_at_height_one_integrates_only_its_grid(fs, monkeypatch):
-    # each height's sample grid and slowness integral are built when it is read
+    # the anchor times come first, in one call; then each height's sample grid
+    # and slowness integral are built when it is read
     from flowcomp.field import LevelSpeed
 
     seen = []
@@ -194,14 +195,15 @@ def test_a_read_that_stops_at_height_one_integrates_only_its_grid(fs, monkeypatc
     traj = chart(fs, (0.0, 0.0), reads=1)
     heights = fs.curve(0).arc_heights
     assert [e.height for e in traj.events] == [1]
-    assert len(seen) == 1
-    assert seen[0].tolist() == _sample_grid(0.0, float(heights[1])).tolist()
+    assert len(seen) == 2
+    assert seen[0].tolist() == [0.0, *heights[1:L_MAX + 1].tolist()]
+    assert seen[1].tolist() == _sample_grid(0.0, float(heights[1])).tolist()
 
 
 def test_a_verdict_flow_builds_no_grid_and_one_segment_per_height(spinner, right_filler,
                                                                   monkeypatch):
-    # without `samples` the flow times come from the anchors alone: no
-    # slowness integral on a grid, no rows, and one segment per height flown
+    # without `samples` the flow times come from one slowness integral on the
+    # start and the anchors: no grid, no rows, and one segment per height flown
     from flowcomp.field import LevelSpeed
 
     grids, seen = [], []
@@ -214,14 +216,18 @@ def test_a_verdict_flow_builds_no_grid_and_one_segment_per_height(spinner, right
 
     monkeypatch.setattr(LevelSpeed, "time_to", lambda self, s: grids.append(s) or time_to(self, s))
     monkeypatch.setattr(simulate, "integrate_segment", counted)
-    v, _, traj = simulate_input(FieldSpec(spinner, n_bands=1, l_max=6), 0, None, L_MAX)
+    fs = FieldSpec(spinner, n_bands=1, l_max=6)
+    v, _, traj = simulate_input(fs, 0, None, L_MAX)
     assert v is UNRESOLVED and traj.samples == []
     assert seen == [(l, 0) for l in range(1, L_MAX + 1)]
+    assert [g.tolist() for g in grids] == [[0.0, *fs.curve(0).arc_heights[1:L_MAX + 1]]]
     seen.clear()
+    grids.clear()
     bnd = TapeBoundedSpec(right_filler, -1, 1)
-    assert simulate_bounded(FieldSpec(right_filler, n_bands=1, l_max=6), bnd, 0, 6, 50.0) == \
-        OutOfMemory(2)
-    assert seen == [(1, 0), (2, 0)] and grids == []
+    fs = FieldSpec(right_filler, n_bands=1, l_max=6)
+    assert simulate_bounded(fs, bnd, 0, 6, 50.0) == OutOfMemory(2)
+    assert seen == [(1, 0), (2, 0)]
+    assert [g.tolist() for g in grids] == [[0.0, *fs.curve(0).arc_heights[1:7]]]
 
 
 STARTS = [(0.0, 0.0), (RAMP_EPS / 2, 0.01), (-0.7, -0.02)]

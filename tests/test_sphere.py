@@ -119,7 +119,10 @@ def full_scan(fs, orbit, l_max):
     return visited, gaps
 
 
-SCAN_MACHINES = [load_machine(p) for p in sorted(MACHINES.glob("*.tm"))]
+# the one-rule sample machines first, at the indices the tests below read
+ONE_RULE = ("incrementer", "right_filler", "spinner")
+SCAN_MACHINES = [load_machine(MACHINES / f"{name}.tm") for name in ONE_RULE]
+SCAN_MACHINES += [load_machine(p) for p in sorted(MACHINES.glob("*.tm")) if p.stem not in ONE_RULE]
 SCAN_MACHINES += [random_machine(seed) for seed in range(200, 204)]
 
 
