@@ -27,6 +27,13 @@ from flowcomp.machine import MachineSpec, load_machine
 from flowcomp.robust import _bump01
 
 MACHINES = Path(__file__).resolve().parent.parent / "machines"
+# the one-rule sample machines, then the late halters: the tests that give
+# each machine a band and a height budget in list order put the random
+# machines between them, so every machine keeps the draws it had before the
+# late halters were shipped
+ONE_RULE = ("incrementer", "right_filler", "spinner")
+ONE_RULE_MACHINES = [load_machine(MACHINES / f"{name}.tm") for name in ONE_RULE]
+LATE_HALTERS = [load_machine(p) for p in sorted(MACHINES.glob("*.tm")) if p.stem not in ONE_RULE]
 
 
 def make_machine(q2, sym_of, shift, name="t"):
@@ -316,8 +323,8 @@ def test_distance_bound_keeps_every_chart_point():
     # the bound that runs before Newton rejects no point of the chart: points
     # placed within the half-width come back with their own s and rho
     rng = np.random.default_rng(20261018)
-    machines = [load_machine(path) for path in sorted(MACHINES.glob("*.tm"))]
-    machines += [random_machine(seed) for seed in range(100, 109)]
+    machines = ONE_RULE_MACHINES + [random_machine(seed) for seed in range(100, 109)]
+    machines += LATE_HALTERS
     n = 2000
     half = n // 2
     for k, machine in enumerate(machines):
@@ -359,8 +366,8 @@ def test_hull_prefilter_keeps_the_bound_below_and_the_held_set():
     # points across each band and past its edges, at every height and below
     # and above the curve's ends, on the sample machines and random ones
     rng = np.random.default_rng(17)
-    machines = [load_machine(path) for path in sorted(MACHINES.glob("*.tm"))]
-    machines += [random_machine(seed) for seed in range(300, 309)]
+    machines = ONE_RULE_MACHINES + [random_machine(seed) for seed in range(300, 309)]
+    machines += LATE_HALTERS
     n, total = 9000, 0
     for k, machine in enumerate(machines):
         curve = CurveFamily(machine, k % 3, int(rng.integers(3, 13)))
@@ -388,8 +395,8 @@ def sliding_hulls(ch):
 
 def test_hulls_match_sliding_window_min_and_max():
     rng = np.random.default_rng(41)
-    machines = [load_machine(path) for path in sorted(MACHINES.glob("*.tm"))]
-    machines += [random_machine(seed) for seed in range(500, 509)]
+    machines = ONE_RULE_MACHINES + [random_machine(seed) for seed in range(500, 509)]
+    machines += LATE_HALTERS
     for k, machine in enumerate(machines):
         ch = BandChart(CurveFamily(machine, k % 3, int(rng.integers(1, 13))))
         for got, want in zip(ch._cell_boxes[4:], sliding_hulls(ch)):
@@ -445,8 +452,8 @@ def reference_arc_maps(curve):
 def test_arc_maps_match_lambda_eval_on_their_grid(l_max):
     # the shared ramp rows give every node the bits `lambda_eval` gives it,
     # and those of the ramp evaluated for each curve on its own grid
-    machines = [load_machine(path) for path in sorted(MACHINES.glob("*.tm"))]
-    for k, machine in enumerate(machines + [random_machine(400 + l_max)]):
+    machines = ONE_RULE_MACHINES + [random_machine(400 + l_max)] + LATE_HALTERS
+    for k, machine in enumerate(machines):
         curve = CurveFamily(machine, k % 3, l_max)
         u = np.linspace(-1.0, l_max + 1, _ARC_CELLS * (l_max + 2) + 1)
         val, d1, d2 = curve.lambda_eval(u)

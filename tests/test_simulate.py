@@ -235,7 +235,9 @@ STARTS = [(0.0, 0.0), (RAMP_EPS / 2, 0.01), (-0.7, -0.02)]
 
 def assert_anchor_flow_is_the_sampled_flow(fs, l_max, seeds):
     """Every band, start and perturbation: the crossings of the flow that
-    builds no rows equal, bit for bit, those of the flow that does."""
+    builds no rows equal, bit for bit, those of the flow that does.  The
+    tests below name the times at the flow's anchors, which both flows take
+    from one `LevelSpeed.time_to` call on the start and the anchors."""
     perturbations = [None] + [sample_perturbation(error_schedule(fs), seed) for seed in seeds]
     for band, start, p in itertools.product(range(fs.n_bands), STARTS, perturbations):
         sampled = [ev for ev, _ in integrate_chart(fs, band, start, p, l_max, samples=True)]
