@@ -28,11 +28,9 @@ RAMP_EPS = 0.01
 RHO0 = 1.0 / 32.0
 # arc-length grid cells per unit height; every anchor is a grid node
 _ARC_CELLS = 256
-# cells above and below a point's own whose boxes can come within the chart
-# half-width of it, and one more for round-off in the nodes
+# cells above and below a point's own that can come within the chart half-width
+# of it, and one more for round-off in the nodes
 _REACH = int(CHART_HALF_WIDTH * _ARC_CELLS) + 1
-# points per block of `BandChart._distance_bound`'s (block, 2 _REACH + 1) box scan
-_BOX_BLOCK = 4096
 
 
 class ChartError(ValueError):
@@ -306,8 +304,8 @@ class BandChart:
 
     def plane_to_chart(self, x, y):
         """(s, rho) of the plane points (x, y), 1-D arrays; NaN at points beyond
-        the half-width.  Only points that `_distance_bound` puts within the
-        half-width are projected."""
+        the half-width and at points with a non-finite coordinate.  Only points
+        that `_distance_bound` puts within the half-width are projected."""
         held = self._distance_bound(x, y) < CHART_HALF_WIDTH**2
         xh, yh = x[held], y[held]
         u = self._project(xh, yh)
@@ -322,39 +320,28 @@ class BandChart:
 
     @cached_property
     def _cell_boxes(self):
-        """(bottom, top, left, right) of a box around each cell of the arc-length
-        grid, the end cells repeated `_REACH` times on either side.  lambda is
-        monotone on each unit height, so the curve over a cell lies between its
-        end values.  The end cells reach down and up without limit, as
-        `_project` extends the curve vertically past its ends.  Then the hulls:
-        the least left and greatest right of the 2 `_REACH` + 1 boxes from each
-        cell, by `window_reduce`."""
+        """(top, hull_left, hull_right) per cell of the arc-length grid: its top,
+        the last one without limit as `_project` extends the curve vertically past
+        its ends, and the least and greatest x of the curve over the 2 `_REACH` + 1
+        cells around it.  lambda is monotone on each unit height, so these are the
+        min and max of the run's nodes, the end nodes repeated, by `window_reduce`."""
         u, *_, val, _ = self.curve._arc_maps
-        bottom, top = u[:-1].copy(), u[1:].copy()
-        bottom[0], top[-1] = -np.inf, np.inf
-        boxes = bottom, top, np.minimum(val[:-1], val[1:]), np.maximum(val[:-1], val[1:])
-        boxes = [np.concatenate((b[:1].repeat(_REACH), b, b[-1:].repeat(_REACH))) for b in boxes]
-        return boxes + [window_reduce(np.minimum, boxes[2], 2 * _REACH + 1),
-                        window_reduce(np.maximum, boxes[3], 2 * _REACH + 1)]
+        top = u[1:].copy()
+        top[-1] = np.inf
+        val = np.pad(val, _REACH, mode="edge")
+        return (top, window_reduce(np.minimum, val, 2 * _REACH + 2),
+                window_reduce(np.maximum, val, 2 * _REACH + 2))
 
     def _distance_bound(self, x, y):
-        """A lower bound on the squared distance of each point to the curve:
-        the least squared distance to the boxes of the cells within the
-        half-width of its height, gathered `_BOX_BLOCK` points at a time.  A point
-        whose x-distance to its window's hull is past the half-width keeps that
-        distance, below every box's, so the same points fall within the half-width."""
-        bottom, top, left, right, hull_left, hull_right = self._cell_boxes
-        k0 = np.searchsorted(top[_REACH:-_REACH], y)  # the cell of each height
-        best = (x - np.minimum(np.maximum(x, hull_left[k0]), hull_right[k0])) ** 2
-        near = np.flatnonzero(best < CHART_HALF_WIDTH**2)
-        offsets = np.arange(2 * _REACH + 1)  # cells k0 - _REACH.., in the padded boxes
-        for block in np.split(near, range(_BOX_BLOCK, len(near), _BOX_BLOCK)):
-            k = k0[block, None] + offsets
-            xb, yb = x[block, None], y[block, None]
-            dx = xb - np.minimum(np.maximum(xb, left[k]), right[k])
-            dy = yb - np.minimum(np.maximum(yb, bottom[k]), top[k])
-            best[block] = (dx * dx + dy * dy).min(axis=1)
-        return best
+        """A lower bound on the squared distance of each point to the curve: the
+        squared x-distance to the hull of the cells within the half-width of its
+        height, as the rest of the curve is farther than that in height alone.
+        It is inf or NaN at a point with a non-finite coordinate."""
+        top, hull_left, hull_right = self._cell_boxes
+        finite = np.isfinite(y)
+        k = np.searchsorted(top, np.where(finite, y, 0.0))  # the cell of each height
+        best = (x - np.minimum(np.maximum(x, hull_left[k]), hull_right[k])) ** 2
+        return np.where(finite, best, np.inf)
 
     def _project(self, x, y):
         """Foot of the normal through each (x, y), by Newton on

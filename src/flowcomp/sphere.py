@@ -116,7 +116,10 @@ def discrete_orbit_verdict(fs: FieldSpec, input_index: int,
     slow = 1.0 / (fs.lam * damping(x, y))
     dslow = slow * np.exp(r / DAMPING_SCALE) / DAMPING_SCALE * (x * dx + y * dy) / r
     t_of_s = hermite_cumulative(grid, slow, dslow)
-    orbit = DiscreteOrbit(delta, int(t_of_s[-1] / delta) + 1, [], [], (t_of_s, grid))
+    steps = float(t_of_s[-1]) / delta
+    if not np.isfinite(steps):
+        raise ValueError(f"delta = {delta} too small: {t_of_s[-1]} / delta overflows")
+    orbit = DiscreteOrbit(delta, int(steps) + 1, [], [], (t_of_s, grid))
 
     heights = curve.arc_heights
 

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 
 from flowcomp.curves import (
     _ARC_CELLS,
-    _BOX_BLOCK,
     _REACH,
     CHART_HALF_WIDTH,
     RAMP_EPS,
@@ -348,10 +347,24 @@ def test_distance_bound_keeps_every_chart_point():
         assert np.max(np.abs(rho2 - rho)) < 1e-12, machine.name
 
 
-def full_box_bound(ch, x, y):
-    """The distance bound over all 2 _REACH + 1 boxes of each point's window,
-    with no hull prefilter: the running minimum `_distance_bound` refines."""
-    bottom, top, left, right = ch._cell_boxes[:4]
+def reference_cell_boxes(curve):
+    """(bottom, top, left, right) of a box around each cell of the arc-length
+    grid, the end cells repeated `_REACH` times on either side, then the hulls
+    over each window of 2 `_REACH` + 1 boxes: the reference for the hull table
+    and for a box bound, tighter than the hull's."""
+    u, *_, val, _ = curve._arc_maps
+    bottom, top = u[:-1].copy(), u[1:].copy()
+    bottom[0], top[-1] = -np.inf, np.inf
+    boxes = bottom, top, np.minimum(val[:-1], val[1:]), np.maximum(val[:-1], val[1:])
+    boxes = [np.concatenate((b[:1].repeat(_REACH), b, b[-1:].repeat(_REACH))) for b in boxes]
+    return boxes + [window_reduce(np.minimum, boxes[2], 2 * _REACH + 1),
+                    window_reduce(np.maximum, boxes[3], 2 * _REACH + 1)]
+
+
+def full_box_bound(curve, x, y):
+    """The least squared distance of each point to the 2 _REACH + 1 cell boxes
+    around its height: a bound at or above the hull's, below the distance."""
+    bottom, top, left, right = reference_cell_boxes(curve)[:4]
     k0 = np.searchsorted(top[_REACH:-_REACH], y)
     best = np.full(x.shape, np.inf)
     for j in range(2 * _REACH + 1):
@@ -364,11 +377,15 @@ def full_box_bound(ch, x, y):
 
 def test_hull_prefilter_keeps_the_bound_below_and_the_held_set():
     # points across each band and past its edges, at every height and below
-    # and above the curve's ends, on the sample machines and random ones
-    rng = np.random.default_rng(17)
+    # and above the curve's ends; at 1/16 +- 1e-12 off the curve; and within
+    # 1/16 of either side of the hull in the middle of the steepest ramp, where
+    # the hull holds points that the boxes do not.  On the sample machines and
+    # random ones; the last two sets have an rng of their own, so each machine
+    # keeps the band and height budget it had
+    rng, edge_rng = np.random.default_rng(17), np.random.default_rng(18)
     machines = ONE_RULE_MACHINES + [random_machine(seed) for seed in range(300, 309)]
     machines += LATE_HALTERS
-    n, total = 9000, 0
+    n, m, total, hull_only = 9000, 2500, 0, 0
     for k, machine in enumerate(machines):
         curve = CurveFamily(machine, k % 3, int(rng.integers(3, 13)))
         ch = BandChart(curve)
@@ -376,30 +393,39 @@ def test_hull_prefilter_keeps_the_bound_below_and_the_held_set():
                                              curve.x[rng.integers(0, curve.l_max + 2, n // 2)]
                                              + rng.uniform(-0.08, 0.08, n // 2)])
         y = rng.uniform(-1.5, curve.l_max + 2.5, n)
-        fast, full = ch._distance_bound(x, y), full_box_bound(ch, x, y)
-        assert np.all(fast <= full), machine.name
-        held = full < CHART_HALF_WIDTH**2
-        assert np.array_equal(fast < CHART_HALF_WIDTH**2, held), machine.name
-        assert np.array_equal(fast[held], full[held]), machine.name
-        total += n
-    assert total >= 100_000
-
-
-def sliding_hulls(ch):
-    """The hulls as `sliding_window_view` min and max over each window of boxes."""
-    width = 2 * _REACH + 1
-    left, right = ch._cell_boxes[2:4]
-    return (np.lib.stride_tricks.sliding_window_view(left, width).min(axis=1),
-            np.lib.stride_tricks.sliding_window_view(right, width).max(axis=1))
+        u = edge_rng.uniform(-0.5, curve.l_max + 1.0, m)
+        rho = (edge_rng.choice([-1.0, 1.0], m)
+               * (CHART_HALF_WIDTH + edge_rng.choice([-1e-12, 1e-12], m)))
+        (gx, gy), _, normal, _, _ = curve.frame(u)
+        top, hull_left, hull_right = ch._cell_boxes
+        ramp = np.argmax(np.abs(np.diff(curve.x))) + edge_rng.uniform(0.3, 0.7, m)
+        k, side = np.searchsorted(top, ramp), edge_rng.choice([-1.0, 1.0], m)
+        beside = (np.where(side < 0, hull_left[k], hull_right[k])
+                  + side * edge_rng.uniform(0.0, CHART_HALF_WIDTH, m))
+        x = np.concatenate([x, gx + rho * normal[0], beside])
+        y = np.concatenate([y, gy + rho * normal[1], ramp])
+        hull, box = ch._distance_bound(x, y), full_box_bound(curve, x, y)
+        assert np.all(hull <= box), machine.name
+        held, beyond = hull < CHART_HALF_WIDTH**2, box >= CHART_HALF_WIDTH**2
+        # the points the box scan spared Newton land on no chart
+        assert np.all(np.isnan(ch.plane_to_chart(x[beyond], y[beyond])[0])), machine.name
+        total += len(x)
+        hull_only += np.count_nonzero(held & beyond)
+    assert total >= 100_000 and hull_only >= 10_000
 
 
 def test_hulls_match_sliding_window_min_and_max():
     rng = np.random.default_rng(41)
     machines = ONE_RULE_MACHINES + [random_machine(seed) for seed in range(500, 509)]
     machines += LATE_HALTERS
+    width = 2 * _REACH + 1
     for k, machine in enumerate(machines):
-        ch = BandChart(CurveFamily(machine, k % 3, int(rng.integers(1, 13))))
-        for got, want in zip(ch._cell_boxes[4:], sliding_hulls(ch)):
+        curve = CurveFamily(machine, k % 3, int(rng.integers(1, 13)))
+        top, *hulls = BandChart(curve)._cell_boxes
+        boxes = reference_cell_boxes(curve)
+        assert top.tobytes() == boxes[1][_REACH:-_REACH].tobytes(), machine.name
+        for got, box, reduce in zip(hulls, boxes[2:4], (np.min, np.max)):
+            want = reduce(np.lib.stride_tricks.sliding_window_view(box, width), axis=1)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), machine.name
 
 
@@ -412,20 +438,6 @@ def test_window_reduce_matches_sliding_windows(width):
         windows = np.lib.stride_tricks.sliding_window_view(a, width)
         assert window_reduce(np.minimum, a, width).tobytes() == windows.min(axis=1).tobytes()
         assert window_reduce(np.maximum, a, width).tobytes() == windows.max(axis=1).tobytes()
-
-
-def test_box_scan_over_several_blocks_matches_the_full_bound():
-    # every point within the half-width of the curve, so all are scanned box by
-    # box, in three blocks
-    rng = np.random.default_rng(29)
-    curve = CurveFamily(load_machine(MACHINES / "incrementer.tm"), 1, 10)
-    ch = BandChart(curve)
-    n = 2 * _BOX_BLOCK + 123
-    s = curve.arclength_of_param(rng.uniform(-0.5, curve.l_max + 1.0, n))
-    x, y = ch.chart_to_plane(s, rng.uniform(-0.0624, 0.0624, n))
-    fast, full = ch._distance_bound(x, y), full_box_bound(ch, x, y)
-    assert np.all(full < CHART_HALF_WIDTH**2)
-    assert fast.tobytes() == full.tobytes()
 
 
 def reference_arc_maps(curve):

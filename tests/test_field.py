@@ -387,6 +387,34 @@ def test_plane_points_off_every_chart_get_nan(fs):
         assert np.array_equal(np.isnan(ci_s), np.isnan(ci_rho))
 
 
+def test_plane_points_with_a_non_finite_coordinate_are_off_every_chart(fs):
+    # NaN and +-inf in x, in y and in both, among finite points: each falls on
+    # no chart, with no exception and no RuntimeWarning (an error under
+    # pytest), and the finite points keep their values
+    x, y = _plane_cloud(fs)
+    bad = [math.nan, math.inf, -math.inf]
+    on_curve = [fs.curve(i).x[1] for i in range(fs.n_bands) for _ in bad]
+    bx = np.array(bad + on_curve + [0.5] * 3 + bad * 3)
+    by = np.array([1.0] * 3 + bad * fs.n_bands + bad + np.repeat(bad, 3).tolist())
+    cut = len(x) // 2
+    xs, ys = (np.concatenate([a[:cut], b, a[cut:]]) for a, b in ((x, bx), (y, by)))
+    bad_at = np.zeros(len(xs), dtype=bool)
+    bad_at[cut:cut + len(bx)] = True
+    band, s, rho = _locate(fs, xs, ys)
+    assert np.all((band[bad_at] == -1) & np.isnan(s[bad_at]) & np.isnan(rho[bad_at]))
+    for i in range(fs.n_bands):
+        si, ri = fs.chart(i).plane_to_chart(xs, ys)
+        assert np.all(np.isnan(si[bad_at]) & np.isnan(ri[bad_at]))
+        want = fs.chart(i).plane_to_chart(x, y)
+        assert si[~bad_at].tobytes() == want[0].tobytes()
+        assert ri[~bad_at].tobytes() == want[1].tobytes()
+    vx, vy = field_eval_plane(fs, xs, ys)
+    pot = potential_plane(fs, xs, ys)
+    assert np.all((vx[bad_at] == 0.0) & (vy[bad_at] == 0.0) & np.isnan(pot[bad_at]))
+    for got, want in zip((vx, vy, pot), (*field_eval_plane(fs, x, y), potential_plane(fs, x, y))):
+        assert got[~bad_at].tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("name", ["incrementer", "right_filler", "spinner"])
 def test_locating_a_subset_matches_the_whole(name):
     # the window fit locates its grid once and evaluates the kept samples on

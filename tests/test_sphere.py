@@ -47,6 +47,11 @@ def test_threshold_guard(fs):
     for delta in (-1.0, 0.0, -0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match=f"delta = {delta} not in"):
             discrete_orbit_verdict(fs, 0, None, delta, 3)
+    # and large enough that the iterate count is a float
+    for delta in (1e-320, 5e-324):
+        with pytest.raises(ValueError, match=f"delta = {delta} too small"):
+            discrete_orbit_verdict(fs, 0, None, delta, 3)
+    assert discrete_orbit_verdict(fs, 0, None, 1e-300, 3)[2].iterates > 1e303
 
 
 def test_discrete_orbit_matches_continuous(fs):
