@@ -1,11 +1,16 @@
 """Lifting a planar polynomial potential to a 3D Beltrami field.
 
 The planar gradient of a polynomial F on {z = 0} is Cauchy data for the
-vector Helmholtz equation; matching powers of z gives a two-step recursion
-for the series coefficients, which are bivariate polynomials with exact
-rational coefficients.  The normal derivative in the data, (lam F_y,
--lam F_x, -Laplacian F), is the one that curl u = lam u and div u = 0 force
-on {z = 0}, so the series is itself Beltrami: (curl v + lam v)/(2 lam) = v
+vector Helmholtz equation; matching powers of z gives the two-step recursion
+a_(k+2) = -(lam^2 + Laplacian) a_k / ((k + 1)(k + 2)), so every order is a
+derivative of one scalar sequence P_0 = F, P_(m+1) = lam^2 P_m + Laplacian P_m:
+
+    a_2m   = (-1)^m / (2m)!     (d_x P_m, d_y P_m, 0)
+    a_2m+1 = (-1)^m / (2m + 1)! (lam d_y P_m, -lam d_x P_m, -Laplacian P_m),
+
+bivariate polynomials with exact rational coefficients.  The normal
+derivative a_1 is the one that curl u = lam u and div u = 0 force on
+{z = 0}, so the series is itself Beltrami: (curl v + lam v)/(2 lam) = v
 through order K - 1, and the lift u is v's terms through that order.
 `residuals` certifies curl u = lam u and div v = 0 exactly on every lift.
 """
@@ -152,16 +157,13 @@ class Poly2:
         return "Poly2(" + " + ".join(terms) + ")"
 
 
-Vec3 = tuple  # (Poly2, Poly2, Poly2)
-
-
 @dataclass(frozen=True)
 class SeriesField3D:
     """Vector field Sum_k a_k(x, y) z^k, coefficients exact."""
 
     lam: Fraction
     K: int
-    coeffs: tuple  # tuple of Vec3, index k = 0..K
+    coeffs: tuple  # index k = 0..K: a_k as a (Poly2, Poly2, Poly2)
 
     def evaluate(self, x, y, z):
         x = np.asarray(x, dtype=float)
@@ -179,69 +181,58 @@ class SeriesField3D:
         return out
 
 
-def cauchy_data(F: Poly2, lam) -> tuple[Vec3, Vec3]:
-    """Initial data on {z = 0}: the planar gradient and its normal derivative."""
-    lam = Fraction(lam)
-    if lam == 0:
-        raise ValueError("the curl eigenvalue must be nonzero")
-    a0 = (F.dx(), F.dy(), Poly2())
-    a1 = (F.dy() * lam, F.dx() * (-lam), F.laplacian() * Fraction(-1))
-    return a0, a1
-
-
-def extend_series(data: tuple[Vec3, Vec3], lam, K: int) -> SeriesField3D:
-    """Fill the z-series by the two-step Helmholtz recursion, exactly."""
-    if K < 2:
-        raise ValueError("need at least a second-order truncation")
-    lam = Fraction(lam)
-    lam2 = lam * lam
-    coeffs = [data[0], data[1]]
-    for k in range(K - 1):
-        coeffs.append(tuple((lam2 * a + a.laplacian()) * Fraction(-1, (k + 1) * (k + 2))
-                            for a in coeffs[k]))
-    return SeriesField3D(lam, K, tuple(coeffs))
-
-
-def _series_curl(v: SeriesField3D) -> SeriesField3D:
-    """curl of a z-series; loses one z-order."""
-    return SeriesField3D(v.lam, v.K - 1, tuple(
-        (a[2].dy() - n[1] * (k + 1), n[0] * (k + 1) - a[2].dx(), a[1].dx() - a[0].dy())
-        for k, (a, n) in enumerate(zip(v.coeffs, v.coeffs[1:]))))
-
-
-def _series_div(v: SeriesField3D):
-    """Coefficients of div v, defined through order K - 1."""
-    return [a[0].dx() + a[1].dy() + n[2] * (k + 1)
-            for k, (a, n) in enumerate(zip(v.coeffs, v.coeffs[1:]))]
-
-
 def residuals(u: SeriesField3D, v: SeriesField3D, F: Poly2, lam) -> dict:
     """Exact residual report for the lift u of F and its series v.
 
     curl u - lam u and div v must vanish coefficient-wise through order
     K - 2 (one order is lost to curl, one to the certification), and the
-    plane restriction u|_{z=0} must equal (F_x, F_y, 0) exactly.
+    plane restriction u|_{z=0} must equal (F_x, F_y, 0) exactly.  Each
+    order's residual is built only when the orders below it are clean.
     """
     lam = Fraction(lam)
-    cu, div = _series_curl(u), _series_div(v)
     check_to = v.K - 2
-    curl_bad = (k for k in range(min(cu.K + 1, check_to + 1))
-                if any(cu.coeffs[k][c] != lam * u.coeffs[k][c] for c in range(3)))
-    div_bad = (k for k in range(min(len(div), check_to + 1)) if not div[k].is_zero())
+
+    def curl_bad():
+        for k in range(min(u.K, check_to + 1)):
+            a, n = u.coeffs[k], u.coeffs[k + 1]
+            curl = (a[2].dy() - n[1] * (k + 1), n[0] * (k + 1) - a[2].dx(), a[1].dx() - a[0].dy())
+            if any(c != lam * p for c, p in zip(curl, a)):
+                yield k
+
+    def div_bad():
+        for k in range(min(v.K, check_to + 1)):
+            a, n = v.coeffs[k], v.coeffs[k + 1]
+            if not (a[0].dx() + a[1].dy() + n[2] * (k + 1)).is_zero():
+                yield k
+
     plane_ok = u.coeffs[0][0] == F.dx() and u.coeffs[0][1] == F.dy() and u.coeffs[0][2].is_zero()
     return {
-        "curl_residual_order": next(curl_bad, None),  # None: clean through K - 2
-        "div_residual_order": next(div_bad, None),
+        "curl_residual_order": next(curl_bad(), None),  # None: clean through K - 2
+        "div_residual_order": next(div_bad(), None),
         "plane_restriction_ok": plane_ok,
         "checked_through": check_to,
     }
 
 
 def beltrami_from_potential(F: Poly2, lam, K: int = 20) -> tuple[SeriesField3D, SeriesField3D]:
-    """(v, u): the Helmholtz series v of F and its Beltrami lift u, the
-    terms of v through order K - 1 (see the module docstring)."""
-    v = extend_series(cauchy_data(F, lam), lam, K)
-    return v, SeriesField3D(v.lam, K - 1, v.coeffs[:K])
+    """(v, u): the Helmholtz series v of F, cut at order K, and its Beltrami
+    lift u, the terms of v through order K - 1 (see the module docstring)."""
+    lam = Fraction(lam)
+    if lam == 0:
+        raise ValueError("the curl eigenvalue must be nonzero")
+    if K < 2:
+        raise ValueError("need at least a second-order truncation")
+    coeffs, P, lam2 = [], F, lam * lam
+    for k in range(0, K + 1, 2):  # orders k and k + 1 from P = P_(k/2)
+        px, py = P.dx(), P.dy()
+        s = Fraction((-1) ** (k // 2), math.factorial(k))
+        coeffs.append((px * s, py * s, Poly2()))
+        if k < K:
+            lap, s = P.laplacian(), s / (k + 1)
+            coeffs.append((py * (lam * s), px * (-lam * s), lap * -s))
+            P = P * lam2 + lap
+    coeffs = tuple(coeffs)
+    return SeriesField3D(lam, K, coeffs), SeriesField3D(lam, K - 1, coeffs[:K])
 
 
 # ---------------------------------------------------------------------------

@@ -336,12 +336,14 @@ class BandChart:
         """A lower bound on the squared distance of each point to the curve: the
         squared x-distance to the hull of the cells within the half-width of its
         height, as the rest of the curve is farther than that in height alone.
-        It is inf or NaN at a point with a non-finite coordinate."""
+        The x-distance is capped at 1 before squaring, which holds no further
+        point and keeps a far finite x from overflowing.  It is inf at a
+        non-finite y and NaN at a NaN x."""
         top, hull_left, hull_right = self._cell_boxes
         finite = np.isfinite(y)
         k = np.searchsorted(top, np.where(finite, y, 0.0))  # the cell of each height
-        best = (x - np.minimum(np.maximum(x, hull_left[k]), hull_right[k])) ** 2
-        return np.where(finite, best, np.inf)
+        dist = np.abs(x - np.minimum(np.maximum(x, hull_left[k]), hull_right[k]))
+        return np.where(finite, np.minimum(dist, 1.0) ** 2, np.inf)
 
     def _project(self, x, y):
         """Foot of the normal through each (x, y), by Newton on

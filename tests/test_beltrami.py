@@ -8,8 +8,6 @@ from flowcomp.beltrami import (
     _least_squares_fit,
     SeriesField3D,
     beltrami_from_potential,
-    cauchy_data,
-    extend_series,
     fit_window_polynomial,
     residuals,
     series_rows,
@@ -61,46 +59,49 @@ def test_equality_and_hash_ignore_the_route():
 
 
 def test_cauchy_data_cases():
-    a0, a1 = cauchy_data(Poly2.zero(), 1)
-    assert all(p.is_zero() for p in a0 + a1)
-    a0, a1 = cauchy_data(X, 1)
-    assert a0 == (Poly2({(0, 0): 1}), Poly2.zero(), Poly2.zero())
-    assert a1 == (Poly2.zero(), Poly2({(0, 0): -1}), Poly2.zero())
-    a0, a1 = cauchy_data(X * Y, 1)
+    # orders 0 and 1 of the series are the planar gradient and its normal derivative
+    v, _ = beltrami_from_potential(Poly2.zero(), 1, 2)
+    assert all(p.is_zero() for p in v.coeffs[0] + v.coeffs[1])
+    v, _ = beltrami_from_potential(X, 1, 2)
+    assert v.coeffs[0] == (Poly2({(0, 0): 1}), Poly2.zero(), Poly2.zero())
+    assert v.coeffs[1] == (Poly2.zero(), Poly2({(0, 0): -1}), Poly2.zero())
+    a0, a1, _ = beltrami_from_potential(X * Y, 1, 2)[0].coeffs
     assert a0[0] == Y and a0[1] == X and a0[2].is_zero()
     assert a1[0] == X and a1[1] == Y * Fraction(-1) and a1[2].is_zero()
 
 
 def test_cauchy_data_rejects_zero_eigenvalue():
-    with pytest.raises(ValueError):
-        cauchy_data(X, 0)
+    with pytest.raises(ValueError, match="the curl eigenvalue must be nonzero"):
+        beltrami_from_potential(X, 0)
 
 
 # -- series recursion -------------------------------------------------------
 
 
 def test_series_cosine():
-    v = extend_series(cauchy_data(X, 1), 1, 20)
-    assert extend_series(v.coeffs[:2], v.lam, v.K).coeffs == v.coeffs
+    v, _ = beltrami_from_potential(X, 1, 20)
+    # the two-step Helmholtz recursion run from the first two orders gives the series back
+    assert all(v.coeffs[k + 2] == tuple((a + a.laplacian()) * Fraction(-1, (k + 1) * (k + 2))
+                                        for a in v.coeffs[k]) for k in range(v.K - 1))
     assert v.coeffs[2][0] == Poly2({(0, 0): Fraction(-1, 2)})
     assert v.coeffs[3][1] == Poly2({(0, 0): Fraction(1, 6)})
 
 
 def test_series_zero():
-    v = extend_series(cauchy_data(Poly2.zero(), 1), 1, 5)
+    v, _ = beltrami_from_potential(Poly2.zero(), 1, 5)
     assert all(p.is_zero() for vec in v.coeffs for p in vec)
 
 
 def test_series_degree_bound():
     F = random_poly(1)
-    v = extend_series(cauchy_data(F, 1), 1, 20)
+    v, _ = beltrami_from_potential(F, 1, 20)
     assert max(i + j for vec in v.coeffs for p in vec for i, j in p.c) <= max(
         i + j for i, j in F.c)
 
 
 def test_extend_requires_order_two():
-    with pytest.raises(ValueError):
-        extend_series(cauchy_data(X, 1), 1, 1)
+    with pytest.raises(ValueError, match="need at least a second-order truncation"):
+        beltrami_from_potential(X, 1, 1)
 
 
 # -- the Beltrami lift ------------------------------------------------------
@@ -174,6 +175,24 @@ def test_residual_detects_divergence(order):
     assert rep["div_residual_order"] == order - 1
     assert rep["curl_residual_order"] is None
     assert rep["plane_restriction_ok"]
+
+
+def test_residuals_check_through_order_k_minus_2():
+    F, K = random_poly(6), 8
+    v, u = beltrami_from_potential(F, 1, K=K)
+    # u's last order, K - 1, enters curl u at order K - 2, the last one checked
+    bad = [list(vec) for vec in u.coeffs]
+    bad[K - 1][0] = bad[K - 1][0] + Poly2({(0, 0): 1})
+    rep = residuals(SeriesField3D(u.lam, u.K, tuple(map(tuple, bad))), v, F, 1)
+    assert rep["curl_residual_order"] == K - 2
+    assert rep["div_residual_order"] is None
+    # v's order-K z-component enters div v at order K - 1, past the check
+    bad = [list(vec) for vec in v.coeffs]
+    bad[K][2] = bad[K][2] + X * Y
+    rep = residuals(u, SeriesField3D(v.lam, v.K, tuple(map(tuple, bad))), F, 1)
+    assert rep["div_residual_order"] is None
+    assert rep["curl_residual_order"] is None
+    assert rep["checked_through"] == K - 2
 
 
 # -- a plain-Fraction reference for the series -------------------------------
@@ -265,7 +284,7 @@ def test_poly_ops_match_plain_fraction_reference(seed):
     assert (p * p - q).laplacian().c == _r_lap(_r_add(_r_mul(p.c, p.c), _r_scale(q.c, -1)))
 
 
-@pytest.mark.parametrize("K", [2, 8, 20])
+@pytest.mark.parametrize("K", [2, 3, 8, 20])
 @pytest.mark.parametrize("lam", [1, Fraction(3, 2), Fraction(-2, 5), Fraction(3, 7)])
 def test_series_matches_plain_fraction_reference(lam, K):
     # u, the terms of v through order K - 1, against (curl v + lam v)/(2 lam)
@@ -301,7 +320,7 @@ def test_series_rows_match_the_fraction_rows(degree, lam):
 
 
 def test_series_rows_roundtrip_values():
-    v = extend_series(cauchy_data(X, 1), 1, 6)
+    v, _ = beltrami_from_potential(X, 1, 6)
     rows = series_rows(v)
     assert (0, 0, 0, 0, 1, 1) in rows
     assert (2, 0, 0, 0, -1, 2) in rows

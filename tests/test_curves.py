@@ -347,6 +347,17 @@ def test_distance_bound_keeps_every_chart_point():
         assert np.max(np.abs(rho2 - rho)) < 1e-12, machine.name
 
 
+def test_far_points_leave_the_chart_without_overflow(incrementer):
+    # a finite x past 1e154 would overflow a squared distance; it, a far
+    # negative x and inf land on no chart, and a near point keeps its (s, rho)
+    ch = BandChart(CurveFamily(incrementer, 0, 4))
+    near = ch.plane_to_chart(np.array([0.09]), np.array([1.0]))
+    assert np.all(np.isfinite(near))
+    s, rho = ch.plane_to_chart(np.array([0.09, 1.5e154, -1e300, np.inf]), np.full(4, 1.0))
+    assert (s[0], rho[0]) == (near[0][0], near[1][0])
+    assert np.all(np.isnan(s[1:])) and np.all(np.isnan(rho[1:]))
+
+
 def reference_cell_boxes(curve):
     """(bottom, top, left, right) of a box around each cell of the arc-length
     grid, the end cells repeated `_REACH` times on either side, then the hulls
