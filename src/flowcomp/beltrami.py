@@ -301,7 +301,6 @@ def fit_window_polynomial(fs, window, degree: int) -> dict:
         "l2_value_error": l2_val,
         "sup_gradient_error": sup_grad,
         "ln_threshold": ln_threshold,
-        "certified": certified,
         "status": "certified" if certified else "insufficient degree",
         "samples": len(xs),
     }

@@ -161,8 +161,8 @@ def write_csv(path: Path, header, fmt: str, rows):
 def svg_trajectory(path: Path, curve, traj, l_max: int):
     """Self-contained vector plot: trajectory path over interval boxes.
 
-    The encoded intervals are far below visual width, so boxes are drawn
-    at a fixed minimum size centered on the exact anchors.
+    The encoded intervals are at most 1/32 wide, below visual width, so
+    boxes are drawn 0.04 wide, centered on the exact anchors.
     """
     band = curve.band
     x0, x1 = 2 * band - 0.6, 2 * band + 1.6
@@ -177,10 +177,9 @@ def svg_trajectory(path: Path, curve, traj, l_max: int):
     ]
     for l in range(min(l_max, len(curve.x) - 1) + 1):
         cx, cy = float(curve.x[l]), float(l)
-        half = max(math.exp(min(curve.points[l].ln_half_width().ln(), 0.0)), 0.02)
         parts.append('<rect x="%.3f" y="%.3f" width="%.3f" height="8" fill="none" '
                      'stroke="#cc3333" stroke-width="1"/>'
-                     % (sx(cx - half), sy(cy) - 4, sx(cx + half) - sx(cx - half)))
+                     % (sx(cx - 0.02), sy(cy) - 4, sx(cx + 0.02) - sx(cx - 0.02)))
     if traj is not None and len(traj.samples) >= 2:
         px, py = curve.point(curve.param_of_arclength(np.array([r[1] for r in traj.samples])))
         xy = np.column_stack((sx(px), sy(py))).ravel().tolist()

@@ -6,6 +6,11 @@ x-coordinate is the encoded value of the configuration after that many
 transition steps, and moves between consecutive anchor values through a
 normalized bump-function ramp.  The (s, rho) chart around the curve (s arc
 length, rho signed distance) is where all the flow dynamics happens.
+
+Every state q is at least 1, so every encoded value 1/(2^q 3^r 5^s) lies in
+(0, 1/2] and every interval half-width in (0, 1/64].  Band i's curve only
+ramps between its anchors, so it stays in x in [2i, 2i + 1/2], and its chart
+of half-width 1/16 in (2i - 1/16, 2i + 9/16).
 """
 
 from __future__ import annotations
@@ -50,6 +55,17 @@ def flat(x):
     return out
 
 
+def grid_sup(f, lo: float, hi: float) -> float:
+    """sup |f| over [lo, hi], from above, for a smooth f: the best node of a
+    1001-point grid, re-gridded between its neighbours until they are 1e-14
+    apart, plus 1e-9 relative for rounding."""
+    t = np.linspace(lo, hi, 1001)
+    for _ in range(5):
+        k = int(np.argmax(np.abs(f(t))))
+        t = np.linspace(t[max(k - 1, 0)], t[min(k + 1, 1000)], 1001)
+    return float(np.max(np.abs(f(t)))) * (1.0 + 1e-9)
+
+
 def hermite_cumulative(x, f, df):
     """Integrals from x[0] to each node of the cubic Hermite interpolant of values f and
     exact slopes df along the last axis: per cell h/2 (f0 + f1) + h^2/12 (f0' - f1')."""
@@ -76,7 +92,7 @@ class BumpProfile:
 
     Z: float  # integral over [RAMP_EPS, 1 - RAMP_EPS]
     full_integral: float  # integral over (0, 1)
-    sup_expression: float  # sup of flat(t(1 - t))|1/t^2 - 1/(1-t)^2|
+    sup_expression: float  # sup of flat(t(1 - t))|1/t^2 - 1/(1-t)^2|, from above
     quad_error: float
     _nodes: tuple = field(repr=False)  # grid, beta, beta' and the integral of beta
 
@@ -145,7 +161,7 @@ def bump_profile() -> BumpProfile:
     Z = float(cum[-1])
     err = max(abs(Z - integral(grid[::2])[-1]), abs(full - integral(whole[::2])[-1]))
     beta, dbeta = cum / Z, ramp(grid)[0] / Z
-    sup = float(np.max(np.abs(ramp(np.linspace(1e-4, 1.0 - 1e-4, 20001))[1])))
+    sup = grid_sup(lambda t: ramp(t)[1], 1e-4, 1.0 - 1e-4)
     _PROFILE = BumpProfile(Z, full, sup, float(err),
                            (grid, beta, dbeta, hermite_cumulative(grid, beta, dbeta)))
     return _PROFILE
@@ -167,9 +183,7 @@ class CurveFamily:
         # one extra anchor so the ramp into height l_max is defined
         self.configs = trajectory(machine, c0, l_max + 1)
         self.points = [encode(c) for c in self.configs]
-        self.x = np.array(
-            [math.exp(min(p.ln_value().ln(), 0.0)) + 2 * band for p in self.points]
-        )
+        self.x = np.array([math.exp(p.ln_value().ln()) + 2 * band for p in self.points])
 
     # -- ramp evaluation ----------------------------------------------------
 

@@ -25,6 +25,7 @@ from .curves import (
     CurveFamily,
     bump_profile,
     flat,
+    grid_sup,
     hermite_cumulative,
     hermite_eval,
     interval_bound_log,
@@ -306,25 +307,22 @@ def _forcing_kernel(fs: FieldSpec, band: int, l: int):
 
 
 def _locate(fs: FieldSpec, x, y):
-    """(band, s, rho) of plane points; array friendly.  A point tries the band
-    to its left first; where no chart holds it, band is -1 and s, rho NaN.
-    One projection per band, in ascending order, so a point's left band is first."""
+    """(band, s, rho) of plane points; array friendly.  Band i's chart lies in
+    x in (2i - 1/16, 2i + 9/16), so a point meets the one chart of band
+    floor((x + 1/16)/2); where that chart does not hold it, band is -1 and
+    s, rho NaN.  One projection per band."""
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     shape = x.shape
     x, y = np.atleast_1d(x, y)
     band = np.full(x.shape, -1)
     s, rho = np.full((2,) + x.shape, np.nan)
-    left = np.floor((x - CHART_HALF_WIDTH) / 2.0)
-    right = np.floor((x + CHART_HALF_WIDTH) / 2.0)
+    cand = np.floor((x + CHART_HALF_WIDTH) / 2.0)
     for i in range(fs.n_bands):
-        todo = (band < 0) & ((left == i) | (right == i))
+        todo = cand == i
         if not todo.any():
             continue
-        si, ri = fs.chart(i).plane_to_chart(x[todo], y[todo])
-        held = ~np.isnan(si)
-        hit = todo.copy()
-        hit[todo] = held
-        band[hit], s[hit], rho[hit] = i, si[held], ri[held]
+        s[todo], rho[todo] = fs.chart(i).plane_to_chart(x[todo], y[todo])
+        band[todo] = np.where(np.isnan(s[todo]), -1, i)
     return band.reshape(shape), s.reshape(shape), rho.reshape(shape)
 
 
@@ -406,22 +404,15 @@ def verify_gradient(fs: FieldSpec, samples: int, seed: int = 0):
 
 @cache
 def _cutoff_peaks() -> tuple[float, float]:
-    """sup |(t chi)'| and sup |chi'| over (1/2, 1), off which chi is constant: each
-    the best node of a 1001-point grid, re-gridded between its neighbours until
-    they are 1e-14 apart, plus 1e-9 relative for rounding.  Computed on first use."""
+    """sup |(t chi)'| and sup |chi'| over (1/2, 1), off which chi is constant,
+    each by `grid_sup`.  Computed on first use."""
 
     def dchi(t):
         a, b = flat(1.0 - t), flat(2.0 * t - 1.0)
         return -a * b * (1.0 / (1.0 - t) ** 2 + 2.0 / (2.0 * t - 1.0) ** 2) / (a + b) ** 2
 
-    sups = []
-    for f in (lambda t: cutoff(t) + t * dchi(t), dchi):
-        t = np.linspace(0.501, 0.999, 1001)
-        for _ in range(5):
-            k = int(np.argmax(np.abs(f(t))))
-            t = np.linspace(t[max(k - 1, 0)], t[min(k + 1, 1000)], 1001)
-        sups.append(float(np.max(np.abs(f(t)))) * (1.0 + 1e-9))
-    return tuple(sups)
+    return (grid_sup(lambda t: cutoff(t) + t * dchi(t), 0.501, 0.999),
+            grid_sup(dchi, 0.501, 0.999))
 
 
 def derivative_bound(fs: FieldSpec) -> float:

@@ -152,10 +152,6 @@ def contraction_check(machine: MachineSpec, lam: float, band: int, height: int,
         "ok": worst > 0.0,
         "worst_margin": worst,
         "probes": probes,
-        "lam": lam,
-        "band": band,
-        "height": height,
-        "j": j,
     }
 
 

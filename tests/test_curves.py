@@ -22,6 +22,7 @@ from flowcomp.curves import (
     window_reduce,
 )
 from flowcomp.field import cutoff
+from flowcomp.logmag import LogMagnitude
 from flowcomp.machine import MachineSpec, load_machine
 from flowcomp.robust import _bump01
 
@@ -80,6 +81,14 @@ def test_bump_sup_expression(profile):
     assert profile.sup_expression < 1e-1
     # peak location/value frozen from a dense scan
     assert profile.sup_expression == pytest.approx(0.07757846, rel=1e-5)
+    # the curvature bound kbar reads it as an upper bound: at least the
+    # 30-digit maximum, at t near 0.30334, and within the 1e-9 pad of it
+    with mp.workdps(30):
+        def g(t):
+            return mp_ramp(t) * (1 / t**2 - 1 / (1 - t) ** 2)
+
+        peak = g(mp.findroot(lambda t: mp.diff(g, t), 0.3033))
+        assert peak <= profile.sup_expression <= peak * (1 + 2e-9)
 
 
 def test_beta_endpoints_and_symmetry(profile):
@@ -195,6 +204,20 @@ def sample_curves():
             yield CurveFamily(load_machine(path), band, 20)
     for seed in range(20):
         yield CurveFamily(random_machine(seed), seed % 3, 12)
+
+
+def test_curves_and_boxes_stay_in_the_encoding_range():
+    # every state is at least 1, so every encoded value is at most 1/2 and
+    # every half-width at most 1/64: band i's curve, which only ramps between
+    # its anchors, stays in [2i, 2i + 1/2] on every arc-grid node, which
+    # `field._locate` relies on, and every plotted box is drawn at 0.02
+    curves = [*sample_curves(), *(CurveFamily(random_machine(seed), seed % 3, 12)
+                                  for seed in range(600, 700))]
+    box = LogMagnitude.from_prime_exponents(6, 0, 0)
+    for curve in curves:
+        x = curve._arc_maps[4] - 2 * curve.band
+        assert 0.0 <= x.min() and x.max() <= 0.5, curve.machine.name
+        assert all(p.ln_half_width() <= box for p in curve.points), curve.machine.name
 
 
 def quad_arc_heights(curve):

@@ -451,8 +451,9 @@ def two_pass_locate(fs, x, y):
 
 @pytest.mark.parametrize("name", ["incrementer", "right_filler", "spinner"])
 def test_one_pass_per_band_locates_as_the_two_pass_loop(name):
-    # points within 1/16 of the band borders x = 2i, where a point has two
-    # candidate bands, and x = 2i + 1, and points beside the curves
+    # points within 1/16 of the band borders x = 2i, where the reference
+    # tries two candidate bands and `_locate` the one chart that can hold
+    # the point, and x = 2i + 1, and points beside the curves
     fs = FieldSpec(load_machine(str(MACHINES / f"{name}.tm")), n_bands=3, l_max=6)
     rng = np.random.default_rng(23)
     n, top = 3000, fs.l_max + 1.0

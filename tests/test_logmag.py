@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,8 +12,6 @@ from flowcomp.logmag import (
     LogMagnitude,
     signed_log_add,
 )
-
-mpmath = pytest.importorskip("mpmath")
 
 
 def test_fixed_point_constants_match_mpmath():

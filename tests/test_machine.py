@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flowcomp import machine
+from flowcomp.logmag import LogMagnitude
 from flowcomp.machine import (
     LOOP,
     UNRESOLVED,
@@ -220,6 +222,17 @@ def test_huge_exponent_raises():
         p.value()
     # log form still fine
     assert p.ln_value().ln() < -(10**6)
+
+
+@given(st.integers(1, 10**6), st.integers(0, 10**40), st.integers(0, 10**40))
+def test_encoded_values_and_half_widths_lie_in_the_range(q, r, s):
+    # q >= 1: the value is at most 1/2, so a curve's anchors need no clamp,
+    # and the half-width at most 1/64 (in floats, within an ulp of it), below
+    # the plots' 0.02 box
+    p = encode(Configuration(q, r, s))
+    assert 0.0 <= math.exp(p.ln_value().ln()) <= 0.5
+    assert p.ln_half_width() <= LogMagnitude.from_prime_exponents(6, 0, 0)
+    assert math.exp(p.ln_half_width().ln()) < 0.02
 
 
 def test_input_enumeration_order(incrementer):

@@ -2,6 +2,7 @@ import hashlib
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -133,7 +134,6 @@ def _mp_forced_rho(fs, band, l, bump):
     the anchor, both by tanh-sinh quadrature at 30 digits.  The integrand's
     peak is found by its own ternary search and given as a breakpoint.
     """
-    mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     mp.dps = 30
     curve, speed = fs.curve(band), fs.speed(band)
@@ -212,7 +212,7 @@ def test_perturbed_run_makes_no_arc_length_inversion(fs, schedule, monkeypatch):
 
 # sha256 of every forced crossing (t, rho sign, ln|rho| fixed and float
 # parts) of the incrementer and right_filler, 2 bands, l_max 6, seeds 0-4
-FORCED_CROSSINGS_SHA256 = "ff28152d9895c1c4c0014059e2b2e4992de7583460680e656c297bcfeefa9609"
+FORCED_CROSSINGS_SHA256 = "08d8c038f17a85909149a50d479ba046a122d442657b065156333f6a2dd3e645"
 
 
 def test_forced_crossings_are_pinned(incrementer):
@@ -245,7 +245,6 @@ def _mp_forcing_error(p, fs, band, l):
     kernel's -c delta make -z cosh v, z = sqrt(c/2): that is evaluated in mpmath,
     at 40 + (band + l)/2 digits, since z reaches 1e151.
     """
-    mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp
     bump = p.bumps[(band, l)]
     sign, ln_rho = p.forcing(fs, band, l)
@@ -409,7 +408,6 @@ def test_contraction_probe_times_match_solver(incrementer, band, height, j, lam)
 def test_contraction_margins_match_closed_form(incrementer, band, height, j, lam):
     # margin = ln A_{i,l+1} - (j+1) ln2 - (ln A_{i,l} - j ln2 - t), with
     # ln A_{i,l} = -(m+4) ln2 - 10^(i+l+1) ln15 in 50-digit arithmetic
-    mpmath = pytest.importorskip("mpmath")
     m = incrementer.m
 
     def ln_a(level):
